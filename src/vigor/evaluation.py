@@ -1,9 +1,10 @@
 """Accuracy, subset breakdowns, and per-block response dumps.
 
 Evaluation items are duck-typed: anything with a scene, a description, a
-target (either `target_id` or `anchor_target_ids[-1]`), and optionally a
-stored `order`.  When no stored order exists, a parser callable must be
-supplied to recover one from the description.
+`target_id`, and optionally a stored `order`.  Records' examples and
+synthesized warm-up samples both qualify.  When no stored order exists, a
+parser callable must be supplied to recover one from the description.
+`accuracy()` parses each item once and both buckets and scores that order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError
 from .model import GroundingModel
-from .orderparse import trim_pad
+from .orderparse import order_names, trim_pad
 
 __all__ = [
     "EvalReport",
@@ -27,19 +28,9 @@ __all__ = [
     "dump_block_responses",
 ]
 
-ORDER_BUCKETS = ("1", "2&3", "4&5")
-
-
-def _target_of(item) -> int:
-    if hasattr(item, "target_id"):
-        return int(item.target_id)
-    return int(item.anchor_target_ids[-1])
-
-
 def _raw_order(item, parser: Callable[[str], Sequence[str]] | None) -> list[str]:
     if parser is not None:
-        parsed = parser(item.description)
-        return list(getattr(parsed, "names", parsed))
+        return order_names(parser(item.description))
     order = getattr(item, "order", None)
     if order is None:
         raise ContractError(
@@ -61,8 +52,7 @@ def order_length_bucket(n: int) -> str:
 
 def distractor_bucket(item) -> str:
     """hard = more than 2 other proposals share the target's class."""
-    target = _target_of(item)
-    target_class = item.scene.proposals[target].class_id
+    target_class = item.scene.proposals[item.target_id].class_id
     same = sum(1 for p in item.scene.proposals if p.class_id == target_class)
     return "hard" if same - 1 > 2 else "easy"
 
@@ -71,13 +61,14 @@ def subset_breakdown(
     items: Sequence, parser: Callable[[str], Sequence[str]] | None = None
 ) -> list[dict[str, str]]:
     """Partition labels per item, one dict per item, keys are families."""
-    return [
-        {
-            "order_length": order_length_bucket(len(_raw_order(item, parser))),
-            "distractors": distractor_bucket(item),
-        }
-        for item in items
-    ]
+    return [_labels(item, _raw_order(item, parser)) for item in items]
+
+
+def _labels(item, raw_order: Sequence[str]) -> dict[str, str]:
+    return {
+        "order_length": order_length_bucket(len(raw_order)),
+        "distractors": distractor_bucket(item),
+    }
 
 
 @dataclass
@@ -125,12 +116,12 @@ def accuracy(
     """
     if not items:
         raise ContractError("cannot evaluate an empty dataset")
-    labels = subset_breakdown(items, parser)
     hits_total = 0
     bucket_hits: dict[str, int] = {}
     bucket_counts: dict[str, int] = {}
-    for item, label in zip(items, labels):
+    for item in items:
         raw = _raw_order(item, parser)
+        label = _labels(item, raw)
         order = trim_pad(raw, model.cfg.b)
         if score_fn is not None:
             scores = np.asarray(score_fn(item, order), dtype=np.float64).reshape(-1)
@@ -139,7 +130,7 @@ def accuracy(
             scores = out.scores.data[:, 0]
         if scores.shape[0] != len(item.scene):
             raise ContractError("score vector length must match proposal count")
-        hit = int(np.argmax(scores)) == _target_of(item)
+        hit = int(np.argmax(scores)) == item.target_id
         hits_total += hit
         for family, bucket in label.items():
             key = f"{family}:{bucket}"

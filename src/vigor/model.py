@@ -232,15 +232,17 @@ def _layer_norm(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     return tt.layer_norm(x, p[f"{prefix}.g"], p[f"{prefix}.b"])
 
 
+def _linear(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
+    return tt.add_row(tt.matmul(x, p[f"{prefix}.w"]), p[f"{prefix}.b"])
+
+
 def _mlp2(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    h = tt.relu(tt.add_row(tt.matmul(x, p[f"{prefix}.1.w"]), p[f"{prefix}.1.b"]))
-    return tt.add_row(tt.matmul(h, p[f"{prefix}.2.w"]), p[f"{prefix}.2.b"])
+    return _linear(p, f"{prefix}.2", tt.relu(_linear(p, f"{prefix}.1", x)))
 
 
 def _encoder_layer(p: dict[str, Tensor], prefix: str, x: Tensor, n_heads: int) -> Tensor:
     x = _layer_norm(p, f"{prefix}.ln1", tt.add(x, _attention(p, f"{prefix}.attn", x, x, n_heads)))
-    h = tt.relu(tt.add_row(tt.matmul(x, p[f"{prefix}.ffn1.w"]), p[f"{prefix}.ffn1.b"]))
-    h = tt.add_row(tt.matmul(h, p[f"{prefix}.ffn2.w"]), p[f"{prefix}.ffn2.b"])
+    h = _linear(p, f"{prefix}.ffn2", tt.relu(_linear(p, f"{prefix}.ffn1", x)))
     return _layer_norm(p, f"{prefix}.ln2", tt.add(x, h))
 
 
@@ -291,14 +293,11 @@ def encode_objects(scene: Scene, params: dict[str, Tensor], cfg: ModelConfig) ->
     """Per-proposal point MLP + max-pool, concatenated with a center code."""
     i_pts = cfg.points_per_proposal
     stacked = np.vstack([_resample_points(p.points, i_pts) for p in scene.proposals])
-    h = tt.relu(tt.add_row(tt.matmul(tt.constant(stacked), params["obj.p1.w"]), params["obj.p1.b"]))
-    h = tt.relu(tt.add_row(tt.matmul(h, params["obj.p2.w"]), params["obj.p2.b"]))
+    h = tt.relu(_linear(params, "obj.p1", tt.constant(stacked)))
+    h = tt.relu(_linear(params, "obj.p2", h))
     pooled = tt.max_rows_per_block(h, i_pts)  # K x d
-    centers = tt.constant(scene.centers())
-    c = tt.relu(tt.add_row(tt.matmul(centers, params["obj.c.w"]), params["obj.c.b"]))
-    f1 = tt.add_row(
-        tt.matmul(tt.concat_cols(pooled, c), params["obj.out.w"]), params["obj.out.b"]
-    )
+    c = tt.relu(_linear(params, "obj.c", tt.constant(scene.centers())))
+    f1 = _linear(params, "obj.out", tt.concat_cols(pooled, c))
     return ObjectFeatures(matrix=f1, block=1)
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "parse_appearance_order",
     "llm_two_stage_order",
     "trim_pad",
+    "order_names",
     "FIRST_STAGE_PREFIX",
     "SECOND_STAGE_PREFIX",
 ]
@@ -188,6 +189,11 @@ def parse_appearance_order(description: str, vocab: ClassVocab) -> ParsedOrder:
 
 # ---------------------------------------------------------------------------
 # trim / pad
+
+
+def order_names(reply: ParsedOrder | Sequence[str]) -> list[str]:
+    """The class names of a parser reply: a ParsedOrder or a plain sequence."""
+    return list(getattr(reply, "names", reply))
 
 
 def trim_pad(order: Sequence[str], b: int) -> list[str]:

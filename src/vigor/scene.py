@@ -89,8 +89,6 @@ class Proposal:
     class_id: int
     points: np.ndarray  # (I, 6) columns x, y, z, r, g, b
     center: np.ndarray = field(default=None, repr=False)
-    bbox_min: np.ndarray = field(default=None, repr=False)
-    bbox_max: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64)
@@ -98,14 +96,13 @@ class Proposal:
             raise ContractError(
                 f"proposal points must be non-empty Ix6, got shape {self.points.shape}"
             )
-        center, bmin, bmax = compute_center_bbox(self.points[:, :3])
+        center, _, _ = compute_center_bbox(self.points[:, :3])
         if self.center is None:
             self.center = center
         elif not np.allclose(self.center, center, atol=1e-9):
             raise ContractError("stored center disagrees with bbox center of points")
         else:
             self.center = np.asarray(self.center, dtype=np.float64)
-        self.bbox_min, self.bbox_max = bmin, bmax
 
 
 @dataclass
@@ -134,12 +131,6 @@ class Scene:
 
     def centers(self) -> np.ndarray:
         return np.stack([p.center for p in self.proposals])
-
-    def class_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for p in self.proposals:
-            counts[p.class_id] = counts.get(p.class_id, 0) + 1
-        return counts
 
 
 @dataclass(frozen=True)

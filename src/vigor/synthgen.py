@@ -105,6 +105,10 @@ class WarmupSample:
     anchor_target_ids: list[int]  # proposal ids along the chain, target last
     relation: str
 
+    @property
+    def target_id(self) -> int:
+        return self.anchor_target_ids[-1]
+
 
 def default_vocab(size: int) -> ClassVocab:
     if size < 1:

@@ -13,9 +13,8 @@ difference checker in `grad_check` can be pointed at.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -42,14 +41,12 @@ __all__ = [
     "slice_rows",
     "slice_cols",
     "mean_rows",
-    "sum_all",
     "mean_all",
     "square",
     "softplus",
     "row_softmax",
     "log_row_softmax",
     "layer_norm",
-    "pick_rows",
     "take_rows",
     "max_rows_per_block",
     "AdamState",
@@ -385,17 +382,6 @@ def mean_rows(x: Tensor) -> Tensor:
     return out
 
 
-def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(np.array([[x.data.sum()]]))
-    if _traced(x):
-
-        def back(g, x=x):
-            _acc(x, np.full_like(x.data, g[0, 0]))
-
-        _TAPE.add(out, back)
-    return out
-
-
 def mean_all(x: Tensor) -> Tensor:
     size = x.data.size
     out = Tensor(np.array([[x.data.mean()]]))
@@ -510,27 +496,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # indexing / pooling
-
-
-def pick_rows(x: Tensor, indices) -> Tensor:
-    """out[i, 0] = x[i, indices[i]] (one picked column per row)."""
-    idx = np.asarray(indices, dtype=np.intp).reshape(-1)
-    m, n = x.data.shape
-    if idx.shape[0] != m:
-        raise ShapeError(f"pick_rows needs {m} indices, got {idx.shape[0]}")
-    if (idx < 0).any() or (idx >= n).any():
-        raise ContractError(f"pick_rows index out of range [0, {n})")
-    rows = np.arange(m)
-    out = Tensor(x.data[rows, idx].reshape(m, 1).copy())
-    if _traced(x):
-
-        def back(g, x=x, rows=rows, idx=idx):
-            full = np.zeros_like(x.data)
-            np.add.at(full, (rows, idx), g[:, 0])
-            _acc(x, full)
-
-        _TAPE.add(out, back)
-    return out
 
 
 def take_rows(table: Tensor, indices) -> Tensor:

@@ -16,15 +16,15 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from . import tensor as tt
-from .errors import CheckpointError, ContractError
-from .losses import LossWeights, compose, loss_crd, loss_mask, loss_ref, loss_text
-from .model import GroundingModel, ModelConfig, WordVocab
-from .orderparse import trim_pad
+from .errors import CheckpointError, ContractError, NumericError
+from .losses import LossBreakdown, LossWeights, _sum, compose
+from .losses import loss_crd, loss_mask, loss_ref, loss_text
+from .model import GroundingModel, HeadOutputs, ModelConfig, WordVocab
+from .orderparse import order_names, trim_pad
 from .scene import ClassVocab, Scene
 from .synthgen import GenConfig, sample_at
 from .tensor import AdamState, GradCheckReport, adam_step, backward, grad_check
@@ -86,28 +86,12 @@ class StageReport:
     stage: str
     losses: list[float]  # per-step batch means
 
-    def final_loss(self) -> float:
-        if not self.losses:
-            raise ContractError("no steps were run")
-        return self.losses[-1]
-
 
 def moving_average(xs: Sequence[float], window: int) -> list[float]:
     if window < 1 or window > len(xs):
         raise ContractError("window must fit inside the series")
     sums = np.cumsum([0.0, *xs])
     return list((sums[window:] - sums[:-window]) / window)
-
-
-class TrainItem(Protocol):
-    scene: Scene
-    description: str
-
-
-def _target_of(item) -> int:
-    if hasattr(item, "target_id"):
-        return int(item.target_id)
-    return int(item.anchor_target_ids[-1])
 
 
 def _maybe_noisy_labels(
@@ -121,11 +105,64 @@ def _maybe_noisy_labels(
     return [int(d) if f else l for l, f, d in zip(labels, flips, draws)]
 
 
-def _sum_batch(totals: list[tt.Tensor]) -> tt.Tensor:
-    acc = totals[0]
-    for t in totals[1:]:
-        acc = tt.add(acc, t)
-    return acc
+def _warmup_loss(out: HeadOutputs, sample, weights: LossWeights = LossWeights()) -> LossBreakdown:
+    """Every block supervised: anchors, masks, sentence class, offsets."""
+    ids = sample.anchor_target_ids
+    return compose(
+        "warmup",
+        loss_ref(out.scores_per_block, ids, "warmup"),
+        loss_mask(out.mask_logits, out.masks),
+        loss_text(out.text_class_logits, sample.scene.proposals[ids[-1]].class_id),
+        loss_crd(out.coord_pred, sample.scene.centers(), ids),
+        weights=weights,
+    )
+
+
+def _main_loss(out: HeadOutputs, item, weights: LossWeights) -> LossBreakdown:
+    """Target only: reference, mask, and sentence class; no offsets."""
+    target = item.target_id
+    return compose(
+        "main",
+        loss_ref(out.scores_per_block, [target], "main"),
+        loss_mask(out.mask_logits, out.masks),
+        loss_text(out.text_class_logits, item.scene.proposals[target].class_id),
+        weights=weights,
+    )
+
+
+def _train_step(
+    model: GroundingModel,
+    state: TrainState,
+    train_cfg: TrainConfig,
+    stage: str,
+    step: int,
+    batch: Sequence[tuple[object, Sequence[str]]],
+    sample_loss: Callable[[HeadOutputs, object, LossWeights], LossBreakdown],
+) -> float:
+    """One optimizer step over (item, order) pairs; returns the batch mean loss.
+
+    Label noise is drawn from `state.rng` per sample, in batch order.  A
+    non-finite loss or gradient raises before the update, leaving the
+    parameters and the Adam state untouched.
+    """
+    leaves = model.trainable()
+    totals = []
+    for item, order in batch:
+        labels = _maybe_noisy_labels(item.scene, train_cfg.label_noise, state.rng)
+        out = model.forward(item.scene, order, item.description, params=leaves, labels=labels)
+        totals.append(sample_loss(out, item, train_cfg.weights).total)
+    batch_loss = _sum(totals)
+    grads = backward(batch_loss, leaves)
+    loss = batch_loss.item()
+    # nan passes LossBreakdown's nonnegativity check (nan < 0 is False), so
+    # this is the last stop before Adam writes it into the parameters.
+    flat = np.concatenate([g.reshape(-1) for g in grads.values()])
+    if not (np.isfinite(flat).all() and np.isfinite(loss)):
+        bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
+        what = f"gradient for parameter {bad}" if bad else f"loss {loss}"
+        raise NumericError(f"{stage} step {step}: non-finite {what}")
+    adam_step(model.params, grads, state.adam, lr=train_cfg.lr)
+    return loss / train_cfg.batch_size
 
 
 def warmup_stage(
@@ -144,31 +181,12 @@ def warmup_stage(
     losses: list[float] = []
     for _ in range(train_cfg.warmup_steps):
         base = state.warmup_done * train_cfg.batch_size
-        batch = [sample_at(gen_cfg, base + j) for j in range(train_cfg.batch_size)]
-        leaves = model.trainable()
-        totals = []
-        for sample in batch:
-            labels = _maybe_noisy_labels(sample.scene, train_cfg.label_noise, state.rng)
-            out = model.forward(
-                sample.scene, sample.order, sample.description, params=leaves, labels=labels
-            )
-            ids = sample.anchor_target_ids
-            bd = compose(
-                "warmup",
-                loss_ref(out.scores_per_block, ids, "warmup"),
-                loss_mask(out.mask_logits, out.masks),
-                loss_text(
-                    out.text_class_logits, sample.scene.proposals[ids[-1]].class_id
-                ),
-                loss_crd(out.coord_pred, sample.scene.centers(), ids),
-                weights=train_cfg.weights,
-            )
-            totals.append(bd.total)
-        batch_loss = _sum_batch(totals)
-        grads = backward(batch_loss, leaves)
-        adam_step(model.params, grads, state.adam, lr=train_cfg.lr)
+        samples = [sample_at(gen_cfg, base + j) for j in range(train_cfg.batch_size)]
+        batch = [(s, s.order) for s in samples]
+        losses.append(
+            _train_step(model, state, train_cfg, "warmup", state.warmup_done + 1, batch, _warmup_loss)
+        )
         state.warmup_done += 1
-        losses.append(batch_loss.item() / train_cfg.batch_size)
         if on_eval and train_cfg.eval_every and state.warmup_done % train_cfg.eval_every == 0:
             on_eval(state.warmup_done, model)
     return StageReport(stage="warmup", losses=losses), state
@@ -176,7 +194,7 @@ def warmup_stage(
 
 def main_stage(
     model: GroundingModel,
-    dataset: Sequence[TrainItem],
+    dataset: Sequence,
     train_cfg: TrainConfig,
     parser: Callable[[str], Sequence[str]],
     state: TrainState | None = None,
@@ -184,6 +202,7 @@ def main_stage(
 ) -> tuple[StageReport, TrainState]:
     """Fine-tune on stored samples; supervises the target only.
 
+    `dataset` items carry a scene, a description, and a `target_id`.
     `parser` maps a description to an order (class names, target last);
     results are normalized to the model's block count with trim_pad and
     cached, so each description is parsed once.
@@ -191,36 +210,15 @@ def main_stage(
     if not dataset:
         raise ContractError("main stage needs a nonempty dataset")
     state = state if state is not None else TrainState.fresh(train_cfg.seed)
-    orders = []
-    for item in dataset:
-        parsed = parser(item.description)
-        names = getattr(parsed, "names", parsed)
-        orders.append(trim_pad(list(names), model.cfg.b))
+    orders = [trim_pad(order_names(parser(item.description)), model.cfg.b) for item in dataset]
     losses: list[float] = []
     for _ in range(train_cfg.main_steps):
         picks = state.rng.integers(0, len(dataset), size=train_cfg.batch_size)
-        leaves = model.trainable()
-        totals = []
-        for i in picks:
-            item = dataset[int(i)]
-            target = _target_of(item)
-            labels = _maybe_noisy_labels(item.scene, train_cfg.label_noise, state.rng)
-            out = model.forward(
-                item.scene, orders[int(i)], item.description, params=leaves, labels=labels
-            )
-            bd = compose(
-                "main",
-                loss_ref(out.scores_per_block, [target], "main"),
-                loss_mask(out.mask_logits, out.masks),
-                loss_text(out.text_class_logits, item.scene.proposals[target].class_id),
-                weights=train_cfg.weights,
-            )
-            totals.append(bd.total)
-        batch_loss = _sum_batch(totals)
-        grads = backward(batch_loss, leaves)
-        adam_step(model.params, grads, state.adam, lr=train_cfg.lr)
+        batch = [(dataset[int(i)], orders[int(i)]) for i in picks]
+        losses.append(
+            _train_step(model, state, train_cfg, "main", state.main_done + 1, batch, _main_loss)
+        )
         state.main_done += 1
-        losses.append(batch_loss.item() / train_cfg.batch_size)
         if on_eval and train_cfg.eval_every and state.main_done % train_cfg.eval_every == 0:
             on_eval(state.main_done, model)
     return StageReport(stage="main", losses=losses), state
@@ -303,44 +301,44 @@ def load_checkpoint(path, expect: ModelConfig | None = None) -> Checkpoint:
             header = json.loads(_read_exact(f, hlen).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
-        cfg = ModelConfig(**header["model"])
-        groups: dict[str, dict[str, np.ndarray]] = {
-            "params": {},
-            "adam_m": {},
-            "adam_v": {},
-        }
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
+        try:
+            ckpt = Checkpoint(
+                cfg=ModelConfig(**header["model"]),
+                class_names=tuple(header["class_names"]),
+                word_tokens=tuple(header["word_tokens"]),
+                params={},
+                adam_m={},
+                adam_v={},
+                adam_t=int(header["adam_t"]),
+                rng_state=header["rng_state"],
+                warmup_done=int(header["warmup_done"]),
+                main_done=int(header["main_done"]),
+            )
+            manifest = [
+                (e["group"], e["name"], tuple(int(n) for n in e["shape"])) for e in header["arrays"]
+            ]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
+        groups = {"params": ckpt.params, "adam_m": ckpt.adam_m, "adam_v": ckpt.adam_v}
+        for group, name, shape in manifest:
+            if group not in groups:
+                raise CheckpointError(f"array {name}: unknown group {group!r}")
             (blen,) = struct.unpack("<Q", _read_exact(f, 8))
             want = int(np.prod(shape)) * 8
             if blen != want:
-                raise CheckpointError(
-                    f"array {entry['name']}: length {blen} != shape {shape}"
-                )
+                raise CheckpointError(f"array {name}: length {blen} != shape {shape}")
             arr = np.frombuffer(_read_exact(f, blen), dtype="<f8").reshape(shape)
-            groups[entry["group"]][entry["name"]] = arr.astype(np.float64)
+            groups[group][name] = arr.astype(np.float64)
         if f.read(1):
             raise CheckpointError("trailing bytes after the last array")
     if expect is not None:
-        fixed = ("d", "b", "n_heads", "points_per_proposal")
-        for name in fixed:
-            got, want = getattr(cfg, name), getattr(expect, name)
+        for name in ("d", "b", "n_heads", "points_per_proposal"):
+            got, want = getattr(ckpt.cfg, name), getattr(expect, name)
             if got != want:
                 raise CheckpointError(
                     f"checkpoint {name}={got} does not match requested {name}={want}"
                 )
-    return Checkpoint(
-        cfg=cfg,
-        class_names=tuple(header["class_names"]),
-        word_tokens=tuple(header["word_tokens"]),
-        params=groups["params"],
-        adam_m=groups["adam_m"],
-        adam_v=groups["adam_v"],
-        adam_t=int(header["adam_t"]),
-        rng_state=header["rng_state"],
-        warmup_done=int(header["warmup_done"]),
-        main_done=int(header["main_done"]),
-    )
+    return ckpt
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> tuple[GroundingModel, TrainState]:
@@ -382,17 +380,9 @@ def full_model_grad_check(seed: int = 0) -> GradCheckReport:
     sample = sample_at(gen_cfg, 0)
     cfg = ModelConfig(d=8, b=2, n_heads=2, points_per_proposal=8, seed=seed)
     model = GroundingModel(cfg, sample.scene.vocab)
-    ids = sample.anchor_target_ids
-    target_class = sample.scene.proposals[ids[-1]].class_id
 
     def loss_fn(p):
         out = model.forward(sample.scene, sample.order, sample.description, params=p)
-        return compose(
-            "warmup",
-            loss_ref(out.scores_per_block, ids, "warmup"),
-            loss_mask(out.mask_logits, out.masks),
-            loss_text(out.text_class_logits, target_class),
-            loss_crd(out.coord_pred, sample.scene.centers(), ids),
-        ).total
+        return _warmup_loss(out, sample).total
 
     return grad_check(loss_fn, model.params)

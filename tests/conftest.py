@@ -1,6 +1,7 @@
 """Shared fixtures: canned language-model transcripts and small configs."""
 
 import json
+import struct
 
 import pytest
 
@@ -69,6 +70,16 @@ def transcript_records(cases=PARSE_CASES):
             }
         )
     return records
+
+
+def rewrite_checkpoint_header(path, mutate):
+    """Apply `mutate` to a checkpoint's JSON header and write the file back."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + hlen])
+    mutate(header)
+    new = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(new)) + new + blob[16 + hlen :])
 
 
 @pytest.fixture

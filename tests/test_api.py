@@ -1,0 +1,69 @@
+"""The package's public surface: exports resolve, and both training stages
+reach the optimizer through the trainer's module attributes, once per step."""
+
+import importlib
+import pkgutil
+from collections import Counter
+
+import pytest
+
+import vigor
+from vigor import trainer
+from vigor.model import GroundingModel, ModelConfig
+from vigor.orderparse import parse_appearance_order
+from vigor.synthgen import GenConfig, default_vocab, generate_dataset
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(vigor.__path__))
+
+GEN = GenConfig(
+    proposals_min=4,
+    proposals_max=5,
+    points_per_proposal=6,
+    class_vocab_size=6,
+    order_len=2,
+    seed=11,
+)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_resolves(name):
+    module = importlib.import_module(f"vigor.{name}")
+    stale = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert stale == []
+
+
+def count_calls(monkeypatch, names):
+    calls = Counter()
+    for name in names:
+        real = getattr(trainer, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, name, counted)
+    return calls
+
+
+def tiny_model():
+    cfg = ModelConfig(d=8, b=2, n_heads=2, points_per_proposal=6)
+    return GroundingModel(cfg, default_vocab(GEN.class_vocab_size))
+
+
+def test_warmup_step_goes_through_trainer_attributes(monkeypatch):
+    calls = count_calls(monkeypatch, ("backward", "adam_step", "compose"))
+    trainer.warmup_stage(tiny_model(), GEN, trainer.TrainConfig(warmup_steps=2, batch_size=3))
+    assert calls == {"backward": 2, "adam_step": 2, "compose": 6}
+
+
+def test_main_step_goes_through_trainer_attributes(monkeypatch):
+    calls = count_calls(monkeypatch, ("backward", "adam_step", "compose"))
+    vocab = default_vocab(GEN.class_vocab_size)
+    data = list(generate_dataset(GEN, 3))
+    trainer.main_stage(
+        tiny_model(),
+        data,
+        trainer.TrainConfig(main_steps=2, batch_size=3),
+        lambda desc: parse_appearance_order(desc, vocab),
+    )
+    assert calls == {"backward": 2, "adam_step": 2, "compose": 6}

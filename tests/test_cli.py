@@ -6,11 +6,13 @@ import pytest
 
 import vigor.cli as cli
 from vigor.cli import main
+from vigor.model import GroundingModel, ModelConfig
 from vigor.records import read_records
+from vigor.synthgen import default_vocab
 from vigor.tensor import GradCheckReport
-from vigor.trainer import load_checkpoint
+from vigor.trainer import TrainState, load_checkpoint, save_checkpoint
 
-from conftest import PARSE_CASES
+from conftest import PARSE_CASES, rewrite_checkpoint_header
 
 
 def synth(tmp_path, name="data.jsonl", scenes=4, seed=0, extra=()):
@@ -204,6 +206,27 @@ def test_eval_missing_checkpoint_is_io_error(tmp_path):
     data = synth(tmp_path, scenes=1)
     code = main(["eval", "--data", str(data), "--ckpt", str(tmp_path / "none.ckpt")])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda h: h["arrays"][0].update(group="bogus"),
+        lambda h: h.pop("arrays"),
+        lambda h: h["model"].update(bogus=1),
+    ],
+    ids=["unknown-group", "missing-arrays", "extra-model-key"],
+)
+def test_eval_malformed_checkpoint_header_is_validation_error(tmp_path, capsys, mutate):
+    data = synth(tmp_path, scenes=1)
+    ckpt = tmp_path / "model.ckpt"
+    model = GroundingModel(ModelConfig(d=8, b=2, n_heads=2, points_per_proposal=6), default_vocab(6))
+    save_checkpoint(ckpt, model, TrainState.fresh(0))
+    rewrite_checkpoint_header(ckpt, mutate)
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--ckpt", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

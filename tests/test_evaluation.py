@@ -163,6 +163,39 @@ def test_accuracy_with_parser_and_without_order():
         accuracy(tiny_model(), stripped)  # no order, no parser
 
 
+def test_accuracy_parses_each_item_once():
+    data = items(5)
+    lookup = {d.description: d.order for d in data}
+    calls = []
+
+    def parser(desc):
+        calls.append(desc)
+        return lookup[desc]
+
+    accuracy(tiny_model(), data, parser=parser)
+    assert len(calls) == len(data)
+
+
+def test_accuracy_buckets_the_order_it_scores():
+    """A parser whose reply changes between calls: each item must land in
+    the bucket of the very reply it was scored on.  The scorer hits only
+    on the four-name reply, so the `1` bucket must read 0 and `4&5` 1."""
+    data = [EvalItem(d.scene, d.description, None, d.target_id) for d in items(5)]
+    replies = iter([["target"], ["x1", "x2", "x3", "target"]] * len(data) * 2)
+    parser = lambda desc: next(replies)
+
+    def scorer(item, order):
+        long_reply = len(set(order)) > 1  # a one-name reply pads to repeats
+        scores = np.zeros(len(item.scene))
+        miss = (item.target_id + 1) % len(item.scene)
+        scores[item.target_id if long_reply else miss] = 1.0
+        return scores
+
+    report = accuracy(tiny_model(), data, parser=parser, score_fn=scorer)
+    assert report.subsets["order_length:1"] == {"accuracy": 0.0, "count": 3}
+    assert report.subsets["order_length:4&5"] == {"accuracy": 1.0, "count": 2}
+
+
 def test_accuracy_chance_scorer_sits_at_expected_one_over_k():
     """Scores drawn independently of the scene make every prediction a
     uniform pick over that scene's K proposals, so accuracy concentrates

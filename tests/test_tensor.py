@@ -183,17 +183,16 @@ def test_concat_and_slice():
 def test_mean_rows_and_reductions():
     x = T.constant([[1.0, 3.0], [3.0, 5.0]])
     assert np.array_equal(T.mean_rows(x).data, [[2.0, 4.0]])
-    assert T.sum_all(x).item() == 12.0
     assert T.mean_all(x).item() == 3.0
 
 
-def test_pick_and_take_rows():
-    x = T.constant([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(T.pick_rows(x, [1, 0]).data, [[2.0], [3.0]])
-    with pytest.raises(ContractError):
-        T.pick_rows(x, [2, 0])
+def test_take_rows():
     table = T.constant(np.arange(6.0).reshape(3, 2))
     assert np.array_equal(T.take_rows(table, [2, 0, 2]).data, [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]])
+    with pytest.raises(ContractError):
+        T.take_rows(table, [3, 0])
+    with pytest.raises(ContractError):
+        T.take_rows(table, [])
 
 
 def test_max_rows_per_block():
@@ -211,7 +210,7 @@ def test_max_rows_per_block():
 def test_backward_through_scale_add():
     T.reset_tape()
     w = T.leaf([[3.0]])
-    loss = T.sum_all(T.add(T.scale(w, 2.0), T.constant([[1.0]])))
+    loss = T.mean_all(T.add(T.scale(w, 2.0), T.constant([[1.0]])))
     grads = T.backward(loss, {"w": w})
     assert grads["w"][0, 0] == 2.0
 
@@ -239,7 +238,7 @@ def test_fanout_gradients_accumulate():
     T.reset_tape()
     w = T.leaf([[2.0]])
     # loss = w*w + 3w  ->  dloss/dw = 2w + 3 = 7
-    loss = T.sum_all(T.add(T.mul(w, w), T.scale(w, 3.0)))
+    loss = T.mean_all(T.add(T.mul(w, w), T.scale(w, 3.0)))
     grads = T.backward(loss, {"w": w})
     assert abs(grads["w"][0, 0] - 7.0) <= 1e-12
 
@@ -288,8 +287,8 @@ def test_backward_composition_with_structural_ops():
         taken = T.take_rows(p["t"], [0, 5, 2, 2, 1])
         joined = T.concat_rows(stacked, taken)
         pooled = T.max_rows_per_block(joined, 5)
-        picked = T.pick_rows(T.log_row_softmax(pooled), [3, 1])
-        return T.scale(T.sum_all(T.softplus(picked)), -1.0)
+        picked = T.slice_cols(T.log_row_softmax(pooled), 1, 3)
+        return T.scale(T.mean_all(T.softplus(picked)), -1.0)
 
     report = T.grad_check(forward, params)
     assert report.ok(1e-4), (report.max_rel_err, report.worst_param)
@@ -298,7 +297,7 @@ def test_backward_composition_with_structural_ops():
 def test_tape_cleared_after_backward():
     T.reset_tape()
     w = T.leaf([[1.0]])
-    T.backward(T.sum_all(T.square(w)))
+    T.backward(T.mean_all(T.square(w)))
     from vigor.tensor import _TAPE
 
     assert len(_TAPE) == 0
@@ -347,7 +346,7 @@ def test_grad_check_reports_nonfinite():
         eps = T.constant([[0.0]])
         y = T.add(T.relu(p["w"]), eps)
         sm = T.log_row_softmax(T.concat_cols(T.scale(y, 1e12), T.constant([[0.0]])))
-        return T.pick_rows(sm, [0])
+        return T.slice_cols(sm, 0, 1)
 
     report = T.grad_check(forward, params)
     assert not report.ok() or report.nonfinite

@@ -5,7 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from vigor.errors import CheckpointError, ContractError
+from vigor import tensor as T
+from vigor.errors import CheckpointError, ContractError, NumericError
+from vigor.losses import loss_text
 from vigor.model import GroundingModel, ModelConfig
 from vigor.orderparse import parse_appearance_order
 from vigor.synthgen import GenConfig, default_vocab, generate_dataset
@@ -20,6 +22,8 @@ from vigor.trainer import (
     save_checkpoint,
     warmup_stage,
 )
+
+from conftest import rewrite_checkpoint_header
 
 GEN = GenConfig(
     proposals_min=4,
@@ -183,6 +187,53 @@ def test_main_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# non-finite steps
+
+
+def adam_snapshot(state):
+    adam = state.adam
+    return {k: v.copy() for k, v in adam.m.items()}, {k: v.copy() for k, v in adam.v.items()}, adam.t
+
+
+def refuse_step(monkeypatch, corrupt, run, message):
+    """After one clean warm-up step, `run(model, state)` takes a step whose
+    text loss went through `corrupt`: it must raise `message` and leave the
+    parameters and the Adam state as they were."""
+    model = tiny_model()
+    _, state = warmup_stage(model, GEN, TrainConfig(warmup_steps=1, batch_size=2, seed=0))
+    params, (m, v, t) = snapshot(model), adam_snapshot(state)
+    monkeypatch.setattr("vigor.trainer.loss_text", lambda *args: corrupt(loss_text(*args)))
+    with pytest.raises(NumericError, match=message):
+        run(model, state)
+    assert params_equal(params, model.params)
+    m2, v2, t2 = adam_snapshot(state)
+    assert params_equal(m, m2) and params_equal(v, v2) and t == t2
+    return state
+
+
+def test_nan_loss_never_reaches_the_parameters(monkeypatch):
+    cfg = TrainConfig(warmup_steps=1, batch_size=2, seed=0)
+    state = refuse_step(
+        monkeypatch,
+        lambda loss: T.constant([[np.nan]]),
+        lambda model, state: warmup_stage(model, GEN, cfg, state),
+        "warmup step 2: non-finite loss",
+    )
+    assert state.warmup_done == 1
+
+
+def test_nan_gradient_names_the_parameter(monkeypatch):
+    cfg = TrainConfig(main_steps=1, batch_size=2, seed=0)
+    state = refuse_step(
+        monkeypatch,
+        lambda loss: T.scale(loss, np.nan),
+        lambda model, state: main_stage(model, dataset(2), cfg, rule_parser, state),
+        "main step 1: non-finite gradient for parameter emb",
+    )
+    assert state.main_done == 0
+
+
+# ---------------------------------------------------------------------------
 # checkpoints
 
 
@@ -245,6 +296,27 @@ def test_checkpoint_version_mismatch_refused(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:4] + struct.pack("<I", 99) + blob[8:])
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_unknown_array_group_refused(tmp_path):
+    _, _, path = trained_pair(tmp_path)
+    rewrite_checkpoint_header(path, lambda h: h["arrays"][0].update(group="bogus"))
+    with pytest.raises(CheckpointError, match="unknown group"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_missing_arrays_field_refused(tmp_path):
+    _, _, path = trained_pair(tmp_path)
+    rewrite_checkpoint_header(path, lambda h: h.pop("arrays"))
+    with pytest.raises(CheckpointError, match="arrays"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_extra_model_key_refused(tmp_path):
+    _, _, path = trained_pair(tmp_path)
+    rewrite_checkpoint_header(path, lambda h: h["model"].update(bogus=1))
+    with pytest.raises(CheckpointError, match="bogus"):
         load_checkpoint(path)
 
 
