@@ -79,13 +79,9 @@ class LossBreakdown:
 
 def cross_entropy_column(scores: Tensor, target: int) -> Tensor:
     """Cross-entropy of a K x 1 score column against a single class id."""
-    k = scores.shape[0]
     if scores.shape[1] != 1:
         raise ContractError(f"expected a score column, got shape {scores.shape}")
-    if not 0 <= target < k:
-        raise ContractError(f"target id {target} outside 0..{k - 1}")
-    lsm = tt.log_row_softmax(tt.transpose(scores))
-    return tt.scale(tt.slice_cols(lsm, target, target + 1), -1.0)
+    return tt.cross_entropy(scores, target)
 
 
 def loss_ref(
@@ -163,11 +159,7 @@ def loss_text(text_class_logits: Tensor, target_class_id: int) -> Tensor:
         raise ContractError(
             f"expected one logit row, got shape {text_class_logits.shape}"
         )
-    c = text_class_logits.shape[1]
-    if not 0 <= target_class_id < c:
-        raise ContractError(f"class id {target_class_id} outside 0..{c - 1}")
-    lsm = tt.log_row_softmax(text_class_logits)
-    return tt.scale(tt.slice_cols(lsm, target_class_id, target_class_id + 1), -1.0)
+    return tt.cross_entropy(text_class_logits, target_class_id)
 
 
 def _sum(terms: Sequence[Tensor]) -> Tensor:

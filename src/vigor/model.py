@@ -211,21 +211,11 @@ def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
 
 
 def _attention(p: dict[str, Tensor], prefix: str, q_in: Tensor, kv_in: Tensor, n_heads: int) -> Tensor:
-    d = q_in.shape[1]
-    dh = d // n_heads
     q = tt.add_row(tt.matmul(q_in, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
     k = tt.matmul(kv_in, p[f"{prefix}.wk"])
     v = tt.add_row(tt.matmul(kv_in, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
-    heads = []
-    for h in range(n_heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = tt.slice_cols(q, lo, hi)
-        kh = tt.slice_cols(k, lo, hi)
-        vh = tt.slice_cols(v, lo, hi)
-        logits = tt.scale(tt.matmul(qh, tt.transpose(kh)), dh**-0.5)
-        heads.append(tt.matmul(tt.row_softmax(logits), vh))
-    joined = heads[0] if n_heads == 1 else tt.concat_cols(*heads)
-    return tt.add_row(tt.matmul(joined, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
+    heads = tt.attention(q, k, v, n_heads)
+    return tt.add_row(tt.matmul(heads, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
 
 
 def _layer_norm(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:

@@ -28,7 +28,7 @@ __all__ = [
     "reset_tape",
     "backward",
     "matmul",
-    "transpose",
+    "attention",
     "relu",
     "add",
     "add_row",
@@ -39,13 +39,11 @@ __all__ = [
     "concat_rows",
     "concat_cols",
     "slice_rows",
-    "slice_cols",
     "mean_rows",
     "mean_all",
     "square",
     "softplus",
-    "row_softmax",
-    "log_row_softmax",
+    "cross_entropy",
     "layer_norm",
     "take_rows",
     "max_rows_per_block",
@@ -171,6 +169,13 @@ def _traced(*ts: Tensor) -> bool:
     return any(t.node is not None for t in ts)
 
 
+def _finite_shift(x: np.ndarray, op: str) -> np.ndarray:
+    """x minus its maximum along the last axis, so exp cannot overflow."""
+    if not np.isfinite(x).all():
+        raise NumericError(f"{op} requires finite logits")
+    return x - x.max(axis=-1, keepdims=True)
+
+
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -189,12 +194,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def transpose(x: Tensor) -> Tensor:
-    out = Tensor(np.ascontiguousarray(x.data.T))
-    if _traced(x):
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention, heads side by side in columns.
 
-        def back(g, x=x):
-            _acc(x, g.T)
+    With dh = width / n_heads, head h reads and writes column group
+    [h*dh, (h+1)*dh) of q, k, v and the output; its weights are the row
+    softmax of q_h k_h^T / sqrt(dh).  q may have other rows than k and v.
+    """
+    (m, d), (n, dk) = q.data.shape, k.data.shape
+    if dk != d or v.data.shape != (n, d):
+        raise ShapeError(f"attention mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
+    if n_heads < 1 or d % n_heads != 0:
+        raise ShapeError(f"width {d} not divisible into {n_heads} heads")
+    dh = d // n_heads
+    c = dh**-0.5
+    qh, kh, vh = (t.data.reshape(-1, n_heads, dh) for t in (q, k, v))
+    w = np.exp(_finite_shift(np.einsum("ihd,jhd->hij", qh, kh) * c, "attention"))
+    w /= w.sum(axis=2, keepdims=True)
+    out = Tensor(np.einsum("hij,jhd->ihd", w, vh).reshape(m, d))
+    if _traced(q, k, v):
+
+        def back(g, q=q, k=k, v=v, w=w):
+            gh = g.reshape(m, n_heads, dh)
+            gw = np.einsum("ihd,jhd->hij", gh, vh)
+            gs = w * (gw - (gw * w).sum(axis=2, keepdims=True)) * c
+            _acc(q, np.einsum("hij,jhd->ihd", gs, kh).reshape(m, d))
+            _acc(k, np.einsum("hij,ihd->jhd", gs, qh).reshape(n, d))
+            _acc(v, np.einsum("hij,ihd->jhd", w, gh).reshape(n, d))
 
         _TAPE.add(out, back)
     return out
@@ -354,22 +380,6 @@ def slice_rows(x: Tensor, lo: int, hi: int) -> Tensor:
     return out
 
 
-def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
-    n = x.data.shape[1]
-    if not (0 <= lo < hi <= n):
-        raise ShapeError(f"slice_cols [{lo}:{hi}] out of range for {n} cols")
-    out = Tensor(x.data[:, lo:hi].copy())
-    if _traced(x):
-
-        def back(g, x=x, lo=lo, hi=hi):
-            full = np.zeros_like(x.data)
-            full[:, lo:hi] = g
-            _acc(x, full)
-
-        _TAPE.add(out, back)
-    return out
-
-
 def mean_rows(x: Tensor) -> Tensor:
     m = x.data.shape[0]
     out = Tensor(x.data.mean(axis=0, keepdims=True))
@@ -431,37 +441,25 @@ def softplus(x: Tensor) -> Tensor:
 # row-wise normalizations
 
 
-def row_softmax(x: Tensor) -> Tensor:
-    if not np.isfinite(x.data).all():
-        raise NumericError("row_softmax requires finite entries")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(out_data)
-    if _traced(x):
+def cross_entropy(logits: Tensor, target: int) -> Tensor:
+    """-log softmax(logits)[target] as a 1x1, for a 1 x n row or an n x 1 column."""
+    if 1 not in logits.data.shape:
+        raise ShapeError(f"cross_entropy needs a row or a column, got {logits.shape}")
+    n = logits.data.size
+    if not 0 <= target < n:
+        raise ContractError(f"target id {target} outside 0..{n - 1}")
+    shifted = _finite_shift(logits.data.reshape(-1), "cross_entropy")
+    lse = np.log(np.exp(shifted).sum())
+    out = Tensor(np.array([[lse - shifted[target]]]))
+    if _traced(logits):
 
-        def back(g, x=x, y=out_data):
-            _acc(x, y * (g - (g * y).sum(axis=1, keepdims=True)))
-
-        _TAPE.add(out, back)
-    return out
-
-
-def log_row_softmax(x: Tensor) -> Tensor:
-    if not np.isfinite(x.data).all():
-        raise NumericError("log_row_softmax requires finite entries")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out_data = shifted - lse
-    out = Tensor(out_data)
-    if _traced(x):
-
-        def back(g, x=x, y=out_data):
-            _acc(x, g - np.exp(y) * g.sum(axis=1, keepdims=True))
+        def back(g, logits=logits, shifted=shifted, lse=lse, target=target):
+            dz = np.exp(shifted - lse)
+            dz[target] -= 1.0
+            _acc(logits, (g[0, 0] * dz).reshape(logits.data.shape))
 
         _TAPE.add(out, back)
     return out
-
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row to zero mean / unit variance, then affine."""

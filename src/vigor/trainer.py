@@ -14,6 +14,8 @@ run continues bit-exactly.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
@@ -249,6 +251,11 @@ def _write_array(f, arr: np.ndarray) -> None:
 
 
 def _read_exact(f, n: int) -> bytes:
+    # A length field is checked against the bytes left before reading, so
+    # a corrupt one cannot ask for more memory than the file holds.
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise CheckpointError(f"truncated checkpoint: wanted {n} bytes, {left} left")
     data = f.read(n)
     if len(data) != n:
         raise CheckpointError(f"truncated checkpoint: wanted {n} bytes, got {len(data)}")
@@ -278,13 +285,22 @@ def save_checkpoint(path, model: GroundingModel, state: TrainState) -> None:
     }
     blob = json.dumps(header).encode("utf-8")
     by_group = dict(groups)
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for entry in manifest:
-            _write_array(f, by_group[entry["group"]][entry["name"]])
+    # Written beside the target and renamed over it, so a failed save
+    # leaves any checkpoint already at `path` as it was.
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(struct.pack("<Q", len(blob)))
+            f.write(blob)
+            for entry in manifest:
+                _write_array(f, by_group[entry["group"]][entry["name"]])
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path, expect: ModelConfig | None = None) -> Checkpoint:
@@ -302,6 +318,9 @@ def load_checkpoint(path, expect: ModelConfig | None = None) -> Checkpoint:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
         try:
+            # model_from_checkpoint restores this state; try it here so a
+            # bad one fails as a CheckpointError.
+            np.random.default_rng(0).bit_generator.state = header["rng_state"]
             ckpt = Checkpoint(
                 cfg=ModelConfig(**header["model"]),
                 class_names=tuple(header["class_names"]),
@@ -317,14 +336,17 @@ def load_checkpoint(path, expect: ModelConfig | None = None) -> Checkpoint:
             manifest = [
                 (e["group"], e["name"], tuple(int(n) for n in e["shape"])) for e in header["arrays"]
             ]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
         groups = {"params": ckpt.params, "adam_m": ckpt.adam_m, "adam_v": ckpt.adam_v}
         for group, name, shape in manifest:
             if group not in groups:
                 raise CheckpointError(f"array {name}: unknown group {group!r}")
+            if any(n < 0 for n in shape):
+                raise CheckpointError(f"array {name}: negative dimension in {shape}")
             (blen,) = struct.unpack("<Q", _read_exact(f, 8))
-            want = int(np.prod(shape)) * 8
+            # Python ints: np.prod wraps around on a huge shape.
+            want = math.prod(shape) * 8
             if blen != want:
                 raise CheckpointError(f"array {name}: length {blen} != shape {shape}")
             arr = np.frombuffer(_read_exact(f, blen), dtype="<f8").reshape(shape)

@@ -1,14 +1,18 @@
-"""The package's public surface: exports resolve, and both training stages
-reach the optimizer through the trainer's module attributes, once per step."""
+"""The package's public surface: exports resolve, every exported tensor op
+has a caller in the package, and both training stages reach the optimizer
+through the trainer's module attributes, once per step."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import vigor
-from vigor import trainer
+from vigor import tensor, trainer
 from vigor.model import GroundingModel, ModelConfig
 from vigor.orderparse import parse_appearance_order
 from vigor.synthgen import GenConfig, default_vocab, generate_dataset
@@ -30,6 +34,42 @@ def test_every_export_resolves(name):
     module = importlib.import_module(f"vigor.{name}")
     stale = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert stale == []
+
+
+# Entry points of the engine rather than ops a model is built from.
+NOT_OPS = frozenset({"backward", "adam_step", "reset_tape", "grad_check"})
+
+
+def tensor_names_used_outside_tensor() -> set[str]:
+    """Names reached as `<alias>.<name>` on an imported vigor.tensor, or
+    imported directly from it, in every package module but tensor.py."""
+    used: set[str] = set()
+    for path in Path(vigor.__file__).parent.glob("*.py"):
+        if path.name == "tensor.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("tensor", "vigor.tensor"):
+                used.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module in (None, "vigor"):
+                aliases.update(a.asname or a.name for a in node.names if a.name == "tensor")
+        used.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        )
+    return used
+
+
+def test_every_tensor_op_has_a_caller():
+    ops = [
+        n for n in tensor.__all__ if inspect.isfunction(getattr(tensor, n)) and n not in NOT_OPS
+    ]
+    used = tensor_names_used_outside_tensor()
+    assert [n for n in ops if n not in used] == []
 
 
 def count_calls(monkeypatch, names):

@@ -12,7 +12,7 @@ from vigor.synthgen import default_vocab
 from vigor.tensor import GradCheckReport
 from vigor.trainer import TrainState, load_checkpoint, save_checkpoint
 
-from conftest import PARSE_CASES, rewrite_checkpoint_header
+from conftest import CORRUPT_LENGTHS, PARSE_CASES, rewrite_checkpoint_header
 
 
 def synth(tmp_path, name="data.jsonl", scenes=4, seed=0, extra=()):
@@ -208,21 +208,27 @@ def test_eval_missing_checkpoint_is_io_error(tmp_path):
     assert code == 3
 
 
+MALFORMED_CHECKPOINTS = {
+    "unknown-group": lambda p: rewrite_checkpoint_header(
+        p, lambda h: h["arrays"][0].update(group="bogus")
+    ),
+    "missing-arrays": lambda p: rewrite_checkpoint_header(p, lambda h: h.pop("arrays")),
+    "extra-model-key": lambda p: rewrite_checkpoint_header(
+        p, lambda h: h["model"].update(bogus=1)
+    ),
+    **CORRUPT_LENGTHS,
+}
+
+
 @pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda h: h["arrays"][0].update(group="bogus"),
-        lambda h: h.pop("arrays"),
-        lambda h: h["model"].update(bogus=1),
-    ],
-    ids=["unknown-group", "missing-arrays", "extra-model-key"],
+    "corrupt", MALFORMED_CHECKPOINTS.values(), ids=MALFORMED_CHECKPOINTS.keys()
 )
-def test_eval_malformed_checkpoint_header_is_validation_error(tmp_path, capsys, mutate):
+def test_eval_malformed_checkpoint_header_is_validation_error(tmp_path, capsys, corrupt):
     data = synth(tmp_path, scenes=1)
     ckpt = tmp_path / "model.ckpt"
     model = GroundingModel(ModelConfig(d=8, b=2, n_heads=2, points_per_proposal=6), default_vocab(6))
     save_checkpoint(ckpt, model, TrainState.fresh(0))
-    rewrite_checkpoint_header(ckpt, mutate)
+    corrupt(ckpt)
     capsys.readouterr()
     assert main(["eval", "--data", str(data), "--ckpt", str(ckpt)]) == 1
     err = capsys.readouterr().err

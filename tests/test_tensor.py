@@ -89,30 +89,74 @@ def test_matmul_shape_mismatch():
         T.matmul(T.constant(np.ones((2, 3))), T.constant(np.ones((2, 3))))
 
 
+# ---------------------------------------------------------------------------
+# row softmax, as attention weights and inside cross_entropy
+
+
+def attention_oracle(q, k, v, n_heads):
+    """Per-head scalar loops over the column groups [h*dh, (h+1)*dh)."""
+    m, d = q.shape
+    dh = d // n_heads
+    out = np.zeros((m, d))
+    for h in range(n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        for i in range(m):
+            logits = [float(q[i, cols] @ k[j, cols]) / math.sqrt(dh) for j in range(len(k))]
+            for j, w in enumerate(softmax_oracle(logits)):
+                out[i, cols] += w * v[j, cols]
+    return out
+
+
+def qkv(rng, m, n, d, scale=1.0):
+    return [rng.normal(scale=scale, size=shape) for shape in ((m, d), (n, d), (n, d))]
+
+
 def test_row_softmax_uniform():
-    out = T.row_softmax(T.constant([[0.0, 0.0, 0.0, 0.0]])).data
-    assert np.allclose(out, 0.25, atol=1e-15)
+    for shape in ((1, 4), (4, 1)):
+        assert abs(T.cross_entropy(T.constant(np.zeros(shape)), 2).item() - math.log(4)) <= 1e-15
+    # zero queries weigh every key alike, so each output row is the mean value row
+    _, k, v = qkv(np.random.default_rng(0), 3, 5, 4)
+    out = T.attention(T.constant(np.zeros((3, 4))), T.constant(k), T.constant(v), 2).data
+    assert np.allclose(out, np.tile(v.mean(axis=0), (3, 1)), atol=1e-15)
 
 
 def test_row_softmax_shift_invariance():
-    x = np.array([[1.0, 2.0, 3.0]])
-    a = T.row_softmax(T.constant(x)).data
-    b = T.row_softmax(T.constant(x + 100.0)).data
+    for x in (np.array([[1.0, 2.0, 3.0]]), np.array([[1.0], [2.0], [3.0]])):
+        a = T.cross_entropy(T.constant(x), 1).item()
+        b = T.cross_entropy(T.constant(x + 100.0), 1).item()
+        assert abs(a - b) <= 1e-12
+    # adding one row to every key shifts each logit row by a constant
+    q, k, v = qkv(np.random.default_rng(2), 3, 5, 4)
+    shifted = k + np.random.default_rng(3).normal(size=(1, 4))
+    a = T.attention(T.constant(q), T.constant(k), T.constant(v), 2).data
+    b = T.attention(T.constant(q), T.constant(shifted), T.constant(v), 2).data
     assert np.allclose(a, b, atol=1e-12)
 
 
 def test_row_softmax_against_scalar_oracle():
     rng = np.random.default_rng(1)
-    x = rng.normal(scale=3.0, size=(5, 7))
-    got = T.row_softmax(T.constant(x)).data
-    for i in range(5):
-        want = softmax_oracle(list(x[i]))
-        assert np.allclose(got[i], want, atol=1e-12)
+    x = rng.normal(scale=3.0, size=(1, 7))
+    for logits in (x, x.T):
+        for t in range(7):
+            want = -math.log(softmax_oracle(list(x[0]))[t])
+            assert abs(T.cross_entropy(T.constant(logits), t).item() - want) <= 1e-12
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_attention_matches_per_head_oracle(n_heads):
+    q, k, v = qkv(np.random.default_rng(n_heads), 3, 5, 8, scale=2.0)
+    got = T.attention(T.constant(q), T.constant(k), T.constant(v), n_heads).data
+    assert np.abs(got - attention_oracle(q, k, v, n_heads)).max() <= 1e-12
 
 
 def test_row_softmax_rejects_nan():
     with pytest.raises(NumericError):
-        T.row_softmax(T.constant([[0.0, float("nan")]]))
+        T.cross_entropy(T.constant([[0.0, float("nan")]]), 0)
+    q, k, v = qkv(np.random.default_rng(4), 2, 3, 4)
+    for bad in (float("nan"), float("inf")):
+        k[1, 2] = bad
+        with pytest.raises(NumericError):
+            T.attention(T.constant(q), T.constant(k), T.constant(v), 2)
 
 
 @settings(max_examples=50, deadline=None)
@@ -122,9 +166,29 @@ def test_row_softmax_rejects_nan():
     st.integers(0, 2**31 - 1),
 )
 def test_row_softmax_rows_sum_to_one(m, n, seed):
-    x = np.random.default_rng(seed).normal(scale=20.0, size=(m, n))
-    out = T.row_softmax(T.constant(x)).data
-    assert np.all(np.abs(out.sum(axis=1) - 1.0) <= 1e-12)
+    # with all-ones values every output entry is a sum of one head's weights
+    q, k, _ = qkv(np.random.default_rng(seed), m, n, 4, scale=20.0)
+    out = T.attention(T.constant(q), T.constant(k), T.constant(np.ones((n, 4))), 2).data
+    assert np.all(np.abs(out - 1.0) <= 1e-12)
+
+
+def test_attention_shape_errors():
+    q, k, v = (T.constant(a) for a in qkv(np.random.default_rng(5), 2, 3, 4))
+    with pytest.raises(ShapeError):
+        T.attention(q, T.constant(np.ones((3, 6))), v, 2)
+    with pytest.raises(ShapeError):
+        T.attention(q, k, T.constant(np.ones((2, 4))), 2)
+    with pytest.raises(ShapeError):
+        T.attention(q, k, v, 3)
+
+
+def test_cross_entropy_rejects_bad_target_and_shape():
+    for logits in (T.constant(np.zeros((1, 3))), T.constant(np.zeros((3, 1)))):
+        for target in (-1, 3):
+            with pytest.raises(ContractError):
+                T.cross_entropy(logits, target)
+    with pytest.raises(ShapeError):
+        T.cross_entropy(T.constant(np.zeros((2, 3))), 0)
 
 
 def test_layer_norm_two_values():
@@ -177,7 +241,8 @@ def test_concat_and_slice():
     assert np.array_equal(T.slice_rows(c, 2, 5).data, b.data)
     d = T.concat_cols(a, T.constant(np.ones((2, 2))))
     assert d.shape == (2, 5)
-    assert np.array_equal(T.slice_cols(d, 3, 5).data, np.ones((2, 2)))
+    assert np.array_equal(d.data[:, :3], a.data)
+    assert np.array_equal(d.data[:, 3:], np.ones((2, 2)))
 
 
 def test_mean_rows_and_reductions():
@@ -259,8 +324,8 @@ def test_backward_matches_finite_differences_on_mlp():
         h = T.relu(T.add_row(T.matmul(T.constant(x), p["w1"]), p["b1"]))
         out = T.add_row(T.matmul(h, p["w2"]), p["b2"])
         out = T.layer_norm(out, p["g"], p["beta"])
-        sm = T.row_softmax(out)
-        return T.mean_all(T.mul(sm, sm))
+        att = T.attention(out, out, out, 1)
+        return T.mean_all(T.mul(att, att))
 
     T.reset_tape()
     leaves = {k: T.leaf(v) for k, v in params.items()}
@@ -287,8 +352,8 @@ def test_backward_composition_with_structural_ops():
         taken = T.take_rows(p["t"], [0, 5, 2, 2, 1])
         joined = T.concat_rows(stacked, taken)
         pooled = T.max_rows_per_block(joined, 5)
-        picked = T.slice_cols(T.log_row_softmax(pooled), 1, 3)
-        return T.scale(T.mean_all(T.softplus(picked)), -1.0)
+        ce = T.cross_entropy(T.slice_rows(pooled, 1, 2), 2)
+        return T.add(ce, T.scale(T.mean_all(T.softplus(pooled)), -1.0))
 
     report = T.grad_check(forward, params)
     assert report.ok(1e-4), (report.max_rel_err, report.worst_param)
@@ -329,6 +394,28 @@ def test_grad_check_linear_is_tight():
     assert report.checked == 12
 
 
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_attention_grad_check(n_heads):
+    rng = np.random.default_rng(10 + n_heads)
+    params = dict(zip("qkv", qkv(rng, 3, 5, 8)))
+    weights = T.constant(rng.normal(size=(3, 8)))
+
+    def forward(p):
+        return T.mean_all(T.mul(T.attention(p["q"], p["k"], p["v"], n_heads), weights))
+
+    report = T.grad_check(forward, params)
+    assert report.checked == 24 + 40 + 40
+    assert report.ok(1e-6), (report.max_rel_err, report.worst_param)
+
+
+@pytest.mark.parametrize("shape", [(5, 1), (1, 5)])
+def test_cross_entropy_grad_check(shape):
+    params = {"z": np.random.default_rng(12).normal(scale=2.0, size=shape)}
+    report = T.grad_check(lambda p: T.cross_entropy(p["z"], 3), params)
+    assert report.checked == 5
+    assert report.ok(1e-6), (report.max_rel_err, report.worst_param)
+
+
 def test_grad_check_empty_params():
     report = T.grad_check(lambda p: T.constant([[1.0]]), {})
     assert report.max_rel_err == 0.0
@@ -345,8 +432,7 @@ def test_grad_check_reports_nonfinite():
         # divides by zero and must be flagged, not silently compared.
         eps = T.constant([[0.0]])
         y = T.add(T.relu(p["w"]), eps)
-        sm = T.log_row_softmax(T.concat_cols(T.scale(y, 1e12), T.constant([[0.0]])))
-        return T.slice_cols(sm, 0, 1)
+        return T.cross_entropy(T.concat_cols(T.scale(y, 1e12), T.constant([[0.0]])), 0)
 
     report = T.grad_check(forward, params)
     assert not report.ok() or report.nonfinite

@@ -4,14 +4,18 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vigor import tensor as T
+from vigor import trainer
 from vigor.errors import CheckpointError, ContractError, NumericError
 from vigor.losses import loss_text
 from vigor.model import GroundingModel, ModelConfig
 from vigor.orderparse import parse_appearance_order
 from vigor.synthgen import GenConfig, default_vocab, generate_dataset
 from vigor.trainer import (
+    Checkpoint,
     TrainConfig,
     TrainState,
     full_model_grad_check,
@@ -23,7 +27,7 @@ from vigor.trainer import (
     warmup_stage,
 )
 
-from conftest import rewrite_checkpoint_header
+from conftest import CORRUPT_LENGTHS, rewrite_checkpoint_header
 
 GEN = GenConfig(
     proposals_min=4,
@@ -318,6 +322,79 @@ def test_checkpoint_extra_model_key_refused(tmp_path):
     rewrite_checkpoint_header(path, lambda h: h["model"].update(bogus=1))
     with pytest.raises(CheckpointError, match="bogus"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda h: h["rng_state"].update(bit_generator="bogus"),
+        lambda h: h["rng_state"].pop("state"),
+        lambda h: h.update(adam_t=float("inf")),
+    ],
+    ids=["rng-generator", "rng-missing-state", "infinite-step"],
+)
+def test_checkpoint_bad_header_value_refused(tmp_path, mutate):
+    _, _, path = trained_pair(tmp_path)
+    rewrite_checkpoint_header(path, mutate)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("corrupt", CORRUPT_LENGTHS.values(), ids=CORRUPT_LENGTHS.keys())
+def test_checkpoint_corrupt_length_refused(tmp_path, corrupt):
+    _, _, path = trained_pair(tmp_path)
+    corrupt(path)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_failed_save_keeps_the_old_checkpoint(tmp_path, monkeypatch):
+    model, state, path = trained_pair(tmp_path)
+    before = path.read_bytes()
+    warmup_stage(model, GEN, TrainConfig(warmup_steps=1, batch_size=2, seed=4), state)
+    real, written = trainer._write_array, []
+
+    def fail_midway(f, arr):
+        if len(written) == 3:
+            raise OSError("disk full")
+        written.append(arr)
+        real(f, arr)
+
+    monkeypatch.setattr(trainer, "_write_array", fail_midway)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, model, state)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    model = GroundingModel(
+        ModelConfig(d=4, b=2, n_heads=1, points_per_proposal=6), default_vocab(GEN.class_vocab_size)
+    )
+    _, state = warmup_stage(model, GEN, TrainConfig(warmup_steps=1, batch_size=1))
+    path = tmp_path_factory.mktemp("fuzz") / "ckpt.bin"
+    save_checkpoint(path, model, state)
+    return path.read_bytes(), path
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_checkpoint_fuzz_truncated_or_flipped(small_checkpoint, data):
+    blob, path = small_checkpoint
+    if data.draw(st.booleans(), label="truncate"):
+        corrupt = blob[: data.draw(st.integers(0, len(blob) - 1), label="keep")]
+    else:
+        corrupt = bytearray(blob)
+        corrupt[data.draw(st.integers(0, len(blob) - 1), label="at")] ^= data.draw(
+            st.integers(1, 255), label="xor"
+        )
+    path.write_bytes(bytes(corrupt))
+    try:
+        ckpt = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert isinstance(ckpt, Checkpoint)
 
 
 def test_checkpoint_wrong_width_refused(tmp_path):
