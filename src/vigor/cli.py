@@ -234,8 +234,18 @@ def cmd_eval(args) -> int:
     model, _ = model_from_checkpoint(ckpt)
     records = read_records(args.data)
     examples = [example_from_record(r, model.class_vocab) for r in records]
+    parser_fn = (
+        _make_parser_fn(args.parser, model.class_vocab, args.transcript) if args.parser else None
+    )
     report = accuracy(
-        model, examples, config={"data": str(args.data), "ckpt": str(args.ckpt)}
+        model,
+        examples,
+        parser=parser_fn,
+        config={
+            "data": str(args.data),
+            "ckpt": str(args.ckpt),
+            "orders": args.parser or "stored",
+        },
     )
     report.subsets = {
         k: v
@@ -370,6 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--breakdown", default="order_length,distractors")
     p.add_argument("--report", default=None, help="write the JSON report here")
+    p.add_argument(
+        "--parser",
+        choices=("rule", "llm"),
+        default=None,
+        help="score orders parsed from the descriptions (default: the stored orders)",
+    )
+    p.add_argument("--transcript", default=None, help="canned LLM transcript (JSONL)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("parse", help="extract a referential order from text")

@@ -119,6 +119,8 @@ def accuracy(
     hits_total = 0
     bucket_hits: dict[str, int] = {}
     bucket_counts: dict[str, int] = {}
+    # One constant wrap of the parameters serves every item.
+    params = model.frozen() if score_fn is None else None
     for item in items:
         raw = _raw_order(item, parser)
         label = _labels(item, raw)
@@ -126,7 +128,7 @@ def accuracy(
         if score_fn is not None:
             scores = np.asarray(score_fn(item, order), dtype=np.float64).reshape(-1)
         else:
-            out = model.forward(item.scene, order, item.description)
+            out = model.forward(item.scene, order, item.description, params=params)
             scores = out.scores.data[:, 0]
         if scores.shape[0] != len(item.scene):
             raise ContractError("score vector length must match proposal count")

@@ -35,6 +35,7 @@ __all__ = [
     "GroundingModel",
     "tokenize",
     "encode_text",
+    "param_layout",
     "encode_objects",
     "fe_forward",
     "apply_relevance_mask",
@@ -59,8 +60,8 @@ class ModelConfig:
     class_vocab_size: int = 0
 
     def __post_init__(self):
-        if self.d < 1 or self.d % self.n_heads != 0:
-            raise ContractError("d must be positive and divisible by n_heads")
+        if self.n_heads < 1 or self.d < 1 or self.d % self.n_heads != 0:
+            raise ContractError("d and n_heads must be positive, and d divisible by n_heads")
         if self.b < 1:
             raise ContractError("need at least one referring block")
         if self.points_per_proposal < 1:
@@ -154,55 +155,71 @@ def sinusoid_positions(n: int, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # parameter initialization
 
-def _init_attention(params, rng, prefix, d):
+def _attention_layout(prefix, d):
     # No key bias: a shared key offset shifts every logit in a softmax row
     # by the same amount, so it can never affect the output.
-    params[f"{prefix}.wk"] = rng.normal(0.0, d**-0.5, size=(d, d))
+    yield f"{prefix}.wk", (d, d), d**-0.5
     for w, b in (("wq", "bq"), ("wv", "bv"), ("wo", "bo")):
-        params[f"{prefix}.{w}"] = rng.normal(0.0, d**-0.5, size=(d, d))
-        params[f"{prefix}.{b}"] = np.zeros((1, d))
+        yield f"{prefix}.{w}", (d, d), d**-0.5
+        yield f"{prefix}.{b}", (1, d), "zeros"
 
 
-def _init_ln(params, prefix, d):
-    params[f"{prefix}.g"] = np.ones((1, d))
-    params[f"{prefix}.b"] = np.zeros((1, d))
+def _ln_layout(prefix, d):
+    yield f"{prefix}.g", (1, d), "ones"
+    yield f"{prefix}.b", (1, d), "zeros"
 
 
-def _init_linear(params, rng, prefix, n_in, n_out):
-    params[f"{prefix}.w"] = rng.normal(0.0, n_in**-0.5, size=(n_in, n_out))
-    params[f"{prefix}.b"] = np.zeros((1, n_out))
+def _linear_layout(prefix, n_in, n_out):
+    yield f"{prefix}.w", (n_in, n_out), n_in**-0.5
+    yield f"{prefix}.b", (1, n_out), "zeros"
+
+
+def param_layout(cfg: ModelConfig):
+    """Yield (name, shape, init) for every parameter, in initialization order.
+
+    `init` is the standard deviation of a zero-mean normal draw, or
+    "zeros" / "ones".  Shapes come without allocating anything, so a
+    checkpoint's arrays can be checked against an untrusted config.
+    """
+    d = cfg.d
+    yield "emb", (cfg.word_vocab_size, d), d**-0.5
+    for layer in range(2):
+        yield from _attention_layout(f"txt{layer}.attn", d)
+        yield from _ln_layout(f"txt{layer}.ln1", d)
+        yield from _linear_layout(f"txt{layer}.ffn1", d, 2 * d)
+        yield from _linear_layout(f"txt{layer}.ffn2", 2 * d, d)
+        yield from _ln_layout(f"txt{layer}.ln2", d)
+    yield from _linear_layout("obj.p1", 6, d)
+    yield from _linear_layout("obj.p2", d, d)
+    yield from _linear_layout("obj.c", 3, d)
+    yield from _linear_layout("obj.out", 2 * d, d)
+    for i in range(cfg.b):
+        for part in ("self", "low", "up", "fuse"):
+            yield from _attention_layout(f"fe{i}.{part}", d)
+        for ln in ("self_ln", "low_ln", "up_ln", "out_ln"):
+            yield from _ln_layout(f"fe{i}.{ln}", d)
+        yield from _linear_layout(f"head.mask{i}.1", d, d)
+        yield from _linear_layout(f"head.mask{i}.2", d, 1)
+        yield from _linear_layout(f"head.coord{i}.1", d, d)
+        yield from _linear_layout(f"head.coord{i}.2", d, 3)
+    yield from _linear_layout("head.score.1", d, d)
+    yield from _linear_layout("head.score.2", d, 1)
+    yield from _linear_layout("head.text.1", d, d)
+    yield from _linear_layout("head.text.2", d, cfg.class_vocab_size)
 
 
 def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
     if cfg.word_vocab_size < 1 or cfg.class_vocab_size < 1:
         raise ContractError("vocab sizes must be finalized before initialization")
     rng = np.random.default_rng(cfg.seed)
-    d = cfg.d
     p: dict[str, np.ndarray] = {}
-    p["emb"] = rng.normal(0.0, d**-0.5, size=(cfg.word_vocab_size, d))
-    for layer in range(2):
-        _init_attention(p, rng, f"txt{layer}.attn", d)
-        _init_ln(p, f"txt{layer}.ln1", d)
-        _init_linear(p, rng, f"txt{layer}.ffn1", d, 2 * d)
-        _init_linear(p, rng, f"txt{layer}.ffn2", 2 * d, d)
-        _init_ln(p, f"txt{layer}.ln2", d)
-    _init_linear(p, rng, "obj.p1", 6, d)
-    _init_linear(p, rng, "obj.p2", d, d)
-    _init_linear(p, rng, "obj.c", 3, d)
-    _init_linear(p, rng, "obj.out", 2 * d, d)
-    for i in range(cfg.b):
-        for part in ("self", "low", "up", "fuse"):
-            _init_attention(p, rng, f"fe{i}.{part}", d)
-        for ln in ("self_ln", "low_ln", "up_ln", "out_ln"):
-            _init_ln(p, f"fe{i}.{ln}", d)
-        _init_linear(p, rng, f"head.mask{i}.1", d, d)
-        _init_linear(p, rng, f"head.mask{i}.2", d, 1)
-        _init_linear(p, rng, f"head.coord{i}.1", d, d)
-        _init_linear(p, rng, f"head.coord{i}.2", d, 3)
-    _init_linear(p, rng, "head.score.1", d, d)
-    _init_linear(p, rng, "head.score.2", d, 1)
-    _init_linear(p, rng, "head.text.1", d, d)
-    _init_linear(p, rng, "head.text.2", d, cfg.class_vocab_size)
+    for name, shape, init in param_layout(cfg):
+        if init == "zeros":
+            p[name] = np.zeros(shape)
+        elif init == "ones":
+            p[name] = np.ones(shape)
+        else:
+            p[name] = rng.normal(0.0, init, size=shape)
     return p
 
 
@@ -210,11 +227,13 @@ def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
 # building blocks
 
 
-def _attention(p: dict[str, Tensor], prefix: str, q_in: Tensor, kv_in: Tensor, n_heads: int) -> Tensor:
+def _attention(
+    p: dict[str, Tensor], prefix: str, q_in: Tensor, kv_in: Tensor, n_heads: int, segments=None
+) -> Tensor:
     q = tt.add_row(tt.matmul(q_in, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
     k = tt.matmul(kv_in, p[f"{prefix}.wk"])
     v = tt.add_row(tt.matmul(kv_in, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
-    heads = tt.attention(q, k, v, n_heads)
+    heads = tt.attention(q, k, v, n_heads, segments)
     return tt.add_row(tt.matmul(heads, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
 
 
@@ -230,18 +249,13 @@ def _mlp2(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     return _linear(p, f"{prefix}.2", tt.relu(_linear(p, f"{prefix}.1", x)))
 
 
-def _encoder_layer(p: dict[str, Tensor], prefix: str, x: Tensor, n_heads: int) -> Tensor:
-    x = _layer_norm(p, f"{prefix}.ln1", tt.add(x, _attention(p, f"{prefix}.attn", x, x, n_heads)))
+def _encoder_layer(
+    p: dict[str, Tensor], prefix: str, x: Tensor, n_heads: int, segments: np.ndarray
+) -> Tensor:
+    attended = _attention(p, f"{prefix}.attn", x, x, n_heads, segments)
+    x = _layer_norm(p, f"{prefix}.ln1", tt.add(x, attended))
     h = _linear(p, f"{prefix}.ffn2", tt.relu(_linear(p, f"{prefix}.ffn1", x)))
     return _layer_norm(p, f"{prefix}.ln2", tt.add(x, h))
-
-
-def _encode_token_ids(p: dict[str, Tensor], ids: list[int], d: int, n_heads: int) -> Tensor:
-    x = tt.take_rows(p["emb"], ids)
-    x = tt.add(x, tt.constant(sinusoid_positions(len(ids), d)))
-    for layer in range(2):
-        x = _encoder_layer(p, f"txt{layer}", x, n_heads)
-    return x
 
 
 def encode_text(
@@ -251,21 +265,37 @@ def encode_text(
     word_vocab: WordVocab,
     cfg: ModelConfig,
 ) -> TextFeatures:
-    """Encode the description and each order name through one shared encoder."""
+    """Encode the description and each order name through one shared encoder.
+
+    The description and every distinct order name (in first-appearance
+    order) are stacked as pieces of one matrix and encoded in one pass:
+    positions restart at 0 in each piece and attention never crosses a
+    piece, so each piece encodes as it would alone.  One averaging matmul
+    mean-pools every piece, and a repeated name reads its one pooled row.
+    """
     if not description_tokens:
         raise ContractError("cannot encode an empty description")
-    words = _encode_token_ids(
-        params, word_vocab.encode(description_tokens), cfg.d, cfg.n_heads
-    )
-    sentence = tt.mean_rows(words)
-    order_rows = [
-        tt.mean_rows(_encode_token_ids(params, word_vocab.encode(tokenize(name)), cfg.d, cfg.n_heads))
-        for name in order_names
-    ]
+    slot = {name: i for i, name in enumerate(dict.fromkeys(order_names), start=1)}
+    pieces = [word_vocab.encode(description_tokens)]
+    for name in slot:
+        pieces.append(word_vocab.encode(tokenize(name)))
+        if not pieces[-1]:
+            raise ContractError(f"order name {name!r} has no tokens")
+    lengths = [len(ids) for ids in pieces]
+    segments = np.repeat(np.arange(len(pieces)), lengths)
+    positions = np.concatenate([np.arange(n) for n in lengths])
+    x = tt.take_rows(params["emb"], np.concatenate(pieces))
+    x = tt.add(x, tt.constant(sinusoid_positions(max(lengths), cfg.d)[positions]))
+    for layer in range(2):
+        x = _encoder_layer(params, f"txt{layer}", x, cfg.n_heads, segments)
+    averaging = np.zeros((len(pieces), segments.size))
+    averaging[segments, np.arange(segments.size)] = 1.0 / np.repeat(lengths, lengths)
+    pooled = tt.matmul(tt.constant(averaging), x)
+    n = lengths[0]
     return TextFeatures(
-        rows=tt.concat_rows(sentence, words),
-        order_features=tt.concat_rows(*order_rows),
-        token_count=len(description_tokens),
+        rows=tt.concat_rows(tt.slice_rows(pooled, 0, 1), tt.slice_rows(x, 0, n)),
+        order_features=tt.take_rows(pooled, [slot[name] for name in order_names]),
+        token_count=n,
     )
 
 

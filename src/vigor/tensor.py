@@ -39,7 +39,6 @@ __all__ = [
     "concat_rows",
     "concat_cols",
     "slice_rows",
-    "mean_rows",
     "mean_all",
     "square",
     "softplus",
@@ -169,10 +168,17 @@ def _traced(*ts: Tensor) -> bool:
     return any(t.node is not None for t in ts)
 
 
-def _finite_shift(x: np.ndarray, op: str) -> np.ndarray:
-    """x minus its maximum along the last axis, so exp cannot overflow."""
+def _finite_shift(x: np.ndarray, op: str, keep: np.ndarray | None = None) -> np.ndarray:
+    """x minus its maximum along the last axis, so exp cannot overflow.
+
+    Entries outside `keep` (a boolean mask broadcast against x) become
+    -inf, so they weigh exactly 0 after exp, and the maximum is taken over
+    the kept entries only.  Every row must keep at least one entry.
+    """
     if not np.isfinite(x).all():
         raise NumericError(f"{op} requires finite logits")
+    if keep is not None:
+        x = np.where(keep, x, -np.inf)
     return x - x.max(axis=-1, keepdims=True)
 
 
@@ -194,22 +200,36 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments=None) -> Tensor:
     """Multi-head scaled dot-product attention, heads side by side in columns.
 
     With dh = width / n_heads, head h reads and writes column group
     [h*dh, (h+1)*dh) of q, k, v and the output; its weights are the row
     softmax of q_h k_h^T / sqrt(dh).  q may have other rows than k and v.
+
+    `segments` packs independent sequences into one self-attention call
+    (q, k and v then share their rows): one id per row, and a row's weights
+    on rows of another segment are exactly 0, so each segment's output
+    equals attending it alone.
     """
     (m, d), (n, dk) = q.data.shape, k.data.shape
     if dk != d or v.data.shape != (n, d):
         raise ShapeError(f"attention mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
     if n_heads < 1 or d % n_heads != 0:
         raise ShapeError(f"width {d} not divisible into {n_heads} heads")
+    keep = None
+    if segments is not None:
+        seg = np.asarray(segments).reshape(-1)
+        if m != n or seg.size != n:
+            raise ShapeError(
+                f"segments need q, k, v of equal rows and one id a row: q {q.shape}, "
+                f"k {k.shape}, {seg.size} ids"
+            )
+        keep = seg[:, None] == seg[None, :]
     dh = d // n_heads
     c = dh**-0.5
     qh, kh, vh = (t.data.reshape(-1, n_heads, dh) for t in (q, k, v))
-    w = np.exp(_finite_shift(np.einsum("ihd,jhd->hij", qh, kh) * c, "attention"))
+    w = np.exp(_finite_shift(np.einsum("ihd,jhd->hij", qh, kh) * c, "attention", keep))
     w /= w.sum(axis=2, keepdims=True)
     out = Tensor(np.einsum("hij,jhd->ihd", w, vh).reshape(m, d))
     if _traced(q, k, v):
@@ -375,18 +395,6 @@ def slice_rows(x: Tensor, lo: int, hi: int) -> Tensor:
             full = np.zeros_like(x.data)
             full[lo:hi] = g
             _acc(x, full)
-
-        _TAPE.add(out, back)
-    return out
-
-
-def mean_rows(x: Tensor) -> Tensor:
-    m = x.data.shape[0]
-    out = Tensor(x.data.mean(axis=0, keepdims=True))
-    if _traced(x):
-
-        def back(g, x=x, m=m):
-            _acc(x, np.repeat(g / m, m, axis=0))
 
         _TAPE.add(out, back)
     return out

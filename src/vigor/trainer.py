@@ -17,7 +17,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import CheckpointError, ContractError, NumericError
 from .losses import LossBreakdown, LossWeights, _sum, compose
 from .losses import loss_crd, loss_mask, loss_ref, loss_text
-from .model import GroundingModel, HeadOutputs, ModelConfig, WordVocab
+from .model import GroundingModel, HeadOutputs, ModelConfig, WordVocab, param_layout
 from .orderparse import order_names, trim_pad
 from .scene import ClassVocab, Scene
 from .synthgen import GenConfig, sample_at
@@ -353,6 +353,7 @@ def load_checkpoint(path, expect: ModelConfig | None = None) -> Checkpoint:
             groups[group][name] = arr.astype(np.float64)
         if f.read(1):
             raise CheckpointError("trailing bytes after the last array")
+    _check_layout(ckpt)
     if expect is not None:
         for name in ("d", "b", "n_heads", "points_per_proposal"):
             got, want = getattr(ckpt.cfg, name), getattr(expect, name)
@@ -361,6 +362,31 @@ def load_checkpoint(path, expect: ModelConfig | None = None) -> Checkpoint:
                     f"checkpoint {name}={got} does not match requested {name}={want}"
                 )
     return ckpt
+
+
+def _check_layout(ckpt: Checkpoint) -> None:
+    """Refuse arrays other than those the header's config gives a model.
+
+    The layout is walked lazily and stops at the first mismatch, so a
+    corrupt config (a huge `b` or `d`) costs no more than the arrays read.
+    """
+    cfg = replace(
+        ckpt.cfg, word_vocab_size=len(ckpt.word_tokens), class_vocab_size=len(ckpt.class_names)
+    )
+    implied = 0
+    for name, shape, _ in param_layout(cfg):
+        got = ckpt.params.get(name)
+        if got is None or got.shape != shape:
+            found = "no array" if got is None else f"shape {got.shape}"
+            raise CheckpointError(f"config implies params {name} of shape {shape}, found {found}")
+        implied += 1
+    if implied != len(ckpt.params):
+        extra = len(ckpt.params) - implied
+        raise CheckpointError(f"{extra} params arrays that the config does not imply")
+    for group, moments in (("adam_m", ckpt.adam_m), ("adam_v", ckpt.adam_v)):
+        for name, arr in moments.items():
+            if name not in ckpt.params or arr.shape != ckpt.params[name].shape:
+                raise CheckpointError(f"{group} {name} matches no parameter of that shape")
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> tuple[GroundingModel, TrainState]:

@@ -216,6 +216,9 @@ MALFORMED_CHECKPOINTS = {
     "extra-model-key": lambda p: rewrite_checkpoint_header(
         p, lambda h: h["model"].update(bogus=1)
     ),
+    "config-mismatch": lambda p: rewrite_checkpoint_header(
+        p, lambda h: h["model"].update(b=3)
+    ),
     **CORRUPT_LENGTHS,
 }
 
@@ -233,6 +236,41 @@ def test_eval_malformed_checkpoint_header_is_validation_error(tmp_path, capsys, 
     assert main(["eval", "--data", str(data), "--ckpt", str(ckpt)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_eval_scores_parsed_orders(tmp_path, capsys):
+    data = synth(tmp_path, scenes=3)
+    ckpt = tmp_path / "model.ckpt"
+    model = GroundingModel(ModelConfig(d=8, b=2, n_heads=2, points_per_proposal=6), default_vocab(6))
+    save_checkpoint(ckpt, model, TrainState.fresh(0))
+    # the canned model answers every description with its target alone
+    transcript = tmp_path / "transcript.jsonl"
+    with open(transcript, "w", encoding="utf-8") as fh:
+        for i, record in enumerate(read_records(data)):
+            summary = f"summary number {i} of the scene"
+            for substring, reply in (
+                (record.description, f"summarized description: {summary}\ntarget object: x"),
+                (summary, f"referential order: {record.order[-1]}\nanchor objects: none"),
+            ):
+                fh.write(json.dumps({"request_substring": substring, "response": reply}) + "\n")
+
+    reports = {}
+    for name, flags in (
+        ("stored", []),
+        ("rule", ["--parser", "rule"]),
+        ("llm", ["--parser", "llm", "--transcript", str(transcript)]),
+    ):
+        report = tmp_path / f"{name}.json"
+        args = ["eval", "--data", str(data), "--ckpt", str(ckpt), "--report", str(report)]
+        assert main(args + flags) == 0
+        reports[name] = json.loads(report.read_text())
+        assert reports[name]["config"]["orders"] == name
+    # the rule parser recovers the stored two-name orders; the transcript's
+    # one-name orders land every item in the length-1 bucket
+    assert reports["rule"]["subsets"] == reports["stored"]["subsets"]
+    assert reports["stored"]["subsets"]["order_length:2&3"]["count"] == 3
+    assert reports["llm"]["subsets"]["order_length:1"]["count"] == 3
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,25 @@ def test_accuracy_parses_each_item_once():
     assert len(calls) == len(data)
 
 
+def test_accuracy_wraps_the_parameters_once(monkeypatch):
+    data = items(5)
+    model = tiny_model()
+    hits = [
+        int(model.forward(d.scene, d.order, d.description).predicted_id() == d.target_id)
+        for d in data
+    ]
+    real, calls = model.frozen, []
+
+    def counting_frozen():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(model, "frozen", counting_frozen)
+    report = accuracy(model, data)
+    assert len(calls) == 1
+    assert report.overall == sum(hits) / len(data)
+
+
 def test_accuracy_buckets_the_order_it_scores():
     """A parser whose reply changes between calls: each item must land in
     the bucket of the very reply it was scored on.  The scorer hits only

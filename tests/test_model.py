@@ -9,8 +9,10 @@ from vigor.model import (
     GroundingModel,
     ModelConfig,
     WordVocab,
+    _encoder_layer,
     apply_relevance_mask,
     encode_objects,
+    encode_text,
     init_params,
     sinusoid_positions,
     tokenize,
@@ -60,6 +62,11 @@ def test_config_rejects_zero_blocks():
         ModelConfig(b=0)
 
 
+def test_config_rejects_zero_heads():
+    with pytest.raises(ContractError):
+        ModelConfig(d=8, n_heads=0)
+
+
 def test_word_vocab_unknown_maps_to_zero():
     wv = WordVocab.build(VOCAB)
     assert wv.tokens[0] == "<unk>"
@@ -96,6 +103,72 @@ def test_sinusoid_positions():
     assert pe.shape == (5, 8)
     assert np.abs(pe).max() <= 1.0
     assert np.allclose(pe[0], [0, 1, 0, 1, 0, 1, 0, 1])
+
+
+# ---------------------------------------------------------------------------
+# text encoder
+
+
+def encode_piece(m, p, words):
+    """One unpacked encoder pass over one token sequence, positions from 0."""
+    x = tt.take_rows(p["emb"], m.word_vocab.encode(words))
+    x = tt.add(x, tt.constant(sinusoid_positions(len(words), m.cfg.d)))
+    for layer in range(2):
+        x = _encoder_layer(p, f"txt{layer}", x, m.cfg.n_heads, None)
+    return x
+
+
+def mean_of_rows(x):
+    m = x.shape[0]
+    return tt.scale(tt.matmul(tt.constant(np.ones((1, m))), x), 1.0 / m)
+
+
+def encode_text_per_piece(m, p, tokens, order):
+    """Reference: the description, then every order name, each encoded alone."""
+    words = encode_piece(m, p, tokens)
+    names = [mean_of_rows(encode_piece(m, p, tokenize(name))) for name in order]
+    return tt.concat_rows(mean_of_rows(words), words), tt.concat_rows(*names)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        ["door", "water bottle", "table", "chair"],
+        ["chair", "water bottle", "chair", "chair"],
+        ["door", "door", "door", "door"],
+    ],
+    ids=["distinct", "repeated", "all-equal"],
+)
+def test_packed_text_encoder_matches_per_piece_passes(order):
+    m = tiny_model(b=4, d=8, n_heads=2)
+    tokens = tokenize(DESC)
+    rng = np.random.default_rng(3)
+    w_rows = tt.constant(rng.normal(size=(len(tokens) + 1, 8)))
+    w_names = tt.constant(rng.normal(size=(4, 8)))
+    results = []
+    for packed in (True, False):
+        p = m.trainable()
+        if packed:
+            text = encode_text(tokens, order, p, m.word_vocab, m.cfg)
+            rows, names = text.rows, text.order_features
+        else:
+            rows, names = encode_text_per_piece(m, p, tokens, order)
+        loss = tt.add(tt.mean_all(tt.mul(rows, w_rows)), tt.mean_all(tt.mul(names, w_names)))
+        results.append((rows.data, names.data, tt.backward(loss, p)))
+    (rows, names, grads), (ref_rows, ref_names, ref_grads) = results
+    assert np.abs(rows - ref_rows).max() <= 1e-10
+    assert np.abs(names - ref_names).max() <= 1e-10
+    for name, g in ref_grads.items():
+        assert np.abs(grads[name] - g).max() <= 1e-10, name
+    assert np.abs(ref_grads["txt0.attn.wq"]).max() > 0.0
+
+
+def test_packed_text_encoder_rejects_empty_pieces():
+    m = tiny_model(b=2)
+    with pytest.raises(ContractError):
+        encode_text(tokenize(DESC), ["door", "?!"], m.frozen(), m.word_vocab, m.cfg)
+    with pytest.raises(ContractError):
+        encode_text([], ORDER, m.frozen(), m.word_vocab, m.cfg)
 
 
 # ---------------------------------------------------------------------------

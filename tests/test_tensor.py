@@ -182,6 +182,55 @@ def test_attention_shape_errors():
         T.attention(q, k, v, 3)
 
 
+# Segments of 4, 1 and 3 rows; a segment's rows need not be adjacent.
+SEGMENTS = [0, 0, 2, 0, 1, 2, 2, 0]
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_segmented_attention_equals_each_segment_alone(n_heads):
+    q, k, v = qkv(np.random.default_rng(20 + n_heads), 8, 8, 8, scale=2.0)
+    # logits against key 4 dwarf all others; shifting a row by a maximum
+    # taken outside its segment would underflow all of its weights to 0
+    k[4] *= 1e3
+    got = T.attention(T.constant(q), T.constant(k), T.constant(v), n_heads, SEGMENTS).data
+    seg = np.array(SEGMENTS)
+    for s in set(SEGMENTS):
+        rows = seg == s
+        alone = T.attention(*(T.constant(a[rows]) for a in (q, k, v)), n_heads).data
+        assert np.abs(got[rows] - alone).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_segmented_attention_grad_check(n_heads):
+    rng = np.random.default_rng(30 + n_heads)
+    params = dict(zip("qkv", qkv(rng, 8, 8, 8)))
+    weights = T.constant(rng.normal(size=(8, 8)))
+
+    def forward(p):
+        out = T.attention(p["q"], p["k"], p["v"], n_heads, SEGMENTS)
+        return T.mean_all(T.mul(out, weights))
+
+    report = T.grad_check(forward, params)
+    assert report.checked == 3 * 64
+    assert report.ok(1e-6), (report.max_rel_err, report.worst_param)
+
+
+def test_segmented_attention_errors():
+    q, k, v = (T.constant(a) for a in qkv(np.random.default_rng(6), 3, 3, 4))
+    for bad in ([0, 0], [0, 1, 1, 1]):
+        with pytest.raises(ShapeError):
+            T.attention(q, k, v, 2, bad)
+    # segments mean self-attention: queries and keys must share their rows
+    k5, v5 = (T.constant(np.ones((5, 4))) for _ in range(2))
+    with pytest.raises(ShapeError):
+        T.attention(q, k5, v5, 2, [0, 0, 1])
+    # the finiteness check reads the raw logits, masked or not
+    bad_k = k.data.copy()
+    bad_k[2, 0] = float("nan")
+    with pytest.raises(NumericError):
+        T.attention(q, T.constant(bad_k), v, 2, [0, 0, 1])
+
+
 def test_cross_entropy_rejects_bad_target_and_shape():
     for logits in (T.constant(np.zeros((1, 3))), T.constant(np.zeros((3, 1)))):
         for target in (-1, 3):
@@ -247,7 +296,6 @@ def test_concat_and_slice():
 
 def test_mean_rows_and_reductions():
     x = T.constant([[1.0, 3.0], [3.0, 5.0]])
-    assert np.array_equal(T.mean_rows(x).data, [[2.0, 4.0]])
     assert T.mean_all(x).item() == 3.0
 
 

@@ -330,11 +330,56 @@ def test_checkpoint_extra_model_key_refused(tmp_path):
         lambda h: h["rng_state"].update(bit_generator="bogus"),
         lambda h: h["rng_state"].pop("state"),
         lambda h: h.update(adam_t=float("inf")),
+        lambda h: h["model"].update(n_heads=0),
     ],
-    ids=["rng-generator", "rng-missing-state", "infinite-step"],
+    ids=["rng-generator", "rng-missing-state", "infinite-step", "zero-heads"],
 )
 def test_checkpoint_bad_header_value_refused(tmp_path, mutate):
     _, _, path = trained_pair(tmp_path)
+    rewrite_checkpoint_header(path, mutate)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def rename_last(group, name):
+    def mutate(header):
+        [e for e in header["arrays"] if e["group"] == group][-1].update(name=name)
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda h: h["model"].update(b=3),
+        lambda h: h["model"].update(b=1),
+        lambda h: h["model"].update(d=4),
+        lambda h: h["word_tokens"].append("zyzzyva"),
+        lambda h: h["class_names"].pop(),
+        rename_last("params", "fe0.self.bk"),
+        rename_last("adam_m", "bogus"),
+        rename_last("adam_v", "emb"),
+        # a lazy layout walk stops at the first missing array, so these
+        # cost no more than the few arrays in the file
+        lambda h: h["model"].update(b=10**9),
+        lambda h: h["model"].update(d=2 * 10**9),
+    ],
+    ids=[
+        "more-blocks",
+        "fewer-blocks",
+        "narrower",
+        "extra-word",
+        "missing-class",
+        "unknown-param",
+        "unknown-moment",
+        "moment-shape",
+        "huge-b",
+        "huge-d",
+    ],
+)
+def test_checkpoint_arrays_must_match_the_config(tmp_path, mutate):
+    _, _, path = trained_pair(tmp_path)
+    load_checkpoint(path)
     rewrite_checkpoint_header(path, mutate)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
