@@ -258,6 +258,8 @@ def cmd_eval(args) -> int:
             f.write(blob + "\n")
         print(f"wrote report to {args.report}")
     print(f"accuracy {report.overall:.4f} on {report.count} samples")
+    if report.parse_failures:
+        print(f"parse failures: {report.parse_failures} (scored as misses)")
     if not args.report:
         print(blob)
     return 0

@@ -4,7 +4,9 @@ Evaluation items are duck-typed: anything with a scene, a description, a
 `target_id`, and optionally a stored `order`.  Records' examples and
 synthesized warm-up samples both qualify.  When no stored order exists, a
 parser callable must be supplied to recover one from the description.
-`accuracy()` parses each item once and both buckets and scores that order.
+`accuracy()` parses each item once and both buckets and scores that order;
+an item whose description the parser cannot read counts as a miss in the
+`order_length:unparsed` bucket and in `EvalReport.parse_failures`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, EmptyOrderError, OrderParseError
 from .model import GroundingModel
 from .orderparse import order_names, trim_pad
 
@@ -37,6 +39,14 @@ def _raw_order(item, parser: Callable[[str], Sequence[str]] | None) -> list[str]
             "evaluation items carry no stored order; supply a parser"
         )
     return list(order)
+
+
+def _parsed_order(item, parser) -> list[str] | None:
+    """The item's order, or None when the parser cannot read its description."""
+    try:
+        return _raw_order(item, parser)
+    except (EmptyOrderError, OrderParseError):
+        return None
 
 
 def order_length_bucket(n: int) -> str:
@@ -61,12 +71,13 @@ def subset_breakdown(
     items: Sequence, parser: Callable[[str], Sequence[str]] | None = None
 ) -> list[dict[str, str]]:
     """Partition labels per item, one dict per item, keys are families."""
-    return [_labels(item, _raw_order(item, parser)) for item in items]
+    return [_labels(item, _parsed_order(item, parser)) for item in items]
 
 
-def _labels(item, raw_order: Sequence[str]) -> dict[str, str]:
+def _labels(item, raw_order: Sequence[str] | None) -> dict[str, str]:
+    """`raw_order=None` marks a description the parser could not read."""
     return {
-        "order_length": order_length_bucket(len(raw_order)),
+        "order_length": "unparsed" if raw_order is None else order_length_bucket(len(raw_order)),
         "distractors": distractor_bucket(item),
     }
 
@@ -77,6 +88,7 @@ class EvalReport:
     count: int
     subsets: dict[str, dict[str, float | int]]  # "family:bucket" -> accuracy/count
     config: dict = field(default_factory=dict)
+    parse_failures: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.overall <= 1.0:
@@ -95,6 +107,7 @@ class EvalReport:
                 "count": self.count,
                 "subsets": self.subsets,
                 "config": self.config,
+                "parse_failures": self.parse_failures,
             },
             indent=2,
             sort_keys=True,
@@ -112,27 +125,34 @@ def accuracy(
 
     `score_fn(item, order)` may replace the model's scores with an
     injected K-vector, which keeps the harness testable against oracles.
-    Ties go to the lowest proposal id.
+    Ties go to the lowest proposal id.  A description the parser rejects
+    (`EmptyOrderError`, `OrderParseError`) is scored as a miss, bucketed as
+    `order_length:unparsed` and counted in `parse_failures`.
     """
     if not items:
         raise ContractError("cannot evaluate an empty dataset")
     hits_total = 0
+    parse_failures = 0
     bucket_hits: dict[str, int] = {}
     bucket_counts: dict[str, int] = {}
     # One constant wrap of the parameters serves every item.
     params = model.frozen() if score_fn is None else None
     for item in items:
-        raw = _raw_order(item, parser)
+        raw = _parsed_order(item, parser)
         label = _labels(item, raw)
-        order = trim_pad(raw, model.cfg.b)
-        if score_fn is not None:
-            scores = np.asarray(score_fn(item, order), dtype=np.float64).reshape(-1)
+        if raw is None:
+            parse_failures += 1
+            hit = False
         else:
-            out = model.forward(item.scene, order, item.description, params=params)
-            scores = out.scores.data[:, 0]
-        if scores.shape[0] != len(item.scene):
-            raise ContractError("score vector length must match proposal count")
-        hit = int(np.argmax(scores)) == item.target_id
+            order = trim_pad(raw, model.cfg.b)
+            if score_fn is not None:
+                scores = np.asarray(score_fn(item, order), dtype=np.float64).reshape(-1)
+            else:
+                out = model.forward(item.scene, order, item.description, params=params)
+                scores = out.scores.data[:, 0]
+            if scores.shape[0] != len(item.scene):
+                raise ContractError("score vector length must match proposal count")
+            hit = int(np.argmax(scores)) == item.target_id
         hits_total += hit
         for family, bucket in label.items():
             key = f"{family}:{bucket}"
@@ -147,6 +167,7 @@ def accuracy(
         count=len(items),
         subsets=subsets,
         config=dict(config or {}),
+        parse_failures=parse_failures,
     )
 
 

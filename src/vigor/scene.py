@@ -76,6 +76,10 @@ def compute_center_bbox(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
         raise ContractError(f"expected a non-empty Nx3 point array, got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise ContractError("points must be finite")
+    return _center_bbox(pts)
+
+
+def _center_bbox(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bbox_min = pts.min(axis=0)
     bbox_max = pts.max(axis=0)
     return (bbox_min + bbox_max) / 2.0, bbox_min, bbox_max
@@ -96,7 +100,10 @@ class Proposal:
             raise ContractError(
                 f"proposal points must be non-empty Ix6, got shape {self.points.shape}"
             )
-        center, _, _ = compute_center_bbox(self.points[:, :3])
+        # One finiteness pass over all six columns; the bbox needs no other.
+        if not np.isfinite(self.points).all():
+            raise ContractError("proposal points must be finite in x, y, z, r, g and b")
+        center, _, _ = _center_bbox(self.points[:, :3])
         if self.center is None:
             self.center = center
         elif not np.allclose(self.center, center, atol=1e-9):

@@ -165,7 +165,10 @@ def _acc(t: Tensor, g: np.ndarray) -> None:
 
 
 def _traced(*ts: Tensor) -> bool:
-    return any(t.node is not None for t in ts)
+    for t in ts:
+        if t.node is not None:
+            return True
+    return False
 
 
 def _finite_shift(x: np.ndarray, op: str, keep: np.ndarray | None = None) -> np.ndarray:
@@ -193,8 +196,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if _traced(a, b):
 
         def back(g, a=a, b=b):
-            _acc(a, g @ b.data.T)
-            _acc(b, a.data.T @ g)
+            if a.node is not None:
+                _acc(a, g @ b.data.T)
+            if b.node is not None:
+                _acc(b, a.data.T @ g)
 
         _TAPE.add(out, back)
     return out
@@ -228,19 +233,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments=None) -> T
         keep = seg[:, None] == seg[None, :]
     dh = d // n_heads
     c = dh**-0.5
-    qh, kh, vh = (t.data.reshape(-1, n_heads, dh) for t in (q, k, v))
-    w = np.exp(_finite_shift(np.einsum("ihd,jhd->hij", qh, kh) * c, "attention", keep))
+    # Head-major (heads, rows, dh) views: every product is one batched matmul.
+    qh, kh, vh = (t.data.reshape(-1, n_heads, dh).transpose(1, 0, 2) for t in (q, k, v))
+    w = np.exp(_finite_shift((qh @ kh.transpose(0, 2, 1)) * c, "attention", keep))
     w /= w.sum(axis=2, keepdims=True)
-    out = Tensor(np.einsum("hij,jhd->ihd", w, vh).reshape(m, d))
+    out = Tensor((w @ vh).transpose(1, 0, 2).reshape(m, d))
     if _traced(q, k, v):
 
         def back(g, q=q, k=k, v=v, w=w):
-            gh = g.reshape(m, n_heads, dh)
-            gw = np.einsum("ihd,jhd->hij", gh, vh)
+            gh = g.reshape(m, n_heads, dh).transpose(1, 0, 2)
+            gw = gh @ vh.transpose(0, 2, 1)
             gs = w * (gw - (gw * w).sum(axis=2, keepdims=True)) * c
-            _acc(q, np.einsum("hij,jhd->ihd", gs, kh).reshape(m, d))
-            _acc(k, np.einsum("hij,ihd->jhd", gs, qh).reshape(n, d))
-            _acc(v, np.einsum("hij,ihd->jhd", w, gh).reshape(n, d))
+            _acc(q, (gs @ kh).transpose(1, 0, 2).reshape(m, d))
+            _acc(k, (gs.transpose(0, 2, 1) @ qh).transpose(1, 0, 2).reshape(n, d))
+            _acc(v, (w.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(n, d))
 
         _TAPE.add(out, back)
     return out
@@ -474,14 +480,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     n = x.data.shape[1]
     if gain.data.shape != (1, n) or bias.data.shape != (1, n):
         raise ShapeError(f"layer_norm affine params must be (1, {n})")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
+    # Direct sums equal np.mean/np.var bit for bit, without their wrappers.
+    dev = x.data - x.data.sum(axis=1, keepdims=True) / n
+    var = (dev * dev).sum(axis=1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.data - mu) * inv
+    xhat = dev * inv
     out = Tensor(xhat * gain.data + bias.data)
     if _traced(x, gain, bias):
 
-        def back(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv):
+        def back(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv, n=n):
             _acc(gain, (g * xhat).sum(axis=0, keepdims=True))
             _acc(bias, g.sum(axis=0, keepdims=True))
             if x.node is not None:
@@ -491,8 +498,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
                     inv
                     * (
                         gy
-                        - gy.mean(axis=1, keepdims=True)
-                        - xhat * (gy * xhat).mean(axis=1, keepdims=True)
+                        - gy.sum(axis=1, keepdims=True) / n
+                        - xhat * ((gy * xhat).sum(axis=1, keepdims=True) / n)
                     ),
                 )
 

@@ -208,6 +208,15 @@ def test_eval_missing_checkpoint_is_io_error(tmp_path):
     assert code == 3
 
 
+def eval_setup(tmp_path, scenes):
+    """A synthesized dataset plus an untrained d=8 checkpoint that fits it."""
+    data = synth(tmp_path, scenes=scenes)
+    ckpt = tmp_path / "model.ckpt"
+    model = GroundingModel(ModelConfig(d=8, b=2, n_heads=2, points_per_proposal=6), default_vocab(6))
+    save_checkpoint(ckpt, model, TrainState.fresh(0))
+    return data, ckpt
+
+
 MALFORMED_CHECKPOINTS = {
     "unknown-group": lambda p: rewrite_checkpoint_header(
         p, lambda h: h["arrays"][0].update(group="bogus")
@@ -227,10 +236,7 @@ MALFORMED_CHECKPOINTS = {
     "corrupt", MALFORMED_CHECKPOINTS.values(), ids=MALFORMED_CHECKPOINTS.keys()
 )
 def test_eval_malformed_checkpoint_header_is_validation_error(tmp_path, capsys, corrupt):
-    data = synth(tmp_path, scenes=1)
-    ckpt = tmp_path / "model.ckpt"
-    model = GroundingModel(ModelConfig(d=8, b=2, n_heads=2, points_per_proposal=6), default_vocab(6))
-    save_checkpoint(ckpt, model, TrainState.fresh(0))
+    data, ckpt = eval_setup(tmp_path, scenes=1)
     corrupt(ckpt)
     capsys.readouterr()
     assert main(["eval", "--data", str(data), "--ckpt", str(ckpt)]) == 1
@@ -238,21 +244,51 @@ def test_eval_malformed_checkpoint_header_is_validation_error(tmp_path, capsys, 
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_eval_scores_parsed_orders(tmp_path, capsys):
-    data = synth(tmp_path, scenes=3)
-    ckpt = tmp_path / "model.ckpt"
-    model = GroundingModel(ModelConfig(d=8, b=2, n_heads=2, points_per_proposal=6), default_vocab(6))
-    save_checkpoint(ckpt, model, TrainState.fresh(0))
-    # the canned model answers every description with its target alone
+def write_transcript(tmp_path, data, unreadable=()):
+    """A canned model that answers every description with its target alone;
+    for the items in `unreadable` its second reply has no order line."""
     transcript = tmp_path / "transcript.jsonl"
     with open(transcript, "w", encoding="utf-8") as fh:
         for i, record in enumerate(read_records(data)):
             summary = f"summary number {i} of the scene"
+            order = f"referential order: {record.order[-1]}"
+            if i in unreadable:
+                order = "no order here"
             for substring, reply in (
                 (record.description, f"summarized description: {summary}\ntarget object: x"),
-                (summary, f"referential order: {record.order[-1]}\nanchor objects: none"),
+                (summary, f"{order}\nanchor objects: none"),
             ):
                 fh.write(json.dumps({"request_substring": substring, "response": reply}) + "\n")
+    return transcript
+
+
+def test_eval_nonfinite_colour_is_validation_error(tmp_path, capsys):
+    data, ckpt = eval_setup(tmp_path, scenes=2)
+    blobs = [json.loads(line) for line in data.read_text().splitlines()]
+    blobs[1]["proposals"][0]["points"][0][4] = float("nan")
+    data.write_text("".join(json.dumps(b) + "\n" for b in blobs))
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--ckpt", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: proposal ") and "finite" in err and "Traceback" not in err
+
+
+def test_eval_counts_parse_failures(tmp_path, capsys):
+    data, ckpt = eval_setup(tmp_path, scenes=3)
+    transcript = write_transcript(tmp_path, data, unreadable={1})
+    report = tmp_path / "report.json"
+    flags = ["--parser", "llm", "--transcript", str(transcript), "--report", str(report)]
+    assert main(["eval", "--data", str(data), "--ckpt", str(ckpt), *flags]) == 0
+    assert "parse failures: 1" in capsys.readouterr().out
+    blob = json.loads(report.read_text())
+    assert blob["count"] == 3 and blob["parse_failures"] == 1
+    assert blob["subsets"]["order_length:unparsed"] == {"accuracy": 0.0, "count": 1}
+    assert blob["subsets"]["order_length:1"]["count"] == 2
+
+
+def test_eval_scores_parsed_orders(tmp_path, capsys):
+    data, ckpt = eval_setup(tmp_path, scenes=3)
+    transcript = write_transcript(tmp_path, data)
 
     reports = {}
     for name, flags in (

@@ -163,6 +163,19 @@ def test_accuracy_with_parser_and_without_order():
         accuracy(tiny_model(), stripped)  # no order, no parser
 
 
+def test_accuracy_scores_unreadable_descriptions_as_misses():
+    data = items(4)
+    data[2] = EvalItem(data[2].scene, "something over there", None, data[2].target_id)
+    vocab = default_vocab(GEN.class_vocab_size)
+    parser = lambda desc: parse_appearance_order(desc, vocab)
+    oracle = lambda item, order: np.eye(len(item.scene))[item.target_id]
+    report = accuracy(tiny_model(), data, parser=parser, score_fn=oracle)
+    assert report.overall == 0.75 and report.parse_failures == 1
+    assert report.subsets["order_length:unparsed"] == {"accuracy": 0.0, "count": 1}
+    assert json.loads(report.to_json())["parse_failures"] == 1
+    assert subset_breakdown(data, parser)[2]["order_length"] == "unparsed"
+
+
 def test_accuracy_parses_each_item_once():
     data = items(5)
     lookup = {d.description: d.order for d in data}

@@ -112,6 +112,17 @@ def test_example_rejects_tampered_center():
         example_from_record(record, default_vocab(GEN.class_vocab_size))
 
 
+@pytest.mark.parametrize("column", range(6), ids="xyzrgb")
+def test_example_rejects_nonfinite_points(column):
+    # json reads NaN, so a record can carry one in any of the six columns
+    blob = record_blob()
+    prop = blob["proposals"][1]
+    prop["points"][0][column] = float("nan")
+    record = DatasetRecord.from_dict(json.loads(json.dumps(blob)))
+    with pytest.raises(ValidationError, match=f"proposal {prop['id']}: .*finite"):
+        example_from_record(record, default_vocab(GEN.class_vocab_size))
+
+
 # ---------------------------------------------------------------------------
 # persistence
 

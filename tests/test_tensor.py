@@ -231,6 +231,91 @@ def test_segmented_attention_errors():
         T.attention(q, T.constant(bad_k), v, 2, [0, 0, 1])
 
 
+def attention_einsum_reference(q, k, v, n_heads, segments, g):
+    """The (rows, heads, dh) einsum form of attention and its closed-form
+    backward: output and the gradients of q, k, v for upstream gradient g."""
+    (m, d), n = q.shape, k.shape[0]
+    dh = d // n_heads
+    c = dh**-0.5
+    qh, kh, vh = (a.reshape(-1, n_heads, dh) for a in (q, k, v))
+    logits = np.einsum("ihd,jhd->hij", qh, kh) * c
+    if segments is not None:
+        seg = np.asarray(segments)
+        logits = np.where(seg[:, None] == seg[None, :], logits, -np.inf)
+    w = np.exp(logits - logits.max(axis=2, keepdims=True))
+    w /= w.sum(axis=2, keepdims=True)
+    out = np.einsum("hij,jhd->ihd", w, vh).reshape(m, d)
+    gh = g.reshape(m, n_heads, dh)
+    gw = np.einsum("ihd,jhd->hij", gh, vh)
+    gs = w * (gw - (gw * w).sum(axis=2, keepdims=True)) * c
+    dq = np.einsum("hij,jhd->ihd", gs, kh).reshape(m, d)
+    dk = np.einsum("hij,ihd->jhd", gs, qh).reshape(n, d)
+    dv = np.einsum("hij,ihd->jhd", w, gh).reshape(n, d)
+    return out, dq, dk, dv
+
+
+def upstream(out_shape, rng):
+    """A weighting whose mean-of-product loss sends gradient g to the op;
+    g is built with the engine's own arithmetic, so it matches bit for bit."""
+    weights = rng.normal(size=out_shape)
+    g = np.full_like(weights, 1.0 / weights.size) * weights
+    return T.constant(weights), g
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 4]),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.booleans(),
+    st.integers(0, 2**31 - 1),
+)
+def test_attention_matches_einsum_reference(n_heads, dh, m, n, segmented, seed):
+    rng = np.random.default_rng(seed)
+    # segments mean self-attention, so those cases share their row count
+    m = n if segmented else m
+    segments = rng.integers(0, 3, size=n) if segmented else None
+    q, k, v = (T.leaf(a) for a in qkv(rng, m, n, n_heads * dh, scale=2.0))
+    out = T.attention(q, k, v, n_heads, segments)
+    weights, g = upstream(out.shape, rng)
+    got = [out.data, *T.backward(T.mean_all(T.mul(out, weights)), dict(q=q, k=k, v=v)).values()]
+    want = attention_einsum_reference(q.data, k.data, v.data, n_heads, segments, g)
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-12
+
+
+def layer_norm_reference(x, gain, bias, g):
+    """np.mean/np.var layer norm and its backward for upstream gradient g."""
+    inv = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + T.LAYER_NORM_EPS)
+    xhat = (x - x.mean(axis=1, keepdims=True)) * inv
+    gy = g * gain
+    dx = inv * (
+        gy - gy.mean(axis=1, keepdims=True) - xhat * (gy * xhat).mean(axis=1, keepdims=True)
+    )
+    dgain = (g * xhat).sum(axis=0, keepdims=True)
+    return xhat * gain + bias, dx, dgain, g.sum(axis=0, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 40),
+    st.floats(1e-3, 1e3),
+    st.integers(0, 2**31 - 1),
+)
+def test_layer_norm_equals_mean_var_reference(m, n, spread, seed):
+    rng = np.random.default_rng(seed)
+    x = T.leaf(rng.normal(loc=rng.normal(), scale=spread, size=(m, n)))
+    gain, bias = (T.leaf(rng.normal(size=(1, n))) for _ in range(2))
+    out = T.layer_norm(x, gain, bias)
+    weights, g = upstream(out.shape, rng)
+    grads = T.backward(T.mean_all(T.mul(out, weights)), dict(x=x, gain=gain, bias=bias))
+    want = layer_norm_reference(x.data, gain.data, bias.data, g)
+    for a, b in zip([out.data, *grads.values()], want):
+        assert np.array_equal(a, b)
+
+
 def test_cross_entropy_rejects_bad_target_and_shape():
     for logits in (T.constant(np.zeros((1, 3))), T.constant(np.zeros((3, 1)))):
         for target in (-1, 3):
