@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .errors import (
     AmbiguityError,
@@ -72,29 +73,32 @@ VALIDATION_FAILURES = (
     EmptyOrderError,
 )
 
-# keys accepted in a --config file, mirroring the three config dataclasses
-TRAIN_KEYS = {
-    "warmup_steps",
-    "main_steps",
-    "batch_size",
-    "lr",
-    "seed",
-    "label_noise",
-    "eval_every",
-    "w_ref",
-    "w_mask",
-    "w_text",
-    "w_crd",
-}
-MODEL_KEYS = {"d", "n_heads", "order_len", "points_per_proposal"}
-GEN_KEYS = {
-    "proposals_min",
-    "proposals_max",
-    "room_extent",
-    "class_vocab_size",
-    "relation",
-    "min_separation",
-    "style",
+# Every key a --config file may set, with its type and default.  Keys are
+# named after the fields of ModelConfig, GenConfig, TrainConfig and
+# LossWeights.  A `vigor train` flag of the same name overrides the file.
+CONFIG_KEYS = {
+    "seed": (int, 0),
+    "warmup_steps": (int, 0),
+    "main_steps": (int, 0),
+    "batch_size": (int, 16),
+    "lr": (float, 1e-3),
+    "label_noise": (float, 0.0),
+    "eval_every": (int, 0),
+    "w_ref": (float, 1.0),
+    "w_mask": (float, 1.0),
+    "w_text": (float, 1.0),
+    "w_crd": (float, 1.0),
+    "d": (int, 32),
+    "n_heads": (int, 4),
+    "order_len": (int, 2),
+    "points_per_proposal": (int, 16),
+    "proposals_min": (int, 5),
+    "proposals_max": (int, 9),
+    "room_extent": (float, 6.0),
+    "class_vocab_size": (int, 12),
+    "relation": (str, "farthest"),
+    "min_separation": (float, 0.01),
+    "style": (str, "template"),
 }
 
 
@@ -108,18 +112,48 @@ def _proposal_range(text: str) -> tuple[int, int]:
         ) from None
 
 
-def _load_config_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            blob = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(blob, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
-    unknown = set(blob) - TRAIN_KEYS - MODEL_KEYS - GEN_KEYS
-    if unknown:
-        raise ValidationError(f"{path}: unknown config keys {sorted(unknown)}")
-    return blob
+def _config_value(path, key: str, kind: type, value):
+    """A file value of the key's type: JSON integers for int keys, finite
+    numbers for float keys, strings for str keys; never a bool."""
+    # type(), not isinstance: a bool is an int subclass but no valid value.
+    ok = type(value) in ((int, float) if kind is float else (kind,))
+    if ok and kind is float:
+        ok = abs(value) <= sys.float_info.max  # false for nan, inf, huge ints
+    if not ok:
+        want = {int: "an integer", float: "a finite number", str: "a string"}[kind]
+        raise ValidationError(f"{path}: {key} must be {want}, got {json.dumps(value)}")
+    return kind(value)
+
+
+def _train_settings(args) -> dict:
+    """Every CONFIG_KEYS value: the flag if given, else the file's, else the default."""
+    blob = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as f:
+            try:
+                blob = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{args.config}: not valid JSON: {exc}") from exc
+        if not isinstance(blob, dict):
+            raise ValidationError(f"{args.config}: config must be a JSON object")
+        unknown = set(blob) - set(CONFIG_KEYS)
+        if unknown:
+            raise ValidationError(f"{args.config}: unknown config keys {sorted(unknown)}")
+    settings = {}
+    for key, (kind, default) in CONFIG_KEYS.items():
+        flag = getattr(args, key, None)
+        if flag is not None:
+            settings[key] = flag
+        elif key in blob:
+            settings[key] = _config_value(args.config, key, kind, blob[key])
+        else:
+            settings[key] = default
+    return settings
+
+
+def _fields_of(cls, settings: dict) -> dict:
+    """The settings named like a field of the config dataclass `cls`."""
+    return {f.name: settings[f.name] for f in fields(cls) if f.name in settings}
 
 
 def _make_parser_fn(kind: str, vocab: ClassVocab, transcript: str | None):
@@ -156,54 +190,21 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-
-    def pick(key, flag_value, default):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
-
-    seed = int(pick("seed", args.seed, 0))
-    order_len = int(pick("order_len", args.order_len, 2))
+    s = _train_settings(args)
     model_cfg = ModelConfig(
-        d=int(pick("d", args.d, 32)),
-        b=order_len,
-        n_heads=int(file_cfg.get("n_heads", 4)),
-        points_per_proposal=int(file_cfg.get("points_per_proposal", 16)),
-        seed=seed,
+        d=s["d"],
+        b=s["order_len"],
+        n_heads=s["n_heads"],
+        points_per_proposal=s["points_per_proposal"],
+        seed=s["seed"],
     )
-    gen_cfg = GenConfig(
-        proposals_min=int(file_cfg.get("proposals_min", 5)),
-        proposals_max=int(file_cfg.get("proposals_max", 9)),
-        points_per_proposal=model_cfg.points_per_proposal,
-        room_extent=float(file_cfg.get("room_extent", 6.0)),
-        class_vocab_size=int(file_cfg.get("class_vocab_size", 12)),
-        order_len=order_len,
-        relation=str(file_cfg.get("relation", "farthest")),
-        min_separation=float(file_cfg.get("min_separation", 0.01)),
-        seed=seed,
-        style=str(file_cfg.get("style", "template")),
-    )
-    weights = LossWeights(
-        w_ref=float(file_cfg.get("w_ref", 1.0)),
-        w_mask=float(file_cfg.get("w_mask", 1.0)),
-        w_text=float(file_cfg.get("w_text", 1.0)),
-        w_crd=float(file_cfg.get("w_crd", 1.0)),
-    )
-    train_cfg = TrainConfig(
-        warmup_steps=int(pick("warmup_steps", args.warmup_steps, 0)),
-        main_steps=int(pick("main_steps", args.main_steps, 0)),
-        batch_size=int(pick("batch_size", args.batch_size, 16)),
-        lr=float(pick("lr", args.lr, 1e-3)),
-        seed=seed,
-        weights=weights,
-        eval_every=int(file_cfg.get("eval_every", 0)),
-        label_noise=float(file_cfg.get("label_noise", 0.0)),
-    )
+    gen_cfg = GenConfig(**_fields_of(GenConfig, s))
+    weights = LossWeights(**_fields_of(LossWeights, s))
+    train_cfg = TrainConfig(**_fields_of(TrainConfig, s), weights=weights)
 
     vocab = default_vocab(gen_cfg.class_vocab_size)
     model = GroundingModel(model_cfg, vocab)
-    state = TrainState.fresh(seed)
+    state = TrainState.fresh(s["seed"])
     if train_cfg.warmup_steps:
         report, state = warmup_stage(model, gen_cfg, train_cfg, state)
         print(

@@ -24,7 +24,6 @@ from .orderparse import order_names, trim_pad
 __all__ = [
     "EvalReport",
     "accuracy",
-    "subset_breakdown",
     "order_length_bucket",
     "distractor_bucket",
     "dump_block_responses",
@@ -65,13 +64,6 @@ def distractor_bucket(item) -> str:
     target_class = item.scene.proposals[item.target_id].class_id
     same = sum(1 for p in item.scene.proposals if p.class_id == target_class)
     return "hard" if same - 1 > 2 else "easy"
-
-
-def subset_breakdown(
-    items: Sequence, parser: Callable[[str], Sequence[str]] | None = None
-) -> list[dict[str, str]]:
-    """Partition labels per item, one dict per item, keys are families."""
-    return [_labels(item, _parsed_order(item, parser)) for item in items]
 
 
 def _labels(item, raw_order: Sequence[str] | None) -> dict[str, str]:

@@ -8,7 +8,8 @@ mask, and text.  Coordinate regression never runs in the main stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +23,6 @@ __all__ = [
     "STAGES",
     "LossWeights",
     "LossBreakdown",
-    "cross_entropy_column",
     "loss_ref",
     "loss_mask",
     "loss_crd",
@@ -46,6 +46,12 @@ class LossWeights:
     w_mask: float = 1.0
     w_text: float = 1.0
     w_crd: float = 1.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            w = getattr(self, f.name)
+            if not (math.isfinite(w) and w >= 0.0):
+                raise ContractError(f"{f.name} must be a finite nonnegative weight, got {w}")
 
 
 @dataclass
@@ -77,13 +83,6 @@ class LossBreakdown:
         return out
 
 
-def cross_entropy_column(scores: Tensor, target: int) -> Tensor:
-    """Cross-entropy of a K x 1 score column against a single class id."""
-    if scores.shape[1] != 1:
-        raise ContractError(f"expected a score column, got shape {scores.shape}")
-    return tt.cross_entropy(scores, target)
-
-
 def loss_ref(
     scores_per_block: Sequence[Tensor],
     anchor_target_ids: Sequence[int],
@@ -93,37 +92,44 @@ def loss_ref(
     _check_stage(stage)
     if not scores_per_block:
         raise ContractError("need at least one block of scores")
+    for scores in scores_per_block:
+        if scores.shape[1] != 1:
+            raise ContractError(f"expected score columns, got shape {scores.shape}")
     if stage == "main":
         if len(anchor_target_ids) != 1:
             raise ContractError("main stage takes exactly one target id")
-        return cross_entropy_column(scores_per_block[-1], anchor_target_ids[0])
+        return tt.cross_entropy(scores_per_block[-1], anchor_target_ids[0])
     if len(anchor_target_ids) != len(scores_per_block):
         raise ContractError(
             f"warm-up needs one id per block: {len(anchor_target_ids)} ids "
             f"for {len(scores_per_block)} blocks"
         )
-    terms = [
-        cross_entropy_column(s, t) for s, t in zip(scores_per_block, anchor_target_ids)
-    ]
+    terms = [tt.cross_entropy(s, t) for s, t in zip(scores_per_block, anchor_target_ids)]
     return tt.scale(_sum(terms), 1.0 / len(terms))
 
 
 def loss_mask(
     mask_logits_per_block: Sequence[Tensor], masks: Sequence[RelevanceMask]
 ) -> Tensor:
-    """Mean over blocks of binary cross-entropy with logits against M_i."""
+    """Mean over blocks of binary cross-entropy with logits against M_i.
+
+    The B logit columns stack into one K x B matrix.  Every block has the
+    same K rows, so the mean over that matrix is the mean of the per-block
+    means.
+    """
     if len(mask_logits_per_block) != len(masks) or not masks:
         raise ContractError("need matching, nonempty logits and masks")
-    terms = []
+    k = masks[0].bits.shape[0]
     for logits, mask in zip(mask_logits_per_block, masks):
-        if logits.shape != (mask.bits.shape[0], 1):
+        if logits.shape != (k, 1) or mask.bits.shape[0] != k:
             raise ContractError(
-                f"mask logits shape {logits.shape} does not match {mask.bits.shape[0]} proposals"
+                f"mask logits shape {logits.shape} and {mask.bits.shape[0]} mask bits "
+                f"do not both match {k} proposals"
             )
-        m = tt.constant(mask.bits.reshape(-1, 1))
-        # bce(z, m) = softplus(z) - z*m, elementwise, averaged over proposals
-        terms.append(tt.mean_all(tt.sub(tt.softplus(logits), tt.mul(logits, m))))
-    return tt.scale(_sum(terms), 1.0 / len(terms))
+    z = tt.concat_cols(*mask_logits_per_block)
+    m = tt.constant(np.stack([mask.bits for mask in masks], axis=1))
+    # bce(z, m) = softplus(z) - z*m, elementwise
+    return tt.mean_all(tt.sub(tt.softplus(z), tt.mul(z, m)))
 
 
 def loss_crd(
@@ -134,7 +140,10 @@ def loss_crd(
     """Mean over blocks of MSE against per-anchor center offsets.
 
     Block i regresses, for every proposal j, the offset centers[j] - v_i
-    where v_i is the center of that block's anchor.  Warm-up only.
+    where v_i is the center of that block's anchor.  The B predictions
+    stack into one K x 3B matrix against one offset matrix; every block has
+    K x 3 entries, so the one mean is the mean of the per-block means.
+    Warm-up only.
     """
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[1] != 3:
@@ -142,15 +151,14 @@ def loss_crd(
     if len(coord_preds_per_block) != len(anchor_target_ids) or not anchor_target_ids:
         raise ContractError("need one anchor id per coordinate block")
     k = centers.shape[0]
-    terms = []
     for pred, anchor in zip(coord_preds_per_block, anchor_target_ids):
         if not 0 <= anchor < k:
             raise ContractError(f"anchor id {anchor} outside 0..{k - 1}")
         if pred.shape != (k, 3):
             raise ContractError(f"coordinate prediction must be K x 3, got {pred.shape}")
-        offsets = tt.constant(centers - centers[anchor])
-        terms.append(tt.mean_all(tt.square(tt.sub(pred, offsets))))
-    return tt.scale(_sum(terms), 1.0 / len(terms))
+    offsets = np.hstack([centers - centers[a] for a in anchor_target_ids])
+    pred = tt.concat_cols(*coord_preds_per_block)
+    return tt.mean_all(tt.square(tt.sub(pred, tt.constant(offsets))))
 
 
 def loss_text(text_class_logits: Tensor, target_class_id: int) -> Tensor:
@@ -187,15 +195,13 @@ def compose(
         raise ContractError("warm-up composition requires the coordinate loss")
     if stage == "main" and l_crd is not None:
         raise ContractError("the main stage must not carry a coordinate loss")
-    total = _sum(
-        [
-            tt.scale(l_ref, weights.w_ref),
-            tt.scale(l_mask, weights.w_mask),
-            tt.scale(l_text, weights.w_text),
-        ]
-    )
+    parts = [l_ref, l_mask, l_text]
+    w = [weights.w_ref, weights.w_mask, weights.w_text]
     if l_crd is not None:
-        total = tt.add(total, tt.scale(l_crd, weights.w_crd))
+        parts.append(l_crd)
+        w.append(weights.w_crd)
+    # One 1 x n row of components times the n x 1 weight column.
+    total = tt.matmul(tt.concat_cols(*parts), tt.constant(np.reshape(w, (-1, 1))))
     return LossBreakdown(
         stage=stage, l_ref=l_ref, l_mask=l_mask, l_text=l_text, l_crd=l_crd, total=total
     )

@@ -241,6 +241,19 @@ def _layer_norm(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     return tt.layer_norm(x, p[f"{prefix}.g"], p[f"{prefix}.b"])
 
 
+def _residual_attention(
+    p: dict[str, Tensor],
+    attn: str,
+    ln: str,
+    x: Tensor,
+    kv: Tensor,
+    n_heads: int,
+    segments=None,
+) -> Tensor:
+    """layer_norm(x + attention(x, kv)): the attention sublayer's residual step."""
+    return _layer_norm(p, ln, tt.add(x, _attention(p, attn, x, kv, n_heads, segments)))
+
+
 def _linear(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     return tt.add_row(tt.matmul(x, p[f"{prefix}.w"]), p[f"{prefix}.b"])
 
@@ -252,8 +265,7 @@ def _mlp2(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
 def _encoder_layer(
     p: dict[str, Tensor], prefix: str, x: Tensor, n_heads: int, segments: np.ndarray
 ) -> Tensor:
-    attended = _attention(p, f"{prefix}.attn", x, x, n_heads, segments)
-    x = _layer_norm(p, f"{prefix}.ln1", tt.add(x, attended))
+    x = _residual_attention(p, f"{prefix}.attn", f"{prefix}.ln1", x, x, n_heads, segments)
     h = _linear(p, f"{prefix}.ffn2", tt.relu(_linear(p, f"{prefix}.ffn1", x)))
     return _layer_norm(p, f"{prefix}.ln2", tt.add(x, h))
 
@@ -344,22 +356,14 @@ def fe_forward(
     f_mask = apply_relevance_mask(f, mask)
     suffix = tt.slice_rows(text.order_features, block, cfg.b)
 
-    attended = _layer_norm(
-        params, f"{pre}.self_ln", tt.add(f, _attention(params, f"{pre}.self", f, f, n_heads))
-    )
-    lower = _layer_norm(
-        params,
-        f"{pre}.low_ln",
-        tt.add(suffix, _attention(params, f"{pre}.low", suffix, f_mask, n_heads)),
-    )
+    attended = _residual_attention(params, f"{pre}.self", f"{pre}.self_ln", f, f, n_heads)
+    lower = _residual_attention(params, f"{pre}.low", f"{pre}.low_ln", suffix, f_mask, n_heads)
     up_query = tt.concat_rows(suffix, text.rows)
-    upper = _layer_norm(
-        params,
-        f"{pre}.up_ln",
-        tt.add(up_query, _attention(params, f"{pre}.up", up_query, attended, n_heads)),
+    upper = _residual_attention(
+        params, f"{pre}.up", f"{pre}.up_ln", up_query, attended, n_heads
     )
-    fused = _attention(params, f"{pre}.fuse", attended, tt.concat_rows(lower, upper), n_heads)
-    return _layer_norm(params, f"{pre}.out_ln", tt.add(attended, fused))
+    context = tt.concat_rows(lower, upper)
+    return _residual_attention(params, f"{pre}.fuse", f"{pre}.out_ln", attended, context, n_heads)
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +413,6 @@ class GroundingModel:
             raise ContractError("one label per proposal required")
 
         masks = [build_mask(labels, order[i:], self.class_vocab) for i in range(cfg.b)]
-        for a, b in zip(masks, masks[1:]):
-            if not np.all(b.bits <= a.bits):
-                raise ContractError("relevance masks must shrink along the block chain")
-
         tokens = tokenize(description)
         text = encode_text(tokens, order, p, self.word_vocab, cfg)
         features = [encode_objects(scene, p, cfg)]

@@ -21,7 +21,6 @@ __all__ = [
     "Proposal",
     "Scene",
     "RelevanceMask",
-    "compute_center_bbox",
     "build_mask",
     "relation_select",
     "permute_scene",
@@ -69,25 +68,13 @@ class ClassVocab:
         return self.names[class_id]
 
 
-def compute_center_bbox(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Axis-aligned bbox of an Nx3 point set; center is the bbox midpoint."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
-        raise ContractError(f"expected a non-empty Nx3 point array, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise ContractError("points must be finite")
-    return _center_bbox(pts)
-
-
-def _center_bbox(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    bbox_min = pts.min(axis=0)
-    bbox_max = pts.max(axis=0)
-    return (bbox_min + bbox_max) / 2.0, bbox_min, bbox_max
-
-
 @dataclass
 class Proposal:
-    """One object hypothesis: id, class label, and its xyzrgb points."""
+    """One object hypothesis: id, class label, and its xyzrgb points.
+
+    The center is the midpoint of the axis-aligned bounding box of the
+    xyz columns.
+    """
 
     id: int
     class_id: int
@@ -103,7 +90,8 @@ class Proposal:
         # One finiteness pass over all six columns; the bbox needs no other.
         if not np.isfinite(self.points).all():
             raise ContractError("proposal points must be finite in x, y, z, r, g and b")
-        center, _, _ = _center_bbox(self.points[:, :3])
+        xyz = self.points[:, :3]
+        center = (xyz.min(axis=0) + xyz.max(axis=0)) / 2.0
         if self.center is None:
             self.center = center
         elif not np.allclose(self.center, center, atol=1e-9):

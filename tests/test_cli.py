@@ -188,6 +188,29 @@ def test_train_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"d": "abc"}', "d"),
+        ('{"points_per_proposal": null}', "points_per_proposal"),
+        ('{"batch_size": 2.7}', "batch_size"),
+        ('{"lr": true}', "lr"),
+        ('{"w_ref": -1}', "w_ref"),
+        ('{"w_ref": NaN}', "w_ref"),
+    ],
+)
+def test_train_config_rejects_mistyped_values(tmp_path, capsys, text, key):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    ckpt = tmp_path / "model.ckpt"
+    # no flags that share a key with the file, which they would override
+    code = main(["train", "--config", str(config), "--out", str(ckpt)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and key in err
+    assert not ckpt.exists()
+
+
 def test_eval_unknown_breakdown_family(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(

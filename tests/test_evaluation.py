@@ -13,7 +13,6 @@ from vigor.evaluation import (
     distractor_bucket,
     dump_block_responses,
     order_length_bucket,
-    subset_breakdown,
 )
 from vigor.model import GroundingModel, ModelConfig
 from vigor.orderparse import parse_appearance_order
@@ -88,13 +87,14 @@ def test_distractor_bucket_threshold():
     assert distractor_bucket(with_classes([2], 0)) == "easy"
 
 
-def test_subset_breakdown_is_total_partition():
+def test_accuracy_subsets_partition_the_items():
     data = items(20)
-    labels = subset_breakdown(data)
-    assert len(labels) == 20
-    for lab in labels:
-        assert lab["order_length"] in ("1", "2&3", "4&5")
-        assert lab["distractors"] in ("easy", "hard")
+    report = accuracy(tiny_model(), data, score_fn=lambda item, order: np.zeros(len(item.scene)))
+    families = {"order_length": {"1", "2&3", "4&5"}, "distractors": {"easy", "hard"}}
+    for family, buckets in families.items():
+        mine = {k: v for k, v in report.subsets.items() if k.startswith(family + ":")}
+        assert {k.split(":", 1)[1] for k in mine} <= buckets
+        assert sum(v["count"] for v in mine.values()) == 20
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,6 @@ def test_accuracy_scores_unreadable_descriptions_as_misses():
     assert report.overall == 0.75 and report.parse_failures == 1
     assert report.subsets["order_length:unparsed"] == {"accuracy": 0.0, "count": 1}
     assert json.loads(report.to_json())["parse_failures"] == 1
-    assert subset_breakdown(data, parser)[2]["order_length"] == "unparsed"
 
 
 def test_accuracy_parses_each_item_once():

@@ -10,7 +10,6 @@ from vigor.errors import ContractError
 from vigor.losses import (
     LossWeights,
     compose,
-    cross_entropy_column,
     loss_crd,
     loss_mask,
     loss_ref,
@@ -314,6 +313,87 @@ def test_loss_gradients_match_finite_differences():
     assert report.max_rel_err <= 1e-4, report
 
 
-def test_cross_entropy_column_shape_check():
+def test_loss_ref_rejects_score_rows():
+    row = tt.constant(np.zeros((1, 3)))
+    for stage, ids in (("main", [0]), ("warmup", [0])):
+        with pytest.raises(ContractError):
+            loss_ref([row], ids, stage)
     with pytest.raises(ContractError):
-        cross_entropy_column(tt.constant(np.zeros((2, 2))), 0)
+        loss_ref([col([0.0, 1.0, 2.0]), row], [0, 1], "warmup")
+
+
+def test_loss_weights_reject_negative_and_nonfinite():
+    for bad in (-1.0, -1e-300, math.nan, math.inf):
+        for name in ("w_ref", "w_mask", "w_text", "w_crd"):
+            with pytest.raises(ContractError, match=name):
+                LossWeights(**{name: bad})
+    assert LossWeights(w_ref=0.0, w_crd=2.5).w_crd == 2.5
+
+
+# ---------------------------------------------------------------------------
+# whole-matrix losses against the per-block loops they replaced
+
+
+def loss_mask_reference(logits_per_block, masks):
+    terms = []
+    for logits, mask in zip(logits_per_block, masks):
+        m = tt.constant(mask.bits.reshape(-1, 1))
+        terms.append(tt.mean_all(tt.sub(tt.softplus(logits), tt.mul(logits, m))))
+    return tt.scale(sum_reference(terms), 1.0 / len(terms))
+
+
+def loss_crd_reference(preds, centers, ids):
+    terms = [
+        tt.mean_all(tt.square(tt.sub(p, tt.constant(centers - centers[a]))))
+        for p, a in zip(preds, ids)
+    ]
+    return tt.scale(sum_reference(terms), 1.0 / len(terms))
+
+
+def sum_reference(terms):
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = tt.add(acc, t)
+    return acc
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("stage", ["warmup", "main"])
+def test_whole_matrix_losses_match_per_block_reference(b, stage):
+    rng = np.random.default_rng(10 + b)
+    k = 6
+    centers = rng.normal(0, 2, size=(k, 3))
+    masks = [RelevanceMask(rng.integers(0, 2, size=k).astype(float)) for _ in range(b)]
+    ids = [int(i) for i in rng.integers(0, k, size=b)]
+    arrays = {
+        **{f"mlogit{i}": rng.normal(0, 3, size=(k, 1)) for i in range(b)},
+        **{f"coord{i}": rng.normal(0, 2, size=(k, 3)) for i in range(b)},
+        "ref": rng.normal(0, 1, size=(1, 1)) ** 2,
+        "text": rng.normal(0, 1, size=(1, 1)) ** 2,
+    }
+    w = LossWeights(w_ref=1.7, w_mask=0.3, w_text=2.25, w_crd=0.6)
+    n = 4 if stage == "warmup" else 3
+
+    def run(mask_fn, crd_fn, total_fn):
+        leaves = {name: tt.leaf(v) for name, v in arrays.items()}
+        l_m = mask_fn([leaves[f"mlogit{i}"] for i in range(b)], masks)
+        l_c = crd_fn([leaves[f"coord{i}"] for i in range(b)], centers, ids)
+        parts = [leaves["ref"], l_m, leaves["text"], l_c][:n]
+        total = total_fn(parts)
+        values = [l_m.item(), l_c.item(), total.item()]
+        return values, tt.backward(total, leaves)
+
+    def new_total(parts):
+        return compose(stage, *parts, weights=w).total
+
+    def reference_total(parts):
+        weights = [w.w_ref, w.w_mask, w.w_text, w.w_crd]
+        return sum_reference([tt.scale(p, c) for p, c in zip(parts, weights)])
+
+    got, got_grads = run(loss_mask, loss_crd, new_total)
+    want, want_grads = run(loss_mask_reference, loss_crd_reference, reference_total)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    for name in arrays:
+        assert np.allclose(got_grads[name], want_grads[name], rtol=0, atol=1e-12), name
+    if stage == "main":
+        assert not got_grads["coord0"].any()  # the main total never reads the offsets

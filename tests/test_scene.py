@@ -12,7 +12,6 @@ from vigor.scene import (
     RelevanceMask,
     Scene,
     build_mask,
-    compute_center_bbox,
     permute_scene,
     relation_select,
 )
@@ -44,36 +43,36 @@ VOCAB = ClassVocab(("chair", "table", "door", "water bottle", "easy chair"))
 # centers and bboxes
 
 
+def proposal_of(xyz, rgb=0.5):
+    xyz = np.asarray(xyz, dtype=float)
+    return Proposal(id=0, class_id=0, points=np.hstack([xyz, np.full_like(xyz, rgb)]))
+
+
 def test_center_bbox_unit_cube():
-    pts = np.array([[0.0, 0, 0], [1, 1, 1], [0.5, 0.2, 0.9]])
-    center, bmin, bmax = compute_center_bbox(pts)
-    assert np.array_equal(center, [0.5, 0.5, 0.5])
-    assert np.array_equal(bmin, [0, 0, 0])
-    assert np.array_equal(bmax, [1, 1, 1])
+    p = proposal_of([[0.0, 0, 0], [1, 1, 1], [0.5, 0.2, 0.9]])
+    assert np.array_equal(p.center, [0.5, 0.5, 0.5])
 
 
 def test_center_bbox_single_point():
-    center, bmin, bmax = compute_center_bbox(np.array([[2.0, -1.0, 3.0]]))
-    assert np.array_equal(center, [2.0, -1.0, 3.0])
-    assert np.array_equal(bmin, bmax)
+    assert np.array_equal(proposal_of([[2.0, -1.0, 3.0]]).center, [2.0, -1.0, 3.0])
 
 
 def test_center_bbox_random_oracle():
     rng = np.random.default_rng(0)
     for _ in range(50):
         pts = rng.normal(size=(rng.integers(1, 30), 3)) * 5
-        center, bmin, bmax = compute_center_bbox(pts)
+        # colours far outside the xyz range must not move the center
+        center = proposal_of(pts, rgb=100.0).center
         # scalar re-derivation per axis
         for ax in range(3):
             lo = min(float(v) for v in pts[:, ax])
             hi = max(float(v) for v in pts[:, ax])
-            assert bmin[ax] == lo and bmax[ax] == hi
             assert center[ax] == (lo + hi) / 2
 
 
 def test_center_bbox_empty_rejected():
     with pytest.raises(ContractError):
-        compute_center_bbox(np.zeros((0, 3)))
+        proposal_of(np.zeros((0, 3)))
 
 
 def test_proposal_center_is_bbox_center():
