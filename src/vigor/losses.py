@@ -4,6 +4,10 @@ Warm-up supervises every referring block: anchor classification per block,
 mask recovery per block, coordinate offsets per block, and the sentence
 class.  The main stage keeps only the target-directed pieces: reference,
 mask, and text.  Coordinate regression never runs in the main stage.
+
+Every loss takes the rows of a packed batch with their sample ids
+(`segments`; None for one sample) and returns the sum of the samples'
+losses, so `compose`, being linear, gives the sum of the samples' totals.
 """
 
 from __future__ import annotations
@@ -83,39 +87,78 @@ class LossBreakdown:
         return out
 
 
+def _sample_ids(segments, rows: int) -> np.ndarray:
+    """The sample of each of `rows` packed rows; all 0 without segments."""
+    if segments is None:
+        return np.zeros(rows, dtype=np.intp)
+    ids = np.asarray(segments).reshape(-1)
+    if ids.size != rows:
+        raise ContractError(f"{ids.size} segment ids for {rows} rows")
+    return ids
+
+
+def _per_sample(ids: Sequence, samples: int) -> np.ndarray:
+    """Anchor ids as one row per sample; a flat sequence serves one sample."""
+    arr = np.asarray(ids, dtype=np.intp)
+    if arr.ndim > 2 or arr.size % samples or (arr.ndim == 2 and len(arr) != samples):
+        raise ContractError(f"anchor ids of shape {arr.shape} do not split over {samples} samples")
+    return arr.reshape(samples, -1)
+
+
+def _per_sample_means(e: Tensor, ids: np.ndarray) -> Tensor:
+    """Sum over samples of the mean of each sample's rows of e, as a 1x1.
+
+    A constant row weights row r by 1/K_s, K_s the rows of its sample s,
+    and the mean over the columns adds 1/columns: every entry of sample s
+    weighs 1/(K_s * columns).
+    """
+    weights = 1.0 / np.bincount(ids)[ids]
+    return tt.mean_all(tt.matmul(tt.constant(weights.reshape(1, -1)), e))
+
+
 def loss_ref(
     scores_per_block: Sequence[Tensor],
-    anchor_target_ids: Sequence[int],
+    anchor_target_ids: Sequence,
     stage: str,
+    segments=None,
 ) -> Tensor:
-    """Reference loss: per-block anchors in warm-up, final target in main."""
+    """Reference loss: per-block anchors in warm-up, final target in main.
+
+    `segments` names the sample of each score row of a packed batch (None:
+    one sample); `anchor_target_ids` then holds one row of ids per sample,
+    each counted within its sample.  Warm-up stacks the B score columns
+    into one K x B matrix for one segmented cross-entropy.  The result is
+    the sum over samples of each sample's loss.
+    """
     _check_stage(stage)
     if not scores_per_block:
         raise ContractError("need at least one block of scores")
     for scores in scores_per_block:
         if scores.shape[1] != 1:
             raise ContractError(f"expected score columns, got shape {scores.shape}")
+    ids = _sample_ids(segments, scores_per_block[0].shape[0])
+    targets = _per_sample(anchor_target_ids, int(ids.max()) + 1)
     if stage == "main":
-        if len(anchor_target_ids) != 1:
+        if targets.shape[1] != 1:
             raise ContractError("main stage takes exactly one target id")
-        return tt.cross_entropy(scores_per_block[-1], anchor_target_ids[0])
-    if len(anchor_target_ids) != len(scores_per_block):
+        return tt.cross_entropy(scores_per_block[-1], targets, ids)
+    if targets.shape[1] != len(scores_per_block):
         raise ContractError(
-            f"warm-up needs one id per block: {len(anchor_target_ids)} ids "
+            f"warm-up needs one id per block: {targets.shape[1]} ids "
             f"for {len(scores_per_block)} blocks"
         )
-    terms = [tt.cross_entropy(s, t) for s, t in zip(scores_per_block, anchor_target_ids)]
-    return tt.scale(_sum(terms), 1.0 / len(terms))
+    z = tt.concat_cols(*scores_per_block)
+    return tt.scale(tt.cross_entropy(z, targets, ids), 1.0 / len(scores_per_block))
 
 
 def loss_mask(
-    mask_logits_per_block: Sequence[Tensor], masks: Sequence[RelevanceMask]
+    mask_logits_per_block: Sequence[Tensor], masks: Sequence[RelevanceMask], segments=None
 ) -> Tensor:
     """Mean over blocks of binary cross-entropy with logits against M_i.
 
-    The B logit columns stack into one K x B matrix.  Every block has the
-    same K rows, so the mean over that matrix is the mean of the per-block
-    means.
+    The B logit columns stack into one K x B matrix.  Each sample's mean
+    over its rows of that matrix is the mean of its per-block means; the
+    result sums it over the samples that `segments` names (None: one).
     """
     if len(mask_logits_per_block) != len(masks) or not masks:
         raise ContractError("need matching, nonempty logits and masks")
@@ -129,52 +172,60 @@ def loss_mask(
     z = tt.concat_cols(*mask_logits_per_block)
     m = tt.constant(np.stack([mask.bits for mask in masks], axis=1))
     # bce(z, m) = softplus(z) - z*m, elementwise
-    return tt.mean_all(tt.sub(tt.softplus(z), tt.mul(z, m)))
+    return _per_sample_means(tt.sub(tt.softplus(z), tt.mul(z, m)), _sample_ids(segments, k))
 
 
 def loss_crd(
     coord_preds_per_block: Sequence[Tensor],
     centers: np.ndarray,
-    anchor_target_ids: Sequence[int],
+    anchor_target_ids: Sequence,
+    segments=None,
 ) -> Tensor:
     """Mean over blocks of MSE against per-anchor center offsets.
 
     Block i regresses, for every proposal j, the offset centers[j] - v_i
     where v_i is the center of that block's anchor.  The B predictions
     stack into one K x 3B matrix against one offset matrix; every block has
-    K x 3 entries, so the one mean is the mean of the per-block means.
-    Warm-up only.
+    K x 3 entries, so a sample's mean is the mean of its per-block means.
+    With `segments` the rows are a packed batch, `anchor_target_ids` holds
+    one row of ids per sample (each counted within its sample), and the
+    result sums the samples' losses.  Warm-up only.
     """
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[1] != 3:
         raise ContractError(f"centers must be K x 3, got {centers.shape}")
-    if len(coord_preds_per_block) != len(anchor_target_ids) or not anchor_target_ids:
-        raise ContractError("need one anchor id per coordinate block")
     k = centers.shape[0]
-    for pred, anchor in zip(coord_preds_per_block, anchor_target_ids):
-        if not 0 <= anchor < k:
-            raise ContractError(f"anchor id {anchor} outside 0..{k - 1}")
+    ids = _sample_ids(segments, k)
+    sizes = np.bincount(ids)
+    targets = _per_sample(anchor_target_ids, sizes.size)
+    b = targets.shape[1]
+    if len(coord_preds_per_block) != b or not b:
+        raise ContractError("need one anchor id per coordinate block")
+    if ((targets < 0) | (targets >= sizes[:, None])).any():
+        raise ContractError(f"anchor ids {targets.tolist()} outside samples of {sizes.tolist()}")
+    for pred in coord_preds_per_block:
         if pred.shape != (k, 3):
             raise ContractError(f"coordinate prediction must be K x 3, got {pred.shape}")
-    offsets = np.hstack([centers - centers[a] for a in anchor_target_ids])
+    # row of each sample's anchor in each block, then offsets K x B x 3
+    order = np.argsort(ids, kind="stable")  # the rows of sample 0, then 1, ...
+    anchors = order[(np.cumsum(sizes) - sizes)[:, None] + targets]
+    offsets = (centers[:, None, :] - centers[anchors[ids]]).reshape(k, 3 * b)
     pred = tt.concat_cols(*coord_preds_per_block)
-    return tt.mean_all(tt.square(tt.sub(pred, tt.constant(offsets))))
+    return _per_sample_means(tt.square(tt.sub(pred, tt.constant(offsets))), ids)
 
 
-def loss_text(text_class_logits: Tensor, target_class_id: int) -> Tensor:
-    """Cross-entropy of the sentence-level class head."""
-    if text_class_logits.shape[0] != 1:
+def loss_text(text_class_logits: Tensor, target_class_id) -> Tensor:
+    """Cross-entropy of the sentence-level class head, summed over samples.
+
+    One logit row and one class id per sample; an int serves one sample.
+    """
+    targets = np.asarray(target_class_id, dtype=np.intp).reshape(-1, 1)
+    if text_class_logits.shape[0] != targets.shape[0]:
         raise ContractError(
-            f"expected one logit row, got shape {text_class_logits.shape}"
+            f"expected one logit row per target, got shape {text_class_logits.shape} "
+            f"for {targets.shape[0]} targets"
         )
-    return tt.cross_entropy(text_class_logits, target_class_id)
-
-
-def _sum(terms: Sequence[Tensor]) -> Tensor:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = tt.add(acc, t)
-    return acc
+    return tt.cross_entropy(text_class_logits, targets, axis=1)
 
 
 def compose(

@@ -10,6 +10,14 @@ offsets, and a sentence-level class prediction.
 
 Proposal rows carry no positional encoding, so the whole network is
 permutation equivariant over proposals by construction.
+
+`GroundingModel.forward_batch` runs a batch as one packed graph: the
+proposals of all samples stack into one matrix, all descriptions and order
+names share one text-encoder pass, and each attention is confined to its
+sample by segment ids, so a sample's outputs equal running it alone
+(Krell et al., "Efficient Sequence Packing without Cross-contamination",
+arXiv 2107.02027).  `forward` is a batch of one and builds no segment
+masks.
 """
 
 from __future__ import annotations
@@ -95,19 +103,34 @@ class WordVocab:
 
 @dataclass
 class TextFeatures:
-    """Row 0 is the sentence feature; rows 1.. are word features."""
+    """Sentence and word features of S descriptions, plus order-name features.
 
-    rows: Tensor  # (|D|+1) x d
-    order_features: Tensor  # B x d
-    token_count: int
+    `rows` holds the S sentence rows first (description s at row s), then
+    the word rows of each description in turn.  `order_features` holds one
+    pooled row per order name given to `encode_text`, in that order.
+    """
+
+    rows: Tensor  # (S + sum of token counts) x d
+    order_features: Tensor  # one row per order name
+    token_counts: tuple[int, ...]  # words per description
 
     def __post_init__(self):
-        if self.rows.shape[0] != self.token_count + 1:
-            raise ContractError("text feature row count must be token count + 1")
+        if self.rows.shape[0] != len(self.token_counts) + sum(self.token_counts):
+            raise ContractError("text rows must be one sentence row plus the words per description")
 
     @property
-    def sentence(self) -> Tensor:
-        return tt.slice_rows(self.rows, 0, 1)
+    def samples(self) -> int:
+        return len(self.token_counts)
+
+    @property
+    def segments(self) -> np.ndarray:
+        """The description each row of `rows` belongs to."""
+        ids = np.arange(self.samples)
+        return np.concatenate([ids, np.repeat(ids, self.token_counts)])
+
+    @property
+    def sentences(self) -> Tensor:
+        return tt.slice_rows(self.rows, 0, self.samples)
 
 
 @dataclass
@@ -122,15 +145,21 @@ class ObjectFeatures:
 
 @dataclass
 class HeadOutputs:
-    """Everything the heads produce, plus the block features behind them."""
+    """Everything the heads produce, plus the block features behind them.
+
+    For a packed batch of S samples the K rows below are the samples'
+    proposals stacked in batch order (`segments` names each row's sample),
+    and the text head has one row per sample.
+    """
 
     scores_per_block: list[Tensor]  # B entries, each K x 1 (from F_{i+1})
     mask_logits: list[Tensor]  # B entries, each K x 1
     coord_pred: list[Tensor]  # B entries, each K x 3
-    text_class_logits: Tensor  # 1 x C
+    text_class_logits: Tensor  # S x C
     features: list[ObjectFeatures]  # F_1 .. F_{B+1}
     masks: list[RelevanceMask]  # M_1 .. M_B
     text: TextFeatures
+    segments: np.ndarray  # (K,) sample index of each proposal row
 
     @property
     def scores(self) -> Tensor:
@@ -138,6 +167,9 @@ class HeadOutputs:
         return self.scores_per_block[-1]
 
     def predicted_id(self) -> int:
+        """The top-scoring proposal of a batch of one."""
+        if self.segments[-1] != 0:
+            raise ContractError("predicted_id needs a batch of one sample")
         # argmax returns the first maximum, i.e. ties go to the lowest id
         return int(np.argmax(self.scores.data[:, 0]))
 
@@ -228,12 +260,18 @@ def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
 
 
 def _attention(
-    p: dict[str, Tensor], prefix: str, q_in: Tensor, kv_in: Tensor, n_heads: int, segments=None
+    p: dict[str, Tensor],
+    prefix: str,
+    q_in: Tensor,
+    kv_in: Tensor,
+    n_heads: int,
+    segments=None,
+    key_segments=None,
 ) -> Tensor:
     q = tt.add_row(tt.matmul(q_in, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
     k = tt.matmul(kv_in, p[f"{prefix}.wk"])
     v = tt.add_row(tt.matmul(kv_in, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
-    heads = tt.attention(q, k, v, n_heads, segments)
+    heads = tt.attention(q, k, v, n_heads, segments, key_segments)
     return tt.add_row(tt.matmul(heads, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
 
 
@@ -249,9 +287,11 @@ def _residual_attention(
     kv: Tensor,
     n_heads: int,
     segments=None,
+    key_segments=None,
 ) -> Tensor:
     """layer_norm(x + attention(x, kv)): the attention sublayer's residual step."""
-    return _layer_norm(p, ln, tt.add(x, _attention(p, attn, x, kv, n_heads, segments)))
+    heads = _attention(p, attn, x, kv, n_heads, segments, key_segments)
+    return _layer_norm(p, ln, tt.add(x, heads))
 
 
 def _linear(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
@@ -271,24 +311,28 @@ def _encoder_layer(
 
 
 def encode_text(
-    description_tokens: Sequence[str],
+    descriptions: Sequence[Sequence[str]],
     order_names: Sequence[str],
     params: dict[str, Tensor],
     word_vocab: WordVocab,
     cfg: ModelConfig,
 ) -> TextFeatures:
-    """Encode the description and each order name through one shared encoder.
+    """Encode descriptions and order names through one shared encoder.
 
-    The description and every distinct order name (in first-appearance
-    order) are stacked as pieces of one matrix and encoded in one pass:
-    positions restart at 0 in each piece and attention never crosses a
-    piece, so each piece encodes as it would alone.  One averaging matmul
-    mean-pools every piece, and a repeated name reads its one pooled row.
+    `descriptions` holds one token list per sample.  Every description and
+    every distinct order name (in first-appearance order) are stacked as
+    pieces of one matrix and encoded in one pass: positions restart at 0 in
+    each piece and attention never crosses a piece, so each piece encodes
+    as it would alone.  One averaging matmul mean-pools every piece, and a
+    name repeated within or across samples reads its one pooled row.
     """
-    if not description_tokens:
+    if not descriptions:
+        raise ContractError("need at least one description")
+    s = len(descriptions)
+    slot = {name: i for i, name in enumerate(dict.fromkeys(order_names), start=s)}
+    pieces = [word_vocab.encode(tokens) for tokens in descriptions]
+    if not all(pieces):
         raise ContractError("cannot encode an empty description")
-    slot = {name: i for i, name in enumerate(dict.fromkeys(order_names), start=1)}
-    pieces = [word_vocab.encode(description_tokens)]
     for name in slot:
         pieces.append(word_vocab.encode(tokenize(name)))
         if not pieces[-1]:
@@ -303,11 +347,11 @@ def encode_text(
     averaging = np.zeros((len(pieces), segments.size))
     averaging[segments, np.arange(segments.size)] = 1.0 / np.repeat(lengths, lengths)
     pooled = tt.matmul(tt.constant(averaging), x)
-    n = lengths[0]
+    counts = tuple(lengths[:s])
     return TextFeatures(
-        rows=tt.concat_rows(tt.slice_rows(pooled, 0, 1), tt.slice_rows(x, 0, n)),
+        rows=tt.concat_rows(tt.slice_rows(pooled, 0, s), tt.slice_rows(x, 0, sum(counts))),
         order_features=tt.take_rows(pooled, [slot[name] for name in order_names]),
-        token_count=n,
+        token_counts=counts,
     )
 
 
@@ -321,14 +365,23 @@ def _resample_points(points: np.ndarray, count: int) -> np.ndarray:
     return np.resize(points, (count, points.shape[1]))
 
 
-def encode_objects(scene: Scene, params: dict[str, Tensor], cfg: ModelConfig) -> ObjectFeatures:
-    """Per-proposal point MLP + max-pool, concatenated with a center code."""
+def encode_objects(
+    scenes: Sequence[Scene], params: dict[str, Tensor], cfg: ModelConfig
+) -> ObjectFeatures:
+    """Per-proposal point MLP + max-pool, concatenated with a center code.
+
+    The proposals of all scenes stack in order into one matrix; every row
+    depends on its own proposal only.
+    """
     i_pts = cfg.points_per_proposal
-    stacked = np.vstack([_resample_points(p.points, i_pts) for p in scene.proposals])
+    stacked = np.concatenate(
+        [_resample_points(p.points, i_pts) for scene in scenes for p in scene.proposals]
+    )
     h = tt.relu(_linear(params, "obj.p1", tt.constant(stacked)))
     h = tt.relu(_linear(params, "obj.p2", h))
     pooled = tt.max_rows_per_block(h, i_pts)  # K x d
-    c = tt.relu(_linear(params, "obj.c", tt.constant(scene.centers())))
+    centers = np.concatenate([scene.centers() for scene in scenes])
+    c = tt.relu(_linear(params, "obj.c", tt.constant(centers)))
     f1 = _linear(params, "obj.out", tt.concat_cols(pooled, c))
     return ObjectFeatures(matrix=f1, block=1)
 
@@ -347,23 +400,52 @@ def fe_forward(
     params: dict[str, Tensor],
     block: int,
     cfg: ModelConfig,
+    segments: np.ndarray | None = None,
 ) -> Tensor:
-    """One feature-enhancement step: masked branch, context branch, fusion."""
+    """One feature-enhancement step: masked branch, context branch, fusion.
+
+    For a packed batch of S samples, `segments` names the sample of each
+    row of f, and `text.order_features` is block-major: name j of sample s
+    sits at row j*S + s, so the suffix from `block` on is one slice.  Every
+    attention then stays inside a sample.  `segments=None` means S = 1.
+    """
     if not 0 <= block < cfg.b:
         raise ContractError(f"block index {block} outside 0..{cfg.b - 1}")
+    n = text.samples
+    if segments is None and n != 1:
+        raise ContractError(f"{n} packed samples need a segment id per object row")
     pre = f"fe{block}"
     n_heads = cfg.n_heads
     f_mask = apply_relevance_mask(f, mask)
-    suffix = tt.slice_rows(text.order_features, block, cfg.b)
+    suffix = tt.slice_rows(text.order_features, block * n, cfg.b * n)
+    suffix_ids = up_ids = context_ids = None
+    if segments is not None:
+        suffix_ids = np.tile(np.arange(n), cfg.b - block)
+        up_ids = np.concatenate([suffix_ids, text.segments])
+        context_ids = np.concatenate([suffix_ids, up_ids])
 
-    attended = _residual_attention(params, f"{pre}.self", f"{pre}.self_ln", f, f, n_heads)
-    lower = _residual_attention(params, f"{pre}.low", f"{pre}.low_ln", suffix, f_mask, n_heads)
+    attended = _residual_attention(params, f"{pre}.self", f"{pre}.self_ln", f, f, n_heads, segments)
+    lower = _residual_attention(
+        params, f"{pre}.low", f"{pre}.low_ln", suffix, f_mask, n_heads, suffix_ids, segments
+    )
     up_query = tt.concat_rows(suffix, text.rows)
     upper = _residual_attention(
-        params, f"{pre}.up", f"{pre}.up_ln", up_query, attended, n_heads
+        params, f"{pre}.up", f"{pre}.up_ln", up_query, attended, n_heads, up_ids, segments
     )
     context = tt.concat_rows(lower, upper)
-    return _residual_attention(params, f"{pre}.fuse", f"{pre}.out_ln", attended, context, n_heads)
+    return _residual_attention(
+        params, f"{pre}.fuse", f"{pre}.out_ln", attended, context, n_heads, segments, context_ids
+    )
+
+
+def _stacked_mask(
+    labels: Sequence[Sequence[int]], orders: Sequence[Sequence[str]], i: int, vocab: ClassVocab
+) -> RelevanceMask:
+    """M_{i+1} of every sample, stacked in batch order."""
+    parts = [build_mask(l, order[i:], vocab) for l, order in zip(labels, orders)]
+    if len(parts) == 1:
+        return parts[0]
+    return RelevanceMask(np.concatenate([m.bits for m in parts]))
 
 
 # ---------------------------------------------------------------------------
@@ -404,20 +486,47 @@ class GroundingModel:
         params: dict[str, Tensor] | None = None,
         labels: Sequence[int] | None = None,
     ) -> HeadOutputs:
+        """One sample: a packed batch of one."""
+        return self.forward_batch(
+            [scene], [order], [description], params, None if labels is None else [labels]
+        )
+
+    def forward_batch(
+        self,
+        scenes: Sequence[Scene],
+        orders: Sequence[Sequence[str]],
+        descriptions: Sequence[str],
+        params: dict[str, Tensor] | None = None,
+        labels: Sequence[Sequence[int]] | None = None,
+    ) -> HeadOutputs:
+        """Run S samples as one packed graph.
+
+        Proposals stack into one matrix, descriptions and order names go
+        through one text-encoder pass, and every attention is confined to
+        its sample, so each sample's outputs equal running it alone.
+        """
         cfg = self.cfg
-        if len(order) != cfg.b:
-            raise ContractError(f"order length {len(order)} != configured {cfg.b}")
+        s = len(scenes)
+        if s < 1 or len(orders) != s or len(descriptions) != s:
+            raise ContractError("need one order and one description per scene, and a scene")
+        for order in orders:
+            if len(order) != cfg.b:
+                raise ContractError(f"order length {len(order)} != configured {cfg.b}")
         p = params if params is not None else self.frozen()
-        labels = list(labels) if labels is not None else scene.labels()
-        if len(labels) != len(scene):
+        if labels is None:
+            labels = [scene.labels() for scene in scenes]
+        if len(labels) != s or any(len(l) != len(sc) for l, sc in zip(labels, scenes)):
             raise ContractError("one label per proposal required")
 
-        masks = [build_mask(labels, order[i:], self.class_vocab) for i in range(cfg.b)]
-        tokens = tokenize(description)
-        text = encode_text(tokens, order, p, self.word_vocab, cfg)
-        features = [encode_objects(scene, p, cfg)]
+        masks = [_stacked_mask(labels, orders, i, self.class_vocab) for i in range(cfg.b)]
+        tokens = [tokenize(description) for description in descriptions]
+        names = [order[j] for j in range(cfg.b) for order in orders]  # block-major
+        text = encode_text(tokens, names, p, self.word_vocab, cfg)
+        segments = np.repeat(np.arange(s), [len(scene) for scene in scenes])
+        ids = segments if s > 1 else None
+        features = [encode_objects(scenes, p, cfg)]
         for i in range(cfg.b):
-            nxt = fe_forward(features[-1].matrix, masks[i], text, p, i, cfg)
+            nxt = fe_forward(features[-1].matrix, masks[i], text, p, i, cfg, ids)
             features.append(ObjectFeatures(matrix=nxt, block=i + 2))
 
         scores_per_block = [_mlp2(p, "head.score", f.matrix) for f in features[1:]]
@@ -427,7 +536,7 @@ class GroundingModel:
         coord_pred = [
             _mlp2(p, f"head.coord{i}", features[i + 1].matrix) for i in range(cfg.b)
         ]
-        text_class_logits = _mlp2(p, "head.text", text.sentence)
+        text_class_logits = _mlp2(p, "head.text", text.sentences)
         return HeadOutputs(
             scores_per_block=scores_per_block,
             mask_logits=mask_logits,
@@ -436,4 +545,5 @@ class GroundingModel:
             features=features,
             masks=masks,
             text=text,
+            segments=segments,
         )

@@ -91,8 +91,12 @@ class GenConfig:
             raise ContractError(f"unknown relation {self.relation!r}")
         if self.style not in ("template", "natural"):
             raise ContractError(f"unknown style {self.style!r}")
-        if self.min_separation <= 0:
-            raise ContractError("min_separation must be positive")
+        if not (math.isfinite(self.room_extent) and self.room_extent > 0):
+            raise ContractError(f"room_extent must be finite and positive, got {self.room_extent}")
+        if not (math.isfinite(self.min_separation) and self.min_separation > 0):
+            raise ContractError(
+                f"min_separation must be finite and positive, got {self.min_separation}"
+            )
 
 
 @dataclass

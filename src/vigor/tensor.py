@@ -9,6 +9,10 @@ one-tape-per-training-step discipline.
 The engine favours exact, checkable gradients over speed: everything is
 float64 and every op has a closed-form local gradient that the finite
 difference checker in `grad_check` can be pointed at.
+
+Two ops take segment ids, so that independent samples packed into one
+matrix never mix: `attention` (one id per query row and per key row) and
+`cross_entropy` (softmax groups within a column or a row).
 """
 
 from __future__ import annotations
@@ -205,17 +209,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments=None) -> Tensor:
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments=None, key_segments=None
+) -> Tensor:
     """Multi-head scaled dot-product attention, heads side by side in columns.
 
     With dh = width / n_heads, head h reads and writes column group
     [h*dh, (h+1)*dh) of q, k, v and the output; its weights are the row
     softmax of q_h k_h^T / sqrt(dh).  q may have other rows than k and v.
 
-    `segments` packs independent sequences into one self-attention call
-    (q, k and v then share their rows): one id per row, and a row's weights
-    on rows of another segment are exactly 0, so each segment's output
-    equals attending it alone.
+    Ids pack independent sequences into one call: `segments` gives one id
+    per query row and `key_segments` one per key (and value) row; without
+    `key_segments` the keys take the query ids, so q, k and v must share
+    their rows (self-attention).  A query's weights on keys of another
+    segment are exactly 0, so each segment's output equals attending it
+    alone; every query's segment needs at least one key.  Rows of one
+    segment need not be adjacent.  The logits are checked for finiteness
+    before masking.  The keep mask is one m x n boolean matrix, so its
+    memory grows with the square of the packed rows; when every query and
+    key shares one id, no mask is built at all.
     """
     (m, d), (n, dk) = q.data.shape, k.data.shape
     if dk != d or v.data.shape != (n, d):
@@ -223,14 +235,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments=None) -> T
     if n_heads < 1 or d % n_heads != 0:
         raise ShapeError(f"width {d} not divisible into {n_heads} heads")
     keep = None
-    if segments is not None:
-        seg = np.asarray(segments).reshape(-1)
-        if m != n or seg.size != n:
+    if segments is not None or key_segments is not None:
+        if segments is None:
+            raise ContractError("key segments need query segments")
+        qs = np.asarray(segments).reshape(-1)
+        ks = qs if key_segments is None else np.asarray(key_segments).reshape(-1)
+        if qs.size != m or ks.size != n:
             raise ShapeError(
-                f"segments need q, k, v of equal rows and one id a row: q {q.shape}, "
-                f"k {k.shape}, {seg.size} ids"
+                f"segments need one id a row: q {q.shape} with {qs.size} ids, "
+                f"k {k.shape} with {ks.size} ids"
             )
-        keep = seg[:, None] == seg[None, :]
+        lo = qs.min()
+        if not (lo == qs.max() == ks.min() == ks.max()):
+            keep = qs[:, None] == ks[None, :]
+            # in self-attention every query keeps at least itself
+            if key_segments is not None and not keep.any(axis=1).all():
+                raise ContractError("a query segment has no keys")
     dh = d // n_heads
     c = dh**-0.5
     # Head-major (heads, rows, dh) views: every product is one batched matmul.
@@ -455,22 +475,63 @@ def softplus(x: Tensor) -> Tensor:
 # row-wise normalizations
 
 
-def cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """-log softmax(logits)[target] as a 1x1, for a 1 x n row or an n x 1 column."""
-    if 1 not in logits.data.shape:
-        raise ShapeError(f"cross_entropy needs a row or a column, got {logits.shape}")
-    n = logits.data.size
-    if not 0 <= target < n:
-        raise ContractError(f"target id {target} outside 0..{n - 1}")
-    shifted = _finite_shift(logits.data.reshape(-1), "cross_entropy")
-    lse = np.log(np.exp(shifted).sum())
-    out = Tensor(np.array([[lse - shifted[target]]]))
+def cross_entropy(logits: Tensor, target, segments=None, axis: int = 0) -> Tensor:
+    """Summed -log softmax(group)[target] over softmax groups, as a 1x1.
+
+    With an int `target`, `logits` is a 1 x n row or an n x 1 column and
+    the softmax runs along it.  Otherwise the softmax runs along `axis` of
+    the matrix, separately in every column (`axis=0`, column form) or every
+    row (`axis=1`, row form), and `segments` (one id in 0..S-1 per entry
+    along `axis`; default all 0) splits each of those lines into S groups.
+    `target` then has the logits' shape with that axis replaced by S:
+    entry [s, j] (column form) or [j, s] (row form) is the target's index
+    among the rows (columns) of segment s, counted from 0.  Rows of one
+    segment need not be adjacent; every segment needs at least one entry.
+    """
+    x = logits.data
+    if np.ndim(target) == 0:
+        if 1 not in x.shape:
+            raise ShapeError(f"cross_entropy needs a row or a column, got {logits.shape}")
+        axis = 1 if x.shape[0] == 1 else 0
+        target = [[target]]
+    if axis not in (0, 1):
+        raise ContractError(f"axis must be 0 or 1, got {axis}")
+    # Column form throughout: a row-form matrix is handled as its transpose.
+    x = x if axis == 0 else x.T
+    n, c = x.shape
+    tgt = np.asarray(target)
+    if tgt.ndim != 2 or not np.issubdtype(tgt.dtype, np.integer):
+        raise ShapeError(f"targets must be a 2-D integer array, got {tgt.shape} {tgt.dtype}")
+    tgt = tgt if axis == 0 else tgt.T
+    n_seg = tgt.shape[0]
+    if tgt.shape[1] != c or n_seg < 1:
+        raise ShapeError(f"targets {np.asarray(target).shape} do not fit logits {logits.shape}")
+    seg = np.zeros(n, dtype=np.intp) if segments is None else np.asarray(segments).reshape(-1)
+    if seg.size != n or not np.issubdtype(seg.dtype, np.integer):
+        raise ShapeError(f"need one integer segment id per entry along axis {axis}")
+    if seg.min() < 0 or seg.max() >= n_seg:
+        raise ContractError(f"segment ids must lie in 0..{n_seg - 1}")
+    sizes = np.bincount(seg, minlength=n_seg)
+    if not sizes.all():
+        raise ContractError("every segment needs at least one entry")
+    if ((tgt < 0) | (tgt >= sizes[:, None])).any():
+        raise ContractError(f"targets {tgt.tolist()} outside segments of sizes {sizes.tolist()}")
+    if not np.isfinite(x).all():
+        raise NumericError("cross_entropy requires finite logits")
+    order = np.argsort(seg, kind="stable")  # the rows of segment 0, then 1, ...
+    starts = np.cumsum(sizes) - sizes
+    shifted = x - np.maximum.reduceat(x[order], starts, axis=0)[seg]
+    lse = np.log(np.add.reduceat(np.exp(shifted)[order], starts, axis=0))  # S x c
+    rows = order[starts[:, None] + tgt]  # each target's row in x, S x c
+    cols = np.broadcast_to(np.arange(c), rows.shape)
+    out = Tensor(np.array([[(lse - shifted[rows, cols]).sum()]]))
     if _traced(logits):
 
-        def back(g, logits=logits, shifted=shifted, lse=lse, target=target):
-            dz = np.exp(shifted - lse)
-            dz[target] -= 1.0
-            _acc(logits, (g[0, 0] * dz).reshape(logits.data.shape))
+        def back(g, logits=logits, shifted=shifted, lse=lse, seg=seg, rows=rows, cols=cols):
+            dz = np.exp(shifted - lse[seg])
+            dz[rows, cols] -= 1.0  # each (segment, line) targets its own entry
+            dz *= g[0, 0]
+            _acc(logits, dz if axis == 0 else dz.T)
 
         _TAPE.add(out, back)
     return out

@@ -6,6 +6,10 @@ samples, obtains referential orders through a pluggable parser, and
 supervises the target only: reference, mask, and text losses, never the
 coordinate term.
 
+Each optimizer step packs its batch into one graph: one forward through
+`GroundingModel.forward_batch`, one call of each loss over the packed rows
+(each loss sums its per-sample values), one `compose`, one backward.
+
 Checkpoints hold the finalized config, both vocabularies, parameters,
 optimizer moments, step counters, and the training rng state, so a resumed
 run continues bit-exactly.
@@ -23,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CheckpointError, ContractError, NumericError
-from .losses import LossBreakdown, LossWeights, _sum, compose
+from .losses import LossBreakdown, LossWeights, compose
 from .losses import loss_crd, loss_mask, loss_ref, loss_text
 from .model import GroundingModel, HeadOutputs, ModelConfig, WordVocab, param_layout
 from .orderparse import order_names, trim_pad
@@ -65,8 +69,8 @@ class TrainConfig:
             raise ContractError("step counts cannot be negative")
         if self.batch_size < 1:
             raise ContractError("batch size must be at least 1")
-        if self.lr <= 0:
-            raise ContractError("learning rate must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ContractError(f"learning rate must be finite and positive, got {self.lr}")
         if not 0.0 <= self.label_noise <= 1.0:
             raise ContractError("label noise is a probability")
 
@@ -107,27 +111,33 @@ def _maybe_noisy_labels(
     return [int(d) if f else l for l, f, d in zip(labels, flips, draws)]
 
 
-def _warmup_loss(out: HeadOutputs, sample, weights: LossWeights = LossWeights()) -> LossBreakdown:
+def _target_classes(items: Sequence) -> list[int]:
+    return [item.scene.proposals[item.target_id].class_id for item in items]
+
+
+def _warmup_loss(
+    out: HeadOutputs, samples: Sequence, weights: LossWeights = LossWeights()
+) -> LossBreakdown:
     """Every block supervised: anchors, masks, sentence class, offsets."""
-    ids = sample.anchor_target_ids
+    ids = [s.anchor_target_ids for s in samples]
+    centers = np.concatenate([s.scene.centers() for s in samples])
     return compose(
         "warmup",
-        loss_ref(out.scores_per_block, ids, "warmup"),
-        loss_mask(out.mask_logits, out.masks),
-        loss_text(out.text_class_logits, sample.scene.proposals[ids[-1]].class_id),
-        loss_crd(out.coord_pred, sample.scene.centers(), ids),
+        loss_ref(out.scores_per_block, ids, "warmup", out.segments),
+        loss_mask(out.mask_logits, out.masks, out.segments),
+        loss_text(out.text_class_logits, _target_classes(samples)),
+        loss_crd(out.coord_pred, centers, ids, out.segments),
         weights=weights,
     )
 
 
-def _main_loss(out: HeadOutputs, item, weights: LossWeights) -> LossBreakdown:
+def _main_loss(out: HeadOutputs, items: Sequence, weights: LossWeights) -> LossBreakdown:
     """Target only: reference, mask, and sentence class; no offsets."""
-    target = item.target_id
     return compose(
         "main",
-        loss_ref(out.scores_per_block, [target], "main"),
-        loss_mask(out.mask_logits, out.masks),
-        loss_text(out.text_class_logits, item.scene.proposals[target].class_id),
+        loss_ref(out.scores_per_block, [[it.target_id] for it in items], "main", out.segments),
+        loss_mask(out.mask_logits, out.masks, out.segments),
+        loss_text(out.text_class_logits, _target_classes(items)),
         weights=weights,
     )
 
@@ -139,23 +149,29 @@ def _train_step(
     stage: str,
     step: int,
     batch: Sequence[tuple[object, Sequence[str]]],
-    sample_loss: Callable[[HeadOutputs, object, LossWeights], LossBreakdown],
+    batch_loss: Callable[[HeadOutputs, Sequence, LossWeights], LossBreakdown],
 ) -> float:
     """One optimizer step over (item, order) pairs; returns the batch mean loss.
 
-    Label noise is drawn from `state.rng` per sample, in batch order.  A
-    non-finite loss or gradient raises before the update, leaving the
-    parameters and the Adam state untouched.
+    The batch runs as one packed graph: one forward, one loss whose total
+    is the sum of the samples' totals, one backward.  Label noise is drawn
+    from `state.rng` per sample, in batch order.  A non-finite loss or
+    gradient raises before the update, leaving the parameters and the Adam
+    state untouched.
     """
     leaves = model.trainable()
-    totals = []
-    for item, order in batch:
-        labels = _maybe_noisy_labels(item.scene, train_cfg.label_noise, state.rng)
-        out = model.forward(item.scene, order, item.description, params=leaves, labels=labels)
-        totals.append(sample_loss(out, item, train_cfg.weights).total)
-    batch_loss = _sum(totals)
-    grads = backward(batch_loss, leaves)
-    loss = batch_loss.item()
+    items = [item for item, _ in batch]
+    labels = [_maybe_noisy_labels(item.scene, train_cfg.label_noise, state.rng) for item in items]
+    out = model.forward_batch(
+        [item.scene for item in items],
+        [order for _, order in batch],
+        [item.description for item in items],
+        params=leaves,
+        labels=labels,
+    )
+    batch_total = batch_loss(out, items, train_cfg.weights).total
+    grads = backward(batch_total, leaves)
+    loss = batch_total.item()
     # nan passes LossBreakdown's nonnegativity check (nan < 0 is False), so
     # this is the last stop before Adam writes it into the parameters.
     flat = np.concatenate([g.reshape(-1) for g in grads.values()])
@@ -431,6 +447,6 @@ def full_model_grad_check(seed: int = 0) -> GradCheckReport:
 
     def loss_fn(p):
         out = model.forward(sample.scene, sample.order, sample.description, params=p)
-        return _warmup_loss(out, sample).total
+        return _warmup_loss(out, [sample]).total
 
     return grad_check(loss_fn, model.params)

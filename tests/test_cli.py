@@ -211,6 +211,36 @@ def test_train_config_rejects_mistyped_values(tmp_path, capsys, text, key):
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"room_extent": -3}', "room_extent"),
+        ('{"room_extent": 0}', "room_extent"),
+        ('{"room_extent": NaN}', "room_extent"),
+        ('{"min_separation": NaN}', "min_separation"),
+    ],
+)
+def test_train_config_rejects_out_of_range_geometry(tmp_path, capsys, text, key):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    ckpt = tmp_path / "model.ckpt"
+    code = main(["train", "--config", str(config), "--warmup-steps", "1", "--out", str(ckpt)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and key in err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_rejects_nonfinite_learning_rate(tmp_path, capsys, lr):
+    ckpt = tmp_path / "model.ckpt"
+    code = main(train_flags(tmp_path, ckpt, extra=["--lr", lr]))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "learning rate" in err
+    assert not ckpt.exists()
+
+
 def test_eval_unknown_breakdown_family(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(

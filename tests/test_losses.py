@@ -397,3 +397,60 @@ def test_whole_matrix_losses_match_per_block_reference(b, stage):
         assert np.allclose(got_grads[name], want_grads[name], rtol=0, atol=1e-12), name
     if stage == "main":
         assert not got_grads["coord0"].any()  # the main total never reads the offsets
+
+
+# ---------------------------------------------------------------------------
+# packed batches: each loss sums the losses of its samples
+
+
+def test_packed_losses_sum_the_per_sample_references():
+    rng = np.random.default_rng(21)
+    sizes, b = [4, 1, 6], 3
+    segments = np.repeat(np.arange(len(sizes)), sizes)
+    rng.shuffle(segments)  # a sample's rows need not be adjacent
+    k = segments.size
+    scores = [rng.normal(0, 2, size=(k, 1)) for _ in range(b)]
+    logits = [rng.normal(0, 2, size=(k, 1)) for _ in range(b)]
+    coords = [rng.normal(0, 2, size=(k, 3)) for _ in range(b)]
+    bits = [rng.integers(0, 2, size=k).astype(float) for _ in range(b)]
+    centers = rng.normal(0, 2, size=(k, 3))
+    text = rng.normal(0, 2, size=(len(sizes), 5))
+    ids = [[int(rng.integers(0, n)) for _ in range(b)] for n in sizes]
+    classes = [int(c) for c in rng.integers(0, 5, size=len(sizes))]
+
+    def const(arrays, rows=slice(None)):
+        return [tt.constant(a[rows]) for a in arrays]
+
+    packed = [
+        loss_ref(const(scores), ids, "warmup", segments),
+        loss_ref(const(scores), [[i[-1]] for i in ids], "main", segments),
+        loss_mask(const(logits), [RelevanceMask(m) for m in bits], segments),
+        loss_crd(const(coords), centers, ids, segments),
+        loss_text(tt.constant(text), classes),
+    ]
+    want = np.zeros(len(packed))
+    for s, n in enumerate(sizes):
+        rows = segments == s
+        want += [
+            loss_ref(const(scores, rows), ids[s], "warmup").item(),
+            loss_ref(const(scores, rows), [ids[s][-1]], "main").item(),
+            loss_mask_reference(const(logits, rows), [RelevanceMask(m[rows]) for m in bits]).item(),
+            loss_crd_reference(const(coords, rows), centers[rows], ids[s]).item(),
+            loss_text(tt.constant(text[s : s + 1]), classes[s]).item(),
+        ]
+    assert np.allclose([p.item() for p in packed], want, rtol=0, atol=1e-12)
+
+
+def test_packed_losses_reject_ids_that_do_not_fit_the_samples():
+    segments = [0, 0, 1]
+    col3 = col([0.0, 1.0, 2.0])
+    with pytest.raises(ContractError):
+        loss_ref([col3], [[0], [1], [0]], "main", segments)  # three rows of ids, two samples
+    with pytest.raises(ContractError):
+        loss_ref([col3], [[0], [1]], "main", [0, 1])  # two ids for three rows
+    with pytest.raises(ContractError):
+        loss_ref([col3], [[2], [0]], "main", segments)  # sample 0 has two rows
+    with pytest.raises(ContractError):
+        loss_crd([tt.constant(np.zeros((3, 3)))], np.zeros((3, 3)), [[0], [1]], segments)
+    with pytest.raises(ContractError):
+        loss_text(tt.constant(np.zeros((1, 4))), [0, 1])

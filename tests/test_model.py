@@ -149,7 +149,7 @@ def test_packed_text_encoder_matches_per_piece_passes(order):
     for packed in (True, False):
         p = m.trainable()
         if packed:
-            text = encode_text(tokens, order, p, m.word_vocab, m.cfg)
+            text = encode_text([tokens], order, p, m.word_vocab, m.cfg)
             rows, names = text.rows, text.order_features
         else:
             rows, names = encode_text_per_piece(m, p, tokens, order)
@@ -166,7 +166,9 @@ def test_packed_text_encoder_matches_per_piece_passes(order):
 def test_packed_text_encoder_rejects_empty_pieces():
     m = tiny_model(b=2)
     with pytest.raises(ContractError):
-        encode_text(tokenize(DESC), ["door", "?!"], m.frozen(), m.word_vocab, m.cfg)
+        encode_text([tokenize(DESC)], ["door", "?!"], m.frozen(), m.word_vocab, m.cfg)
+    with pytest.raises(ContractError):
+        encode_text([tokenize(DESC), []], ORDER, m.frozen(), m.word_vocab, m.cfg)
     with pytest.raises(ContractError):
         encode_text([], ORDER, m.frozen(), m.word_vocab, m.cfg)
 
@@ -177,7 +179,7 @@ def test_packed_text_encoder_rejects_empty_pieces():
 
 def test_encode_objects_shape():
     m = tiny_model()
-    out = encode_objects(SCENE, m.frozen(), m.cfg)
+    out = encode_objects([SCENE], m.frozen(), m.cfg)
     assert out.matrix.shape == (3, m.cfg.d)
     assert out.block == 1
 
@@ -186,8 +188,8 @@ def test_encode_objects_is_per_proposal():
     """Each row depends only on its own proposal, so rows permute cleanly."""
     m = tiny_model()
     perm = [2, 0, 1]
-    base = encode_objects(SCENE, m.frozen(), m.cfg).matrix.data
-    permuted = encode_objects(permute_scene(SCENE, perm), m.frozen(), m.cfg).matrix.data
+    base = encode_objects([SCENE], m.frozen(), m.cfg).matrix.data
+    permuted = encode_objects([permute_scene(SCENE, perm)], m.frozen(), m.cfg).matrix.data
     assert np.array_equal(permuted, base[perm])
 
 
@@ -195,7 +197,7 @@ def test_resampling_handles_any_point_count():
     m = tiny_model(points=8)
     for n in (3, 8, 20):
         scene = make_scene([(0, 0, 0), (4, 0, 0)], [0, 1], n_points=n)
-        out = encode_objects(scene, m.frozen(), m.cfg)
+        out = encode_objects([scene], m.frozen(), m.cfg)
         assert out.matrix.shape == (2, 8)
         assert np.isfinite(out.matrix.data).all()
 
@@ -328,3 +330,48 @@ def test_forward_gradients_match_finite_differences():
     report = tt.grad_check(loss_fn, subset)
     assert report.nonfinite == []
     assert report.max_rel_err <= 1e-4, report
+
+
+# ---------------------------------------------------------------------------
+# packed batches
+
+
+def test_forward_batch_rows_equal_each_sample_alone():
+    m = tiny_model(b=2)
+    scenes = [
+        SCENE,
+        make_scene([(0, 0, 0), (4, 1, 0)], [VOCAB.index("door"), 0]),
+        make_scene([(1, 0, 0), (2, 5, 1), (7, 0, 2), (5, 5, 0)], [1, 1, 4, VOCAB.index("door")]),
+    ]
+    orders = [ORDER, ["door", "door"], ["water bottle", "table"]]
+    descriptions = [DESC, "the chair near the door", "the table far from the water bottle"]
+    packed = m.forward_batch(scenes, orders, descriptions)
+    assert packed.segments.tolist() == [0, 0, 0, 1, 1, 2, 2, 2, 2]
+    assert packed.text_class_logits.shape == (3, len(VOCAB))
+    for s, (scene, order, desc) in enumerate(zip(scenes, orders, descriptions)):
+        alone = m.forward(scene, order, desc)
+        rows = packed.segments == s
+        for got, want in [
+            *zip(packed.scores_per_block, alone.scores_per_block),
+            *zip(packed.mask_logits, alone.mask_logits),
+            *zip(packed.coord_pred, alone.coord_pred),
+        ]:
+            assert np.abs(got.data[rows] - want.data).max() <= 1e-10
+        text = packed.text_class_logits.data[s] - alone.text_class_logits.data[0]
+        assert np.abs(text).max() <= 1e-10
+        for got, want in zip(packed.masks, alone.masks):
+            assert np.array_equal(got.bits[rows], want.bits)
+    with pytest.raises(ContractError):
+        packed.predicted_id()
+
+
+def test_forward_batch_contract():
+    m = tiny_model(b=2)
+    with pytest.raises(ContractError):
+        m.forward_batch([], [], [])
+    with pytest.raises(ContractError):
+        m.forward_batch([SCENE, SCENE], [ORDER], [DESC, DESC])
+    with pytest.raises(ContractError):
+        m.forward_batch([SCENE, SCENE], [ORDER, ["door"]], [DESC, DESC])
+    with pytest.raises(ContractError):
+        m.forward_batch([SCENE, SCENE], [ORDER, ORDER], [DESC, DESC], labels=[[0, 1, 1]])

@@ -93,6 +93,23 @@ def test_sample_scene_budget_exhaustion():
         sample_scene(cfg, np.random.default_rng(0), budget=20)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("room_extent", -3.0),
+        ("room_extent", 0.0),
+        ("room_extent", float("nan")),
+        ("room_extent", float("inf")),
+        ("min_separation", float("nan")),
+        ("min_separation", float("inf")),
+        ("min_separation", 0.0),
+    ],
+)
+def test_gen_config_rejects_out_of_range_geometry(field, value):
+    with pytest.raises(ContractError, match=field):
+        GenConfig(**{field: value})
+
+
 def test_default_vocab_extends_past_base_names():
     vocab = default_vocab(30)
     assert len(vocab) == 30

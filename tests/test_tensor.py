@@ -231,6 +231,83 @@ def test_segmented_attention_errors():
         T.attention(q, T.constant(bad_k), v, 2, [0, 0, 1])
 
 
+# Queries and keys of one call in different segments: 5 query rows against 7
+# key rows, segments interleaved, query segment 2 with a single key.
+QUERY_SEGMENTS = [1, 0, 2, 1, 0]
+KEY_SEGMENTS = [0, 1, 1, 0, 2, 0, 1]
+
+
+def cross_segment_qkv(rng):
+    q, k, v = qkv(rng, 5, 7, 8, scale=2.0)
+    # key 0 (segment 0) dwarfs every logit; a query of another segment
+    # shifted by that maximum would underflow all of its weights to 0
+    k[0] *= 1e3
+    return q, k, v
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_cross_segment_attention_equals_each_segment_alone(n_heads):
+    q, k, v = cross_segment_qkv(np.random.default_rng(40 + n_heads))
+    got = T.attention(
+        T.constant(q), T.constant(k), T.constant(v), n_heads, QUERY_SEGMENTS, KEY_SEGMENTS
+    ).data
+    qs, ks = np.array(QUERY_SEGMENTS), np.array(KEY_SEGMENTS)
+    for s in set(QUERY_SEGMENTS):
+        alone = attention_oracle(q[qs == s], k[ks == s], v[ks == s], n_heads)
+        assert np.abs(got[qs == s] - alone).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_cross_segment_attention_grad_check(n_heads):
+    rng = np.random.default_rng(50 + n_heads)
+    params = dict(zip("qkv", cross_segment_qkv(rng)))
+    params["k"][0] /= 1e3  # finite differences need logits of moderate size
+    weights = T.constant(rng.normal(size=(5, 8)))
+
+    def forward(p):
+        out = T.attention(p["q"], p["k"], p["v"], n_heads, QUERY_SEGMENTS, KEY_SEGMENTS)
+        return T.mean_all(T.mul(out, weights))
+
+    report = T.grad_check(forward, params)
+    assert report.checked == 5 * 8 + 2 * 7 * 8
+    assert report.ok(1e-6), (report.max_rel_err, report.worst_param)
+
+
+def test_cross_segment_attention_errors():
+    q, k, v = (T.constant(a) for a in qkv(np.random.default_rng(7), 3, 4, 4))
+    with pytest.raises(ContractError):
+        T.attention(q, k, v, 2, None, [0, 0, 1, 1])  # key ids alone
+    for qs, ks in (([0, 1], [0, 0, 1, 1]), ([0, 1, 1], [0, 1, 1]), ([0, 1, 1], [0, 1, 1, 1, 0])):
+        with pytest.raises(ShapeError):
+            T.attention(q, k, v, 2, qs, ks)
+    with pytest.raises(ContractError, match="no keys"):
+        T.attention(q, k, v, 2, [0, 1, 2], [0, 1, 1, 0])
+    with pytest.raises(ContractError, match="no keys"):
+        T.attention(q, k, v, 2, [1, 1, 1], [0, 0, 0, 0])
+    # the finiteness check reads the raw logits, masked or not
+    bad_k = k.data.copy()
+    bad_k[3, 1] = float("inf")
+    with pytest.raises(NumericError):
+        T.attention(q, T.constant(bad_k), v, 2, [0, 0, 1], [0, 1, 1, 0])
+
+
+def test_attention_with_one_shared_segment_builds_no_mask(monkeypatch):
+    q, k, v = (T.constant(a) for a in qkv(np.random.default_rng(8), 3, 4, 4))
+    seen = []
+    real = T._finite_shift
+
+    def spy(x, op, keep=None):
+        seen.append(keep)
+        return real(x, op, keep)
+
+    monkeypatch.setattr(T, "_finite_shift", spy)
+    plain = T.attention(q, k, v, 2).data
+    shared = T.attention(q, k, v, 2, [4, 4, 4], [4, 4, 4, 4]).data
+    T.attention(q, k, v, 2, [0, 0, 1], [0, 1, 1, 0])
+    assert np.array_equal(plain, shared)
+    assert seen[0] is None and seen[1] is None and seen[2] is not None
+
+
 def attention_einsum_reference(q, k, v, n_heads, segments, g):
     """The (rows, heads, dh) einsum form of attention and its closed-form
     backward: output and the gradients of q, k, v for upstream gradient g."""
@@ -547,6 +624,79 @@ def test_cross_entropy_grad_check(shape):
     report = T.grad_check(lambda p: T.cross_entropy(p["z"], 3), params)
     assert report.checked == 5
     assert report.ok(1e-6), (report.max_rel_err, report.worst_param)
+
+
+# Rows of three segments of sizes 3, 1 and 2, interleaved.
+CE_SEGMENTS = [2, 0, 0, 1, 2, 0]
+CE_TARGETS = [[2, 0], [0, 0], [1, 0]]  # per segment and column, within the segment
+
+
+def ce_segment_oracle(x, segments, targets):
+    """Sum over segments and columns of -log softmax(that segment's rows)[target]."""
+    seg = np.asarray(segments)
+    total = 0.0
+    for s, row in enumerate(targets):
+        for j, t in enumerate(row):
+            column = [float(v) for v in x[seg == s, j]]
+            total += -math.log(softmax_oracle(column)[t])
+    return total
+
+
+def test_segmented_cross_entropy_matches_oracle():
+    x = np.random.default_rng(13).normal(scale=3.0, size=(6, 2))
+    want = ce_segment_oracle(x, CE_SEGMENTS, CE_TARGETS)
+    column = T.cross_entropy(T.constant(x), CE_TARGETS, CE_SEGMENTS)
+    row = T.cross_entropy(T.constant(x.T), np.array(CE_TARGETS).T, CE_SEGMENTS, axis=1)
+    assert abs(column.item() - want) <= 1e-12
+    assert abs(row.item() - want) <= 1e-12
+    # without segments every line is one softmax group
+    whole = T.cross_entropy(T.constant(x), [[4, 1]]).item()
+    assert abs(whole - ce_segment_oracle(x, [0] * 6, [[4, 1]])) <= 1e-12
+    # one column, one segment: the int form
+    assert abs(T.cross_entropy(T.constant(x[:, :1]), [[4]]).item() - T.cross_entropy(
+        T.constant(x[:, :1]), 4).item()) <= 1e-15
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_segmented_cross_entropy_grad_check(axis):
+    x = np.random.default_rng(14).normal(scale=2.0, size=(6, 2))
+    params = {"z": x if axis == 0 else x.T.copy()}
+    targets = CE_TARGETS if axis == 0 else np.array(CE_TARGETS).T
+
+    def forward(p):
+        return T.cross_entropy(p["z"], targets, CE_SEGMENTS, axis=axis)
+
+    report = T.grad_check(forward, params)
+    assert report.checked == 12
+    assert report.ok(1e-6), (report.max_rel_err, report.worst_param)
+
+
+def test_segmented_cross_entropy_errors():
+    z = T.constant(np.zeros((6, 2)))
+    bad_shape = [
+        ([0, 1, 2], CE_SEGMENTS, 0),  # targets not 2-D
+        ([[0, 0, 0]] * 3, CE_SEGMENTS, 0),  # three columns for two
+        ([[0.0, 0.0]] * 3, CE_SEGMENTS, 0),  # float targets
+        (CE_TARGETS, CE_SEGMENTS[:5], 0),  # one id short
+        (CE_TARGETS, CE_SEGMENTS, 1),  # row form needs one id per column
+    ]
+    for targets, segments, axis in bad_shape:
+        with pytest.raises(ShapeError):
+            T.cross_entropy(z, targets, segments, axis=axis)
+    bad_contract = [
+        ([[0, 0]] * 3, [0, 0, 1, 1, 3, 3], 0),  # id 3 with three segments
+        ([[0, 0]] * 3, [0, 0, 2, 2, 2, 0], 0),  # segment 1 is empty
+        (CE_TARGETS, [2, 0, 0, 1, 2, 0], 2),  # no axis 2
+        ([[2, 0], [1, 0], [1, 0]], CE_SEGMENTS, 0),  # segment 1 has one row
+        ([[2, 0], [0, 0], [-1, 0]], CE_SEGMENTS, 0),
+    ]
+    for targets, segments, axis in bad_contract:
+        with pytest.raises(ContractError):
+            T.cross_entropy(z, targets, segments, axis=axis)
+    nan = np.zeros((6, 2))
+    nan[3, 1] = float("nan")
+    with pytest.raises(NumericError):
+        T.cross_entropy(T.constant(nan), CE_TARGETS, CE_SEGMENTS)
 
 
 def test_grad_check_empty_params():

@@ -1,6 +1,7 @@
 """Tests for the two-stage trainer and the checkpoint format."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 from vigor import tensor as T
 from vigor import trainer
 from vigor.errors import CheckpointError, ContractError, NumericError
-from vigor.losses import loss_text
+from vigor.losses import LossWeights, loss_text
 from vigor.model import GroundingModel, ModelConfig, param_layout
 from vigor.orderparse import parse_appearance_order
-from vigor.synthgen import GenConfig, default_vocab, generate_dataset
+from vigor.synthgen import GenConfig, default_vocab, generate_dataset, sample_at
 from vigor.trainer import (
     Checkpoint,
     TrainConfig,
@@ -65,6 +66,12 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ContractError):
         TrainConfig(label_noise=1.5)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf")])
+def test_train_config_rejects_nonfinite_learning_rate(lr):
+    with pytest.raises(ContractError, match="learning rate"):
+        TrainConfig(lr=lr)
 
 
 def test_moving_average():
@@ -252,8 +259,6 @@ def trained_pair(tmp_path):
 
 
 def probe_scores(model):
-    from vigor.synthgen import sample_at
-
     s = sample_at(GEN, 123)
     return model.forward(s.scene, s.order, s.description).scores.data
 
@@ -478,3 +483,164 @@ def test_full_model_grad_check_entry_point(monkeypatch):
     assert np.isfinite(seen["loss"]) and seen["loss"] > 0.0
     # the loss reads every parameter it is handed
     assert [n for n, g in seen["grads"].items() if not g.any()] == []
+
+
+# ---------------------------------------------------------------------------
+# packed batches against the per-sample path they replaced
+
+MIXED = GenConfig(
+    proposals_min=3,
+    proposals_max=7,
+    points_per_proposal=6,
+    class_vocab_size=6,
+    order_len=2,
+    seed=17,
+)
+WEIGHTS = LossWeights(w_ref=1.7, w_mask=0.3, w_text=2.25, w_crd=0.6)
+
+
+def add_fold(terms):
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = T.add(acc, t)
+    return acc
+
+
+def per_sample_reference(out, sample, stage, weights):
+    """One sample's components and weighted total, as the per-sample trainer
+    computed them: a cross-entropy per block, plain means, a scale/add chain."""
+    if stage == "warmup":
+        ids = sample.anchor_target_ids
+        l_ref = T.scale(
+            add_fold([T.cross_entropy(s, t) for s, t in zip(out.scores_per_block, ids)]),
+            1.0 / len(ids),
+        )
+    else:
+        l_ref = T.cross_entropy(out.scores, sample.target_id)
+    z = T.concat_cols(*out.mask_logits)
+    bits = T.constant(np.stack([m.bits for m in out.masks], axis=1))
+    l_mask = T.mean_all(T.sub(T.softplus(z), T.mul(z, bits)))
+    target_class = sample.scene.proposals[sample.target_id].class_id
+    l_text = T.cross_entropy(out.text_class_logits, target_class)
+    parts = [(l_ref, weights.w_ref), (l_mask, weights.w_mask), (l_text, weights.w_text)]
+    if stage == "warmup":
+        centers = sample.scene.centers()
+        offsets = np.hstack([centers - centers[a] for a in sample.anchor_target_ids])
+        pred = T.concat_cols(*out.coord_pred)
+        parts.append((T.mean_all(T.square(T.sub(pred, T.constant(offsets)))), weights.w_crd))
+    return [p.item() for p, _ in parts], add_fold([T.scale(p, w) for p, w in parts])
+
+
+class SampleView:
+    """One sample's rows of a packed forward's outputs, as constants."""
+
+    def __init__(self, out, s):
+        rows = out.segments == s
+        self.scores_per_block = [T.constant(t.data[rows]) for t in out.scores_per_block]
+        self.scores = self.scores_per_block[-1]
+        self.mask_logits = [T.constant(t.data[rows]) for t in out.mask_logits]
+        self.coord_pred = [T.constant(t.data[rows]) for t in out.coord_pred]
+        self.text_class_logits = T.constant(out.text_class_logits.data[s : s + 1])
+        self.masks = [type(m)(m.bits[rows]) for m in out.masks]
+
+
+def mixed_batch():
+    """Four samples of 3 to 7 proposals whose orders repeat names within
+    and across samples."""
+    samples = [sample_at(MIXED, i) for i in range(4)]
+    names = default_vocab(MIXED.class_vocab_size).names
+    orders = [[names[0], names[0]], [names[0], names[1]], [names[1], names[0]], samples[3].order]
+    return samples, orders
+
+
+@pytest.mark.parametrize("stage", ["warmup", "main"])
+def test_packed_step_matches_per_sample_reference(stage):
+    samples, orders = mixed_batch()
+    assert len({len(s.scene) for s in samples}) > 1
+    model = tiny_model(seed=3)
+    rng = np.random.default_rng(7)
+    labels = [trainer._maybe_noisy_labels(s.scene, 0.4, rng) for s in samples]
+    assert any(l != s.scene.labels() for l, s in zip(labels, samples))
+    loss_fn = trainer._warmup_loss if stage == "warmup" else trainer._main_loss
+
+    leaves = model.trainable()
+    scenes, descriptions = [s.scene for s in samples], [s.description for s in samples]
+    out = model.forward_batch(scenes, orders, descriptions, params=leaves, labels=labels)
+    packed = loss_fn(out, samples, WEIGHTS)
+    packed_values = packed.values()
+    packed_grads = T.backward(packed.total, leaves)
+
+    leaves = model.trainable()
+    values, totals = [], []
+    for sample, order, sample_labels in zip(samples, orders, labels):
+        one = model.forward(
+            sample.scene, order, sample.description, params=leaves, labels=sample_labels
+        )
+        v, total = per_sample_reference(one, sample, stage, WEIGHTS)
+        values.append(v)
+        totals.append(total)
+    reference_total = add_fold(totals)
+    reference_grads = T.backward(reference_total, leaves)
+
+    # the packed outputs give every sample the losses it has alone
+    for s, sample in enumerate(samples):
+        got, _ = per_sample_reference(SampleView(out, s), sample, stage, WEIGHTS)
+        assert np.abs(np.subtract(got, values[s])).max() <= 1e-10
+    names = ["l_ref", "l_mask", "l_text", "l_crd"][: len(values[0])]
+    sums = np.sum(values, axis=0)
+    for name, want in zip(names, sums):
+        assert abs(packed_values[name] - want) <= 1e-10, name
+    assert abs(packed.total.item() - reference_total.item()) <= 1e-10
+    assert packed_grads.keys() == reference_grads.keys()
+    for name, g in reference_grads.items():
+        assert np.abs(packed_grads[name] - g).max() <= 1e-10, name
+
+
+def test_packed_step_draws_label_noise_per_sample_in_batch_order():
+    samples, orders = mixed_batch()
+    model, state = tiny_model(), TrainState.fresh(5)
+    cfg = TrainConfig(batch_size=len(samples), label_noise=0.5, seed=5)
+    seen = []
+    real = model.forward_batch
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["labels"])
+        return real(*args, **kwargs)
+
+    model.forward_batch = spy
+    trainer._train_step(
+        model, state, cfg, "warmup", 1, list(zip(samples, orders)), trainer._warmup_loss
+    )
+    rng = np.random.default_rng(5)
+    want = [trainer._maybe_noisy_labels(s.scene, 0.5, rng) for s in samples]
+    assert seen == [want]
+    assert state.rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_tracer_sees_a_packed_warmup(monkeypatch):
+    """The benchmark's tracer patches vigor's modules from outside; a packed
+    step must keep the entry points and argument shapes it reads."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    from layertrace import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.start_run(2)
+        warmup_stage(
+            tiny_model(),
+            GEN,
+            TrainConfig(warmup_steps=2, batch_size=3, eval_every=1),
+            on_eval=lambda step, model: tracer.end_unit(),
+        )
+    finally:
+        stale = tracer.restore()
+    assert stale == []
+    names = [n for unit in (0, 1) for n in tracer.order_names[unit]]
+    assert len(names) == 2 * 3 * GEN.order_len
+    assert all(type(n) is str for n in names)
+    assert 0.0 < tracer.distinct_share(range(2)) <= 1.0
+    assert tracer.span_calls("model.encode_text", range(2)) == 2
+    assert [u for name, u, _ in tracer.counts if name == "tensor.tape_nodes"] == [0, 1]
+    assert tracer.count_sum("tensor.tape_nodes", range(2)) > 0
