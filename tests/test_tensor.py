@@ -5,6 +5,7 @@ loops, math.exp on floats); gradients against central finite differences.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -185,6 +186,16 @@ def test_attention_shape_errors():
 # Segments of 4, 1 and 3 rows; a segment's rows need not be adjacent.
 SEGMENTS = [0, 0, 2, 0, 1, 2, 2, 0]
 
+# Values of the pad threshold that make every segmented call dense or padded.
+LAYOUTS = {"dense": math.inf, "padded": -math.inf}
+
+
+def each_layout():
+    """Run the loop body once in each attention layout."""
+    for name, saving in LAYOUTS.items():
+        with mock.patch.object(T, "_PAD_SAVING", saving):
+            yield name
+
 
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
 def test_segmented_attention_equals_each_segment_alone(n_heads):
@@ -192,12 +203,13 @@ def test_segmented_attention_equals_each_segment_alone(n_heads):
     # logits against key 4 dwarf all others; shifting a row by a maximum
     # taken outside its segment would underflow all of its weights to 0
     k[4] *= 1e3
-    got = T.attention(T.constant(q), T.constant(k), T.constant(v), n_heads, SEGMENTS).data
     seg = np.array(SEGMENTS)
-    for s in set(SEGMENTS):
-        rows = seg == s
-        alone = T.attention(*(T.constant(a[rows]) for a in (q, k, v)), n_heads).data
-        assert np.abs(got[rows] - alone).max() <= 1e-12
+    for _ in each_layout():
+        got = T.attention(T.constant(q), T.constant(k), T.constant(v), n_heads, SEGMENTS).data
+        for s in set(SEGMENTS):
+            rows = seg == s
+            alone = T.attention(*(T.constant(a[rows]) for a in (q, k, v)), n_heads).data
+            assert np.abs(got[rows] - alone).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
@@ -210,9 +222,10 @@ def test_segmented_attention_grad_check(n_heads):
         out = T.attention(p["q"], p["k"], p["v"], n_heads, SEGMENTS)
         return T.mean_all(T.mul(out, weights))
 
-    report = T.grad_check(forward, params)
-    assert report.checked == 3 * 64
-    assert report.ok(1e-6), (report.max_rel_err, report.worst_param)
+    for layout in each_layout():
+        report = T.grad_check(forward, params)
+        assert report.checked == 3 * 64
+        assert report.ok(1e-6), (layout, report.max_rel_err, report.worst_param)
 
 
 def test_segmented_attention_errors():
@@ -224,11 +237,16 @@ def test_segmented_attention_errors():
     k5, v5 = (T.constant(np.ones((5, 4))) for _ in range(2))
     with pytest.raises(ShapeError):
         T.attention(q, k5, v5, 2, [0, 0, 1])
-    # the finiteness check reads the raw logits, masked or not
-    bad_k = k.data.copy()
-    bad_k[2, 0] = float("nan")
-    with pytest.raises(NumericError):
-        T.attention(q, T.constant(bad_k), v, 2, [0, 0, 1])
+    # two or more segments take integer ids in [0, q rows + k rows)
+    for bad in ([0, 0, 6], [-1, 0, 0], [0.0, 0.0, 1.0]):
+        with pytest.raises(ContractError, match="segment ids"):
+            T.attention(q, k, v, 2, bad)
+    for _ in each_layout():
+        # the finiteness check reads the raw logits, masked or not
+        bad_k = k.data.copy()
+        bad_k[2, 0] = float("nan")
+        with pytest.raises(NumericError):
+            T.attention(q, T.constant(bad_k), v, 2, [0, 0, 1])
 
 
 # Queries and keys of one call in different segments: 5 query rows against 7
@@ -248,13 +266,14 @@ def cross_segment_qkv(rng):
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
 def test_cross_segment_attention_equals_each_segment_alone(n_heads):
     q, k, v = cross_segment_qkv(np.random.default_rng(40 + n_heads))
-    got = T.attention(
-        T.constant(q), T.constant(k), T.constant(v), n_heads, QUERY_SEGMENTS, KEY_SEGMENTS
-    ).data
     qs, ks = np.array(QUERY_SEGMENTS), np.array(KEY_SEGMENTS)
-    for s in set(QUERY_SEGMENTS):
-        alone = attention_oracle(q[qs == s], k[ks == s], v[ks == s], n_heads)
-        assert np.abs(got[qs == s] - alone).max() <= 1e-12
+    for _ in each_layout():
+        got = T.attention(
+            T.constant(q), T.constant(k), T.constant(v), n_heads, QUERY_SEGMENTS, KEY_SEGMENTS
+        ).data
+        for s in set(QUERY_SEGMENTS):
+            alone = attention_oracle(q[qs == s], k[ks == s], v[ks == s], n_heads)
+            assert np.abs(got[qs == s] - alone).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
@@ -268,9 +287,10 @@ def test_cross_segment_attention_grad_check(n_heads):
         out = T.attention(p["q"], p["k"], p["v"], n_heads, QUERY_SEGMENTS, KEY_SEGMENTS)
         return T.mean_all(T.mul(out, weights))
 
-    report = T.grad_check(forward, params)
-    assert report.checked == 5 * 8 + 2 * 7 * 8
-    assert report.ok(1e-6), (report.max_rel_err, report.worst_param)
+    for layout in each_layout():
+        report = T.grad_check(forward, params)
+        assert report.checked == 5 * 8 + 2 * 7 * 8
+        assert report.ok(1e-6), (layout, report.max_rel_err, report.worst_param)
 
 
 def test_cross_segment_attention_errors():
@@ -280,15 +300,16 @@ def test_cross_segment_attention_errors():
     for qs, ks in (([0, 1], [0, 0, 1, 1]), ([0, 1, 1], [0, 1, 1]), ([0, 1, 1], [0, 1, 1, 1, 0])):
         with pytest.raises(ShapeError):
             T.attention(q, k, v, 2, qs, ks)
-    with pytest.raises(ContractError, match="no keys"):
-        T.attention(q, k, v, 2, [0, 1, 2], [0, 1, 1, 0])
-    with pytest.raises(ContractError, match="no keys"):
-        T.attention(q, k, v, 2, [1, 1, 1], [0, 0, 0, 0])
-    # the finiteness check reads the raw logits, masked or not
-    bad_k = k.data.copy()
-    bad_k[3, 1] = float("inf")
-    with pytest.raises(NumericError):
-        T.attention(q, T.constant(bad_k), v, 2, [0, 0, 1], [0, 1, 1, 0])
+    for _ in each_layout():
+        with pytest.raises(ContractError, match="no keys"):
+            T.attention(q, k, v, 2, [0, 1, 2], [0, 1, 1, 0])
+        with pytest.raises(ContractError, match="no keys"):
+            T.attention(q, k, v, 2, [1, 1, 1], [0, 0, 0, 0])
+        # the finiteness check reads the raw logits, masked or not
+        bad_k = k.data.copy()
+        bad_k[3, 1] = float("inf")
+        with pytest.raises(NumericError):
+            T.attention(q, T.constant(bad_k), v, 2, [0, 0, 1], [0, 1, 1, 0])
 
 
 def test_attention_with_one_shared_segment_builds_no_mask(monkeypatch):
@@ -306,6 +327,43 @@ def test_attention_with_one_shared_segment_builds_no_mask(monkeypatch):
     T.attention(q, k, v, 2, [0, 0, 1], [0, 1, 1, 0])
     assert np.array_equal(plain, shared)
     assert seen[0] is None and seen[1] is None and seen[2] is not None
+
+
+def test_attention_pads_only_when_that_skips_enough_logits(monkeypatch):
+    shapes = []
+    real = T._finite_shift
+
+    def spy(x, op, keep=None):
+        shapes.append((x.shape, None if keep is None else keep.shape))
+        return real(x, op, keep)
+
+    monkeypatch.setattr(T, "_finite_shift", spy)
+    # 8 rows in 3 segments: padding would skip few logits, so one dense mask
+    q, k, v = (T.constant(a) for a in qkv(np.random.default_rng(10), 8, 8, 4))
+    T.attention(q, k, v, 2, SEGMENTS)
+    assert shapes.pop() == ((1, 2, 8, 8), (8, 8))
+    # 16 segments of 3 queries against 2 to 4 keys, interleaved: one
+    # (segments, heads, 3, 4) stack instead of 48 x 49 logits a head
+    rng = np.random.default_rng(9)
+    qs = rng.permutation(np.repeat(np.arange(16), 3))
+    ks = rng.permutation(np.repeat(np.arange(16), [2, 3, 4, 3] * 4))
+    q, k, v = (T.leaf(a) for a in qkv(rng, qs.size, ks.size, 4))
+    out = T.attention(q, k, v, 2, qs, ks)
+    assert shapes.pop() == ((16, 2, 3, 4), (16, 1, 1, 4))
+    for s in range(16):
+        alone = attention_oracle(q.data[qs == s], k.data[ks == s], v.data[ks == s], 2)
+        assert np.abs(out.data[qs == s] - alone).max() <= 1e-12
+    # ids 16 and 17 name no row and id 18 only a key: that key is never
+    # read and gets no gradient, and the empty segments make no NaN
+    orphan = T.leaf(np.vstack([k.data, rng.normal(size=(1, 4))]))
+    v5 = T.leaf(np.vstack([v.data, rng.normal(size=(1, 4))]))
+    with np.errstate(invalid="raise"):
+        again = T.attention(q, orphan, v5, 2, qs, np.append(ks, 18))
+        assert shapes.pop() == ((19, 2, 3, 4), (19, 1, 1, 4))
+        weights = T.constant(rng.normal(size=out.shape))
+        grads = T.backward(T.mean_all(T.mul(again, weights)), dict(k=orphan, v=v5))
+    assert np.array_equal(again.data, out.data)
+    assert not grads["k"][-1].any() and not grads["v"][-1].any()
 
 
 def attention_einsum_reference(q, k, v, n_heads, segments, g):
@@ -347,14 +405,16 @@ def upstream(out_shape, rng):
     st.integers(1, 6),
     st.booleans(),
     st.integers(0, 2**31 - 1),
+    st.sampled_from(sorted(LAYOUTS)),
 )
-def test_attention_matches_einsum_reference(n_heads, dh, m, n, segmented, seed):
+def test_attention_matches_einsum_reference(n_heads, dh, m, n, segmented, seed, layout):
     rng = np.random.default_rng(seed)
     # segments mean self-attention, so those cases share their row count
     m = n if segmented else m
     segments = rng.integers(0, 3, size=n) if segmented else None
     q, k, v = (T.leaf(a) for a in qkv(rng, m, n, n_heads * dh, scale=2.0))
-    out = T.attention(q, k, v, n_heads, segments)
+    with mock.patch.object(T, "_PAD_SAVING", LAYOUTS[layout]):
+        out = T.attention(q, k, v, n_heads, segments)
     weights, g = upstream(out.shape, rng)
     got = [out.data, *T.backward(T.mean_all(T.mul(out, weights)), dict(q=q, k=k, v=v)).values()]
     want = attention_einsum_reference(q.data, k.data, v.data, n_heads, segments, g)

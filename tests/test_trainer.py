@@ -554,7 +554,7 @@ def mixed_batch():
 
 
 @pytest.mark.parametrize("stage", ["warmup", "main"])
-def test_packed_step_matches_per_sample_reference(stage):
+def test_packed_step_matches_per_sample_reference(stage, monkeypatch):
     samples, orders = mixed_batch()
     assert len({len(s.scene) for s in samples}) > 1
     model = tiny_model(seed=3)
@@ -562,7 +562,13 @@ def test_packed_step_matches_per_sample_reference(stage):
     labels = [trainer._maybe_noisy_labels(s.scene, 0.4, rng) for s in samples]
     assert any(l != s.scene.labels() for l, s in zip(labels, samples))
     loss_fn = trainer._warmup_loss if stage == "warmup" else trainer._main_loss
+    # every segmented attention dense, then every one padded
+    for saving in (float("inf"), float("-inf")):
+        monkeypatch.setattr(T, "_PAD_SAVING", saving)
+        check_packed_step(model, samples, orders, labels, stage, loss_fn)
 
+
+def check_packed_step(model, samples, orders, labels, stage, loss_fn):
     leaves = model.trainable()
     scenes, descriptions = [s.scene for s in samples], [s.description for s in samples]
     out = model.forward_batch(scenes, orders, descriptions, params=leaves, labels=labels)
