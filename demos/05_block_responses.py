@@ -1,16 +1,16 @@
-"""Watch object features move through the referring blocks.
+"""Watch the referring blocks walk the referential order.
 
 Each block masks the scene down to the classes still mentioned in the
-remaining order suffix, so the relevance masks shrink monotonically and
-the feature rows react block by block.  Row norms of F_1..F_{B+1} give a
-cheap picture of that progression.
+remaining order suffix, so the relevance masks shrink monotonically.  The
+score head reads every block, and block i is supervised (in warm-up) to
+pick the i-th anchor of the chain; the table below prints each block's
+top proposal next to that anchor.
 
 Run: python3 demos/05_block_responses.py
 """
 
 import numpy as np
 
-from vigor.evaluation import dump_block_responses
 from vigor.model import GroundingModel, ModelConfig
 from vigor.scene import build_mask
 from vigor.synthgen import GenConfig, default_vocab, generate_dataset
@@ -44,26 +44,17 @@ for i in range(model.cfg.b):
 print("\n= Score head per block (softmax over proposals) " + "=" * 16)
 out = model.forward(sample.scene, sample.order, sample.description)
 header = "  proposal: " + "".join(f"  {n[:9]:>10s}" for n in names)
-print(header)
-for i, scores in enumerate(out.scores_per_block, start=1):
+print(header + "    top  anchor")
+for i, (scores, anchor) in enumerate(zip(out.scores_per_block, sample.anchor_target_ids), 1):
     z = scores.data[:, 0]
     probs = np.exp(z - z.max())
     probs /= probs.sum()
     cells = "".join(f"  {v:10.4f}" for v in probs)
-    print(f"  block {i}   {cells}")
+    print(f"  block {i}   {cells}  {int(probs.argmax()):5d}  {anchor:6d}")
 print(f"  predicted id {out.predicted_id()}, ground truth {sample.anchor_target_ids[-1]}")
 
-print("\n= Feature row norms, F_1 (input) through F_4 " + "=" * 19)
-responses = dump_block_responses(model, sample)
-print(header)
-for level, norms in enumerate(responses, start=1):
-    cells = "".join(f"  {v:10.4f}" for v in norms)
-    print(f"  F_{level}      {cells}")
-
-print("\neach block ends in a layer norm, so with freshly initialized unit")
-print("gains every F_2.. row norm sits at sqrt(d); training moves the gains")
-print("and spreads the rows.  numpy.savetxt or any notebook can plot both")
-print("tables from these arrays.")
-assert len(responses) == model.cfg.b + 1
-assert all(r.shape == (len(sample.scene),) for r in responses)
-assert all(np.isfinite(r).all() for r in responses)
+print("\nthe model is freshly initialized, so the top proposals are still")
+print("arbitrary; after warm-up each block's top proposal should match its")
+print("anchor (demo 03 trains one).")
+assert len(out.scores_per_block) == model.cfg.b == len(sample.anchor_target_ids)
+assert all(np.isfinite(s.data).all() for s in out.scores_per_block)

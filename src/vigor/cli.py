@@ -40,7 +40,7 @@ from .records import (
     record_from_sample,
     write_records,
 )
-from .scene import ClassVocab
+from .scene import RELATIONS, ClassVocab
 from .synthgen import (
     DEFAULT_CLASS_NAMES,
     GenConfig,
@@ -314,7 +314,7 @@ def cmd_verify(args) -> int:
             )
             continue
         text = record.description.lower()
-        relations = [w for w in ("farthest", "nearest") if w in text]
+        relations = [w for w in RELATIONS if w in text]
         if len(relations) != 1:
             failures.append(f"record {i}: expected exactly one relation word, got {relations}")
             continue
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenes", type=int, required=True, help="number of samples")
     p.add_argument("--proposals", type=_proposal_range, default=(5, 9), metavar="MIN:MAX")
     p.add_argument("--order-len", type=int, default=2)
-    p.add_argument("--relation", choices=("farthest", "nearest"), default="farthest")
+    p.add_argument("--relation", choices=RELATIONS, default="farthest")
     p.add_argument("--style", choices=("template", "natural"), default="template")
     p.add_argument("--points", type=int, default=16, help="points per proposal")
     p.add_argument("--vocab-size", type=int, default=12)

@@ -1,4 +1,4 @@
-"""Accuracy, subset breakdowns, and per-block response dumps.
+"""Accuracy and subset breakdowns.
 
 Evaluation items are duck-typed: anything with a scene, a description, a
 `target_id`, and optionally a stored `order`.  Records' examples and
@@ -26,7 +26,6 @@ __all__ = [
     "accuracy",
     "order_length_bucket",
     "distractor_bucket",
-    "dump_block_responses",
 ]
 
 def _raw_order(item, parser: Callable[[str], Sequence[str]] | None) -> list[str]:
@@ -161,14 +160,3 @@ def accuracy(
         config=dict(config or {}),
         parse_failures=parse_failures,
     )
-
-
-def dump_block_responses(
-    model: GroundingModel,
-    item,
-    parser: Callable[[str], Sequence[str]] | None = None,
-) -> list[np.ndarray]:
-    """Row norms of F_1..F_{B+1}: B+1 vectors of length K, for plotting."""
-    order = trim_pad(_raw_order(item, parser), model.cfg.b)
-    out = model.forward(item.scene, order, item.description)
-    return [np.linalg.norm(f.matrix.data, axis=1) for f in out.features]

@@ -22,15 +22,14 @@ masks.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import tensor as tt
 from .errors import ContractError
-from .scene import ClassVocab, RelevanceMask, Scene, build_mask
+from .scene import ClassVocab, RelevanceMask, Scene, build_mask, tokenize
 from .synthgen import TEMPLATE_WORDS
 from .tensor import Tensor
 
@@ -53,10 +52,6 @@ __all__ = [
 UNK_TOKEN = "<unk>"
 
 
-def tokenize(text: str) -> list[str]:
-    return re.findall(r"[a-z0-9]+", text.lower())
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     d: int = 32
@@ -68,6 +63,11 @@ class ModelConfig:
     class_vocab_size: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # type(), not isinstance: a bool is an int subclass but no valid value.
+            if type(value) is not int:
+                raise ContractError(f"{f.name} must be an integer, got {value!r}")
         if self.n_heads < 1 or self.d < 1 or self.d % self.n_heads != 0:
             raise ContractError("d and n_heads must be positive, and d divisible by n_heads")
         if self.b < 1:

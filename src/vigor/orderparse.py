@@ -29,7 +29,7 @@ from .errors import (
     EndpointError,
     OrderParseError,
 )
-from .scene import ClassVocab
+from .scene import ClassVocab, tokenize
 
 __all__ = [
     "ParsedOrder",
@@ -162,7 +162,7 @@ def parse_appearance_order(description: str, vocab: ClassVocab) -> ParsedOrder:
     Longest match wins at each position, so "water bottle" is preferred
     over a hypothetical "bottle" entry; matched words are consumed.
     """
-    tokens = re.findall(r"[a-z0-9]+", description.lower())
+    tokens = tokenize(description)
     by_tokens = {tuple(name.split()): name for name in vocab.names}
     max_len = max((len(t) for t in by_tokens), default=0)
     names: list[str] = []

@@ -29,6 +29,11 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    # type(), not isinstance: a bool is an int subclass but no valid id.
+    return type(value) is int
+
+
 @dataclass
 class DatasetRecord:
     scene_id: str
@@ -60,9 +65,13 @@ class DatasetRecord:
             center = np.asarray(prop["center"], dtype=np.float64)
             if center.shape != (3,):
                 raise ValidationError(f"proposal {i} center must be [x, y, z]")
+            if not _is_int(prop["id"]):
+                raise ValidationError(f"proposal {i} id must be an integer, got {prop['id']!r}")
             ids.append(prop["id"])
         if sorted(ids) != list(range(len(ids))):
             raise ValidationError(f"proposal ids must cover 0..K-1, got {sorted(ids)}")
+        if not _is_int(self.target_id):
+            raise ValidationError(f"target id must be an integer, got {self.target_id!r}")
         if self.target_id not in ids:
             raise ValidationError(
                 f"target id {self.target_id} is not a proposal id"
@@ -72,7 +81,7 @@ class DatasetRecord:
                 raise ValidationError(
                     "anchor_ids must name one proposal per order position"
                 )
-            bad = [a for a in self.anchor_ids if a not in ids]
+            bad = [a for a in self.anchor_ids if not _is_int(a) or a not in ids]
             if bad:
                 raise ValidationError(f"anchor ids {bad} are not proposal ids")
             if self.anchor_ids[-1] != self.target_id:
@@ -95,11 +104,9 @@ class DatasetRecord:
                 proposals=list(blob["proposals"]),
                 description=blob["description"],
                 order=list(blob["order"]),
-                target_id=int(blob["target_id"]),
+                target_id=blob["target_id"],
                 anchor_ids=(
-                    [int(a) for a in blob["anchor_ids"]]
-                    if blob.get("anchor_ids") is not None
-                    else None
+                    list(blob["anchor_ids"]) if blob.get("anchor_ids") is not None else None
                 ),
             )
         except KeyError as exc:

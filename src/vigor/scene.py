@@ -9,6 +9,7 @@ are invariant to duplication and permutation of the suffix.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -24,11 +25,18 @@ __all__ = [
     "build_mask",
     "relation_select",
     "permute_scene",
+    "tokenize",
 ]
 
 log = logging.getLogger(__name__)
 
 RELATIONS = ("farthest", "nearest")
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercase alphanumeric words: how the word vocabulary, the text
+    encoder and the rule parser all split text."""
+    return re.findall(r"[a-z0-9]+", text.lower())
 
 
 def _norm_name(name: str) -> str:

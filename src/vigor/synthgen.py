@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import AmbiguityError, ContractError, GenerationError, SkipSample
-from .scene import ClassVocab, Proposal, Scene, relation_select
+from .scene import RELATIONS, ClassVocab, Proposal, Scene, relation_select, tokenize
 
 __all__ = [
     "DEFAULT_CLASS_NAMES",
@@ -87,7 +87,7 @@ class GenConfig:
             raise ContractError("need 1 <= proposals_min <= proposals_max")
         if self.order_len < 2:
             raise ContractError("order_len must be at least 2")
-        if self.relation not in ("farthest", "nearest"):
+        if self.relation not in RELATIONS:
             raise ContractError(f"unknown relation {self.relation!r}")
         if self.style not in ("template", "natural"):
             raise ContractError(f"unknown style {self.style!r}")
@@ -174,11 +174,8 @@ def sample_scene(cfg: GenConfig, rng: np.random.Generator, budget: int = 1000) -
 # Canonical chained template.  Clause layout by order length B:
 #   B=2: opener + final clause referencing O1 directly
 #   B>=3: opener + "find the O2 ... to it" + chained clauses + final clause
-_REL_WORDS = ("farthest", "nearest")
-
-
 def render_description(order: list[str], relation: str) -> str:
-    if relation not in _REL_WORDS:
+    if relation not in RELATIONS:
         raise ContractError(f"unknown relation {relation!r}")
     if len(order) < 2:
         raise ContractError("the template needs at least two order elements")
@@ -226,16 +223,14 @@ _NATURAL_VARIANTS = (_variant_1, _variant_2, _variant_3)
 
 
 def _collect_template_words() -> tuple[str, ...]:
-    import re
-
     probe = ["alpha", "beta", "gamma", "delta"]
-    texts = [render_description(probe, r) for r in _REL_WORDS]
+    texts = [render_description(probe, r) for r in RELATIONS]
     for fn in _NATURAL_VARIANTS:
-        for r in _REL_WORDS:
+        for r in RELATIONS:
             texts.append(fn(probe, r))
     words = set()
     for t in texts:
-        words.update(re.findall(r"[a-z0-9]+", t.lower()))
+        words.update(tokenize(t))
     words -= set(probe)
     return tuple(sorted(words))
 
@@ -365,7 +360,7 @@ def sample_at(cfg: GenConfig, index: int, budget: int = 100) -> WarmupSample:
     rng = np.random.default_rng((cfg.seed, index))
     relation = cfg.relation
     if cfg.style == "natural":
-        relation = ("farthest", "nearest")[int(rng.integers(0, 2))]
+        relation = RELATIONS[int(rng.integers(0, len(RELATIONS)))]
     for _ in range(budget):
         scene = sample_scene(cfg, rng)
         scene.scene_id = f"scene-{cfg.seed}-{index}"

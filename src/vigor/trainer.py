@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"VGRC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -260,15 +260,9 @@ class Checkpoint:
     main_done: int
 
 
-def _write_array(f, arr: np.ndarray) -> None:
-    blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    f.write(struct.pack("<Q", len(blob)))
-    f.write(blob)
-
-
 def _read_exact(f, n: int) -> bytes:
-    # A length field is checked against the bytes left before reading, so
-    # a corrupt one cannot ask for more memory than the file holds.
+    # A length is checked against the bytes left before reading, so a
+    # corrupt header cannot ask for more memory than the file holds.
     left = os.fstat(f.fileno()).st_size - f.tell()
     if n > left:
         raise CheckpointError(f"truncated checkpoint: wanted {n} bytes, {left} left")
@@ -278,17 +272,18 @@ def _read_exact(f, n: int) -> bytes:
     return data
 
 
+def _count(header: dict, key: str) -> int:
+    value = header[key]
+    # type(), not isinstance: a bool is an int subclass but no valid count.
+    if type(value) is not int or value < 0:
+        raise CheckpointError(f"header {key} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def save_checkpoint(path, model: GroundingModel, state: TrainState) -> None:
-    groups = (
-        ("params", model.params),
-        ("adam_m", state.adam.m),
-        ("adam_v", state.adam.v),
-    )
-    manifest = [
-        {"group": group, "name": name, "shape": list(arrs[name].shape)}
-        for group, arrs in groups
-        for name in sorted(arrs)
-    ]
+    """Write magic, version, a JSON header, then every parameter as raw
+    `<f8` in `param_layout` order, followed by Adam's m and v in the same
+    order once the optimizer has stepped (`adam_t > 0`)."""
     header = {
         "model": asdict(model.cfg),
         "class_names": list(model.class_vocab.names),
@@ -297,21 +292,19 @@ def save_checkpoint(path, model: GroundingModel, state: TrainState) -> None:
         "rng_state": state.rng.bit_generator.state,
         "warmup_done": state.warmup_done,
         "main_done": state.main_done,
-        "arrays": manifest,
     }
     blob = json.dumps(header).encode("utf-8")
-    by_group = dict(groups)
+    groups = (model.params, state.adam.m, state.adam.v) if state.adam.t else (model.params,)
     # Written beside the target and renamed over it, so a failed save
     # leaves any checkpoint already at `path` as it was.
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", CHECKPOINT_VERSION))
-            f.write(struct.pack("<Q", len(blob)))
+            f.write(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
             f.write(blob)
-            for entry in manifest:
-                _write_array(f, by_group[entry["group"]][entry["name"]])
+            for group in groups:
+                for name, _, _ in param_layout(model.cfg):
+                    f.write(np.ascontiguousarray(group[name], dtype="<f8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -320,6 +313,13 @@ def save_checkpoint(path, model: GroundingModel, state: TrainState) -> None:
 
 
 def load_checkpoint(path, expect: ModelConfig | None = None) -> Checkpoint:
+    """Read a checkpoint; its header's config implies every array's shape.
+
+    The layout is walked lazily and each array is checked against the
+    bytes left before it is read, so a corrupt config (a huge `b` or `d`)
+    costs no more than the file.  A config that does not match the file
+    shows as truncation or as trailing bytes.
+    """
     with open(path, "rb") as f:
         if _read_exact(f, 4) != CHECKPOINT_MAGIC:
             raise CheckpointError("not a checkpoint file (bad magic)")
@@ -344,32 +344,26 @@ def load_checkpoint(path, expect: ModelConfig | None = None) -> Checkpoint:
                 params={},
                 adam_m={},
                 adam_v={},
-                adam_t=int(header["adam_t"]),
+                adam_t=_count(header, "adam_t"),
                 rng_state=header["rng_state"],
-                warmup_done=int(header["warmup_done"]),
-                main_done=int(header["main_done"]),
+                warmup_done=_count(header, "warmup_done"),
+                main_done=_count(header, "main_done"),
             )
-            manifest = [
-                (e["group"], e["name"], tuple(int(n) for n in e["shape"])) for e in header["arrays"]
-            ]
+            layout = replace(
+                ckpt.cfg,
+                word_vocab_size=len(ckpt.word_tokens),
+                class_vocab_size=len(ckpt.class_names),
+            )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
-        groups = {"params": ckpt.params, "adam_m": ckpt.adam_m, "adam_v": ckpt.adam_v}
-        for group, name, shape in manifest:
-            if group not in groups:
-                raise CheckpointError(f"array {name}: unknown group {group!r}")
-            if any(n < 0 for n in shape):
-                raise CheckpointError(f"array {name}: negative dimension in {shape}")
-            (blen,) = struct.unpack("<Q", _read_exact(f, 8))
-            # Python ints: np.prod wraps around on a huge shape.
-            want = math.prod(shape) * 8
-            if blen != want:
-                raise CheckpointError(f"array {name}: length {blen} != shape {shape}")
-            arr = np.frombuffer(_read_exact(f, blen), dtype="<f8").reshape(shape)
-            groups[group][name] = arr.astype(np.float64)
+        groups = (ckpt.params, ckpt.adam_m, ckpt.adam_v) if ckpt.adam_t else (ckpt.params,)
+        for group in groups:
+            for name, shape, _ in param_layout(layout):
+                # Python ints: np.prod wraps around on a huge shape.
+                data = _read_exact(f, 8 * math.prod(shape))
+                group[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
         if f.read(1):
-            raise CheckpointError("trailing bytes after the last array")
-    _check_layout(ckpt)
+            raise CheckpointError("trailing bytes after the arrays the header's config implies")
     if expect is not None:
         for name in ("d", "b", "n_heads", "points_per_proposal"):
             got, want = getattr(ckpt.cfg, name), getattr(expect, name)
@@ -378,31 +372,6 @@ def load_checkpoint(path, expect: ModelConfig | None = None) -> Checkpoint:
                     f"checkpoint {name}={got} does not match requested {name}={want}"
                 )
     return ckpt
-
-
-def _check_layout(ckpt: Checkpoint) -> None:
-    """Refuse arrays other than those the header's config gives a model.
-
-    The layout is walked lazily and stops at the first mismatch, so a
-    corrupt config (a huge `b` or `d`) costs no more than the arrays read.
-    """
-    cfg = replace(
-        ckpt.cfg, word_vocab_size=len(ckpt.word_tokens), class_vocab_size=len(ckpt.class_names)
-    )
-    implied = 0
-    for name, shape, _ in param_layout(cfg):
-        got = ckpt.params.get(name)
-        if got is None or got.shape != shape:
-            found = "no array" if got is None else f"shape {got.shape}"
-            raise CheckpointError(f"config implies params {name} of shape {shape}, found {found}")
-        implied += 1
-    if implied != len(ckpt.params):
-        extra = len(ckpt.params) - implied
-        raise CheckpointError(f"{extra} params arrays that the config does not imply")
-    for group, moments in (("adam_m", ckpt.adam_m), ("adam_v", ckpt.adam_v)):
-        for name, arr in moments.items():
-            if name not in ckpt.params or arr.shape != ckpt.params[name].shape:
-                raise CheckpointError(f"{group} {name} matches no parameter of that shape")
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> tuple[GroundingModel, TrainState]:

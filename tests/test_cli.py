@@ -270,17 +270,21 @@ def eval_setup(tmp_path, scenes):
     return data, ckpt
 
 
+def edit_header(mutate):
+    return lambda path: rewrite_checkpoint_header(path, mutate)
+
+
 MALFORMED_CHECKPOINTS = {
-    "unknown-group": lambda p: rewrite_checkpoint_header(
-        p, lambda h: h["arrays"][0].update(group="bogus")
-    ),
-    "missing-arrays": lambda p: rewrite_checkpoint_header(p, lambda h: h.pop("arrays")),
-    "extra-model-key": lambda p: rewrite_checkpoint_header(
-        p, lambda h: h["model"].update(bogus=1)
-    ),
-    "config-mismatch": lambda p: rewrite_checkpoint_header(
-        p, lambda h: h["model"].update(b=3)
-    ),
+    "extra-model-key": edit_header(lambda h: h["model"].update(bogus=1)),
+    "config-mismatch": edit_header(lambda h: h["model"].update(b=3)),
+    "negative-step": edit_header(lambda h: h.update(adam_t=-1)),
+    "negative-warmup-done": edit_header(lambda h: h.update(warmup_done=-3)),
+    "fractional-warmup-done": edit_header(lambda h: h.update(warmup_done=2.7)),
+    "string-main-done": edit_header(lambda h: h.update(main_done="3")),
+    "float-blocks": edit_header(lambda h: h["model"].update(b=2.0)),
+    "float-width": edit_header(lambda h: h["model"].update(d=8.0)),
+    "bool-heads": edit_header(lambda h: h["model"].update(n_heads=True)),
+    "trailing-byte": lambda path: path.write_bytes(path.read_bytes() + b"\0"),
     **CORRUPT_LENGTHS,
 }
 

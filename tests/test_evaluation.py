@@ -1,4 +1,4 @@
-"""Tests for the evaluation harness: accuracy, subsets, response dumps."""
+"""Tests for the evaluation harness: accuracy and subsets."""
 
 import json
 from dataclasses import dataclass
@@ -11,7 +11,6 @@ from vigor.evaluation import (
     EvalReport,
     accuracy,
     distractor_bucket,
-    dump_block_responses,
     order_length_bucket,
 )
 from vigor.model import GroundingModel, ModelConfig
@@ -274,18 +273,3 @@ def test_report_json_roundtrip():
         v["count"] for k, v in blob["subsets"].items() if k.startswith("order_length:")
     )
     assert total == blob["count"]
-
-
-# ---------------------------------------------------------------------------
-# block responses
-
-
-def test_dump_block_responses_shapes_and_determinism():
-    model = tiny_model()
-    item = items(1)[0]
-    dumps = dump_block_responses(model, item)
-    assert len(dumps) == model.cfg.b + 1
-    assert all(v.shape == (len(item.scene),) for v in dumps)
-    assert all((v >= 0).all() for v in dumps)
-    again = dump_block_responses(model, item)
-    assert all(np.array_equal(a, b) for a, b in zip(dumps, again))

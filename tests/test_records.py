@@ -90,6 +90,38 @@ def test_record_rejects_unknown_fields_and_bad_ids():
         DatasetRecord.from_dict(blob)
 
 
+def fractional_target(blob):
+    blob.update(target_id=blob["target_id"] + 0.9, anchor_ids=None)
+
+
+def string_target(blob):
+    blob.update(target_id=str(blob["target_id"]), anchor_ids=None)
+
+
+def fractional_anchors(blob):
+    blob["anchor_ids"] = [a + 0.7 for a in blob["anchor_ids"]]
+
+
+def bool_proposal_id(blob):
+    blob["proposals"][1]["id"] = True
+
+
+def float_proposal_id(blob):
+    blob["proposals"][1]["id"] = 1.0
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [fractional_target, string_target, fractional_anchors, bool_proposal_id, float_proposal_id],
+)
+def test_record_ids_must_be_json_integers(mutate):
+    """int() once truncated 2.9 to 2 and parsed "2"; True and 1.0 passed as id 1."""
+    blob = record_blob()
+    mutate(blob)
+    with pytest.raises(ValidationError, match="integer|not proposal ids"):
+        DatasetRecord.from_dict(blob)
+
+
 def test_record_rejects_bad_points():
     blob = record_blob()
     blob["proposals"][0]["points"] = [[1.0, 2.0, 3.0]]  # xyz only, no color

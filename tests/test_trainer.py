@@ -308,18 +308,46 @@ def test_checkpoint_version_mismatch_refused(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_unknown_array_group_refused(tmp_path):
+def test_checkpoint_v1_file_refused(tmp_path):
     _, _, path = trained_pair(tmp_path)
-    rewrite_checkpoint_header(path, lambda h: h["arrays"][0].update(group="bogus"))
-    with pytest.raises(CheckpointError, match="unknown group"):
+    blob = path.read_bytes()
+    path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+    with pytest.raises(CheckpointError, match=r"version 1 unsupported \(expected 2\)"):
         load_checkpoint(path)
 
 
-def test_checkpoint_missing_arrays_field_refused(tmp_path):
+def test_checkpoint_trailing_byte_refused(tmp_path):
     _, _, path = trained_pair(tmp_path)
-    rewrite_checkpoint_header(path, lambda h: h.pop("arrays"))
-    with pytest.raises(CheckpointError, match="arrays"):
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(CheckpointError, match="trailing bytes"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("steps", [0, 2])
+def test_checkpoint_layout_is_header_then_arrays_in_config_order(tmp_path, steps):
+    """Magic, version and header length, the header, then every parameter
+    as raw <f8 in param_layout order; Adam's m and v follow once it stepped."""
+    model = tiny_model()
+    _, state = warmup_stage(model, GEN, TrainConfig(warmup_steps=steps, batch_size=2, seed=4))
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, model, state)
+    (hlen,) = struct.unpack("<Q", path.read_bytes()[8:16])
+    n = sum(int(np.prod(shape)) for _, shape, _ in param_layout(model.cfg))
+    assert path.stat().st_size == 16 + hlen + 8 * n * (3 if steps else 1)
+    body = np.frombuffer(path.read_bytes()[16 + hlen :], dtype="<f8")
+    flat = np.concatenate([model.params[name].ravel() for name, _, _ in param_layout(model.cfg)])
+    assert np.array_equal(body[:n], flat)
+    ckpt = load_checkpoint(path)
+    assert ckpt.adam_t == state.adam.t == steps
+    if steps:
+        m = np.concatenate([state.adam.m[name].ravel() for name, _, _ in param_layout(model.cfg)])
+        assert np.array_equal(body[n : 2 * n], m)
+    else:
+        assert ckpt.adam_m == ckpt.adam_v == {}
+    restored, rstate = model_from_checkpoint(ckpt)
+    assert params_equal(model.params, restored.params)
+    assert params_equal(state.adam.m, rstate.adam.m)
+    assert params_equal(state.adam.v, rstate.adam.v)
 
 
 def test_checkpoint_extra_model_key_refused(tmp_path):
@@ -336,21 +364,42 @@ def test_checkpoint_extra_model_key_refused(tmp_path):
         lambda h: h["rng_state"].pop("state"),
         lambda h: h.update(adam_t=float("inf")),
         lambda h: h["model"].update(n_heads=0),
+        # a negative step would divide by 1 - 0.9**0 on the first resumed step
+        lambda h: h.update(adam_t=-1),
+        lambda h: h.update(adam_t=2.0),
+        lambda h: h.update(adam_t=True),
+        lambda h: h.update(warmup_done=-3),
+        lambda h: h.update(warmup_done=2.7),
+        lambda h: h.update(main_done="3"),
+        lambda h: h.pop("main_done"),
+        lambda h: h["model"].update(b=2.0),
+        lambda h: h["model"].update(d=8.0),
+        lambda h: h["model"].update(n_heads=True),
+        lambda h: h["model"].update(seed="0"),
     ],
-    ids=["rng-generator", "rng-missing-state", "infinite-step", "zero-heads"],
+    ids=[
+        "rng-generator",
+        "rng-missing-state",
+        "infinite-step",
+        "zero-heads",
+        "negative-step",
+        "float-step",
+        "bool-step",
+        "negative-warmup-done",
+        "fractional-warmup-done",
+        "string-main-done",
+        "missing-main-done",
+        "float-blocks",
+        "float-width",
+        "bool-heads",
+        "string-seed",
+    ],
 )
 def test_checkpoint_bad_header_value_refused(tmp_path, mutate):
     _, _, path = trained_pair(tmp_path)
     rewrite_checkpoint_header(path, mutate)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
-
-
-def rename_last(group, name):
-    def mutate(header):
-        [e for e in header["arrays"] if e["group"] == group][-1].update(name=name)
-
-    return mutate
 
 
 @pytest.mark.parametrize(
@@ -361,11 +410,10 @@ def rename_last(group, name):
         lambda h: h["model"].update(d=4),
         lambda h: h["word_tokens"].append("zyzzyva"),
         lambda h: h["class_names"].pop(),
-        rename_last("params", "fe0.self.bk"),
-        rename_last("adam_m", "bogus"),
-        rename_last("adam_v", "emb"),
-        # a lazy layout walk stops at the first missing array, so these
-        # cost no more than the few arrays in the file
+        # moments follow the parameters only when adam_t > 0
+        lambda h: h.update(adam_t=0),
+        # a lazy layout walk stops at the first array the file cannot
+        # hold, so these cost no more than the bytes in the file
         lambda h: h["model"].update(b=10**9),
         lambda h: h["model"].update(d=2 * 10**9),
     ],
@@ -375,9 +423,7 @@ def rename_last(group, name):
         "narrower",
         "extra-word",
         "missing-class",
-        "unknown-param",
-        "unknown-moment",
-        "moment-shape",
+        "moments-without-step",
         "huge-b",
         "huge-d",
     ],
@@ -402,17 +448,30 @@ def test_failed_save_keeps_the_old_checkpoint(tmp_path, monkeypatch):
     model, state, path = trained_pair(tmp_path)
     before = path.read_bytes()
     warmup_stage(model, GEN, TrainConfig(warmup_steps=1, batch_size=2, seed=4), state)
-    real, written = trainer._write_array, []
+    writes = []
 
-    def fail_midway(f, arr):
-        if len(written) == 3:
-            raise OSError("disk full")
-        written.append(arr)
-        real(f, arr)
+    class DiskFull:
+        """A file that accepts the header and three arrays, then fails."""
 
-    monkeypatch.setattr(trainer, "_write_array", fail_midway)
+        def __init__(self, *args):
+            self.f = open(*args)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            if len(writes) == 5:
+                raise OSError("disk full")
+            writes.append(data)
+            self.f.write(data)
+
+    monkeypatch.setattr(trainer, "open", DiskFull, raising=False)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, model, state)
+    assert len(writes) == 5  # the failure came partway through the arrays
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
 
