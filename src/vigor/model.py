@@ -23,7 +23,7 @@ masks.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -240,18 +240,24 @@ def param_layout(cfg: ModelConfig):
     yield from _linear_layout("head.text.2", d, cfg.class_vocab_size)
 
 
-def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
+def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, int]]]:
+    """(name, shape) of every parameter in `param_layout` order: the layout
+    of the one vector a model's parameters are views into."""
+    return [(name, shape) for name, shape, _ in param_layout(cfg)]
+
+
+def init_params(cfg: ModelConfig) -> tt.FlatParams:
     if cfg.word_vocab_size < 1 or cfg.class_vocab_size < 1:
         raise ContractError("vocab sizes must be finalized before initialization")
     rng = np.random.default_rng(cfg.seed)
-    p: dict[str, np.ndarray] = {}
-    for name, shape, init in param_layout(cfg):
-        if init == "zeros":
-            p[name] = np.zeros(shape)
-        elif init == "ones":
-            p[name] = np.ones(shape)
-        else:
-            p[name] = rng.normal(0.0, init, size=shape)
+    layout = list(param_layout(cfg))
+    p = tt.FlatParams((name, shape) for name, shape, _ in layout)
+    for (_, shape, init), view in zip(layout, p.values()):
+        # The vector starts at zero; one draw per normal array, in layout order.
+        if init == "ones":
+            view.fill(1.0)
+        elif init != "zeros":
+            view[...] = rng.normal(0.0, init, size=shape)
     return p
 
 
@@ -463,7 +469,7 @@ class GroundingModel:
         cfg: ModelConfig,
         class_vocab: ClassVocab,
         word_vocab: WordVocab | None = None,
-        params: dict[str, np.ndarray] | None = None,
+        params: Mapping[str, np.ndarray] | None = None,
     ):
         word_vocab = word_vocab or WordVocab.build(class_vocab)
         cfg = replace(
@@ -472,7 +478,27 @@ class GroundingModel:
         self.cfg = cfg
         self.class_vocab = class_vocab
         self.word_vocab = word_vocab
-        self.params = params if params is not None else init_params(cfg)
+        # A FlatParams in this config's layout is adopted, not copied (a
+        # loaded checkpoint's vector); any other mapping is copied into a new
+        # vector after its names and shapes are checked.
+        if params is None:
+            self._params = init_params(cfg)
+        elif isinstance(params, tt.FlatParams) and params.layout() == _param_shapes(cfg):
+            self._params = params
+        else:
+            self._params = tt.FlatParams(_param_shapes(cfg))
+            self._params.assign(params)
+
+    @property
+    def params(self) -> tt.FlatParams:
+        """Every parameter, as named views into one vector in `param_layout` order."""
+        return self._params
+
+    @params.setter
+    def params(self, arrays) -> None:
+        # In place: the views the vector already has stay valid, and no
+        # second copy of the parameters is held.
+        self._params.assign(arrays)
 
     def trainable(self) -> dict[str, Tensor]:
         """Wrap parameters as tape leaves (one wrap per training step)."""

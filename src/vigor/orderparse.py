@@ -159,11 +159,18 @@ def load_transcript(path) -> CannedTransport:
 def parse_appearance_order(description: str, vocab: ClassVocab) -> ParsedOrder:
     """Collect vocabulary class names in first-appearance order.
 
-    Longest match wins at each position, so "water bottle" is preferred
-    over a hypothetical "bottle" entry; matched words are consumed.
+    Names and the description are split by the same `tokenize`, so
+    "tv-stand" matches the words "tv stand".  Longest match wins at each
+    position, so "water bottle" is preferred over a hypothetical "bottle"
+    entry; matched words are consumed.  Two names with the same words
+    raise `ContractError`, since the text cannot tell them apart.
     """
     tokens = tokenize(description)
-    by_tokens = {tuple(name.split()): name for name in vocab.names}
+    by_tokens: dict[tuple[str, ...], str] = {}
+    for name in vocab.names:
+        other = by_tokens.setdefault(tuple(tokenize(name)), name)
+        if other != name:
+            raise ContractError(f"class names {other!r} and {name!r} tokenize to the same words")
     max_len = max((len(t) for t in by_tokens), default=0)
     names: list[str] = []
     seen: set[str] = set()

@@ -17,8 +17,10 @@ matrix never mix: `attention` (one id per query row and per key row) and
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -50,6 +52,7 @@ __all__ = [
     "layer_norm",
     "take_rows",
     "max_rows_per_block",
+    "FlatParams",
     "AdamState",
     "adam_step",
     "GradCheckReport",
@@ -693,44 +696,161 @@ def max_rows_per_block(x: Tensor, block: int) -> Tensor:
 # optimizer
 
 
+class FlatParams(Mapping[str, np.ndarray]):
+    """Named float64 arrays stored as views into one flat vector.
+
+    `vector` holds every entry, array after array in layout order, and
+    `self[name]` is a view of its slice, so a write through either shows
+    in the other.  Whole-vector ops (an optimizer step, a finiteness scan)
+    run on `vector`; name lookups, as the model's forward makes them, run
+    on the views.  Copies (`copy.deepcopy`, pickling) copy the vector once
+    and rebuild the views, so a copy never shares memory with its source.
+    """
+
+    __slots__ = ("vector", "_views")
+
+    def __init__(
+        self, layout: Iterable[tuple[str, tuple[int, ...]]], vector: np.ndarray | None = None
+    ):
+        """Views in `layout` order, (name, shape) pairs, into `vector`, or
+        into a new zero vector when none is given."""
+        layout = list(layout)
+        ends = list(itertools.accumulate(math.prod(shape) for _, shape in layout))
+        size = ends[-1] if ends else 0
+        if vector is None:
+            vector = np.zeros(size)
+        elif (
+            vector.shape != (size,)
+            or vector.dtype != np.float64
+            or not vector.flags.c_contiguous
+        ):
+            raise ShapeError(
+                f"layout needs a contiguous float64 vector of {size}, "
+                f"got {vector.dtype} {vector.shape}"
+            )
+        self.vector = vector
+        self._views: dict[str, np.ndarray] = {}
+        start = 0
+        for (name, shape), end in zip(layout, ends):
+            self._views[name] = vector[start:end].reshape(shape)
+            start = end
+        if len(self._views) != len(layout):
+            raise ContractError("layout names must be distinct")
+
+    def layout(self) -> list[tuple[str, tuple[int, ...]]]:
+        return [(name, view.shape) for name, view in self._views.items()]
+
+    def zeros_like(self) -> "FlatParams":
+        return FlatParams(self.layout())
+
+    def assign(self, arrays: Mapping[str, np.ndarray]) -> None:
+        """Copy `arrays` into this vector in place, after checking that
+        they name every array of the layout, and only those, at its shape."""
+        if arrays.keys() != self._views.keys():
+            missing = sorted(self._views.keys() - arrays.keys())
+            extra = sorted(arrays.keys() - self._views.keys())
+            raise ContractError(f"parameter names differ: missing {missing}, unexpected {extra}")
+        for name, view in self._views.items():
+            if np.shape(arrays[name]) != view.shape:
+                raise ContractError(
+                    f"{name} has shape {np.shape(arrays[name])}, layout needs {view.shape}"
+                )
+        for name, view in self._views.items():
+            view[...] = arrays[name]
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    # Mapping builds these from __getitem__ one name at a time; the dict's
+    # own views are the same in layout order and cost no Python call a name.
+    def keys(self):
+        return self._views.keys()
+
+    def values(self):
+        return self._views.values()
+
+    def items(self):
+        return self._views.items()
+
+    def __reduce__(self):
+        return FlatParams, (self.layout(), self.vector)
+
+    def __deepcopy__(self, memo) -> "FlatParams":
+        # The layout holds only strings and int tuples: no need to walk it.
+        return FlatParams(self.layout(), self.vector.copy())
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """Adam's moments and the shared step counter.
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    `m` and `v` read as `{}` until `moments` (the first `adam_step` calls
+    it) allocates each as one zero `FlatParams` vector in the parameters'
+    layout; a name then reads that parameter's moment.
+    """
+
+    m: Mapping[str, np.ndarray] = field(default_factory=dict)
+    v: Mapping[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
+
+    def moments(self, params: FlatParams) -> tuple[np.ndarray, np.ndarray]:
+        """The m and v vectors for `params`, allocated as zeros on first use."""
+        if not self.m:
+            self.m, self.v = params.zeros_like(), params.zeros_like()
+        m, v = self.m.vector, self.v.vector
+        if m.shape != params.vector.shape or v.shape != params.vector.shape:
+            raise ShapeError(
+                f"moments {m.shape} and {v.shape} != parameters {params.vector.shape}"
+            )
+        return m, v
+
+
+# Entries Adam updates per pass.  A block keeps each temporary at 64 KB, so
+# no parameter-sized scratch vector is held and the working set stays in
+# cache: at 101 433 entries (d=32, B=4) one step took 0.8 ms in blocks
+# against 1.2 ms as whole-vector passes on a 2-vCPU VM.
+_ADAM_BLOCK = 8192
 
 
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: Mapping[str, np.ndarray],
+    params: FlatParams,
+    grads: np.ndarray,
     state: AdamState,
     lr: float = 1e-3,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update, in place on `params`."""
+) -> None:
+    """One bias-corrected Adam update of the vector `params.vector`, in place.
+
+    `grads` is the flat gradient in the same order: the per-parameter
+    gradients concatenated in layout order.  The moments and the
+    parameters are updated in one pass over the vectors, block by block,
+    each entry as `p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`, operation
+    for operation, so the result equals updating each array on its own,
+    bit for bit.
+    """
+    p = params.vector
+    if grads.shape != p.shape:
+        raise ShapeError(f"gradient {grads.shape} != parameters {p.shape}")
+    m, v = state.moments(params)
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p)
-        v = state.v.get(name)
-        if v is None:
-            v = state.v[name] = np.zeros_like(p)
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-    return params, state
+    for lo in range(0, p.size, _ADAM_BLOCK):
+        block = slice(lo, lo + _ADAM_BLOCK)
+        g, mb, vb, pb = grads[block], m[block], v[block], p[block]
+        mb *= beta1
+        mb += (1.0 - beta1) * g
+        vb *= beta2
+        vb += (1.0 - beta2) * g * g
+        pb -= lr * (mb / bc1) / (np.sqrt(vb / bc2) + eps)
 
 
 # ---------------------------------------------------------------------------

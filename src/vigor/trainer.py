@@ -22,7 +22,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .model import GroundingModel, HeadOutputs, ModelConfig, WordVocab, param_la
 from .orderparse import order_names, trim_pad
 from .scene import ClassVocab, Scene
 from .synthgen import GenConfig, sample_at
-from .tensor import AdamState, GradCheckReport, adam_step, backward, grad_check
+from .tensor import AdamState, FlatParams, GradCheckReport, adam_step, backward, grad_check
 
 __all__ = [
     "TrainConfig",
@@ -156,9 +156,14 @@ def _train_step(
     The batch runs as one packed graph: one forward, one loss whose total
     is the sum of the samples' totals, one backward.  Label noise is drawn
     from `state.rng` per sample, in batch order.  A non-finite loss or
-    gradient raises before the update, leaving the parameters and the Adam
-    state untouched.
+    gradient raises before the update, leaving the parameters, Adam's
+    moments and its step count as they were (a first step may have
+    allocated the moments, as zeros).
     """
+    # Allocated before the step's graph rather than inside adam_step, so on
+    # a first step the two parameter-sized vectors do not land above the
+    # graph's memory, which would keep it from being returned (peak RSS).
+    state.adam.moments(model.params)
     leaves = model.trainable()
     items = [item for item, _ in batch]
     labels = [_maybe_noisy_labels(item.scene, train_cfg.label_noise, state.rng) for item in items]
@@ -173,13 +178,15 @@ def _train_step(
     grads = backward(batch_total, leaves)
     loss = batch_total.item()
     # nan passes LossBreakdown's nonnegativity check (nan < 0 is False), so
-    # this is the last stop before Adam writes it into the parameters.
+    # this is the last stop before Adam writes it into the parameters.  The
+    # gradients are concatenated in the parameter vector's order, so one
+    # scan checks them all and Adam updates the whole vector at once.
     flat = np.concatenate([g.reshape(-1) for g in grads.values()])
     if not (np.isfinite(flat).all() and np.isfinite(loss)):
         bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
         what = f"gradient for parameter {bad}" if bad else f"loss {loss}"
         raise NumericError(f"{stage} step {step}: non-finite {what}")
-    adam_step(model.params, grads, state.adam, lr=train_cfg.lr)
+    adam_step(model.params, flat, state.adam, lr=train_cfg.lr)
     return loss / train_cfg.batch_size
 
 
@@ -249,27 +256,51 @@ def main_stage(
 @dataclass
 class Checkpoint:
     cfg: ModelConfig
-    class_names: tuple[str, ...]
-    word_tokens: tuple[str, ...]
-    params: dict[str, np.ndarray]
-    adam_m: dict[str, np.ndarray]
-    adam_v: dict[str, np.ndarray]
+    class_vocab: ClassVocab
+    word_vocab: WordVocab
+    params: FlatParams
+    adam_m: Mapping[str, np.ndarray]  # FlatParams once adam_t > 0, else {}
+    adam_v: Mapping[str, np.ndarray]
     adam_t: int
     rng_state: dict
     warmup_done: int
     main_done: int
 
 
-def _read_exact(f, n: int) -> bytes:
+def _bytes_left(f) -> int:
+    return os.fstat(f.fileno()).st_size - f.tell()
+
+
+def _check_left(f, n: int) -> None:
     # A length is checked against the bytes left before reading, so a
     # corrupt header cannot ask for more memory than the file holds.
-    left = os.fstat(f.fileno()).st_size - f.tell()
+    left = _bytes_left(f)
     if n > left:
         raise CheckpointError(f"truncated checkpoint: wanted {n} bytes, {left} left")
+
+
+def _read_exact(f, n: int) -> bytes:
+    _check_left(f, n)
     data = f.read(n)
     if len(data) != n:
         raise CheckpointError(f"truncated checkpoint: wanted {n} bytes, got {len(data)}")
     return data
+
+
+def _read_group(f, layout: list[tuple[str, tuple[int, int]]], size: int) -> FlatParams:
+    """Read one group of `size` `<f8` values straight into its vector."""
+    _check_left(f, 8 * size)
+    vector = np.empty(size, dtype="<f8")
+    if f.readinto(vector) != 8 * size:
+        raise CheckpointError(f"truncated checkpoint: wanted {8 * size} bytes")
+    return FlatParams(layout, vector.astype(np.float64, copy=False))
+
+
+def _strings(header: dict, key: str) -> tuple[str, ...]:
+    value = header[key]
+    if type(value) is not list or any(type(s) is not str for s in value):
+        raise CheckpointError(f"header {key} must be a list of strings, got {value!r}")
+    return tuple(value)
 
 
 def _count(header: dict, key: str) -> int:
@@ -315,10 +346,14 @@ def save_checkpoint(path, model: GroundingModel, state: TrainState) -> None:
 def load_checkpoint(path, expect: ModelConfig | None = None) -> Checkpoint:
     """Read a checkpoint; its header's config implies every array's shape.
 
-    The layout is walked lazily and each array is checked against the
-    bytes left before it is read, so a corrupt config (a huge `b` or `d`)
-    costs no more than the file.  A config that does not match the file
-    shows as truncation or as trailing bytes.
+    The header's vocabularies are built here, so a malformed one fails as
+    a `CheckpointError`.  The layout is walked lazily and checked against
+    the bytes left, so a corrupt config (a huge `b` or `d`) costs no more
+    than the file.  Each group (the parameters, then Adam's m and v once
+    `adam_t > 0`) is read in one call straight into its own vector, and
+    the returned `params`, `adam_m` and `adam_v` are `FlatParams` views of
+    those vectors.  A config that does not match the file shows as
+    truncation or as trailing bytes.
     """
     with open(path, "rb") as f:
         if _read_exact(f, 4) != CHECKPOINT_MAGIC:
@@ -337,54 +372,59 @@ def load_checkpoint(path, expect: ModelConfig | None = None) -> Checkpoint:
             # model_from_checkpoint restores this state; try it here so a
             # bad one fails as a CheckpointError.
             np.random.default_rng(0).bit_generator.state = header["rng_state"]
-            ckpt = Checkpoint(
-                cfg=ModelConfig(**header["model"]),
-                class_names=tuple(header["class_names"]),
-                word_tokens=tuple(header["word_tokens"]),
-                params={},
-                adam_m={},
-                adam_v={},
-                adam_t=_count(header, "adam_t"),
-                rng_state=header["rng_state"],
-                warmup_done=_count(header, "warmup_done"),
-                main_done=_count(header, "main_done"),
-            )
-            layout = replace(
-                ckpt.cfg,
-                word_vocab_size=len(ckpt.word_tokens),
-                class_vocab_size=len(ckpt.class_names),
-            )
+            cfg = ModelConfig(**header["model"])
+            class_vocab = ClassVocab(_strings(header, "class_names"))
+            word_vocab = WordVocab(_strings(header, "word_tokens"))
+            adam_t = _count(header, "adam_t")
+            warmup_done = _count(header, "warmup_done")
+            main_done = _count(header, "main_done")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
-        groups = (ckpt.params, ckpt.adam_m, ckpt.adam_v) if ckpt.adam_t else (ckpt.params,)
-        for group in groups:
-            for name, shape, _ in param_layout(layout):
-                # Python ints: np.prod wraps around on a huge shape.
-                data = _read_exact(f, 8 * math.prod(shape))
-                group[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+        cfg = replace(cfg, word_vocab_size=len(word_vocab), class_vocab_size=len(class_vocab))
+        # The layout is walked lazily and given up as soon as the parameters
+        # alone outgrow the file, so a huge `b` or `d` costs no more than
+        # the bytes in it.  Python ints: np.prod wraps around on a huge shape.
+        left = _bytes_left(f)
+        layout, size = [], 0
+        for name, shape, _ in param_layout(cfg):
+            size += math.prod(shape)
+            if 8 * size > left:
+                raise CheckpointError(f"truncated checkpoint: the config needs over {left} bytes")
+            layout.append((name, shape))
+        params = _read_group(f, layout, size)
+        adam_m = adam_v = {}
+        if adam_t:
+            adam_m, adam_v = _read_group(f, layout, size), _read_group(f, layout, size)
         if f.read(1):
             raise CheckpointError("trailing bytes after the arrays the header's config implies")
     if expect is not None:
         for name in ("d", "b", "n_heads", "points_per_proposal"):
-            got, want = getattr(ckpt.cfg, name), getattr(expect, name)
+            got, want = getattr(cfg, name), getattr(expect, name)
             if got != want:
                 raise CheckpointError(
                     f"checkpoint {name}={got} does not match requested {name}={want}"
                 )
-    return ckpt
+    return Checkpoint(
+        cfg=cfg,
+        class_vocab=class_vocab,
+        word_vocab=word_vocab,
+        params=params,
+        adam_m=adam_m,
+        adam_v=adam_v,
+        adam_t=adam_t,
+        rng_state=header["rng_state"],
+        warmup_done=warmup_done,
+        main_done=main_done,
+    )
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> tuple[GroundingModel, TrainState]:
-    model = GroundingModel(
-        ckpt.cfg,
-        ClassVocab(ckpt.class_names),
-        word_vocab=WordVocab(ckpt.word_tokens),
-        params=dict(ckpt.params),
-    )
+    # The model and the state adopt the checkpoint's vectors: no copy.
+    model = GroundingModel(ckpt.cfg, ckpt.class_vocab, ckpt.word_vocab, params=ckpt.params)
     rng = np.random.default_rng(0)
     rng.bit_generator.state = ckpt.rng_state
     state = TrainState(
-        adam=AdamState(m=dict(ckpt.adam_m), v=dict(ckpt.adam_v), t=ckpt.adam_t),
+        adam=AdamState(m=ckpt.adam_m, v=ckpt.adam_v, t=ckpt.adam_t),
         rng=rng,
         warmup_done=ckpt.warmup_done,
         main_done=ckpt.main_done,

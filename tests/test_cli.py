@@ -6,6 +6,7 @@ import pytest
 
 import vigor.cli as cli
 from vigor.cli import main
+from vigor.errors import CheckpointError
 from vigor.model import GroundingModel, ModelConfig
 from vigor.records import read_records
 from vigor.synthgen import default_vocab
@@ -295,6 +296,25 @@ MALFORMED_CHECKPOINTS = {
 def test_eval_malformed_checkpoint_header_is_validation_error(tmp_path, capsys, corrupt):
     data, ckpt = eval_setup(tmp_path, scenes=1)
     corrupt(ckpt)
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--ckpt", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda h: h.update(class_names=[1, 2, 3, 4, 5, 6]),
+        lambda h: h["word_tokens"].reverse(),
+    ],
+    ids=["integer-class-names", "unk-not-first"],
+)
+def test_eval_malformed_checkpoint_vocabulary_is_checkpoint_error(tmp_path, capsys, mutate):
+    data, ckpt = eval_setup(tmp_path, scenes=1)
+    rewrite_checkpoint_header(ckpt, mutate)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(ckpt)
     capsys.readouterr()
     assert main(["eval", "--data", str(data), "--ckpt", str(ckpt)]) == 1
     err = capsys.readouterr().err

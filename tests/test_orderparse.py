@@ -66,6 +66,18 @@ def test_appearance_order_case_and_punctuation():
     assert list(parsed.names) == ["door", "water bottle"]
 
 
+def test_appearance_order_tokenizes_names_like_descriptions():
+    vocab = ClassVocab(("tv-stand", "chair"))
+    parsed = parse_appearance_order("the chair near the tv-stand", vocab)
+    assert list(parsed.names) == ["chair", "tv-stand"]
+
+
+def test_appearance_order_names_with_the_same_words_are_refused():
+    vocab = ClassVocab(("tv-stand", "chair", "tv stand"))
+    with pytest.raises(ContractError, match="'tv-stand' and 'tv stand'"):
+        parse_appearance_order("the chair near the tv stand", vocab)
+
+
 def test_round_trip_on_generated_templates():
     cfg = GenConfig(
         proposals_min=5,

@@ -4,6 +4,7 @@ Forward values are checked against independent scalar oracles (triple
 loops, math.exp on floats); gradients against central finite differences.
 """
 
+import copy
 import math
 from unittest import mock
 
@@ -786,8 +787,8 @@ def test_grad_check_reports_nonfinite():
 
 
 def test_adam_zero_gradient_keeps_params():
-    params = {"w": np.array([[1.0, 2.0]])}
-    grads = {"w": np.zeros((1, 2))}
+    params = T.FlatParams([("w", (1, 2))], np.array([1.0, 2.0]))
+    grads = np.zeros(2)
     state = T.AdamState()
     T.adam_step(params, grads, state, lr=0.1)
     assert np.array_equal(params["w"], [[1.0, 2.0]])
@@ -795,8 +796,8 @@ def test_adam_zero_gradient_keeps_params():
 
 
 def test_adam_first_step_is_lr_sized():
-    params = {"w": np.array([[0.0]])}
-    grads = {"w": np.array([[1.0]])}
+    params = T.FlatParams([("w", (1, 1))])
+    grads = np.array([1.0])
     state = T.AdamState()
     T.adam_step(params, grads, state, lr=0.1)
     # bias correction makes the first step ~lr regardless of gradient scale
@@ -807,10 +808,10 @@ def test_adam_against_sequential_oracle():
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
     rng = np.random.default_rng(5)
     gs = [rng.normal(size=(2, 2)) for _ in range(5)]
-    params = {"w": np.zeros((2, 2))}
+    params = T.FlatParams([("w", (2, 2))])
     state = T.AdamState()
     for g in gs:
-        T.adam_step(params, {"w": g}, state, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        T.adam_step(params, g.reshape(-1), state, lr=lr, beta1=b1, beta2=b2, eps=eps)
 
     # scalar re-derivation, element by element
     want = np.zeros((2, 2))
@@ -831,11 +832,115 @@ def test_adam_against_sequential_oracle():
 def test_adam_deterministic():
     def run():
         rng = np.random.default_rng(9)
-        params = {"w": rng.normal(size=(3, 3))}
+        params = T.FlatParams([("w", (3, 3))], rng.normal(size=9))
         state = T.AdamState()
         for _ in range(10):
             g = rng.normal(size=(3, 3))
-            T.adam_step(params, {"w": g}, state)
+            T.adam_step(params, g.reshape(-1), state)
         return params["w"]
 
     assert np.array_equal(run(), run())
+
+
+def per_array_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The update as it ran one array at a time before the flat vector:
+    kept here as the reference the whole-vector step must equal bit for bit."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, p in params.items():
+        g = grads[name]
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+
+
+def test_flat_adam_equals_the_per_array_update():
+    layout = [("a", (3, 4)), ("b", (1, 4)), ("c", (5, 2)), ("d", (1, 1))]
+    rng = np.random.default_rng(21)
+    flat = T.FlatParams(layout, rng.normal(size=27))
+    ref = {name: flat[name].copy() for name in flat}
+    m = {name: np.zeros(shape) for name, shape in layout}
+    v = {name: np.zeros(shape) for name, shape in layout}
+    state = T.AdamState()
+    for t in range(1, 7):
+        # gradient scales spread over many orders of magnitude
+        grads = {
+            name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 4) for name, shape in layout
+        }
+        T.adam_step(flat, np.concatenate([g.ravel() for g in grads.values()]), state, lr=3e-3)
+        per_array_adam(ref, grads, m, v, t, lr=3e-3)
+        assert state.t == t
+        for name in ref:
+            assert np.array_equal(flat[name], ref[name])
+            assert np.array_equal(state.m[name], m[name])
+            assert np.array_equal(state.v[name], v[name])
+
+
+def test_adam_allocates_moments_in_the_parameter_layout():
+    params = T.FlatParams([("w", (2, 3)), ("b", (1, 3))])
+    state = T.AdamState()
+    assert state.m == state.v == {}
+    T.adam_step(params, np.ones(9), state)
+    assert list(state.m) == list(state.v) == ["w", "b"]
+    assert state.m["w"].shape == (2, 3) and np.shares_memory(state.m["w"], state.m.vector)
+
+
+def test_adam_wrong_gradient_length_changes_nothing():
+    params = T.FlatParams([("w", (2, 2))], np.arange(4.0))
+    state = T.AdamState()
+    with pytest.raises(ShapeError):
+        T.adam_step(params, np.ones(3), state)
+    assert state.t == 0 and np.array_equal(params.vector, np.arange(4.0))
+
+
+# ---------------------------------------------------------------------------
+# flat parameter vectors
+
+
+def test_flat_params_are_views_in_layout_order():
+    flat = T.FlatParams([("a", (2, 3)), ("b", (1, 2))], np.arange(8.0))
+    assert list(flat) == ["a", "b"] and len(flat) == 2
+    assert np.array_equal(flat["a"], [[0, 1, 2], [3, 4, 5]])
+    assert np.array_equal(flat["b"], [[6, 7]])
+    flat["b"][0, 1] = -1.0
+    assert flat.vector[7] == -1.0
+    flat.vector[0] = 9.0
+    assert flat["a"][0, 0] == 9.0
+
+
+def test_flat_params_vector_must_fit_the_layout():
+    with pytest.raises(ShapeError):
+        T.FlatParams([("a", (2, 3))], np.zeros(5))
+    with pytest.raises(ShapeError):
+        T.FlatParams([("a", (2, 3))], np.zeros(6, dtype=np.float32))
+    with pytest.raises(ShapeError):
+        T.FlatParams([("a", (2, 3))], np.zeros(12)[::2])
+    with pytest.raises(ContractError):
+        T.FlatParams([("a", (1, 1)), ("a", (1, 1))])
+
+
+def test_flat_params_deepcopy_owns_its_vector():
+    flat = T.FlatParams([("a", (2, 2)), ("b", (1, 2))], np.arange(6.0))
+    twin = copy.deepcopy(flat)
+    assert not np.shares_memory(twin.vector, flat.vector)
+    assert all(np.shares_memory(twin[name], twin.vector) for name in twin)
+    twin["a"][0, 0] = 5.0
+    assert twin.vector[0] == 5.0 and flat.vector[0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "arrays",
+    [
+        {"a": np.zeros((2, 2))},
+        {"a": np.zeros((2, 2)), "b": np.zeros((2, 1))},
+        {"a": np.zeros((2, 2)), "b": np.zeros((1, 2)), "c": np.zeros((1, 1))},
+    ],
+    ids=["missing-name", "wrong-shape", "extra-name"],
+)
+def test_flat_params_assign_checks_names_and_shapes_first(arrays):
+    flat = T.FlatParams([("a", (2, 2)), ("b", (1, 2))], np.arange(6.0))
+    with pytest.raises(ContractError):
+        flat.assign(arrays)
+    assert np.array_equal(flat.vector, np.arange(6.0))

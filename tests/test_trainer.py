@@ -1,5 +1,6 @@
 """Tests for the two-stage trainer and the checkpoint format."""
 
+import copy
 import struct
 from pathlib import Path
 
@@ -245,6 +246,89 @@ def test_nan_gradient_names_the_parameter(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# one flat parameter vector
+
+
+def test_params_stay_views_of_one_vector_through_a_step():
+    model = tiny_model()
+    vector = model.params.vector
+    before = vector.copy()
+    warmup_stage(model, GEN, TrainConfig(warmup_steps=1, batch_size=2, seed=0))
+    assert model.params.vector is vector
+    assert not np.array_equal(vector, before)
+    offset = 0
+    for name, shape, _ in param_layout(model.cfg):
+        view = model.params[name]
+        assert view.shape == shape and np.shares_memory(view, vector)
+        assert np.array_equal(view.ravel(), vector[offset : offset + view.size])
+        offset += view.size
+    assert offset == vector.size
+
+
+def test_deepcopy_of_model_and_state_trains_identically():
+    cfg = TrainConfig(warmup_steps=1, batch_size=2, seed=0)
+    model = tiny_model()
+    _, state = warmup_stage(model, GEN, cfg)
+    twin, twin_state = copy.deepcopy((model, state))
+    assert not np.shares_memory(twin.params.vector, model.params.vector)
+    assert not np.shares_memory(twin_state.adam.m.vector, state.adam.m.vector)
+    for _ in range(2):
+        warmup_stage(model, GEN, cfg, state)
+        warmup_stage(twin, GEN, cfg, twin_state)
+        assert twin.params.vector.tobytes() == model.params.vector.tobytes()
+        assert twin_state.adam.m.vector.tobytes() == state.adam.m.vector.tobytes()
+        assert twin_state.adam.v.vector.tobytes() == state.adam.v.vector.tobytes()
+        assert params_equal(twin.params, model.params)
+
+
+def test_assigning_params_restarts_like_a_fresh_model():
+    """What a benchmark restart does: keep a deep copy of the initial
+    parameters and state, train, then assign the copy back."""
+    cfg = TrainConfig(warmup_steps=2, batch_size=2, seed=0)
+    model = tiny_model()
+    initial = copy.deepcopy((model.params, TrainState.fresh(0)))
+    vector = model.params.vector
+    warmup_stage(model, GEN, cfg)
+    params, state = copy.deepcopy(initial)
+    assert state.adam.m == state.adam.v == {}
+    model.params = params
+    assert model.params.vector is vector  # copied in place, not rebound
+    warmup_stage(model, GEN, cfg, state)
+    fresh = tiny_model()
+    warmup_stage(fresh, GEN, cfg)
+    assert model.params.vector.tobytes() == fresh.params.vector.tobytes()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda p: p.pop("emb"),
+        lambda p: p.update(emb=p["emb"][:, :-1]),
+        lambda p: p.update(bogus=np.zeros((1, 1))),
+    ],
+    ids=["missing-name", "wrong-shape", "extra-name"],
+)
+def test_params_mapping_must_match_the_layout(edit):
+    model = tiny_model()
+    arrays = snapshot(model)
+    edit(arrays)
+    before = model.params.vector.copy()
+    with pytest.raises(ContractError):
+        model.params = arrays
+    assert np.array_equal(model.params.vector, before)
+    with pytest.raises(ContractError):
+        GroundingModel(model.cfg, model.class_vocab, model.word_vocab, params=arrays)
+
+
+def test_model_copies_a_plain_mapping_into_its_own_vector():
+    model = tiny_model()
+    arrays = snapshot(model)
+    other = GroundingModel(model.cfg, model.class_vocab, model.word_vocab, params=arrays)
+    assert params_equal(other.params, model.params)
+    assert not any(np.shares_memory(other.params.vector, a) for a in arrays.values())
+
+
+# ---------------------------------------------------------------------------
 # checkpoints
 
 
@@ -265,7 +349,12 @@ def probe_scores(model):
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     model, state, path = trained_pair(tmp_path)
-    restored, rstate = model_from_checkpoint(load_checkpoint(path))
+    ckpt = load_checkpoint(path)
+    restored, rstate = model_from_checkpoint(ckpt)
+    # each group is read into one vector, which the model and state adopt
+    assert restored.params.vector is ckpt.params.vector
+    assert rstate.adam.m is ckpt.adam_m and rstate.adam.v is ckpt.adam_v
+    assert np.shares_memory(restored.params["emb"], restored.params.vector)
     assert params_equal(model.params, restored.params)
     assert np.array_equal(probe_scores(model), probe_scores(restored))
     assert rstate.adam.t == state.adam.t
