@@ -73,33 +73,16 @@ VALIDATION_FAILURES = (
     EmptyOrderError,
 )
 
-# Every key a --config file may set, with its type and default.  Keys are
-# named after the fields of ModelConfig, GenConfig, TrainConfig and
-# LossWeights.  A `vigor train` flag of the same name overrides the file.
-CONFIG_KEYS = {
-    "seed": (int, 0),
-    "warmup_steps": (int, 0),
-    "main_steps": (int, 0),
-    "batch_size": (int, 16),
-    "lr": (float, 1e-3),
-    "label_noise": (float, 0.0),
-    "eval_every": (int, 0),
-    "w_ref": (float, 1.0),
-    "w_mask": (float, 1.0),
-    "w_text": (float, 1.0),
-    "w_crd": (float, 1.0),
-    "d": (int, 32),
-    "n_heads": (int, 4),
-    "order_len": (int, 2),
-    "points_per_proposal": (int, 16),
-    "proposals_min": (int, 5),
-    "proposals_max": (int, 9),
-    "room_extent": (float, 6.0),
-    "class_vocab_size": (int, 12),
-    "relation": (str, "farthest"),
-    "min_separation": (float, 0.01),
-    "style": (str, "template"),
-}
+# Every key a --config file may set, a `vigor train` flag of the same name
+# winning: the fields of GenConfig, TrainConfig and LossWeights, plus
+# ModelConfig's d and n_heads, whose dataclasses check them.
+CONFIG_KEYS = frozenset(
+    ({f.name for cls in (GenConfig, TrainConfig, LossWeights) for f in fields(cls)} - {"weights"})
+    | {"d", "n_heads"}
+)
+
+# The one default the command line keeps in place of the dataclasses' own.
+ORDER_LEN = 2
 
 
 def _proposal_range(text: str) -> tuple[int, int]:
@@ -112,21 +95,8 @@ def _proposal_range(text: str) -> tuple[int, int]:
         ) from None
 
 
-def _config_value(path, key: str, kind: type, value):
-    """A file value of the key's type: JSON integers for int keys, finite
-    numbers for float keys, strings for str keys; never a bool."""
-    # type(), not isinstance: a bool is an int subclass but no valid value.
-    ok = type(value) in ((int, float) if kind is float else (kind,))
-    if ok and kind is float:
-        ok = abs(value) <= sys.float_info.max  # false for nan, inf, huge ints
-    if not ok:
-        want = {int: "an integer", float: "a finite number", str: "a string"}[kind]
-        raise ValidationError(f"{path}: {key} must be {want}, got {json.dumps(value)}")
-    return kind(value)
-
-
 def _train_settings(args) -> dict:
-    """Every CONFIG_KEYS value: the flag if given, else the file's, else the default."""
+    """The settings a flag or the file sets (a flag wins); order_len defaults to ORDER_LEN."""
     blob = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
@@ -136,19 +106,11 @@ def _train_settings(args) -> dict:
                 raise ValidationError(f"{args.config}: not valid JSON: {exc}") from exc
         if not isinstance(blob, dict):
             raise ValidationError(f"{args.config}: config must be a JSON object")
-        unknown = set(blob) - set(CONFIG_KEYS)
+        unknown = set(blob) - CONFIG_KEYS
         if unknown:
             raise ValidationError(f"{args.config}: unknown config keys {sorted(unknown)}")
-    settings = {}
-    for key, (kind, default) in CONFIG_KEYS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            settings[key] = flag
-        elif key in blob:
-            settings[key] = _config_value(args.config, key, kind, blob[key])
-        else:
-            settings[key] = default
-    return settings
+    flags = {k: v for k, v in vars(args).items() if k in CONFIG_KEYS}
+    return {"order_len": ORDER_LEN, **blob, **flags}
 
 
 def _fields_of(cls, settings: dict) -> dict:
@@ -172,17 +134,10 @@ def _make_parser_fn(kind: str, vocab: ClassVocab, transcript: str | None):
 
 
 def cmd_synth(args) -> int:
-    lo, hi = args.proposals
-    cfg = GenConfig(
-        proposals_min=lo,
-        proposals_max=hi,
-        points_per_proposal=args.points,
-        class_vocab_size=args.vocab_size,
-        order_len=args.order_len,
-        relation=args.relation,
-        seed=args.seed,
-        style=args.style,
-    )
+    settings = {"order_len": ORDER_LEN, **vars(args)}
+    if "proposals" in settings:
+        settings["proposals_min"], settings["proposals_max"] = settings["proposals"]
+    cfg = GenConfig(**_fields_of(GenConfig, settings))
     records = [record_from_sample(s) for s in generate_dataset(cfg, args.scenes)]
     write_records(args.out, records)
     print(f"wrote {len(records)} records to {args.out}")
@@ -191,20 +146,16 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     s = _train_settings(args)
-    model_cfg = ModelConfig(
-        d=s["d"],
-        b=s["order_len"],
-        n_heads=s["n_heads"],
-        points_per_proposal=s["points_per_proposal"],
-        seed=s["seed"],
-    )
+    # GenConfig first, so a bad order_len is refused under its own name.
     gen_cfg = GenConfig(**_fields_of(GenConfig, s))
     weights = LossWeights(**_fields_of(LossWeights, s))
     train_cfg = TrainConfig(**_fields_of(TrainConfig, s), weights=weights)
+    # The model finalizes class_vocab_size from the vocabulary built below.
+    model_cfg = ModelConfig(b=s["order_len"], **_fields_of(ModelConfig, s))
 
     vocab = default_vocab(gen_cfg.class_vocab_size)
     model = GroundingModel(model_cfg, vocab)
-    state = TrainState.fresh(s["seed"])
+    state = TrainState.fresh(train_cfg.seed)
     if train_cfg.warmup_steps:
         report, state = warmup_stage(model, gen_cfg, train_cfg, state)
         print(
@@ -351,30 +302,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a dataset of grounded descriptions")
+    # An unset setting flag of synth or train stays out of `args`, so the
+    # config dataclasses supply its default.
+    unset = argparse.SUPPRESS
+    p = sub.add_parser(
+        "synth", help="generate a dataset of grounded descriptions", argument_default=unset
+    )
     p.add_argument("--scenes", type=int, required=True, help="number of samples")
-    p.add_argument("--proposals", type=_proposal_range, default=(5, 9), metavar="MIN:MAX")
-    p.add_argument("--order-len", type=int, default=2)
-    p.add_argument("--relation", choices=RELATIONS, default="farthest")
-    p.add_argument("--style", choices=("template", "natural"), default="template")
-    p.add_argument("--points", type=int, default=16, help="points per proposal")
-    p.add_argument("--vocab-size", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--proposals", type=_proposal_range, metavar="MIN:MAX")
+    p.add_argument("--order-len", type=int)
+    p.add_argument("--relation", choices=RELATIONS)
+    p.add_argument("--style", choices=("template", "natural"))
+    p.add_argument("--points", type=int, dest="points_per_proposal", help="points per proposal")
+    p.add_argument("--vocab-size", type=int, dest="class_vocab_size")
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="warm-up and/or fine-tune a model")
-    p.add_argument("--warmup-steps", type=int, default=None)
+    p = sub.add_parser("train", help="warm-up and/or fine-tune a model", argument_default=unset)
+    p.add_argument("--warmup-steps", type=int)
     p.add_argument("--main-data", default=None, help="records for the main stage")
-    p.add_argument("--main-steps", type=int, default=None)
+    p.add_argument("--main-steps", type=int)
     p.add_argument("--parser", choices=("rule", "llm"), default="rule")
     p.add_argument("--transcript", default=None, help="canned LLM transcript (JSONL)")
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--order-len", type=int, default=None)
-    p.add_argument("--d", type=int, default=None, help="model width")
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--order-len", type=int)
+    p.add_argument("--d", type=int, help="model width")
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--lr", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

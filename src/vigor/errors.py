@@ -5,6 +5,8 @@ Each error names the contract it enforces; callers that want to recover
 specific type rather than a bare Exception.
 """
 
+import dataclasses
+
 
 class VigorError(Exception):
     """Base class for all package errors."""
@@ -60,3 +62,26 @@ class CheckpointError(VigorError, RuntimeError):
 
 class ValidationError(VigorError, ValueError):
     """A dataset record violates the file-format contract."""
+
+
+_KINDS = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def check_field_types(config) -> None:
+    """The one type rule of the config dataclasses: refuse, naming the
+    field, a value of another type (a bool is no number) in a field
+    annotated int, float or str, and store a float field as a float.
+    NaN and ±inf pass, for each class's own range check to refuse."""
+    for f in dataclasses.fields(config):
+        # Annotations are strings under `from __future__ import annotations`.
+        kinds = _KINDS.get(getattr(f.type, "__name__", f.type), ())
+        value = getattr(config, f.name)
+        try:
+            ok = not kinds or (isinstance(value, kinds) and not isinstance(value, bool))
+            if ok and float in kinds:
+                object.__setattr__(config, f.name, float(value))  # a huge int overflows
+        except OverflowError:
+            ok = False
+        if not ok:
+            want = " or ".join(k.__name__ for k in kinds)
+            raise ContractError(f"{f.name} must be {want}, got {value!r}")

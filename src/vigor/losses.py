@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as tt
-from .errors import ContractError
+from .errors import ContractError, check_field_types
 from .scene import RelevanceMask
 from .tensor import Tensor
 
@@ -52,6 +52,7 @@ class LossWeights:
     w_crd: float = 1.0
 
     def __post_init__(self):
+        check_field_types(self)
         for f in fields(self):
             w = getattr(self, f.name)
             if not (math.isfinite(w) and w >= 0.0):

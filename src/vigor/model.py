@@ -22,13 +22,13 @@ masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import tensor as tt
-from .errors import ContractError
+from .errors import ContractError, check_field_types
 from .scene import ClassVocab, RelevanceMask, Scene, build_mask, tokenize
 from .synthgen import TEMPLATE_WORDS
 from .tensor import Tensor
@@ -63,11 +63,7 @@ class ModelConfig:
     class_vocab_size: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # type(), not isinstance: a bool is an int subclass but no valid value.
-            if type(value) is not int:
-                raise ContractError(f"{f.name} must be an integer, got {value!r}")
+        check_field_types(self)
         if self.n_heads < 1 or self.d < 1 or self.d % self.n_heads != 0:
             raise ContractError("d and n_heads must be positive, and d divisible by n_heads")
         if self.b < 1:

@@ -15,6 +15,7 @@ target away from the last slot.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -28,6 +29,8 @@ from .errors import (
     EmptyOrderError,
     EndpointError,
     OrderParseError,
+    ValidationError,
+    check_field_types,
 )
 from .scene import ClassVocab, tokenize
 
@@ -78,8 +81,11 @@ class LlmEndpointConfig:
     max_retries: int = 2
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise ContractError("timeout must be positive")
+        check_field_types(self)
+        if not 0 < self.timeout < float("inf"):
+            raise ContractError(f"timeout must be finite and positive, got {self.timeout}")
+        if self.max_retries < 0:
+            raise ContractError(f"max_retries cannot be negative, got {self.max_retries}")
 
     @classmethod
     def from_env(cls, model: str = "gpt-3.5-turbo") -> "LlmEndpointConfig":
@@ -117,23 +123,26 @@ class HttpTransport:
             raise TransportError(str(exc)) from exc
         try:
             choice = payload["choices"][0]
-            if "message" in choice:
-                return choice["message"]["content"]
-            return choice["text"]
+            text = choice["message"]["content"] if "message" in choice else choice["text"]
+            if not isinstance(text, str):
+                raise TypeError(f"the reply text is {text!r}")
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"unexpected response structure: {exc}") from exc
+        return text
+
+
+def _check_record(rec) -> dict:
+    keys = ("request_substring", "response")
+    if not (isinstance(rec, dict) and all(isinstance(rec.get(k), str) for k in keys)):
+        raise ContractError(f"a transcript record needs string {keys} fields, got {rec!r}")
+    return rec
 
 
 class CannedTransport:
     """Replays recorded responses, matched by a substring of the request."""
 
     def __init__(self, records: Sequence[dict]):
-        for rec in records:
-            if "request_substring" not in rec or "response" not in rec:
-                raise ContractError(
-                    "transcript records need request_substring and response fields"
-                )
-        self.records = list(records)
+        self.records = [_check_record(rec) for rec in records]
 
     def __call__(self, prompt: str) -> str:
         for rec in self.records:
@@ -143,17 +152,32 @@ class CannedTransport:
 
 
 def load_transcript(path) -> CannedTransport:
+    """One record a non-blank JSONL line; a bad one raises ValidationError."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                if line.strip():
+                    records.append(_check_record(json.loads(line)))
+            except ValueError as exc:  # not UTF-8, not JSON, or no record
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return CannedTransport(records)
 
 
 # ---------------------------------------------------------------------------
 # rule-based parser
+
+
+@functools.lru_cache(maxsize=64)
+def _names_by_tokens(vocab: ClassVocab) -> tuple[dict[tuple[str, ...], str], int]:
+    """Each class name keyed by its words, and the most words of a name,
+    once per vocabulary; a raise is not cached, so every parse raises."""
+    by_tokens: dict[tuple[str, ...], str] = {}
+    for name in vocab.names:
+        other = by_tokens.setdefault(tuple(tokenize(name)), name)
+        if other != name:
+            raise ContractError(f"class names {other!r} and {name!r} tokenize to the same words")
+    return by_tokens, max((len(t) for t in by_tokens), default=0)
 
 
 def parse_appearance_order(description: str, vocab: ClassVocab) -> ParsedOrder:
@@ -166,12 +190,7 @@ def parse_appearance_order(description: str, vocab: ClassVocab) -> ParsedOrder:
     raise `ContractError`, since the text cannot tell them apart.
     """
     tokens = tokenize(description)
-    by_tokens: dict[tuple[str, ...], str] = {}
-    for name in vocab.names:
-        other = by_tokens.setdefault(tuple(tokenize(name)), name)
-        if other != name:
-            raise ContractError(f"class names {other!r} and {name!r} tokenize to the same words")
-    max_len = max((len(t) for t in by_tokens), default=0)
+    by_tokens, max_len = _names_by_tokens(vocab)
     names: list[str] = []
     seen: set[str] = set()
     i = 0
@@ -420,7 +439,7 @@ def llm_two_stage_order(
         endpoint = LlmEndpointConfig.from_env()
     if transport is None:
         transport = HttpTransport(endpoint)
-    max_retries = endpoint.max_retries if endpoint is not None else 2
+    max_retries = endpoint.max_retries if endpoint else LlmEndpointConfig.max_retries
 
     reply1 = _send_with_retries(
         transport, FIRST_STAGE_PREFIX.replace("[DESCRIPTION]", description), max_retries

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import AmbiguityError, ContractError, GenerationError, SkipSample
+from .errors import AmbiguityError, ContractError, GenerationError, SkipSample, check_field_types
 from .scene import RELATIONS, ClassVocab, Proposal, Scene, relation_select, tokenize
 
 __all__ = [
@@ -83,6 +83,7 @@ class GenConfig:
     style: str = "template"
 
     def __post_init__(self):
+        check_field_types(self)
         if self.proposals_min < 1 or self.proposals_max < self.proposals_min:
             raise ContractError("need 1 <= proposals_min <= proposals_max")
         if self.order_len < 2:
@@ -91,12 +92,10 @@ class GenConfig:
             raise ContractError(f"unknown relation {self.relation!r}")
         if self.style not in ("template", "natural"):
             raise ContractError(f"unknown style {self.style!r}")
-        if not (math.isfinite(self.room_extent) and self.room_extent > 0):
-            raise ContractError(f"room_extent must be finite and positive, got {self.room_extent}")
-        if not (math.isfinite(self.min_separation) and self.min_separation > 0):
-            raise ContractError(
-                f"min_separation must be finite and positive, got {self.min_separation}"
-            )
+        for name in ("room_extent", "min_separation"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ContractError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CheckpointError, ContractError, NumericError
+from .errors import CheckpointError, ContractError, NumericError, check_field_types
 from .losses import LossBreakdown, LossWeights, compose
 from .losses import loss_crd, loss_mask, loss_ref, loss_text
 from .model import GroundingModel, HeadOutputs, ModelConfig, WordVocab, param_layout
@@ -65,8 +65,9 @@ class TrainConfig:
     label_noise: float = 0.0  # per-proposal chance of a corrupted class label
 
     def __post_init__(self):
-        if self.warmup_steps < 0 or self.main_steps < 0:
-            raise ContractError("step counts cannot be negative")
+        check_field_types(self)
+        if min(self.warmup_steps, self.main_steps, self.eval_every) < 0:
+            raise ContractError("step counts and eval_every cannot be negative")
         if self.batch_size < 1:
             raise ContractError("batch size must be at least 1")
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -312,9 +313,9 @@ def _count(header: dict, key: str) -> int:
 
 
 def save_checkpoint(path, model: GroundingModel, state: TrainState) -> None:
-    """Write magic, version, a JSON header, then every parameter as raw
-    `<f8` in `param_layout` order, followed by Adam's m and v in the same
-    order once the optimizer has stepped (`adam_t > 0`)."""
+    """Write magic, version, a JSON header, then the parameters' vector as
+    raw `<f8` (`param_layout` order), followed by Adam's m and v vectors
+    once the optimizer has stepped (`adam_t > 0`)."""
     header = {
         "model": asdict(model.cfg),
         "class_names": list(model.class_vocab.names),
@@ -331,11 +332,13 @@ def save_checkpoint(path, model: GroundingModel, state: TrainState) -> None:
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
+            # Field by field, as load_checkpoint reads them.
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(struct.pack("<Q", len(blob)))
             f.write(blob)
             for group in groups:
-                for name, _, _ in param_layout(model.cfg):
-                    f.write(np.ascontiguousarray(group[name], dtype="<f8"))
+                f.write(group.vector.astype("<f8", copy=False))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

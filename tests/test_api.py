@@ -1,6 +1,7 @@
 """The package's public surface: exports resolve, every exported tensor op
-has a caller in the package, and both training stages reach the optimizer
-through the trainer's module attributes, once per step."""
+has a caller in the package, both training stages reach the optimizer
+through the trainer's module attributes, once per step, and every config
+dataclass checks the types of its own fields."""
 
 import ast
 import importlib
@@ -13,8 +14,10 @@ import pytest
 
 import vigor
 from vigor import tensor, trainer
+from vigor.errors import ContractError
+from vigor.losses import LossWeights
 from vigor.model import GroundingModel, ModelConfig
-from vigor.orderparse import parse_appearance_order
+from vigor.orderparse import LlmEndpointConfig, parse_appearance_order
 from vigor.synthgen import GenConfig, default_vocab, generate_dataset
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(vigor.__path__))
@@ -107,3 +110,62 @@ def test_main_step_goes_through_trainer_attributes(monkeypatch):
         lambda desc: parse_appearance_order(desc, vocab),
     )
     assert calls == {"backward": 2, "adam_step": 2, "compose": 2}
+
+
+# ---------------------------------------------------------------------------
+# config dataclasses
+
+
+def endpoint(**fields):
+    return LlmEndpointConfig(**{"base_url": "http://localhost:9", "model": "m", **fields})
+
+
+@pytest.mark.parametrize(
+    "make, field, value",
+    [
+        # a bool for an int field
+        (ModelConfig, "d", True),
+        (GenConfig, "proposals_min", True),
+        (trainer.TrainConfig, "batch_size", True),
+        (endpoint, "max_retries", False),
+        # a float for an int field
+        (ModelConfig, "n_heads", 2.0),
+        (GenConfig, "order_len", 2.0),
+        (trainer.TrainConfig, "batch_size", 2.7),
+        (trainer.TrainConfig, "seed", 1.5),
+        # a bool or a str for a float field, or an int no float can hold
+        (trainer.TrainConfig, "lr", True),
+        (LossWeights, "w_ref", True),
+        (GenConfig, "room_extent", "6.0"),
+        (endpoint, "timeout", "30"),
+        pytest.param(trainer.TrainConfig, "lr", 10**400, id="TrainConfig-lr-10**400"),
+        # a non-string for a str field
+        (GenConfig, "relation", 3),
+        (GenConfig, "style", None),
+        (endpoint, "model", b"m"),
+        # a value of the right type out of the field's range
+        (trainer.TrainConfig, "eval_every", -1),
+        (endpoint, "max_retries", -1),
+        (endpoint, "timeout", float("nan")),
+        (endpoint, "timeout", float("inf")),
+    ],
+)
+def test_config_refuses_a_bad_field(make, field, value):
+    with pytest.raises(ContractError, match=field):
+        make(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (trainer.TrainConfig, "lr"),
+        (trainer.TrainConfig, "label_noise"),
+        (LossWeights, "w_crd"),
+        (GenConfig, "room_extent"),
+        (GenConfig, "min_separation"),
+        (endpoint, "timeout"),
+    ],
+)
+def test_config_stores_an_int_float_field_as_a_float(make, field):
+    value = getattr(make(**{field: 1}), field)
+    assert type(value) is float and value == 1.0

@@ -232,6 +232,22 @@ def test_train_config_rejects_out_of_range_geometry(tmp_path, capsys, text, key)
     assert not ckpt.exists()
 
 
+def test_config_keys_are_the_dataclass_fields():
+    assert cli.CONFIG_KEYS == {
+        "seed", "warmup_steps", "main_steps", "batch_size", "lr", "label_noise",
+        "eval_every", "w_ref", "w_mask", "w_text", "w_crd", "d", "n_heads",
+        "order_len", "points_per_proposal", "proposals_min", "proposals_max",
+        "room_extent", "class_vocab_size", "relation", "min_separation", "style",
+    }
+
+
+def test_train_without_config_builds_the_default_model(tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--out", str(ckpt)]) == 0
+    cfg = load_checkpoint(ckpt).cfg
+    assert (cfg.d, cfg.b, cfg.n_heads, cfg.points_per_proposal) == (32, 2, 4, 16)
+
+
 @pytest.mark.parametrize("lr", ["nan", "inf"])
 def test_train_rejects_nonfinite_learning_rate(tmp_path, capsys, lr):
     ckpt = tmp_path / "model.ckpt"
@@ -438,6 +454,26 @@ def test_parse_llm_with_transcript(a7_transcript_path, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out.strip() == "bed→pillow"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b"not json",
+        b"5",
+        b'{"request_substring": 3, "response": "summarized description: x"}',
+        b'{"request_substring": "the chair", "response": null}',
+        b'{"request_substring": "the chair", "response": "\xff"}',
+    ],
+)
+def test_parse_llm_malformed_transcript_line_is_validation_error(tmp_path, capsys, line):
+    good = {"request_substring": "unrelated", "response": "target object: chair"}
+    transcript = tmp_path / "transcript.jsonl"
+    transcript.write_bytes(json.dumps(good).encode() + b"\n" + line + b"\n")
+    args = ["parse", "--desc", "the chair", "--parser", "llm", "--transcript", str(transcript)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {transcript}:2: ") and "Traceback" not in err
 
 
 def test_parse_llm_without_endpoint_is_endpoint_error(monkeypatch, capsys):

@@ -1,9 +1,13 @@
 """Tests for rule-based and language-model order parsing and trim_pad."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 
 from conftest import PARSE_CASES, transcript_records
+from vigor import orderparse
 from vigor.errors import (
     ContractError,
     EmptyOrderError,
@@ -14,6 +18,7 @@ from vigor.orderparse import (
     FIRST_STAGE_PREFIX,
     SECOND_STAGE_PREFIX,
     CannedTransport,
+    HttpTransport,
     LlmEndpointConfig,
     ParsedOrder,
     TransportError,
@@ -22,7 +27,7 @@ from vigor.orderparse import (
     parse_appearance_order,
     trim_pad,
 )
-from vigor.scene import ClassVocab, build_mask
+from vigor.scene import ClassVocab, build_mask, tokenize
 from vigor.synthgen import GenConfig, generate_dataset
 
 VOCAB = ClassVocab(("chair", "door", "table", "water bottle", "easy chair", "bed"))
@@ -76,6 +81,22 @@ def test_appearance_order_names_with_the_same_words_are_refused():
     vocab = ClassVocab(("tv-stand", "chair", "tv stand"))
     with pytest.raises(ContractError, match="'tv-stand' and 'tv stand'"):
         parse_appearance_order("the chair near the tv stand", vocab)
+
+
+def test_appearance_order_tokenizes_a_vocabulary_once(monkeypatch):
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(orderparse, "tokenize", counted)
+    # names no other test uses, so no table for them is cached yet
+    vocab = ClassVocab(("gramophone", "harpsichord stool", "lute"))
+    desc = "the lute by the harpsichord stool"
+    for _ in range(3):
+        assert parse_appearance_order(desc, vocab).names == ("lute", "harpsichord stool")
+    assert sorted(calls) == sorted([*vocab.names, desc, desc, desc])
 
 
 def test_round_trip_on_generated_templates():
@@ -232,6 +253,23 @@ def test_load_transcript_roundtrip(a7_transcript_path):
     transport = load_transcript(a7_transcript_path)
     parsed = llm_two_stage_order(PARSE_CASES[3]["description"], transport=transport)
     assert list(parsed.names) == ["table", "window"]
+
+
+@pytest.mark.parametrize("content", [None, 7, ["referential order: a→b"]])
+def test_http_reply_without_text_is_retried_then_endpoint_error(monkeypatch, content):
+    sent = []
+
+    def urlopen(req, timeout):
+        sent.append(req)
+        return io.BytesIO(json.dumps({"choices": [{"message": {"content": content}}]}).encode())
+
+    monkeypatch.setattr(orderparse.urllib.request, "urlopen", urlopen)
+    config = LlmEndpointConfig(base_url="http://localhost:9", model="m", max_retries=1)
+    with pytest.raises(TransportError, match="unexpected response structure"):
+        HttpTransport(config)("prompt")
+    with pytest.raises(EndpointError, match="unexpected response structure"):
+        llm_two_stage_order("the chair", endpoint=config)
+    assert len(sent) == 1 + 2
 
 
 def test_endpoint_config_validation(monkeypatch):

@@ -439,6 +439,25 @@ def test_checkpoint_layout_is_header_then_arrays_in_config_order(tmp_path, steps
     assert params_equal(state.adam.v, rstate.adam.v)
 
 
+@pytest.mark.parametrize("steps", [0, 2])
+def test_checkpoint_arrays_are_bytes_of_a_per_array_write(tmp_path, steps):
+    """Each group is written as one vector; the bytes equal writing every
+    array of the group as <f8 in param_layout order."""
+    model = tiny_model()
+    _, state = warmup_stage(model, GEN, TrainConfig(warmup_steps=steps, batch_size=2, seed=4))
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, model, state)
+    groups = (model.params, state.adam.m, state.adam.v) if steps else (model.params,)
+    reference = b"".join(
+        np.ascontiguousarray(group[name], dtype="<f8").tobytes()
+        for group in groups
+        for name, _, _ in param_layout(model.cfg)
+    )
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    assert blob[16 + hlen :] == reference
+
+
 def test_checkpoint_extra_model_key_refused(tmp_path):
     _, _, path = trained_pair(tmp_path)
     rewrite_checkpoint_header(path, lambda h: h["model"].update(bogus=1))
