@@ -23,7 +23,7 @@ from .errors import (
     OrderParseError,
     ValidationError,
 )
-from .evaluation import accuracy
+from .evaluation import BREAKDOWN_FAMILIES, accuracy
 from .losses import LossWeights
 from .model import GroundingModel, ModelConfig
 from .orderparse import (
@@ -102,7 +102,7 @@ def _train_settings(args) -> dict:
         with open(args.config, "r", encoding="utf-8") as f:
             try:
                 blob = json.load(f)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not UTF-8, or not JSON
                 raise ValidationError(f"{args.config}: not valid JSON: {exc}") from exc
         if not isinstance(blob, dict):
             raise ValidationError(f"{args.config}: config must be a JSON object")
@@ -179,7 +179,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     families = [f for f in args.breakdown.split(",") if f]
-    unknown = set(families) - {"order_length", "distractors"}
+    unknown = set(families) - set(BREAKDOWN_FAMILIES)
     if unknown:
         raise ValidationError(f"unknown breakdown families {sorted(unknown)}")
     ckpt = load_checkpoint(args.ckpt)
@@ -225,8 +225,8 @@ def cmd_parse(args) -> int:
             else:
                 with open(args.vocab, "r", encoding="utf-8") as f:
                     names = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad vocab JSON: {exc}") from exc
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValidationError(f"{args.vocab}: bad vocab JSON: {exc}") from exc
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise ValidationError(f"{args.vocab}: expected a JSON array of class names")
         vocab = ClassVocab(tuple(names))
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="accuracy of a checkpoint on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--breakdown", default="order_length,distractors")
+    p.add_argument("--breakdown", default=",".join(BREAKDOWN_FAMILIES))
     p.add_argument("--report", default=None, help="write the JSON report here")
     p.add_argument(
         "--parser",

@@ -22,11 +22,16 @@ from .model import GroundingModel
 from .orderparse import order_names, trim_pad
 
 __all__ = [
+    "BREAKDOWN_FAMILIES",
     "EvalReport",
     "accuracy",
     "order_length_bucket",
     "distractor_bucket",
 ]
+
+# The subset families `accuracy` buckets every item into.
+BREAKDOWN_FAMILIES = ("order_length", "distractors")
+
 
 def _raw_order(item, parser: Callable[[str], Sequence[str]] | None) -> list[str]:
     if parser is not None:
@@ -67,10 +72,8 @@ def distractor_bucket(item) -> str:
 
 def _labels(item, raw_order: Sequence[str] | None) -> dict[str, str]:
     """`raw_order=None` marks a description the parser could not read."""
-    return {
-        "order_length": "unparsed" if raw_order is None else order_length_bucket(len(raw_order)),
-        "distractors": distractor_bucket(item),
-    }
+    length = "unparsed" if raw_order is None else order_length_bucket(len(raw_order))
+    return dict(zip(BREAKDOWN_FAMILIES, (length, distractor_bucket(item))))
 
 
 @dataclass
@@ -84,7 +87,7 @@ class EvalReport:
     def __post_init__(self):
         if not 0.0 <= self.overall <= 1.0:
             raise ContractError("accuracy must lie in [0, 1]")
-        for family in ("order_length", "distractors"):
+        for family in BREAKDOWN_FAMILIES:
             total = sum(
                 v["count"] for k, v in self.subsets.items() if k.startswith(family + ":")
             )

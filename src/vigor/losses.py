@@ -1,9 +1,9 @@
-"""Training objectives and their stage-dependent composition.
+"""Training objectives and their weighted total.
 
-Warm-up supervises every referring block: anchor classification per block,
-mask recovery per block, coordinate offsets per block, and the sentence
-class.  The main stage keeps only the target-directed pieces: reference,
-mask, and text.  Coordinate regression never runs in the main stage.
+Each loss computes what it is given: `loss_ref` supervises the last block
+or every block, as the width of its targets says, and `compose` weights
+the three or four parts it is handed.  Which parts are supervised, and
+when, is `vigor.trainer`'s decision alone.
 
 Every loss takes the rows of a packed batch with their sample ids
 (`segments`; None for one sample) and returns the sum of the samples'
@@ -24,7 +24,6 @@ from .scene import RelevanceMask
 from .tensor import Tensor
 
 __all__ = [
-    "STAGES",
     "LossWeights",
     "LossBreakdown",
     "loss_ref",
@@ -33,14 +32,6 @@ __all__ = [
     "loss_text",
     "compose",
 ]
-
-STAGES = ("warmup", "main")
-
-
-def _check_stage(stage: str) -> None:
-    if stage not in STAGES:
-        raise ContractError(f"stage must be one of {STAGES}, got {stage!r}")
-
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -61,7 +52,6 @@ class LossWeights:
 
 @dataclass
 class LossBreakdown:
-    stage: str
     l_ref: Tensor
     l_mask: Tensor
     l_text: Tensor
@@ -69,7 +59,6 @@ class LossBreakdown:
     total: Tensor
 
     def __post_init__(self):
-        _check_stage(self.stage)
         for name in ("l_ref", "l_mask", "l_text", "l_crd"):
             t = getattr(self, name)
             if t is not None and t.item() < 0.0:
@@ -117,39 +106,31 @@ def _per_sample_means(e: Tensor, ids: np.ndarray) -> Tensor:
     return tt.mean_all(tt.matmul(tt.constant(weights.reshape(1, -1)), e))
 
 
-def loss_ref(
-    scores_per_block: Sequence[Tensor],
-    anchor_target_ids: Sequence,
-    stage: str,
-    segments=None,
-) -> Tensor:
-    """Reference loss: per-block anchors in warm-up, final target in main.
+def loss_ref(scores_per_block: Sequence[Tensor], targets: Sequence, segments=None) -> Tensor:
+    """Reference loss: the last block's target, or every block's anchor.
 
-    `segments` names the sample of each score row of a packed batch (None:
-    one sample); `anchor_target_ids` then holds one row of ids per sample,
-    each counted within its sample.  Warm-up stacks the B score columns
-    into one K x B matrix for one segmented cross-entropy.  The result is
-    the sum over samples of each sample's loss.
+    `targets` holds one row of ids per sample, each counted within its
+    sample (a flat sequence serves one sample); `segments` names the sample
+    of each score row of a packed batch (None: one sample).  One id a
+    sample supervises the last block.  B ids supervise every block: the B
+    score columns stack into one K x B matrix for one segmented
+    cross-entropy, averaged over the blocks.  Any other width is refused.
+    The result is the sum over samples of each sample's loss.
     """
-    _check_stage(stage)
     if not scores_per_block:
         raise ContractError("need at least one block of scores")
     for scores in scores_per_block:
         if scores.shape[1] != 1:
             raise ContractError(f"expected score columns, got shape {scores.shape}")
     ids = _sample_ids(segments, scores_per_block[0].shape[0])
-    targets = _per_sample(anchor_target_ids, int(ids.max()) + 1)
-    if stage == "main":
-        if targets.shape[1] != 1:
-            raise ContractError("main stage takes exactly one target id")
+    targets = _per_sample(targets, int(ids.max()) + 1)
+    b = len(scores_per_block)
+    if targets.shape[1] == 1:
         return tt.cross_entropy(scores_per_block[-1], targets, ids)
-    if targets.shape[1] != len(scores_per_block):
-        raise ContractError(
-            f"warm-up needs one id per block: {targets.shape[1]} ids "
-            f"for {len(scores_per_block)} blocks"
-        )
+    if targets.shape[1] != b:
+        raise ContractError(f"{targets.shape[1]} ids a sample for {b} blocks: need 1 or {b}")
     z = tt.concat_cols(*scores_per_block)
-    return tt.scale(tt.cross_entropy(z, targets, ids), 1.0 / len(scores_per_block))
+    return tt.scale(tt.cross_entropy(z, targets, ids), 1.0 / b)
 
 
 def loss_mask(
@@ -190,7 +171,7 @@ def loss_crd(
     K x 3 entries, so a sample's mean is the mean of its per-block means.
     With `segments` the rows are a packed batch, `anchor_target_ids` holds
     one row of ids per sample (each counted within its sample), and the
-    result sums the samples' losses.  Warm-up only.
+    result sums the samples' losses.
     """
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[1] != 3:
@@ -230,23 +211,13 @@ def loss_text(text_class_logits: Tensor, target_class_id) -> Tensor:
 
 
 def compose(
-    stage: str,
     l_ref: Tensor,
     l_mask: Tensor,
     l_text: Tensor,
     l_crd: Tensor | None = None,
     weights: LossWeights = LossWeights(),
 ) -> LossBreakdown:
-    """Weighted total for a stage.
-
-    Warm-up requires all four components; the main stage forbids the
-    coordinate term.
-    """
-    _check_stage(stage)
-    if stage == "warmup" and l_crd is None:
-        raise ContractError("warm-up composition requires the coordinate loss")
-    if stage == "main" and l_crd is not None:
-        raise ContractError("the main stage must not carry a coordinate loss")
+    """Weighted total of the parts given; `l_crd` None leaves it out."""
     parts = [l_ref, l_mask, l_text]
     w = [weights.w_ref, weights.w_mask, weights.w_text]
     if l_crd is not None:
@@ -254,6 +225,4 @@ def compose(
         w.append(weights.w_crd)
     # One 1 x n row of components times the n x 1 weight column.
     total = tt.matmul(tt.concat_cols(*parts), tt.constant(np.reshape(w, (-1, 1))))
-    return LossBreakdown(
-        stage=stage, l_ref=l_ref, l_mask=l_mask, l_text=l_text, l_crd=l_crd, total=total
-    )
+    return LossBreakdown(l_ref=l_ref, l_mask=l_mask, l_text=l_text, l_crd=l_crd, total=total)

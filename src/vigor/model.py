@@ -81,7 +81,10 @@ class WordVocab:
     def __post_init__(self):
         if not self.tokens or self.tokens[0] != UNK_TOKEN:
             raise ContractError(f"token 0 must be {UNK_TOKEN!r}")
-        object.__setattr__(self, "_ids", {t: i for i, t in enumerate(self.tokens)})
+        ids = {t: i for i, t in enumerate(self.tokens)}
+        if len(ids) != len(self.tokens):
+            raise ContractError("word vocabulary repeats a token")
+        object.__setattr__(self, "_ids", ids)
 
     @classmethod
     def build(cls, class_vocab: ClassVocab) -> "WordVocab":
@@ -497,7 +500,7 @@ class GroundingModel:
         self._params.assign(arrays)
 
     def trainable(self) -> dict[str, Tensor]:
-        """Wrap parameters as tape leaves (one wrap per training step)."""
+        """Wrap parameters as traced leaves (one wrap per training step)."""
         return {k: tt.leaf(v) for k, v in self.params.items()}
 
     def frozen(self) -> dict[str, Tensor]:

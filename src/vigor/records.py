@@ -200,13 +200,14 @@ def write_records(path, records: Iterable[DatasetRecord]) -> None:
 
 def read_records(path) -> list[DatasetRecord]:
     records = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
             try:
-                blob = json.loads(line)
-            except json.JSONDecodeError as exc:
+                text = line.decode("utf-8")
+                if not text.strip():
+                    continue
+                blob = json.loads(text)
+            except ValueError as exc:  # not UTF-8, or not JSON
                 raise ValidationError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
             try:
                 records.append(DatasetRecord.from_dict(blob))

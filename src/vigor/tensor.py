@@ -77,7 +77,8 @@ class Tensor:
     """A matrix plus an optional handle into the active tape.
 
     `node is None` marks a constant: gradients neither reach nor pass
-    through it, and ops on constants skip the tape entirely.
+    through it, and ops on constants skip the tape entirely.  A leaf's
+    node is -1: it receives gradients but owns no tape entry.
     """
 
     __slots__ = ("data", "node", "grad")
@@ -105,17 +106,17 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of traced tensors and their local-gradient closures."""
+    """Ordered record of op outputs and their local-gradient closures."""
 
     __slots__ = ("_entries",)
 
     def __init__(self):
-        self._entries: list[tuple[Tensor, Callable[[np.ndarray], None] | None]] = []
+        self._entries: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def add(self, t: Tensor, backfn: Callable[[np.ndarray], None] | None) -> None:
+    def add(self, t: Tensor, backfn: Callable[[np.ndarray], None]) -> None:
         t.node = len(self._entries)
         self._entries.append((t, backfn))
 
@@ -124,7 +125,7 @@ class Tape:
         # Entries recorded after the loss cannot feed it; skipping them is
         # handled by the grad-is-None test.
         for t, fn in reversed(self._entries):
-            if fn is not None and t.grad is not None:
+            if t.grad is not None:
                 fn(t.grad)
 
 
@@ -142,10 +143,12 @@ def constant(values) -> Tensor:
 
 
 def leaf(values) -> Tensor:
-    """Register a gradient-receiving input (a parameter) on the tape."""
-    t = Tensor(_as_matrix(values))
-    _TAPE.add(t, None)
-    return t
+    """A gradient-receiving input (a parameter): traced, but not on the tape.
+
+    Backward has nothing to run for a leaf, so it owns no tape entry; ops
+    that read it record themselves and accumulate into its `grad`.
+    """
+    return Tensor(_as_matrix(values), node=-1)
 
 
 def backward(loss: Tensor, params: Mapping[str, Tensor] | None = None):

@@ -238,7 +238,7 @@ def test_criterion_07_loss_closed_forms():
     """Uniform cross-entropy equals ln 4 and zero-logit BCE equals ln 2
     within 1e-12; coordinate loss is exactly translation covariant."""
     uniform = tt.constant(np.zeros((4, 1)))
-    ce = loss_ref([uniform], [2], "main").data[0, 0]
+    ce = loss_ref([uniform], [2]).data[0, 0]
     assert abs(ce - math.log(4.0)) <= 1e-12
 
     logits = tt.constant(np.zeros((3, 1)))

@@ -355,6 +355,23 @@ def write_transcript(tmp_path, data, unreadable=()):
     return transcript
 
 
+@pytest.mark.parametrize("command", ["verify", "train", "parse", "eval"])
+def test_non_utf8_input_is_validation_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe[]\n")
+    ckpt = eval_setup(tmp_path, scenes=1)[1] if command == "eval" else None
+    args = {
+        "verify": ["verify", "--data", str(bad)],
+        "train": ["train", "--config", str(bad), "--out", str(tmp_path / "m.ckpt")],
+        "parse": ["parse", "--desc", "chair", "--vocab", str(bad)],
+        "eval": ["eval", "--data", str(bad), "--ckpt", str(ckpt)],
+    }[command]
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}") and "Traceback" not in err
+
+
 def test_eval_nonfinite_colour_is_validation_error(tmp_path, capsys):
     data, ckpt = eval_setup(tmp_path, scenes=2)
     blobs = [json.loads(line) for line in data.read_text().splitlines()]

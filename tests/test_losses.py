@@ -50,15 +50,15 @@ def col(values):
 
 def test_ref_uniform_logits_is_ln_k():
     scores = [col([0.0, 0.0, 0.0, 0.0]) for _ in range(3)]
-    warm = loss_ref(scores, [1, 2, 0], stage="warmup")
+    warm = loss_ref(scores, [1, 2, 0])
     assert abs(warm.item() - math.log(4)) <= 1e-12
-    main = loss_ref(scores, [3], stage="main")
+    main = loss_ref(scores, [3])
     assert abs(main.item() - math.log(4)) <= 1e-12
 
 
 def test_ref_confident_correct_goes_to_zero():
     scores = [col([40.0, 0.0, 0.0])]
-    assert loss_ref(scores, [0], stage="main").item() < 1e-8
+    assert loss_ref(scores, [0]).item() < 1e-8
 
 
 def test_ref_matches_scalar_oracle():
@@ -68,25 +68,23 @@ def test_ref_matches_scalar_oracle():
         blocks = [rng.normal(0, 3, size=k) for _ in range(b)]
         ids = [int(rng.integers(0, k)) for _ in range(b)]
         want = sum(ce_oracle(list(s), t) for s, t in zip(blocks, ids)) / b
-        got = loss_ref([col(s) for s in blocks], ids, stage="warmup")
+        got = loss_ref([col(s) for s in blocks], ids)
         assert abs(got.item() - want) <= 1e-12
         want_main = ce_oracle(list(blocks[-1]), ids[-1])
-        got_main = loss_ref([col(s) for s in blocks], [ids[-1]], stage="main")
+        got_main = loss_ref([col(s) for s in blocks], [ids[-1]])
         assert abs(got_main.item() - want_main) <= 1e-12
 
 
 def test_ref_rejects_bad_ids_and_stages():
     scores = [col([0.0, 1.0, 2.0])]
     with pytest.raises(ContractError):
-        loss_ref(scores, [3], stage="main")
+        loss_ref(scores, [3])
     with pytest.raises(ContractError):
-        loss_ref(scores, [-1], stage="main")
+        loss_ref(scores, [-1])
     with pytest.raises(ContractError):
-        loss_ref(scores, [0, 1], stage="main")
+        loss_ref(scores, [0, 1])  # 2 ids, 1 block
     with pytest.raises(ContractError):
-        loss_ref(scores, [0, 1], stage="warmup")  # 2 ids, 1 block
-    with pytest.raises(ContractError):
-        loss_ref(scores, [0], stage="finetune")
+        loss_ref(scores * 3, [0, 1])  # 2 ids, 3 blocks: neither the last nor every block
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +226,7 @@ def build_parts(stage):
     scores = [col([1.0, -1.0, 0.5])] * 2
     masks = [RelevanceMask(np.array([1.0, 0.0, 1.0]))] * 2
     logits = [col([0.3, -0.2, 1.0])] * 2
-    l_r = loss_ref(scores, [0, 1] if stage == "warmup" else [1], stage)
+    l_r = loss_ref(scores, [0, 1] if stage == "warmup" else [1])
     l_m = loss_mask(logits, masks)
     l_t = loss_text(tt.constant(np.array([[0.1, 0.9, -0.4]])), 1)
     l_c = loss_crd([tt.constant(np.ones((3, 3)))] * 2, centers_grid(), [0, 1])
@@ -237,10 +235,10 @@ def build_parts(stage):
 
 def test_compose_totals_are_sums():
     l_r, l_m, l_t, l_c = build_parts("warmup")
-    bd = compose("warmup", l_r, l_m, l_t, l_c)
+    bd = compose(l_r, l_m, l_t, l_c)
     want = l_r.item() + l_m.item() + l_t.item() + l_c.item()
     assert abs(bd.total.item() - want) <= 1e-12
-    bd_main = compose("main", *build_parts("main")[:3])
+    bd_main = compose(*build_parts("main")[:3])
     parts = build_parts("main")
     want_main = parts[0].item() + parts[1].item() + parts[2].item()
     assert abs(bd_main.total.item() - want_main) <= 1e-12
@@ -250,25 +248,14 @@ def test_compose_totals_are_sums():
 def test_compose_respects_weights():
     l_r, l_m, l_t, l_c = build_parts("warmup")
     w = LossWeights(w_ref=2.0, w_mask=0.5, w_text=3.0, w_crd=0.25)
-    bd = compose("warmup", l_r, l_m, l_t, l_c, weights=w)
+    bd = compose(l_r, l_m, l_t, l_c, weights=w)
     want = 2.0 * l_r.item() + 0.5 * l_m.item() + 3.0 * l_t.item() + 0.25 * l_c.item()
     assert abs(bd.total.item() - want) <= 1e-12
 
 
-def test_compose_stage_rules():
-    l_r, l_m, l_t, l_c = build_parts("warmup")
-    with pytest.raises(ContractError):
-        compose("warmup", l_r, l_m, l_t, None)
-    l_r_main = loss_ref([col([1.0, -1.0, 0.5])], [1], "main")
-    with pytest.raises(ContractError):
-        compose("main", l_r_main, l_m, l_t, l_c)
-    with pytest.raises(ContractError):
-        compose("pretrain", l_r, l_m, l_t, l_c)
-
-
 def test_compose_zero_parts_zero_total():
     zero = tt.constant([[0.0]])
-    bd = compose("warmup", zero, zero, zero, zero)
+    bd = compose(zero, zero, zero, zero)
     assert bd.total.item() == 0.0
     assert bd.values()["total"] == 0.0
 
@@ -277,7 +264,7 @@ def test_breakdown_rejects_negative_component():
     neg = tt.constant([[-0.5]])
     zero = tt.constant([[0.0]])
     with pytest.raises(ContractError):
-        compose("warmup", neg, zero, zero, zero)
+        compose(neg, zero, zero, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +287,13 @@ def test_loss_gradients_match_finite_differences():
     }
 
     def loss_fn(p):
-        l_r = loss_ref([p["scores0"], p["scores1"]], [2, 0], "warmup")
+        l_r = loss_ref([p["scores0"], p["scores1"]], [2, 0])
         l_m = loss_mask(
             [p["mlogit0"], p["mlogit1"]], [RelevanceMask(m) for m in bits]
         )
         l_c = loss_crd([p["coord0"], p["coord1"]], centers, [1, 3])
         l_t = loss_text(p["tlogit"], 4)
-        return compose("warmup", l_r, l_m, l_t, l_c).total
+        return compose(l_r, l_m, l_t, l_c).total
 
     report = tt.grad_check(loss_fn, params)
     assert report.nonfinite == []
@@ -315,11 +302,10 @@ def test_loss_gradients_match_finite_differences():
 
 def test_loss_ref_rejects_score_rows():
     row = tt.constant(np.zeros((1, 3)))
-    for stage, ids in (("main", [0]), ("warmup", [0])):
-        with pytest.raises(ContractError):
-            loss_ref([row], ids, stage)
     with pytest.raises(ContractError):
-        loss_ref([col([0.0, 1.0, 2.0]), row], [0, 1], "warmup")
+        loss_ref([row], [0])
+    with pytest.raises(ContractError):
+        loss_ref([col([0.0, 1.0, 2.0]), row], [0, 1])
 
 
 def test_loss_weights_reject_negative_and_nonfinite():
@@ -384,7 +370,7 @@ def test_whole_matrix_losses_match_per_block_reference(b, stage):
         return values, tt.backward(total, leaves)
 
     def new_total(parts):
-        return compose(stage, *parts, weights=w).total
+        return compose(*parts, weights=w).total
 
     def reference_total(parts):
         weights = [w.w_ref, w.w_mask, w.w_text, w.w_crd]
@@ -422,8 +408,8 @@ def test_packed_losses_sum_the_per_sample_references():
         return [tt.constant(a[rows]) for a in arrays]
 
     packed = [
-        loss_ref(const(scores), ids, "warmup", segments),
-        loss_ref(const(scores), [[i[-1]] for i in ids], "main", segments),
+        loss_ref(const(scores), ids, segments),
+        loss_ref(const(scores), [[i[-1]] for i in ids], segments),
         loss_mask(const(logits), [RelevanceMask(m) for m in bits], segments),
         loss_crd(const(coords), centers, ids, segments),
         loss_text(tt.constant(text), classes),
@@ -432,8 +418,8 @@ def test_packed_losses_sum_the_per_sample_references():
     for s, n in enumerate(sizes):
         rows = segments == s
         want += [
-            loss_ref(const(scores, rows), ids[s], "warmup").item(),
-            loss_ref(const(scores, rows), [ids[s][-1]], "main").item(),
+            loss_ref(const(scores, rows), ids[s]).item(),
+            loss_ref(const(scores, rows), [ids[s][-1]]).item(),
             loss_mask_reference(const(logits, rows), [RelevanceMask(m[rows]) for m in bits]).item(),
             loss_crd_reference(const(coords, rows), centers[rows], ids[s]).item(),
             loss_text(tt.constant(text[s : s + 1]), classes[s]).item(),
@@ -445,11 +431,11 @@ def test_packed_losses_reject_ids_that_do_not_fit_the_samples():
     segments = [0, 0, 1]
     col3 = col([0.0, 1.0, 2.0])
     with pytest.raises(ContractError):
-        loss_ref([col3], [[0], [1], [0]], "main", segments)  # three rows of ids, two samples
+        loss_ref([col3], [[0], [1], [0]], segments)  # three rows of ids, two samples
     with pytest.raises(ContractError):
-        loss_ref([col3], [[0], [1]], "main", [0, 1])  # two ids for three rows
+        loss_ref([col3], [[0], [1]], [0, 1])  # two ids for three rows
     with pytest.raises(ContractError):
-        loss_ref([col3], [[2], [0]], "main", segments)  # sample 0 has two rows
+        loss_ref([col3], [[2], [0]], segments)  # sample 0 has two rows
     with pytest.raises(ContractError):
         loss_crd([tt.constant(np.zeros((3, 3)))], np.zeros((3, 3)), [[0], [1]], segments)
     with pytest.raises(ContractError):

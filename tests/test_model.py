@@ -75,6 +75,12 @@ def test_word_vocab_unknown_maps_to_zero():
     assert 0 not in ids  # template + class words are all in-vocabulary
 
 
+def test_word_vocab_refuses_a_repeated_token():
+    # a repeat would leave an embedding row unreachable and move <unk> off id 0
+    with pytest.raises(ContractError, match="repeats"):
+        WordVocab(("<unk>", "chair", "chair", "<unk>"))
+
+
 def test_word_vocab_covers_generated_text():
     from vigor.synthgen import GenConfig, default_vocab, generate_dataset
 

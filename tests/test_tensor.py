@@ -639,6 +639,18 @@ def test_tape_cleared_after_backward():
     assert len(_TAPE) == 0
 
 
+def test_leaf_is_traced_but_not_on_the_tape():
+    T.reset_tape()
+    w = T.leaf([[1.0, -2.0]])
+    from vigor.tensor import _TAPE
+
+    assert w.node is not None and len(_TAPE) == 0
+    loss = T.mean_all(T.square(w))
+    assert len(_TAPE) == 2  # square and mean_all; the leaf records nothing
+    grads = T.backward(loss, {"w": w})
+    assert np.array_equal(grads["w"], [[1.0, -2.0]])
+
+
 def test_constant_only_graph_records_nothing():
     T.reset_tape()
     out = T.matmul(T.constant(np.ones((2, 2))), T.constant(np.ones((2, 2))))

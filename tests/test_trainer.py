@@ -484,6 +484,8 @@ def test_checkpoint_extra_model_key_refused(tmp_path):
         lambda h: h["model"].update(d=8.0),
         lambda h: h["model"].update(n_heads=True),
         lambda h: h["model"].update(seed="0"),
+        # same length, so the arrays still fit: only the vocabulary check refuses it
+        lambda h: h["word_tokens"].__setitem__(2, h["word_tokens"][1]),
     ],
     ids=[
         "rng-generator",
@@ -501,6 +503,7 @@ def test_checkpoint_extra_model_key_refused(tmp_path):
         "float-width",
         "bool-heads",
         "string-seed",
+        "repeated-word",
     ],
 )
 def test_checkpoint_bad_header_value_refused(tmp_path, mutate):
@@ -767,6 +770,27 @@ def check_packed_step(model, samples, orders, labels, stage, loss_fn):
     assert packed_grads.keys() == reference_grads.keys()
     for name, g in reference_grads.items():
         assert np.abs(packed_grads[name] - g).max() <= 1e-10, name
+
+
+def test_only_the_warmup_loss_supervises_the_offsets():
+    """The stage rule lives in the trainer: the fine-tune loss carries no
+    coordinate term, so no gradient reaches the coordinate heads."""
+    samples, orders = mixed_batch()
+    model = tiny_model(seed=3)
+    scenes, descriptions = [s.scene for s in samples], [s.description for s in samples]
+    for loss_fn in (trainer._warmup_loss, trainer._main_loss):
+        leaves = model.trainable()
+        out = model.forward_batch(scenes, orders, descriptions, params=leaves)
+        packed = loss_fn(out, samples, WEIGHTS)
+        grads = T.backward(packed.total, leaves)
+        coord = {name: g for name, g in grads.items() if name.startswith("head.coord")}
+        assert len(coord) == 4 * model.cfg.b  # two linear layers, weight and bias
+        if loss_fn is trainer._main_loss:
+            assert packed.l_crd is None
+            assert not any(g.any() for g in coord.values())
+        else:
+            assert np.isfinite(packed.l_crd.item())
+            assert all(g.any() for g in coord.values())
 
 
 def test_packed_step_draws_label_noise_per_sample_in_batch_order():
