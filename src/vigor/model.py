@@ -22,7 +22,7 @@ masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "ModelConfig",
     "WordVocab",
     "TextFeatures",
-    "ObjectFeatures",
     "HeadOutputs",
     "GroundingModel",
     "tokenize",
@@ -104,47 +103,34 @@ class WordVocab:
 class TextFeatures:
     """Sentence and word features of S descriptions, plus order-name features.
 
-    `rows` holds the S sentence rows first (description s at row s), then
-    the word rows of each description in turn.  `order_features` holds one
-    pooled row per order name given to `encode_text`, in that order.
+    `sentences` holds one pooled row per description (description s at row
+    s) and `words` the word rows of each description in turn.  `segments`
+    names the description of each row of `sentences` followed by `words`,
+    the order a block's up-branch query stacks them in.  `order_features`
+    holds one pooled row per order name given to `encode_text`, in that
+    order.
     """
 
-    rows: Tensor  # (S + sum of token counts) x d
+    sentences: Tensor  # S x d
+    words: Tensor  # (sum of token counts) x d
     order_features: Tensor  # one row per order name
     token_counts: tuple[int, ...]  # words per description
+    segments: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.rows.shape[0] != len(self.token_counts) + sum(self.token_counts):
-            raise ContractError("text rows must be one sentence row plus the words per description")
+        if self.sentences.shape[0] != self.samples or self.words.shape[0] != sum(self.token_counts):
+            raise ContractError("text needs one sentence row and its word rows per description")
+        ids = np.arange(self.samples)
+        self.segments = np.concatenate([ids, np.repeat(ids, self.token_counts)])
 
     @property
     def samples(self) -> int:
         return len(self.token_counts)
 
-    @property
-    def segments(self) -> np.ndarray:
-        """The description each row of `rows` belongs to."""
-        ids = np.arange(self.samples)
-        return np.concatenate([ids, np.repeat(ids, self.token_counts)])
-
-    @property
-    def sentences(self) -> Tensor:
-        return tt.slice_rows(self.rows, 0, self.samples)
-
-
-@dataclass
-class ObjectFeatures:
-    matrix: Tensor  # K x d
-    block: int  # 1 for F_1, ..., B+1 for F_{B+1}
-
-    def __post_init__(self):
-        if not np.isfinite(self.matrix.data).all():
-            raise ContractError(f"non-finite object features at block {self.block}")
-
 
 @dataclass
 class HeadOutputs:
-    """Everything the heads produce, plus the block features behind them.
+    """Everything the heads produce, plus the masks the blocks applied.
 
     For a packed batch of S samples the K rows below are the samples'
     proposals stacked in batch order (`segments` names each row's sample),
@@ -155,9 +141,7 @@ class HeadOutputs:
     mask_logits: list[Tensor]  # B entries, each K x 1
     coord_pred: list[Tensor]  # B entries, each K x 3
     text_class_logits: Tensor  # S x C
-    features: list[ObjectFeatures]  # F_1 .. F_{B+1}
     masks: list[RelevanceMask]  # M_1 .. M_B
-    text: TextFeatures
     segments: np.ndarray  # (K,) sample index of each proposal row
 
     @property
@@ -217,8 +201,8 @@ def param_layout(cfg: ModelConfig):
     for layer in range(2):
         yield from _attention_layout(f"txt{layer}.attn", d)
         yield from _ln_layout(f"txt{layer}.ln1", d)
-        yield from _linear_layout(f"txt{layer}.ffn1", d, 2 * d)
-        yield from _linear_layout(f"txt{layer}.ffn2", 2 * d, d)
+        yield from _linear_layout(f"txt{layer}.ffn.1", d, 2 * d)
+        yield from _linear_layout(f"txt{layer}.ffn.2", 2 * d, d)
         yield from _ln_layout(f"txt{layer}.ln2", d)
     yield from _linear_layout("obj.p1", 6, d)
     yield from _linear_layout("obj.p2", d, d)
@@ -264,22 +248,6 @@ def init_params(cfg: ModelConfig) -> tt.FlatParams:
 # building blocks
 
 
-def _attention(
-    p: dict[str, Tensor],
-    prefix: str,
-    q_in: Tensor,
-    kv_in: Tensor,
-    n_heads: int,
-    segments=None,
-    key_segments=None,
-) -> Tensor:
-    q = tt.add_row(tt.matmul(q_in, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
-    k = tt.matmul(kv_in, p[f"{prefix}.wk"])
-    v = tt.add_row(tt.matmul(kv_in, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
-    heads = tt.attention(q, k, v, n_heads, segments, key_segments)
-    return tt.add_row(tt.matmul(heads, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
-
-
 def _layer_norm(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     return tt.layer_norm(x, p[f"{prefix}.g"], p[f"{prefix}.b"])
 
@@ -295,7 +263,11 @@ def _residual_attention(
     key_segments=None,
 ) -> Tensor:
     """layer_norm(x + attention(x, kv)): the attention sublayer's residual step."""
-    heads = _attention(p, attn, x, kv, n_heads, segments, key_segments)
+    q = tt.add_row(tt.matmul(x, p[f"{attn}.wq"]), p[f"{attn}.bq"])
+    k = tt.matmul(kv, p[f"{attn}.wk"])
+    v = tt.add_row(tt.matmul(kv, p[f"{attn}.wv"]), p[f"{attn}.bv"])
+    heads = tt.attention(q, k, v, n_heads, segments, key_segments)
+    heads = tt.add_row(tt.matmul(heads, p[f"{attn}.wo"]), p[f"{attn}.bo"])
     return _layer_norm(p, ln, tt.add(x, heads))
 
 
@@ -311,8 +283,7 @@ def _encoder_layer(
     p: dict[str, Tensor], prefix: str, x: Tensor, n_heads: int, segments: np.ndarray
 ) -> Tensor:
     x = _residual_attention(p, f"{prefix}.attn", f"{prefix}.ln1", x, x, n_heads, segments)
-    h = _linear(p, f"{prefix}.ffn2", tt.relu(_linear(p, f"{prefix}.ffn1", x)))
-    return _layer_norm(p, f"{prefix}.ln2", tt.add(x, h))
+    return _layer_norm(p, f"{prefix}.ln2", tt.add(x, _mlp2(p, f"{prefix}.ffn", x)))
 
 
 def encode_text(
@@ -356,7 +327,8 @@ def encode_text(
     pooled = tt.matmul(tt.constant(averaging), x)
     counts = tuple(lengths[:s])
     return TextFeatures(
-        rows=tt.concat_rows(tt.slice_rows(pooled, 0, s), tt.slice_rows(x, 0, sum(counts))),
+        sentences=tt.slice_rows(pooled, 0, s),
+        words=tt.slice_rows(x, 0, sum(counts)),
         order_features=tt.take_rows(pooled, [slot[name] for name in order_names]),
         token_counts=counts,
     )
@@ -374,11 +346,11 @@ def _resample_points(points: np.ndarray, count: int) -> np.ndarray:
 
 def encode_objects(
     scenes: Sequence[Scene], params: dict[str, Tensor], cfg: ModelConfig
-) -> ObjectFeatures:
-    """Per-proposal point MLP + max-pool, concatenated with a center code.
+) -> Tensor:
+    """F_1: per-proposal point MLP + max-pool, concatenated with a center code.
 
-    The proposals of all scenes stack in order into one matrix; every row
-    depends on its own proposal only.
+    The proposals of all scenes stack in order into one K x d matrix; every
+    row depends on its own proposal only.
     """
     i_pts = cfg.points_per_proposal
     stacked = np.concatenate(
@@ -389,8 +361,7 @@ def encode_objects(
     pooled = tt.max_rows_per_block(h, i_pts)  # K x d
     centers = np.concatenate([scene.centers() for scene in scenes])
     c = tt.relu(_linear(params, "obj.c", tt.constant(centers)))
-    f1 = _linear(params, "obj.out", tt.concat_cols(pooled, c))
-    return ObjectFeatures(matrix=f1, block=1)
+    return _linear(params, "obj.out", tt.concat_cols(pooled, c))
 
 
 def apply_relevance_mask(f: Tensor, mask: RelevanceMask) -> Tensor:
@@ -436,7 +407,7 @@ def fe_forward(
     lower = _residual_attention(
         params, f"{pre}.low", f"{pre}.low_ln", suffix, f_mask, n_heads, suffix_ids, segments
     )
-    up_query = tt.concat_rows(suffix, text.rows)
+    up_query = tt.concat_rows(suffix, text.sentences, text.words)
     upper = _residual_attention(
         params, f"{pre}.up", f"{pre}.up_ln", up_query, attended, n_heads, up_ids, segments
     )
@@ -444,6 +415,13 @@ def fe_forward(
     return _residual_attention(
         params, f"{pre}.fuse", f"{pre}.out_ln", attended, context, n_heads, segments, context_ids
     )
+
+
+def _finite(f: Tensor, block: int) -> Tensor:
+    """F_block itself, once every entry is finite."""
+    if not np.isfinite(f.data).all():
+        raise ContractError(f"non-finite object features at block {block}")
+    return f
 
 
 def _stacked_mask(
@@ -503,8 +481,9 @@ class GroundingModel:
         """Wrap parameters as traced leaves (one wrap per training step)."""
         return {k: tt.leaf(v) for k, v in self.params.items()}
 
-    def frozen(self) -> dict[str, Tensor]:
-        return {k: tt.constant(v) for k, v in self.params.items()}
+    def frozen(self) -> Mapping[str, Tensor]:
+        """Parameters as constants, wrapped once per vector; reads current values."""
+        return self.params.constants()
 
     def forward(
         self,
@@ -551,26 +530,16 @@ class GroundingModel:
         names = [order[j] for j in range(cfg.b) for order in orders]  # block-major
         text = encode_text(tokens, names, p, self.word_vocab, cfg)
         segments = np.repeat(np.arange(s), [len(scene) for scene in scenes])
-        features = [encode_objects(scenes, p, cfg)]
+        features = [_finite(encode_objects(scenes, p, cfg), 1)]  # F_1 .. F_{B+1}
         for i in range(cfg.b):
-            nxt = fe_forward(features[-1].matrix, masks[i], text, p, i, cfg, segments)
-            features.append(ObjectFeatures(matrix=nxt, block=i + 2))
+            nxt = fe_forward(features[-1], masks[i], text, p, i, cfg, segments)
+            features.append(_finite(nxt, i + 2))
 
-        scores_per_block = [_mlp2(p, "head.score", f.matrix) for f in features[1:]]
-        mask_logits = [
-            _mlp2(p, f"head.mask{i}", features[i + 1].matrix) for i in range(cfg.b)
-        ]
-        coord_pred = [
-            _mlp2(p, f"head.coord{i}", features[i + 1].matrix) for i in range(cfg.b)
-        ]
-        text_class_logits = _mlp2(p, "head.text", text.sentences)
         return HeadOutputs(
-            scores_per_block=scores_per_block,
-            mask_logits=mask_logits,
-            coord_pred=coord_pred,
-            text_class_logits=text_class_logits,
-            features=features,
+            scores_per_block=[_mlp2(p, "head.score", f) for f in features[1:]],
+            mask_logits=[_mlp2(p, f"head.mask{i}", features[i + 1]) for i in range(cfg.b)],
+            coord_pred=[_mlp2(p, f"head.coord{i}", features[i + 1]) for i in range(cfg.b)],
+            text_class_logits=_mlp2(p, "head.text", text.sentences),
             masks=masks,
-            text=text,
             segments=segments,
         )

@@ -88,6 +88,9 @@ class GenConfig:
             raise ContractError("need 1 <= proposals_min <= proposals_max")
         if self.order_len < 2:
             raise ContractError("order_len must be at least 2")
+        for name in ("points_per_proposal", "class_vocab_size"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be positive, got {getattr(self, name)}")
         if self.relation not in RELATIONS:
             raise ContractError(f"unknown relation {self.relation!r}")
         if self.style not in ("template", "natural"):
@@ -376,6 +379,8 @@ def sample_at(cfg: GenConfig, index: int, budget: int = 100) -> WarmupSample:
 
 
 def generate_dataset(cfg: GenConfig, num_samples: int, budget: int = 100) -> Iterator[WarmupSample]:
-    """Yield warm-up samples with per-sample derived seeds."""
-    for idx in range(num_samples):
-        yield sample_at(cfg, idx, budget)
+    """Warm-up samples 0 .. num_samples - 1, each from its own derived seed,
+    drawn as the iterator is read; a negative count is refused at the call."""
+    if num_samples < 0:
+        raise ContractError(f"sample count must be non-negative, got {num_samples}")
+    return (sample_at(cfg, idx, budget) for idx in range(num_samples))

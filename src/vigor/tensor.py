@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -707,10 +708,11 @@ class FlatParams(Mapping[str, np.ndarray]):
     in the other.  Whole-vector ops (an optimizer step, a finiteness scan)
     run on `vector`; name lookups, as the model's forward makes them, run
     on the views.  Copies (`copy.deepcopy`, pickling) copy the vector once
-    and rebuild the views, so a copy never shares memory with its source.
+    and rebuild the views, so a copy never shares memory with its source
+    or its constant wraps.
     """
 
-    __slots__ = ("vector", "_views")
+    __slots__ = ("vector", "_views", "_constants")
 
     def __init__(
         self, layout: Iterable[tuple[str, tuple[int, ...]]], vector: np.ndarray | None = None
@@ -739,6 +741,20 @@ class FlatParams(Mapping[str, np.ndarray]):
             start = end
         if len(self._views) != len(layout):
             raise ContractError("layout names must be distinct")
+        self._constants: Mapping[str, Tensor] | None = None
+
+    def constants(self) -> Mapping[str, Tensor]:
+        """Every view wrapped as a constant, built on first use and then
+        reused: a read-only mapping in layout order.
+
+        Writes go through the views in place and a constant does not copy
+        a float64 array, so the wraps always read the current values.
+        """
+        if self._constants is None:
+            self._constants = MappingProxyType(
+                {name: constant(view) for name, view in self._views.items()}
+            )
+        return self._constants
 
     def layout(self) -> list[tuple[str, tuple[int, ...]]]:
         return [(name, view.shape) for name, view in self._views.items()]

@@ -68,6 +68,24 @@ def test_synth_is_deterministic(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [
+        ("--points", "-1", "points_per_proposal"),
+        ("--points", "0", "points_per_proposal"),
+        ("--vocab-size", "0", "class_vocab_size"),
+        ("--scenes", "-3", "sample count"),
+    ],
+)
+def test_synth_out_of_range_size_is_validation_error(tmp_path, capsys, flag, value, named):
+    out = tmp_path / "data.jsonl"
+    # a repeated flag takes its last value
+    assert main(["synth", "--scenes", "2", "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_synth_bad_proposals_flag_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["synth", "--scenes", "1", "--proposals", "nope", "--out", "x"])

@@ -1,10 +1,13 @@
 """Tests for the grounding network: encoders, blocks, heads, gradients."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import vigor.tensor as tt
 from vigor.errors import ContractError
+from vigor.evaluation import accuracy
 from vigor.model import (
     GroundingModel,
     ModelConfig,
@@ -156,7 +159,7 @@ def test_packed_text_encoder_matches_per_piece_passes(order):
         p = m.trainable()
         if packed:
             text = encode_text([tokens], order, p, m.word_vocab, m.cfg)
-            rows, names = text.rows, text.order_features
+            rows, names = tt.concat_rows(text.sentences, text.words), text.order_features
         else:
             rows, names = encode_text_per_piece(m, p, tokens, order)
         loss = tt.add(tt.mean_all(tt.mul(rows, w_rows)), tt.mean_all(tt.mul(names, w_names)))
@@ -189,16 +192,15 @@ def test_packed_text_encoder_rejects_empty_pieces():
 def test_encode_objects_shape():
     m = tiny_model()
     out = encode_objects([SCENE], m.frozen(), m.cfg)
-    assert out.matrix.shape == (3, m.cfg.d)
-    assert out.block == 1
+    assert out.shape == (3, m.cfg.d)
 
 
 def test_encode_objects_is_per_proposal():
     """Each row depends only on its own proposal, so rows permute cleanly."""
     m = tiny_model()
     perm = [2, 0, 1]
-    base = encode_objects([SCENE], m.frozen(), m.cfg).matrix.data
-    permuted = encode_objects([permute_scene(SCENE, perm)], m.frozen(), m.cfg).matrix.data
+    base = encode_objects([SCENE], m.frozen(), m.cfg).data
+    permuted = encode_objects([permute_scene(SCENE, perm)], m.frozen(), m.cfg).data
     assert np.array_equal(permuted, base[perm])
 
 
@@ -207,8 +209,8 @@ def test_resampling_handles_any_point_count():
     for n in (3, 8, 20):
         scene = make_scene([(0, 0, 0), (4, 0, 0)], [0, 1], n_points=n)
         out = encode_objects([scene], m.frozen(), m.cfg)
-        assert out.matrix.shape == (2, 8)
-        assert np.isfinite(out.matrix.data).all()
+        assert out.shape == (2, 8)
+        assert np.isfinite(out.data).all()
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +237,7 @@ def test_apply_relevance_mask_length_check():
 def test_forward_shapes_and_counts():
     m = tiny_model(b=2)
     out = m.forward(SCENE, ORDER, DESC)
-    k, d = len(SCENE), m.cfg.d
-    assert len(out.features) == 3 and [f.block for f in out.features] == [1, 2, 3]
-    assert all(f.matrix.shape == (k, d) for f in out.features)
+    k = len(SCENE)
     assert len(out.scores_per_block) == 2
     assert out.scores.shape == (k, 1)
     assert all(t.shape == (k, 1) for t in out.mask_logits)
@@ -271,9 +271,24 @@ def test_forward_finite_with_all_unknown_order():
     m = tiny_model(b=2)
     out = m.forward(SCENE, ["spaceship", "unicorn"], DESC)
     assert all(mask.count() == 0 for mask in out.masks)
-    for f in out.features:
-        assert np.isfinite(f.matrix.data).all()
     assert np.isfinite(out.scores.data).all()
+
+
+@pytest.mark.parametrize("via", ["forward", "accuracy"])
+@pytest.mark.parametrize(
+    "name, value, block",
+    [("obj.out.b", np.nan, 1), ("fe1.out_ln.b", np.inf, 3)],
+    ids=["F_1-nan", "F_B+1-inf"],
+)
+def test_forward_refuses_non_finite_block_features(name, value, block, via):
+    """F_1 .. F_{B+1} are each scanned as they are built; B = 2 here."""
+    m = tiny_model(b=2)
+    m.params[name][0, 0] = value
+    with pytest.raises(ContractError, match=f"non-finite object features at block {block}$"):
+        if via == "forward":
+            m.forward(SCENE, ORDER, DESC)
+        else:
+            accuracy(m, [SimpleNamespace(scene=SCENE, description=DESC, order=ORDER, target_id=0)])
 
 
 def test_forward_single_proposal_softmax_is_one():
@@ -318,7 +333,7 @@ def test_forward_gradients_match_finite_differences():
         k: m.params[k]
         for k in (
             "txt0.attn.wq",
-            "txt1.ffn2.b",
+            "txt1.ffn.2.b",
             "obj.p1.w",
             "obj.out.b",
             "fe0.low.wk",

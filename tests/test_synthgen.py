@@ -103,6 +103,10 @@ def test_sample_scene_budget_exhaustion():
         ("min_separation", float("nan")),
         ("min_separation", float("inf")),
         ("min_separation", 0.0),
+        ("points_per_proposal", 0),
+        ("points_per_proposal", -1),
+        ("class_vocab_size", 0),
+        ("class_vocab_size", -2),
     ],
 )
 def test_gen_config_rejects_out_of_range_geometry(field, value):
@@ -258,3 +262,8 @@ def test_generate_dataset_natural_style_resolves():
 
 def test_generate_dataset_zero_samples():
     assert list(generate_dataset(tiny_cfg(), 0)) == []
+
+
+def test_generate_dataset_refuses_a_negative_count_at_the_call():
+    with pytest.raises(ContractError, match="-3"):
+        generate_dataset(tiny_cfg(), -3)

@@ -281,6 +281,29 @@ def test_deepcopy_of_model_and_state_trains_identically():
         assert params_equal(twin.params, model.params)
 
 
+def test_frozen_wraps_are_built_once_and_read_their_own_vector():
+    """`frozen()` reuses one constant wrap per parameter; a deep copy gets
+    wraps of its own vector, and an assignment shows through the wraps."""
+    cfg = TrainConfig(warmup_steps=1, batch_size=2, seed=0)
+    model = tiny_model()
+    _, state = warmup_stage(model, GEN, cfg)
+    wraps = model.frozen()
+    assert model.frozen() is wraps
+    twin, twin_state = copy.deepcopy((model, state))
+    warmup_stage(twin, GEN, cfg, twin_state)
+    sample = sample_at(GEN, 0)
+
+    def scores(m, params=None):
+        return m.forward(sample.scene, sample.order, sample.description, params).scores.data
+
+    fresh = {k: T.constant(v) for k, v in twin.params.items()}
+    assert not np.array_equal(scores(twin), scores(model))
+    assert np.array_equal(scores(twin), scores(twin, fresh))
+    model.params = twin.params
+    assert model.frozen() is wraps
+    assert np.array_equal(scores(model), scores(twin, fresh))
+
+
 def test_assigning_params_restarts_like_a_fresh_model():
     """What a benchmark restart does: keep a deep copy of the initial
     parameters and state, train, then assign the copy back."""
