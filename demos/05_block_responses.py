@@ -12,7 +12,7 @@ Run: python3 demos/05_block_responses.py
 import numpy as np
 
 from vigor.model import GroundingModel, ModelConfig
-from vigor.scene import build_mask
+from vigor.scene import build_masks
 from vigor.synthgen import GenConfig, default_vocab, generate_dataset
 
 gen = GenConfig(
@@ -35,26 +35,26 @@ print(f"description: {sample.description}")
 print(f"order: {' -> '.join(sample.order)}  (target id {sample.anchor_target_ids[-1]})")
 
 print("\n= Relevance masks per block " + "=" * 36)
-labels = sample.scene.labels()
+masks = build_masks(sample.scene.labels(), sample.order, vocab)  # K x B, a column per block
 for i in range(model.cfg.b):
-    mask = build_mask(labels, sample.order[i:], vocab)
-    kept = [names[j] for j, bit in enumerate(mask.bits) if bit]
-    print(f"  block {i + 1} suffix {sample.order[i:]}: bits {mask.bits.astype(int)} keeps {kept}")
+    bits = masks[:, i]
+    kept = [names[j] for j, bit in enumerate(bits) if bit]
+    print(f"  block {i + 1} suffix {sample.order[i:]}: bits {bits.astype(int)} keeps {kept}")
 
 print("\n= Score head per block (softmax over proposals) " + "=" * 16)
 out = model.forward(sample.scene, sample.order, sample.description)
 header = "  proposal: " + "".join(f"  {n[:9]:>10s}" for n in names)
 print(header + "    top  anchor")
-for i, (scores, anchor) in enumerate(zip(out.scores_per_block, sample.anchor_target_ids), 1):
-    z = scores.data[:, 0]
+for i, anchor in enumerate(sample.anchor_target_ids):
+    z = out.block_scores.data[:, i]
     probs = np.exp(z - z.max())
     probs /= probs.sum()
     cells = "".join(f"  {v:10.4f}" for v in probs)
-    print(f"  block {i}   {cells}  {int(probs.argmax()):5d}  {anchor:6d}")
+    print(f"  block {i + 1}   {cells}  {int(probs.argmax()):5d}  {anchor:6d}")
 print(f"  predicted id {out.predicted_id()}, ground truth {sample.anchor_target_ids[-1]}")
 
 print("\nthe model is freshly initialized, so the top proposals are still")
 print("arbitrary; after warm-up each block's top proposal should match its")
 print("anchor (demo 03 trains one).")
-assert len(out.scores_per_block) == model.cfg.b == len(sample.anchor_target_ids)
-assert all(np.isfinite(s.data).all() for s in out.scores_per_block)
+assert out.block_scores.shape[1] == model.cfg.b == len(sample.anchor_target_ids)
+assert np.isfinite(out.block_scores.data).all()

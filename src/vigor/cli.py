@@ -1,7 +1,7 @@
 """Command-line surface: synth, train, eval, parse, gradcheck, verify.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O or
-endpoint failure.
+Exit codes: 0 success, 1 validation failure (any package error but an
+endpoint's), 2 usage error, 3 I/O or endpoint failure.
 """
 
 from __future__ import annotations
@@ -11,18 +11,7 @@ import json
 import sys
 from dataclasses import fields
 
-from .errors import (
-    AmbiguityError,
-    CheckpointError,
-    ContractError,
-    EmptyOrderError,
-    EndpointError,
-    GenerationError,
-    NotFoundError,
-    NumericError,
-    OrderParseError,
-    ValidationError,
-)
+from .errors import AmbiguityError, EndpointError, ValidationError, VigorError
 from .evaluation import BREAKDOWN_FAMILIES, accuracy
 from .losses import LossWeights
 from .model import GroundingModel, ModelConfig
@@ -60,18 +49,6 @@ from .trainer import (
 )
 
 __all__ = ["main"]
-
-VALIDATION_FAILURES = (
-    ValidationError,
-    ContractError,
-    GenerationError,
-    AmbiguityError,
-    OrderParseError,
-    CheckpointError,
-    NumericError,
-    NotFoundError,
-    EmptyOrderError,
-)
 
 # Every key a --config file may set, a `vigor train` flag of the same name
 # winning: the fields of GenConfig, TrainConfig and LossWeights, plus
@@ -374,12 +351,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except VALIDATION_FAILURES as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except EndpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except VigorError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

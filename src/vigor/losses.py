@@ -1,13 +1,16 @@
 """Training objectives and their weighted total.
 
-Each loss computes what it is given: `loss_ref` supervises the last block
-or every block, as the width of its targets says, and `compose` weights
-the three or four parts it is handed.  Which parts are supervised, and
-when, is `vigor.trainer`'s decision alone.
+Each loss computes what it is given: `loss_ref` averages over whatever
+score columns it is handed, and `compose` weights the three or four parts
+it is handed.  Which parts are supervised, and when, is `vigor.trainer`'s
+decision alone.
 
-Every loss takes the rows of a packed batch with their sample ids
-(`segments`; None for one sample) and returns the sum of the samples'
-losses, so `compose`, being linear, gives the sum of the samples' totals.
+Per-block values arrive as one matrix with a column (a group of three
+columns for offsets) per block, so each loss is one op chain over the
+whole matrix.  Every loss takes the rows of a packed batch with their
+sample ids (`segments`; None for one sample) and returns the sum of the
+samples' losses, so `compose`, being linear, gives the sum of the samples'
+totals.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import numpy as np
 
 from . import tensor as tt
 from .errors import ContractError, check_field_types
-from .scene import RelevanceMask
 from .tensor import Tensor
 
 __all__ = [
@@ -87,12 +89,14 @@ def _sample_ids(segments, rows: int) -> np.ndarray:
     return ids
 
 
-def _per_sample(ids: Sequence, samples: int) -> np.ndarray:
-    """Anchor ids as one row per sample; a flat sequence serves one sample."""
+def _per_sample(ids: Sequence, samples: int, width: int) -> np.ndarray:
+    """Ids as one row of `width` per sample; a flat sequence serves one sample."""
     arr = np.asarray(ids, dtype=np.intp)
-    if arr.ndim > 2 or arr.size % samples or (arr.ndim == 2 and len(arr) != samples):
-        raise ContractError(f"anchor ids of shape {arr.shape} do not split over {samples} samples")
-    return arr.reshape(samples, -1)
+    if width < 1 or arr.ndim > 2 or arr.size != samples * width or (
+        arr.ndim == 2 and len(arr) != samples
+    ):
+        raise ContractError(f"ids of shape {arr.shape} do not give {samples} samples {width} each")
+    return arr.reshape(samples, width)
 
 
 def _per_sample_means(e: Tensor, ids: np.ndarray) -> Tensor:
@@ -106,94 +110,67 @@ def _per_sample_means(e: Tensor, ids: np.ndarray) -> Tensor:
     return tt.mean_all(tt.matmul(tt.constant(weights.reshape(1, -1)), e))
 
 
-def loss_ref(scores_per_block: Sequence[Tensor], targets: Sequence, segments=None) -> Tensor:
-    """Reference loss: the last block's target, or every block's anchor.
+def loss_ref(scores: Tensor, targets: Sequence, segments=None) -> Tensor:
+    """Reference loss: mean over the W score columns of each column's
+    cross-entropy within every sample.
 
-    `targets` holds one row of ids per sample, each counted within its
-    sample (a flat sequence serves one sample); `segments` names the sample
-    of each score row of a packed batch (None: one sample).  One id a
-    sample supervises the last block.  B ids supervise every block: the B
-    score columns stack into one K x B matrix for one segmented
-    cross-entropy, averaged over the blocks.  Any other width is refused.
-    The result is the sum over samples of each sample's loss.
+    `targets` holds W ids per sample, each counted within its sample (a
+    flat sequence serves one sample); `segments` names the sample of each
+    score row of a packed batch (None: one sample).  The result is the sum
+    over samples of each sample's loss.
     """
-    if not scores_per_block:
-        raise ContractError("need at least one block of scores")
-    for scores in scores_per_block:
-        if scores.shape[1] != 1:
-            raise ContractError(f"expected score columns, got shape {scores.shape}")
-    ids = _sample_ids(segments, scores_per_block[0].shape[0])
-    targets = _per_sample(targets, int(ids.max()) + 1)
-    b = len(scores_per_block)
-    if targets.shape[1] == 1:
-        return tt.cross_entropy(scores_per_block[-1], targets, ids)
-    if targets.shape[1] != b:
-        raise ContractError(f"{targets.shape[1]} ids a sample for {b} blocks: need 1 or {b}")
-    z = tt.concat_cols(*scores_per_block)
-    return tt.scale(tt.cross_entropy(z, targets, ids), 1.0 / b)
+    ids = _sample_ids(segments, scores.shape[0])
+    targets = _per_sample(targets, int(ids.max()) + 1, scores.shape[1])
+    return tt.scale(tt.cross_entropy(scores, targets, ids), 1.0 / scores.shape[1])
 
 
-def loss_mask(
-    mask_logits_per_block: Sequence[Tensor], masks: Sequence[RelevanceMask], segments=None
-) -> Tensor:
+def loss_mask(mask_logits: Tensor, masks: np.ndarray, segments=None) -> Tensor:
     """Mean over blocks of binary cross-entropy with logits against M_i.
 
-    The B logit columns stack into one K x B matrix.  Each sample's mean
-    over its rows of that matrix is the mean of its per-block means; the
+    `mask_logits` and `masks` are K x B, a column per block.  Each
+    sample's mean over its rows is the mean of its per-block means; the
     result sums it over the samples that `segments` names (None: one).
     """
-    if len(mask_logits_per_block) != len(masks) or not masks:
-        raise ContractError("need matching, nonempty logits and masks")
-    k = masks[0].bits.shape[0]
-    for logits, mask in zip(mask_logits_per_block, masks):
-        if logits.shape != (k, 1) or mask.bits.shape[0] != k:
-            raise ContractError(
-                f"mask logits shape {logits.shape} and {mask.bits.shape[0]} mask bits "
-                f"do not both match {k} proposals"
-            )
-    z = tt.concat_cols(*mask_logits_per_block)
-    m = tt.constant(np.stack([mask.bits for mask in masks], axis=1))
+    if mask_logits.shape != np.shape(masks) or not mask_logits.shape[1]:
+        raise ContractError(
+            f"mask logits {mask_logits.shape} and masks {np.shape(masks)} must be one K x B"
+        )
+    ids = _sample_ids(segments, mask_logits.shape[0])
+    z, m = mask_logits, tt.constant(masks)
     # bce(z, m) = softplus(z) - z*m, elementwise
-    return _per_sample_means(tt.sub(tt.softplus(z), tt.mul(z, m)), _sample_ids(segments, k))
+    return _per_sample_means(tt.sub(tt.softplus(z), tt.mul(z, m)), ids)
 
 
 def loss_crd(
-    coord_preds_per_block: Sequence[Tensor],
-    centers: np.ndarray,
-    anchor_target_ids: Sequence,
-    segments=None,
+    coord_pred: Tensor, centers: np.ndarray, anchor_target_ids: Sequence, segments=None
 ) -> Tensor:
     """Mean over blocks of MSE against per-anchor center offsets.
 
-    Block i regresses, for every proposal j, the offset centers[j] - v_i
-    where v_i is the center of that block's anchor.  The B predictions
-    stack into one K x 3B matrix against one offset matrix; every block has
-    K x 3 entries, so a sample's mean is the mean of its per-block means.
-    With `segments` the rows are a packed batch, `anchor_target_ids` holds
-    one row of ids per sample (each counted within its sample), and the
-    result sums the samples' losses.
+    Block i regresses, in columns 3i .. 3i+2 of the K x 3B `coord_pred`,
+    the offset centers[j] - v_i of every proposal j, where v_i is the
+    center of that block's anchor.  Every block has K x 3 entries, so a
+    sample's mean is the mean of its per-block means.  With `segments` the
+    rows are a packed batch, `anchor_target_ids` holds one row of B ids per
+    sample (each counted within its sample), and the result sums the
+    samples' losses.
     """
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[1] != 3:
         raise ContractError(f"centers must be K x 3, got {centers.shape}")
     k = centers.shape[0]
+    b = coord_pred.shape[1] // 3
+    if coord_pred.shape != (k, 3 * b) or not b:
+        raise ContractError(f"coordinate predictions must be {k} x 3B, got {coord_pred.shape}")
     ids = _sample_ids(segments, k)
     sizes = np.bincount(ids)
-    targets = _per_sample(anchor_target_ids, sizes.size)
-    b = targets.shape[1]
-    if len(coord_preds_per_block) != b or not b:
-        raise ContractError("need one anchor id per coordinate block")
+    targets = _per_sample(anchor_target_ids, sizes.size, b)
     if ((targets < 0) | (targets >= sizes[:, None])).any():
         raise ContractError(f"anchor ids {targets.tolist()} outside samples of {sizes.tolist()}")
-    for pred in coord_preds_per_block:
-        if pred.shape != (k, 3):
-            raise ContractError(f"coordinate prediction must be K x 3, got {pred.shape}")
     # row of each sample's anchor in each block, then offsets K x B x 3
     order = np.argsort(ids, kind="stable")  # the rows of sample 0, then 1, ...
     anchors = order[(np.cumsum(sizes) - sizes)[:, None] + targets]
     offsets = (centers[:, None, :] - centers[anchors[ids]]).reshape(k, 3 * b)
-    pred = tt.concat_cols(*coord_preds_per_block)
-    return _per_sample_means(tt.square(tt.sub(pred, tt.constant(offsets))), ids)
+    return _per_sample_means(tt.square(tt.sub(coord_pred, tt.constant(offsets))), ids)
 
 
 def loss_text(text_class_logits: Tensor, target_class_id) -> Tensor:

@@ -6,7 +6,9 @@ attends masked object features against the suffix text, attends
 self-attended object features against suffix-plus-description text, fuses
 both, and emits the next K x d object feature matrix.  Four heads read the
 block outputs: target scores, per-block mask logits, per-block coordinate
-offsets, and a sentence-level class prediction.
+offsets, and a sentence-level class prediction.  Every per-block value is
+one matrix with a column (a group of three for offsets) per block, from
+the relevance masks the blocks apply to the outputs the losses read.
 
 Proposal rows carry no positional encoding, so the whole network is
 permutation equivariant over proposals by construction.
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import tensor as tt
 from .errors import ContractError, check_field_types
-from .scene import ClassVocab, RelevanceMask, Scene, build_mask, tokenize
+from .scene import ClassVocab, Scene, build_masks, tokenize
 from .synthgen import TEMPLATE_WORDS
 from .tensor import Tensor
 
@@ -44,7 +46,6 @@ __all__ = [
     "param_layout",
     "encode_objects",
     "fe_forward",
-    "apply_relevance_mask",
     "sinusoid_positions",
 ]
 
@@ -134,20 +135,18 @@ class HeadOutputs:
 
     For a packed batch of S samples the K rows below are the samples'
     proposals stacked in batch order (`segments` names each row's sample),
-    and the text head has one row per sample.
+    and the text head has one row per sample.  Column i (from 0) of a
+    per-block matrix belongs to block i and is read from its output
+    F_{i+2}; in `coord_pred` block i owns columns 3i .. 3i+2.
     """
 
-    scores_per_block: list[Tensor]  # B entries, each K x 1 (from F_{i+1})
-    mask_logits: list[Tensor]  # B entries, each K x 1
-    coord_pred: list[Tensor]  # B entries, each K x 3
+    scores: Tensor  # K x 1 target scores, read from F_{B+1}
+    block_scores: Tensor  # K x B; its last column is `scores`
+    mask_logits: Tensor  # K x B
+    coord_pred: Tensor  # K x 3B
     text_class_logits: Tensor  # S x C
-    masks: list[RelevanceMask]  # M_1 .. M_B
+    masks: np.ndarray  # K x B of 0/1: M_1 .. M_B
     segments: np.ndarray  # (K,) sample index of each proposal row
-
-    @property
-    def scores(self) -> Tensor:
-        """Target scores: K logits read from F_{B+1}."""
-        return self.scores_per_block[-1]
 
     def predicted_id(self) -> int:
         """The top-scoring proposal of a batch of one."""
@@ -364,16 +363,9 @@ def encode_objects(
     return _linear(params, "obj.out", tt.concat_cols(pooled, c))
 
 
-def apply_relevance_mask(f: Tensor, mask: RelevanceMask) -> Tensor:
-    """Zero out rows of proposals outside the mask (Hadamard with bits)."""
-    if mask.bits.shape[0] != f.shape[0]:
-        raise ContractError("mask length must match proposal count")
-    return tt.scale_rows(f, tt.constant(mask.bits.reshape(-1, 1)))
-
-
 def fe_forward(
     f: Tensor,
-    mask: RelevanceMask,
+    mask: np.ndarray,
     text: TextFeatures,
     params: dict[str, Tensor],
     block: int,
@@ -382,7 +374,9 @@ def fe_forward(
 ) -> Tensor:
     """One feature-enhancement step: masked branch, context branch, fusion.
 
-    For a packed batch of S samples, `segments` names the sample of each
+    `mask` holds one 0/1 entry per row of f (this block's column of the
+    relevance masks); the masked branch zeroes the rows outside it.  For a
+    packed batch of S samples, `segments` names the sample of each
     row of f, and `text.order_features` is block-major: name j of sample s
     sits at row j*S + s, so the suffix from `block` on is one slice.  Every
     attention then stays inside a sample.  One sample needs no ids at all;
@@ -394,7 +388,7 @@ def fe_forward(
     n = text.samples
     pre = f"fe{block}"
     n_heads = cfg.n_heads
-    f_mask = apply_relevance_mask(f, mask)
+    f_mask = tt.scale_rows(f, tt.constant(np.reshape(mask, (-1, 1))))
     suffix = tt.slice_rows(text.order_features, block * n, cfg.b * n)
     if n == 1:
         segments = suffix_ids = up_ids = context_ids = None
@@ -422,16 +416,6 @@ def _finite(f: Tensor, block: int) -> Tensor:
     if not np.isfinite(f.data).all():
         raise ContractError(f"non-finite object features at block {block}")
     return f
-
-
-def _stacked_mask(
-    labels: Sequence[Sequence[int]], orders: Sequence[Sequence[str]], i: int, vocab: ClassVocab
-) -> RelevanceMask:
-    """M_{i+1} of every sample, stacked in batch order."""
-    parts = [build_mask(l, order[i:], vocab) for l, order in zip(labels, orders)]
-    if len(parts) == 1:
-        return parts[0]
-    return RelevanceMask(np.concatenate([m.bits for m in parts]))
 
 
 # ---------------------------------------------------------------------------
@@ -525,20 +509,25 @@ class GroundingModel:
         if len(labels) != s or any(len(l) != len(sc) for l, sc in zip(labels, scenes)):
             raise ContractError("one label per proposal required")
 
-        masks = [_stacked_mask(labels, orders, i, self.class_vocab) for i in range(cfg.b)]
+        masks = np.concatenate(
+            [build_masks(l, order, self.class_vocab) for l, order in zip(labels, orders)]
+        )
         tokens = [tokenize(description) for description in descriptions]
         names = [order[j] for j in range(cfg.b) for order in orders]  # block-major
         text = encode_text(tokens, names, p, self.word_vocab, cfg)
         segments = np.repeat(np.arange(s), [len(scene) for scene in scenes])
         features = [_finite(encode_objects(scenes, p, cfg), 1)]  # F_1 .. F_{B+1}
         for i in range(cfg.b):
-            nxt = fe_forward(features[-1], masks[i], text, p, i, cfg, segments)
+            nxt = fe_forward(features[-1], masks[:, i], text, p, i, cfg, segments)
             features.append(_finite(nxt, i + 2))
 
+        outs = list(enumerate(features[1:]))  # block i and its output F_{i+2}
+        scores = [_mlp2(p, "head.score", f) for _, f in outs]
         return HeadOutputs(
-            scores_per_block=[_mlp2(p, "head.score", f) for f in features[1:]],
-            mask_logits=[_mlp2(p, f"head.mask{i}", features[i + 1]) for i in range(cfg.b)],
-            coord_pred=[_mlp2(p, f"head.coord{i}", features[i + 1]) for i in range(cfg.b)],
+            scores=scores[-1],
+            block_scores=tt.concat_cols(*scores),
+            mask_logits=tt.concat_cols(*(_mlp2(p, f"head.mask{i}", f) for i, f in outs)),
+            coord_pred=tt.concat_cols(*(_mlp2(p, f"head.coord{i}", f) for i, f in outs)),
             text_class_logits=_mlp2(p, "head.text", text.sentences),
             masks=masks,
             segments=segments,

@@ -1,9 +1,10 @@
 """Scene model: proposals, class vocabulary, relevance masks, relations.
 
 A scene is a list of labelled point-cloud proposals with ids 0..K-1.  The
-relevance mask of a referential-order suffix marks every proposal whose
-class name occurs in that suffix; masks are pure set membership, so they
-are invariant to duplication and permutation of the suffix.
+relevance masks of a referential order are one K x B array: column i
+marks every proposal whose class name occurs in the suffix `order[i:]`.
+Masks are pure set membership, so each column is invariant to
+duplication and permutation of its suffix.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,8 +22,7 @@ __all__ = [
     "ClassVocab",
     "Proposal",
     "Scene",
-    "RelevanceMask",
-    "build_mask",
+    "build_masks",
     "relation_select",
     "permute_scene",
     "tokenize",
@@ -136,38 +136,23 @@ class Scene:
         return np.stack([p.center for p in self.proposals])
 
 
-@dataclass(frozen=True)
-class RelevanceMask:
-    """0/1 bit per proposal: is its class mentioned in the order suffix?"""
+def build_masks(labels: Sequence[int], order: Sequence[str], vocab: ClassVocab) -> np.ndarray:
+    """M_1 .. M_B of one sample as one K x B array of 0.0 / 1.0.
 
-    bits: np.ndarray  # (K,) of {0.0, 1.0}
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.float64)
-        if bits.ndim != 1 or not np.isin(bits, (0.0, 1.0)).all():
-            raise ContractError("mask bits must be a flat 0/1 array")
-        object.__setattr__(self, "bits", bits)
-
-    def count(self) -> int:
-        return int(self.bits.sum())
-
-
-def build_mask(
-    labels: Sequence[int], order_suffix: Iterable[str], vocab: ClassVocab
-) -> RelevanceMask:
-    """Mark proposals whose class name appears anywhere in the suffix.
-
-    Unknown suffix names are dropped with a warning rather than failing:
-    parsed orders may mention classes the detector never proposes.
+    Column i marks the proposals whose class name occurs anywhere in
+    `order[i:]`.  A proposal stays marked up to the last position that
+    names its class, so one pass over the order builds every column.
+    Unknown names are dropped with a warning rather than failing: parsed
+    orders may mention classes the detector never proposes.
     """
-    wanted: set[int] = set()
-    for name in order_suffix:
+    last: dict[int, int] = {}  # class id -> last position naming it
+    for i, name in enumerate(order):
         if name in vocab:
-            wanted.add(vocab.index(name))
+            last[vocab.index(name)] = i
         else:
-            log.warning("build_mask: dropping unknown class name %r", name)
-    bits = np.array([1.0 if c in wanted else 0.0 for c in labels], dtype=np.float64)
-    return RelevanceMask(bits)
+            log.warning("build_masks: dropping unknown class name %r", name)
+    reach = np.array([last.get(c, -1) for c in labels], dtype=np.intp)
+    return (reach[:, None] >= np.arange(len(order))).astype(np.float64)
 
 
 def relation_select(

@@ -63,6 +63,7 @@ DEFAULT_CLASS_NAMES = (
 )
 
 TIE_TOLERANCE = 1e-9
+SAMPLE_TRIES = 100  # scenes `sample_at` draws for one slot before giving up
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,13 @@ class GenConfig:
         for name in ("points_per_proposal", "class_vocab_size"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be positive, got {getattr(self, name)}")
+        room = min(self.class_vocab_size, self.proposals_max)
+        if self.order_len > room:
+            raise ContractError(
+                f"order_len {self.order_len} needs as many distinct classes in one scene; "
+                f"class_vocab_size {self.class_vocab_size} and proposals_max "
+                f"{self.proposals_max} allow {room}"
+            )
         if self.relation not in RELATIONS:
             raise ContractError(f"unknown relation {self.relation!r}")
         if self.style not in ("template", "natural"):
@@ -353,7 +361,7 @@ def oracle_resolve_parts(scene: Scene, order: list[str], relation: str) -> list[
     return chain
 
 
-def sample_at(cfg: GenConfig, index: int, budget: int = 100) -> WarmupSample:
+def sample_at(cfg: GenConfig, index: int) -> WarmupSample:
     """Draw the sample for one slot, retrying scenes that cannot host it.
 
     The slot's rng is seeded by (cfg.seed, index), so any slot can be
@@ -363,7 +371,7 @@ def sample_at(cfg: GenConfig, index: int, budget: int = 100) -> WarmupSample:
     relation = cfg.relation
     if cfg.style == "natural":
         relation = RELATIONS[int(rng.integers(0, len(RELATIONS)))]
-    for _ in range(budget):
+    for _ in range(SAMPLE_TRIES):
         scene = sample_scene(cfg, rng)
         scene.scene_id = f"scene-{cfg.seed}-{index}"
         try:
@@ -374,13 +382,13 @@ def sample_at(cfg: GenConfig, index: int, budget: int = 100) -> WarmupSample:
             continue
     raise GenerationError(
         f"could not draw a scene with {cfg.order_len} distinct classes "
-        f"in {budget} tries; widen the proposal range or the vocabulary"
+        f"in {SAMPLE_TRIES} tries; widen the proposal range or the vocabulary"
     )
 
 
-def generate_dataset(cfg: GenConfig, num_samples: int, budget: int = 100) -> Iterator[WarmupSample]:
+def generate_dataset(cfg: GenConfig, num_samples: int) -> Iterator[WarmupSample]:
     """Warm-up samples 0 .. num_samples - 1, each from its own derived seed,
     drawn as the iterator is read; a negative count is refused at the call."""
     if num_samples < 0:
         raise ContractError(f"sample count must be non-negative, got {num_samples}")
-    return (sample_at(cfg, idx, budget) for idx in range(num_samples))
+    return (sample_at(cfg, idx) for idx in range(num_samples))

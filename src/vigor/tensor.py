@@ -556,22 +556,17 @@ def softplus(x: Tensor) -> Tensor:
 def cross_entropy(logits: Tensor, target, segments=None, axis: int = 0) -> Tensor:
     """Summed -log softmax(group)[target] over softmax groups, as a 1x1.
 
-    With an int `target`, `logits` is a 1 x n row or an n x 1 column and
-    the softmax runs along it.  Otherwise the softmax runs along `axis` of
-    the matrix, separately in every column (`axis=0`, column form) or every
-    row (`axis=1`, row form), and `segments` (one id in 0..S-1 per entry
-    along `axis`; default all 0) splits each of those lines into S groups.
-    `target` then has the logits' shape with that axis replaced by S:
-    entry [s, j] (column form) or [j, s] (row form) is the target's index
-    among the rows (columns) of segment s, counted from 0.  Rows of one
-    segment need not be adjacent; every segment needs at least one entry.
+    The softmax runs along `axis` of the matrix, separately in every column
+    (`axis=0`, column form) or every row (`axis=1`, row form), and
+    `segments` (one id in 0..S-1 per entry along `axis`; default all 0)
+    splits each of those lines into S groups.  `target` is a 2-D integer
+    array of the logits' shape with that axis replaced by S: entry [s, j]
+    (column form) or [j, s] (row form) is the target's index among the
+    rows (columns) of segment s, counted from 0.  Rows of one segment need
+    not be adjacent; every segment needs at least one entry.  One target in
+    an n x 1 column is `[[t]]`; in a 1 x n row, `[[t]]` with `axis=1`.
     """
     x = logits.data
-    if np.ndim(target) == 0:
-        if 1 not in x.shape:
-            raise ShapeError(f"cross_entropy needs a row or a column, got {logits.shape}")
-        axis = 1 if x.shape[0] == 1 else 0
-        target = [[target]]
     if axis not in (0, 1):
         raise ContractError(f"axis must be 0 or 1, got {axis}")
     # Column form throughout: a row-form matrix is handled as its transpose.

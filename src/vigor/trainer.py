@@ -123,7 +123,7 @@ def _warmup_loss(
     ids = [s.anchor_target_ids for s in samples]
     centers = np.concatenate([s.scene.centers() for s in samples])
     return compose(
-        loss_ref(out.scores_per_block, ids, out.segments),
+        loss_ref(out.block_scores, ids, out.segments),
         loss_mask(out.mask_logits, out.masks, out.segments),
         loss_text(out.text_class_logits, _target_classes(samples)),
         loss_crd(out.coord_pred, centers, ids, out.segments),
@@ -134,7 +134,7 @@ def _warmup_loss(
 def _main_loss(out: HeadOutputs, items: Sequence, weights: LossWeights) -> LossBreakdown:
     """Target only: reference, mask, and sentence class; no offsets."""
     return compose(
-        loss_ref(out.scores_per_block, [[it.target_id] for it in items], out.segments),
+        loss_ref(out.scores, [[it.target_id] for it in items], out.segments),
         loss_mask(out.mask_logits, out.masks, out.segments),
         loss_text(out.text_class_logits, _target_classes(items)),
         weights=weights,

@@ -23,7 +23,7 @@ from vigor.orderparse import (
     parse_appearance_order,
     trim_pad,
 )
-from vigor.scene import RelevanceMask, build_mask, permute_scene
+from vigor.scene import build_masks, permute_scene
 from vigor.synthgen import GenConfig, default_vocab, generate_dataset, oracle_resolve
 from vigor.trainer import (
     TrainConfig,
@@ -101,14 +101,14 @@ def test_criterion_02_mask_suite():
 
         wanted = {vocab.index(n) for n in order if n in vocab}
         oracle = np.array([1.0 if c in wanted else 0.0 for c in labels])
-        assert np.array_equal(build_mask(labels, order, vocab).bits, oracle)
+        chain = build_masks(labels, order, vocab).T  # column i: the suffix order[i:]
+        assert np.array_equal(chain[0], oracle)
 
-        chain = [build_mask(labels, order[i:], vocab).bits for i in range(len(order))]
         for wider, narrower in zip(chain, chain[1:]):
             assert np.all(narrower <= wider)
 
-        doubled = build_mask(labels, order + [order[0]], vocab).bits
-        shuffled = build_mask(labels, list(rng.permutation(order)), vocab).bits
+        doubled = build_masks(labels, order + [order[0]], vocab)[:, 0]
+        shuffled = build_masks(labels, list(rng.permutation(order)), vocab)[:, 0]
         assert np.array_equal(doubled, oracle)
         assert np.array_equal(shuffled, oracle)
         agree += 1
@@ -238,17 +238,17 @@ def test_criterion_07_loss_closed_forms():
     """Uniform cross-entropy equals ln 4 and zero-logit BCE equals ln 2
     within 1e-12; coordinate loss is exactly translation covariant."""
     uniform = tt.constant(np.zeros((4, 1)))
-    ce = loss_ref([uniform], [2]).data[0, 0]
+    ce = loss_ref(uniform, [2]).data[0, 0]
     assert abs(ce - math.log(4.0)) <= 1e-12
 
     logits = tt.constant(np.zeros((3, 1)))
-    mask = RelevanceMask(np.array([1.0, 0.0, 1.0]))
-    bce = loss_mask([logits], [mask]).data[0, 0]
+    mask = np.array([[1.0], [0.0], [1.0]])
+    bce = loss_mask(logits, mask).data[0, 0]
     assert abs(bce - math.log(2.0)) <= 1e-12
 
     # dyadic coordinates so the shifted difference is exact in binary
     centers = np.array([[0.0, 0.25, 1.5], [2.0, -0.75, 0.5], [-1.25, 3.0, 0.25]])
-    preds = [tt.constant(np.full((3, 3), 0.125)), tt.constant(np.zeros((3, 3)))]
+    preds = tt.constant(np.hstack([np.full((3, 3), 0.125), np.zeros((3, 3))]))
     ids = [1, 0]
     base = loss_crd(preds, centers, ids).data[0, 0]
     shifted = loss_crd(preds, centers + np.array([4.5, -2.25, 8.0]), ids).data[0, 0]
@@ -271,9 +271,10 @@ def test_criterion_08_trim_pad():
         assert fitted[-1] == order[-1]
         assert trim_pad(fitted, b) == fitted
         labels = rng.integers(0, len(vocab), 6).tolist()
+        wanted, fitted_masks = build_masks(labels, order, vocab), build_masks(labels, fitted, vocab)
         for i in range(b):
-            want = build_mask(labels, order[max(0, i + n - b):], vocab).bits
-            got = build_mask(labels, fitted[i:], vocab).bits
+            want = wanted[:, max(0, i + n - b)]
+            got = fitted_masks[:, i]
             assert np.array_equal(got, want)
         ok += 1
     assert ok == 1000

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import vigor.cli as cli
+from vigor import errors
 from vigor.cli import main
 from vigor.errors import CheckpointError
 from vigor.model import GroundingModel, ModelConfig
@@ -84,6 +85,38 @@ def test_synth_out_of_range_size_is_validation_error(tmp_path, capsys, flag, val
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--order-len", "9", "--vocab-size", "2"], ["--proposals", "1:1"]],
+    ids=["vocab", "proposals"],
+)
+def test_synth_order_no_scene_can_hold_is_validation_error(tmp_path, capsys, flags):
+    """Refused when the config is built, before any scene is drawn."""
+    out = tmp_path / "data.jsonl"
+    assert main(["synth", "--scenes", "2", "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "order_len" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+PACKAGE_ERRORS = sorted(
+    (e for e in vars(errors).values() if isinstance(e, type) and issubclass(e, errors.VigorError)),
+    key=lambda e: e.__name__,
+)
+
+
+@pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda e: e.__name__)
+def test_every_package_error_has_an_exit_code(monkeypatch, capsys, error):
+    """An endpoint failure exits 3; every other package error exits 1."""
+
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_gradcheck", fail)
+    assert main(["gradcheck"]) == (3 if error is errors.EndpointError else 1)
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_synth_bad_proposals_flag_is_usage_error(tmp_path):

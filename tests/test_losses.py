@@ -15,7 +15,6 @@ from vigor.losses import (
     loss_ref,
     loss_text,
 )
-from vigor.scene import RelevanceMask
 
 # ---------------------------------------------------------------------------
 # scalar oracles: plain python floats, no numpy broadcasting
@@ -44,20 +43,25 @@ def col(values):
     return tt.constant(np.asarray(values, dtype=float).reshape(-1, 1))
 
 
+def cols(*columns):
+    """One K x B matrix of 0/1 bits or logits, a column per block."""
+    return np.stack([np.asarray(c, dtype=float) for c in columns], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # loss_ref
 
 
 def test_ref_uniform_logits_is_ln_k():
     scores = [col([0.0, 0.0, 0.0, 0.0]) for _ in range(3)]
-    warm = loss_ref(scores, [1, 2, 0])
+    warm = loss_ref(tt.concat_cols(*scores), [1, 2, 0])
     assert abs(warm.item() - math.log(4)) <= 1e-12
-    main = loss_ref(scores, [3])
+    main = loss_ref(scores[-1], [3])
     assert abs(main.item() - math.log(4)) <= 1e-12
 
 
 def test_ref_confident_correct_goes_to_zero():
-    scores = [col([40.0, 0.0, 0.0])]
+    scores = col([40.0, 0.0, 0.0])
     assert loss_ref(scores, [0]).item() < 1e-8
 
 
@@ -68,23 +72,23 @@ def test_ref_matches_scalar_oracle():
         blocks = [rng.normal(0, 3, size=k) for _ in range(b)]
         ids = [int(rng.integers(0, k)) for _ in range(b)]
         want = sum(ce_oracle(list(s), t) for s, t in zip(blocks, ids)) / b
-        got = loss_ref([col(s) for s in blocks], ids)
+        got = loss_ref(tt.constant(cols(*blocks)), ids)
         assert abs(got.item() - want) <= 1e-12
         want_main = ce_oracle(list(blocks[-1]), ids[-1])
-        got_main = loss_ref([col(s) for s in blocks], [ids[-1]])
+        got_main = loss_ref(col(blocks[-1]), [ids[-1]])
         assert abs(got_main.item() - want_main) <= 1e-12
 
 
 def test_ref_rejects_bad_ids_and_stages():
     scores = [col([0.0, 1.0, 2.0])]
     with pytest.raises(ContractError):
-        loss_ref(scores, [3])
+        loss_ref(scores[0], [3])
     with pytest.raises(ContractError):
-        loss_ref(scores, [-1])
+        loss_ref(scores[0], [-1])
     with pytest.raises(ContractError):
-        loss_ref(scores, [0, 1])  # 2 ids, 1 block
+        loss_ref(scores[0], [0, 1])  # 2 ids, 1 block
     with pytest.raises(ContractError):
-        loss_ref(scores * 3, [0, 1])  # 2 ids, 3 blocks: neither the last nor every block
+        loss_ref(tt.concat_cols(*scores * 3), [0, 1])  # 2 ids, 3 blocks
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +96,15 @@ def test_ref_rejects_bad_ids_and_stages():
 
 
 def test_mask_zero_logits_is_ln_2():
-    logits = [col([0.0, 0.0, 0.0])] * 2
-    masks = [RelevanceMask(np.array([1.0, 0.0, 1.0]))] * 2
+    logits = tt.constant(np.zeros((3, 2)))
+    masks = cols([1.0, 0.0, 1.0], [1.0, 0.0, 1.0])
     assert abs(loss_mask(logits, masks).item() - math.log(2)) <= 1e-12
 
 
 def test_mask_confident_limit_goes_to_zero():
     bits = np.array([1.0, 0.0, 1.0, 0.0])
-    logits = [col(50.0 * (2.0 * bits - 1.0))]
-    assert loss_mask(logits, [RelevanceMask(bits)]).item() < 1e-8
+    logits = col(50.0 * (2.0 * bits - 1.0))
+    assert loss_mask(logits, cols(bits)).item() < 1e-8
 
 
 def test_mask_matches_scalar_oracle():
@@ -116,18 +120,15 @@ def test_mask_matches_scalar_oracle():
             )
             / b
         )
-        got = loss_mask(
-            [col(zs) for zs in logit_blocks],
-            [RelevanceMask(ms) for ms in bit_blocks],
-        )
+        got = loss_mask(tt.constant(cols(*logit_blocks)), cols(*bit_blocks))
         assert abs(got.item() - want) <= 1e-12
 
 
 def test_mask_rejects_mismatched_lengths():
     with pytest.raises(ContractError):
-        loss_mask([col([0.0, 0.0])], [RelevanceMask(np.array([1.0, 0.0, 0.0]))])
+        loss_mask(col([0.0, 0.0]), cols([1.0, 0.0, 0.0]))
     with pytest.raises(ContractError):
-        loss_mask([], [])
+        loss_mask(tt.constant(np.zeros((3, 0))), np.zeros((3, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +142,7 @@ def centers_grid():
 
 def test_crd_exact_offsets_give_zero():
     v = centers_grid()
-    preds = [tt.constant(v - v[1]), tt.constant(v - v[0])]
+    preds = tt.constant(np.hstack([v - v[1], v - v[0]]))
     assert loss_crd(preds, v, [1, 0]).item() == 0.0
 
 
@@ -161,14 +162,14 @@ def test_crd_matches_scalar_oracle():
         want = sum(
             mse_oracle(p.tolist(), (v - v[t]).tolist()) for p, t in zip(preds, ids)
         ) / b
-        got = loss_crd([tt.constant(p) for p in preds], v, ids)
+        got = loss_crd(tt.constant(np.hstack(preds)), v, ids)
         assert abs(got.item() - want) <= 1e-12
 
 
 def test_crd_translation_covariance_exact():
     v = centers_grid()
     shift = np.array([4.5, -2.25, 8.0])  # dyadic, so addition is exact here
-    preds = [tt.constant(np.arange(9.0).reshape(3, 3) / 8.0)]
+    preds = tt.constant(np.arange(9.0).reshape(3, 3) / 8.0)
     assert loss_crd(preds, v, [1]).item() == loss_crd(preds, v + shift, [1]).item()
 
 
@@ -176,7 +177,7 @@ def test_crd_translation_covariance_random():
     rng = np.random.default_rng(3)
     v = rng.normal(0, 2, size=(4, 3))
     shift = rng.normal(0, 5, size=3)
-    preds = [tt.constant(rng.normal(0, 1, size=(4, 3))) for _ in range(2)]
+    preds = tt.constant(rng.normal(0, 1, size=(4, 6)))
     a = loss_crd(preds, v, [0, 3]).item()
     b = loss_crd(preds, v + shift, [0, 3]).item()
     assert abs(a - b) <= 1e-9
@@ -185,7 +186,7 @@ def test_crd_translation_covariance_random():
 def test_crd_rejects_bad_anchor():
     v = centers_grid()
     with pytest.raises(ContractError):
-        loss_crd([tt.constant(np.zeros((3, 3)))], v, [3])
+        loss_crd(tt.constant(np.zeros((3, 3))), v, [3])
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +224,13 @@ def test_text_rejects_bad_class():
 
 
 def build_parts(stage):
-    scores = [col([1.0, -1.0, 0.5])] * 2
-    masks = [RelevanceMask(np.array([1.0, 0.0, 1.0]))] * 2
-    logits = [col([0.3, -0.2, 1.0])] * 2
-    l_r = loss_ref(scores, [0, 1] if stage == "warmup" else [1])
+    scores = tt.constant(cols([1.0, -1.0, 0.5], [1.0, -1.0, 0.5]))
+    masks = cols([1.0, 0.0, 1.0], [1.0, 0.0, 1.0])
+    logits = tt.constant(cols([0.3, -0.2, 1.0], [0.3, -0.2, 1.0]))
+    l_r = loss_ref(scores, [0, 1]) if stage == "warmup" else loss_ref(col([1.0, -1.0, 0.5]), [1])
     l_m = loss_mask(logits, masks)
     l_t = loss_text(tt.constant(np.array([[0.1, 0.9, -0.4]])), 1)
-    l_c = loss_crd([tt.constant(np.ones((3, 3)))] * 2, centers_grid(), [0, 1])
+    l_c = loss_crd(tt.constant(np.ones((3, 6))), centers_grid(), [0, 1])
     return l_r, l_m, l_t, l_c
 
 
@@ -287,11 +288,9 @@ def test_loss_gradients_match_finite_differences():
     }
 
     def loss_fn(p):
-        l_r = loss_ref([p["scores0"], p["scores1"]], [2, 0])
-        l_m = loss_mask(
-            [p["mlogit0"], p["mlogit1"]], [RelevanceMask(m) for m in bits]
-        )
-        l_c = loss_crd([p["coord0"], p["coord1"]], centers, [1, 3])
+        l_r = loss_ref(tt.concat_cols(p["scores0"], p["scores1"]), [2, 0])
+        l_m = loss_mask(tt.concat_cols(p["mlogit0"], p["mlogit1"]), cols(*bits))
+        l_c = loss_crd(tt.concat_cols(p["coord0"], p["coord1"]), centers, [1, 3])
         l_t = loss_text(p["tlogit"], 4)
         return compose(l_r, l_m, l_t, l_c).total
 
@@ -303,9 +302,9 @@ def test_loss_gradients_match_finite_differences():
 def test_loss_ref_rejects_score_rows():
     row = tt.constant(np.zeros((1, 3)))
     with pytest.raises(ContractError):
-        loss_ref([row], [0])
+        loss_ref(row, [0])  # one id for three columns
     with pytest.raises(ContractError):
-        loss_ref([col([0.0, 1.0, 2.0]), row], [0, 1])
+        loss_ref(row, [0, 1])  # two ids for three columns
 
 
 def test_loss_weights_reject_negative_and_nonfinite():
@@ -322,8 +321,8 @@ def test_loss_weights_reject_negative_and_nonfinite():
 
 def loss_mask_reference(logits_per_block, masks):
     terms = []
-    for logits, mask in zip(logits_per_block, masks):
-        m = tt.constant(mask.bits.reshape(-1, 1))
+    for logits, bits in zip(logits_per_block, masks):
+        m = tt.constant(bits.reshape(-1, 1))
         terms.append(tt.mean_all(tt.sub(tt.softplus(logits), tt.mul(logits, m))))
     return tt.scale(sum_reference(terms), 1.0 / len(terms))
 
@@ -349,7 +348,7 @@ def test_whole_matrix_losses_match_per_block_reference(b, stage):
     rng = np.random.default_rng(10 + b)
     k = 6
     centers = rng.normal(0, 2, size=(k, 3))
-    masks = [RelevanceMask(rng.integers(0, 2, size=k).astype(float)) for _ in range(b)]
+    masks = [rng.integers(0, 2, size=k).astype(float) for _ in range(b)]
     ids = [int(i) for i in rng.integers(0, k, size=b)]
     arrays = {
         **{f"mlogit{i}": rng.normal(0, 3, size=(k, 1)) for i in range(b)},
@@ -376,7 +375,13 @@ def test_whole_matrix_losses_match_per_block_reference(b, stage):
         weights = [w.w_ref, w.w_mask, w.w_text, w.w_crd]
         return sum_reference([tt.scale(p, c) for p, c in zip(parts, weights)])
 
-    got, got_grads = run(loss_mask, loss_crd, new_total)
+    def whole_mask(logits, masks):
+        return loss_mask(tt.concat_cols(*logits), cols(*masks))
+
+    def whole_crd(preds, centers, ids):
+        return loss_crd(tt.concat_cols(*preds), centers, ids)
+
+    got, got_grads = run(whole_mask, whole_crd, new_total)
     want, want_grads = run(loss_mask_reference, loss_crd_reference, reference_total)
     assert np.allclose(got, want, rtol=0, atol=1e-12)
     for name in arrays:
@@ -408,19 +413,19 @@ def test_packed_losses_sum_the_per_sample_references():
         return [tt.constant(a[rows]) for a in arrays]
 
     packed = [
-        loss_ref(const(scores), ids, segments),
-        loss_ref(const(scores), [[i[-1]] for i in ids], segments),
-        loss_mask(const(logits), [RelevanceMask(m) for m in bits], segments),
-        loss_crd(const(coords), centers, ids, segments),
+        loss_ref(tt.constant(np.hstack(scores)), ids, segments),
+        loss_ref(tt.constant(scores[-1]), [[i[-1]] for i in ids], segments),
+        loss_mask(tt.constant(np.hstack(logits)), cols(*bits), segments),
+        loss_crd(tt.constant(np.hstack(coords)), centers, ids, segments),
         loss_text(tt.constant(text), classes),
     ]
     want = np.zeros(len(packed))
     for s, n in enumerate(sizes):
         rows = segments == s
         want += [
-            loss_ref(const(scores, rows), ids[s]).item(),
-            loss_ref(const(scores, rows), [ids[s][-1]]).item(),
-            loss_mask_reference(const(logits, rows), [RelevanceMask(m[rows]) for m in bits]).item(),
+            loss_ref(tt.constant(np.hstack(scores)[rows]), ids[s]).item(),
+            loss_ref(tt.constant(scores[-1][rows]), [ids[s][-1]]).item(),
+            loss_mask_reference(const(logits, rows), [m[rows] for m in bits]).item(),
             loss_crd_reference(const(coords, rows), centers[rows], ids[s]).item(),
             loss_text(tt.constant(text[s : s + 1]), classes[s]).item(),
         ]
@@ -431,12 +436,12 @@ def test_packed_losses_reject_ids_that_do_not_fit_the_samples():
     segments = [0, 0, 1]
     col3 = col([0.0, 1.0, 2.0])
     with pytest.raises(ContractError):
-        loss_ref([col3], [[0], [1], [0]], segments)  # three rows of ids, two samples
+        loss_ref(col3, [[0], [1], [0]], segments)  # three rows of ids, two samples
     with pytest.raises(ContractError):
-        loss_ref([col3], [[0], [1]], [0, 1])  # two ids for three rows
+        loss_ref(col3, [[0], [1]], [0, 1])  # two ids for three rows
     with pytest.raises(ContractError):
-        loss_ref([col3], [[2], [0]], segments)  # sample 0 has two rows
+        loss_ref(col3, [[2], [0]], segments)  # sample 0 has two rows
     with pytest.raises(ContractError):
-        loss_crd([tt.constant(np.zeros((3, 3)))], np.zeros((3, 3)), [[0], [1]], segments)
+        loss_crd(tt.constant(np.zeros((3, 3))), np.zeros((3, 3)), [[0], [1]], segments)
     with pytest.raises(ContractError):
         loss_text(tt.constant(np.zeros((1, 4))), [0, 1])

@@ -13,14 +13,13 @@ from vigor.model import (
     ModelConfig,
     WordVocab,
     _encoder_layer,
-    apply_relevance_mask,
     encode_objects,
     encode_text,
     init_params,
     sinusoid_positions,
     tokenize,
 )
-from vigor.scene import ClassVocab, Proposal, RelevanceMask, Scene, permute_scene
+from vigor.scene import ClassVocab, Proposal, Scene, permute_scene
 
 VOCAB = ClassVocab(("chair", "table", "door", "bed", "water bottle"))
 
@@ -214,23 +213,6 @@ def test_resampling_handles_any_point_count():
 
 
 # ---------------------------------------------------------------------------
-# masked feature step
-
-
-def test_apply_relevance_mask_zeroes_rows():
-    f = tt.constant(np.arange(12.0).reshape(3, 4))
-    out = apply_relevance_mask(f, RelevanceMask(np.array([1.0, 0.0, 1.0])))
-    assert np.array_equal(out.data[1], np.zeros(4))
-    assert np.array_equal(out.data[[0, 2]], f.data[[0, 2]])
-
-
-def test_apply_relevance_mask_length_check():
-    f = tt.constant(np.zeros((3, 4)))
-    with pytest.raises(ContractError):
-        apply_relevance_mask(f, RelevanceMask(np.array([1.0, 0.0])))
-
-
-# ---------------------------------------------------------------------------
 # forward pass
 
 
@@ -238,12 +220,12 @@ def test_forward_shapes_and_counts():
     m = tiny_model(b=2)
     out = m.forward(SCENE, ORDER, DESC)
     k = len(SCENE)
-    assert len(out.scores_per_block) == 2
+    assert out.block_scores.shape[1] == 2
     assert out.scores.shape == (k, 1)
-    assert all(t.shape == (k, 1) for t in out.mask_logits)
-    assert all(t.shape == (k, 3) for t in out.coord_pred)
+    assert out.mask_logits.shape == (k, 2)
+    assert out.coord_pred.shape == (k, 3 * 2)
     assert out.text_class_logits.shape == (1, len(VOCAB))
-    assert [mask.count() for mask in out.masks] == [3, 2]
+    assert out.masks.sum(axis=0).tolist() == [3, 2]
 
 
 def test_forward_deterministic():
@@ -270,7 +252,7 @@ def test_forward_finite_with_all_unknown_order():
     """Orders full of unseen class names zero every mask; outputs stay finite."""
     m = tiny_model(b=2)
     out = m.forward(SCENE, ["spaceship", "unicorn"], DESC)
-    assert all(mask.count() == 0 for mask in out.masks)
+    assert not out.masks.any()
     assert np.isfinite(out.scores.data).all()
 
 
@@ -296,7 +278,7 @@ def test_forward_single_proposal_softmax_is_one():
     scene = make_scene([(0, 0, 0)], [VOCAB.index("door")])
     out = m.forward(scene, ["door", "door"], "the door in the room")
     # a one-entry softmax is exactly [1.0], so -log of it is exactly 0
-    assert tt.cross_entropy(out.scores, 0).item() == 0.0
+    assert tt.cross_entropy(out.scores, [[0]]).item() == 0.0
 
 
 def test_forward_permutation_equivariance():
@@ -309,8 +291,7 @@ def test_forward_permutation_equivariance():
     base = m.forward(scene, ORDER, DESC)
     moved = m.forward(permute_scene(scene, perm), ORDER, DESC)
     assert np.max(np.abs(moved.scores.data - base.scores.data[perm])) <= 1e-9
-    for a, b in zip(base.coord_pred, moved.coord_pred):
-        assert np.max(np.abs(b.data - a.data[perm])) <= 1e-9
+    assert np.max(np.abs(moved.coord_pred.data - base.coord_pred.data[perm])) <= 1e-9
     assert base.predicted_id() == perm[moved.predicted_id()]
 
 
@@ -318,7 +299,7 @@ def test_forward_uses_given_labels_for_masks():
     m = tiny_model(b=2)
     noisy = [1, 1, 1]  # pretend everything is a table
     out = m.forward(SCENE, ORDER, DESC, labels=noisy)
-    assert [mask.count() for mask in out.masks] == [3, 3]
+    assert out.masks.sum(axis=0).tolist() == [3, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +330,7 @@ def test_forward_gradients_match_finite_differences():
             for k, v in m.params.items()
         }
         out = m.forward(scene, ORDER, DESC, params=p)
-        return tt.cross_entropy(out.scores, target)
+        return tt.cross_entropy(out.scores, [[target]])
 
     report = tt.grad_check(loss_fn, subset)
     assert report.nonfinite == []
@@ -375,16 +356,12 @@ def test_forward_batch_rows_equal_each_sample_alone():
     for s, (scene, order, desc) in enumerate(zip(scenes, orders, descriptions)):
         alone = m.forward(scene, order, desc)
         rows = packed.segments == s
-        for got, want in [
-            *zip(packed.scores_per_block, alone.scores_per_block),
-            *zip(packed.mask_logits, alone.mask_logits),
-            *zip(packed.coord_pred, alone.coord_pred),
-        ]:
+        for name in ("scores", "block_scores", "mask_logits", "coord_pred"):
+            got, want = getattr(packed, name), getattr(alone, name)
             assert np.abs(got.data[rows] - want.data).max() <= 1e-10
         text = packed.text_class_logits.data[s] - alone.text_class_logits.data[0]
         assert np.abs(text).max() <= 1e-10
-        for got, want in zip(packed.masks, alone.masks):
-            assert np.array_equal(got.bits[rows], want.bits)
+        assert np.array_equal(packed.masks[rows], alone.masks)
     with pytest.raises(ContractError):
         packed.predicted_id()
 

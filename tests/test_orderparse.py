@@ -27,7 +27,7 @@ from vigor.orderparse import (
     parse_appearance_order,
     trim_pad,
 )
-from vigor.scene import ClassVocab, build_mask, tokenize
+from vigor.scene import ClassVocab, build_masks, tokenize
 from vigor.synthgen import GenConfig, generate_dataset
 
 VOCAB = ClassVocab(("chair", "door", "table", "water bottle", "easy chair", "bed"))
@@ -159,10 +159,11 @@ def test_left_pad_preserves_mask_semantics():
         order = [names[i] for i in rng.choice(len(names), size=n, replace=False)]
         padded = trim_pad(order, b)
         labels = [int(c) for c in rng.integers(0, len(VOCAB), size=6)]
+        padded_masks, masks = build_masks(labels, padded, VOCAB), build_masks(labels, order, VOCAB)
         for i in range(b):
-            got = build_mask(labels, padded[i:], VOCAB).bits
+            got = padded_masks[:, i]
             start = max(0, i - (b - n))
-            want = build_mask(labels, order[start:], VOCAB).bits
+            want = masks[:, start]
             assert np.array_equal(got, want)
 
 

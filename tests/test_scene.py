@@ -9,9 +9,8 @@ from vigor.errors import ContractError, NotFoundError
 from vigor.scene import (
     ClassVocab,
     Proposal,
-    RelevanceMask,
     Scene,
-    build_mask,
+    build_masks,
     permute_scene,
     relation_select,
 )
@@ -114,16 +113,16 @@ def test_build_mask_example():
         classes=[0, 1, 0, 2],  # chair, table, chair, door
         vocab=VOCAB,
     )
-    mask = build_mask(scene.labels(), ["table", "chair"], VOCAB)
-    assert np.array_equal(mask.bits, [1, 1, 1, 0])
-    assert mask.count() == 3
+    mask = build_masks(scene.labels(), ["table", "chair"], VOCAB)[:, 0]
+    assert np.array_equal(mask, [1, 1, 1, 0])
+    assert mask.sum() == 3
 
 
 def test_build_mask_unknown_name_dropped(caplog):
     labels = [0, 1, 2]
     with caplog.at_level("WARNING"):
-        mask = build_mask(labels, ["chair", "ghost"], VOCAB)
-    assert np.array_equal(mask.bits, [1, 0, 0])
+        mask = build_masks(labels, ["chair", "ghost"], VOCAB)[:, 0]
+    assert np.array_equal(mask, [1, 0, 0])
     assert any("ghost" in r.message for r in caplog.records)
 
 
@@ -134,9 +133,9 @@ def test_build_mask_set_membership_oracle():
         labels = [int(c) for c in rng.integers(0, len(VOCAB), size=k)]
         suffix_ids = rng.choice(len(VOCAB), size=rng.integers(1, 4), replace=False)
         suffix = [VOCAB.name(int(i)) for i in suffix_ids]
-        mask = build_mask(labels, suffix, VOCAB)
+        mask = build_masks(labels, suffix, VOCAB)[:, 0]
         want = [1.0 if VOCAB.name(c) in set(suffix) else 0.0 for c in labels]
-        assert np.array_equal(mask.bits, want)
+        assert np.array_equal(mask, want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -148,11 +147,11 @@ def test_build_mask_set_membership_oracle():
 def test_build_mask_permutation_duplication_invariant(labels, suffix_ids, seed):
     rng = np.random.default_rng(seed)
     suffix = [VOCAB.name(i) for i in suffix_ids]
-    base = build_mask(labels, suffix, VOCAB).bits
+    base = build_masks(labels, suffix, VOCAB)[:, 0]
     shuffled = list(suffix)
     rng.shuffle(shuffled)
     dup = shuffled + [shuffled[0]] * int(rng.integers(0, 3))
-    assert np.array_equal(build_mask(labels, dup, VOCAB).bits, base)
+    assert np.array_equal(build_masks(labels, dup, VOCAB)[:, 0], base)
 
 
 def test_mask_suffix_monotonicity():
@@ -161,16 +160,33 @@ def test_mask_suffix_monotonicity():
         labels = [int(c) for c in rng.integers(0, len(VOCAB), size=6)]
         order = [VOCAB.name(int(i)) for i in rng.choice(len(VOCAB), size=4, replace=False)]
         prev = None
-        for i in range(len(order)):
-            bits = build_mask(labels, order[i:], VOCAB).bits
+        for bits in build_masks(labels, order, VOCAB).T:  # block by block
             if prev is not None:
                 assert np.all(bits <= prev)  # unmasked set never grows
             prev = bits
 
 
-def test_relevance_mask_rejects_non_binary():
-    with pytest.raises(ContractError):
-        RelevanceMask(np.array([0.5, 1.0]))
+@settings(max_examples=200, deadline=None)
+@given(
+    labels=st.lists(st.integers(0, 4), min_size=1, max_size=8),
+    order_ids=st.lists(st.integers(0, 6), min_size=1, max_size=6),  # 5 and 6 are unknown
+    seed=st.integers(0, 10_000),
+)
+def test_build_masks_columns_equal_the_suffix_oracle(labels, order_ids, seed):
+    """Column i is the set-membership oracle of order[i:]; the array is K x B
+    of 0.0 / 1.0, and a shuffled or duplicated suffix gives the same column."""
+    rng = np.random.default_rng(seed)
+    order = [VOCAB.name(i) if i < len(VOCAB) else f"ghost {i}" for i in order_ids]
+    masks = build_masks(labels, order, VOCAB)
+    assert masks.shape == (len(labels), len(order)) and masks.dtype == np.float64
+    for i in range(len(order)):
+        suffix = set(order[i:])
+        want = [1.0 if VOCAB.name(c) in suffix else 0.0 for c in labels]
+        assert np.array_equal(masks[:, i], want)
+        shuffled = list(order[i:])
+        rng.shuffle(shuffled)
+        dup = shuffled + shuffled[: int(rng.integers(0, 3))]
+        assert np.array_equal(build_masks(labels, dup, VOCAB)[:, 0], want)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from vigor.synthgen import (
     oracle_resolve_parts,
     render_description,
     resolve_chain,
+    sample_at,
     sample_scene,
     synth_warmup_sample,
 )
@@ -107,11 +108,21 @@ def test_sample_scene_budget_exhaustion():
         ("points_per_proposal", -1),
         ("class_vocab_size", 0),
         ("class_vocab_size", -2),
+        ("order_len", 10),  # above proposals_max 9: no scene holds 10 classes
+        ("order_len", 13),  # above class_vocab_size 12 as well
     ],
 )
 def test_gen_config_rejects_out_of_range_geometry(field, value):
     with pytest.raises(ContractError, match=field):
         GenConfig(**{field: value})
+
+
+def test_gen_config_accepts_an_order_that_just_fits():
+    """An order needs order_len distinct classes in one scene; a config
+    whose vocabulary and largest scene hold exactly that many can draw."""
+    cfg = GenConfig(order_len=3, class_vocab_size=3, proposals_min=3, proposals_max=3)
+    sample = sample_at(cfg, 0)
+    assert len(set(sample.order)) == 3 == len(sample.scene)
 
 
 def test_default_vocab_extends_past_base_names():

@@ -114,8 +114,9 @@ def qkv(rng, m, n, d, scale=1.0):
 
 
 def test_row_softmax_uniform():
-    for shape in ((1, 4), (4, 1)):
-        assert abs(T.cross_entropy(T.constant(np.zeros(shape)), 2).item() - math.log(4)) <= 1e-15
+    for shape, axis in (((1, 4), 1), ((4, 1), 0)):
+        ce = T.cross_entropy(T.constant(np.zeros(shape)), [[2]], axis=axis)
+        assert abs(ce.item() - math.log(4)) <= 1e-15
     # zero queries weigh every key alike, so each output row is the mean value row
     _, k, v = qkv(np.random.default_rng(0), 3, 5, 4)
     out = T.attention(T.constant(np.zeros((3, 4))), T.constant(k), T.constant(v), 2).data
@@ -123,9 +124,9 @@ def test_row_softmax_uniform():
 
 
 def test_row_softmax_shift_invariance():
-    for x in (np.array([[1.0, 2.0, 3.0]]), np.array([[1.0], [2.0], [3.0]])):
-        a = T.cross_entropy(T.constant(x), 1).item()
-        b = T.cross_entropy(T.constant(x + 100.0), 1).item()
+    for x, axis in ((np.array([[1.0, 2.0, 3.0]]), 1), (np.array([[1.0], [2.0], [3.0]]), 0)):
+        a = T.cross_entropy(T.constant(x), [[1]], axis=axis).item()
+        b = T.cross_entropy(T.constant(x + 100.0), [[1]], axis=axis).item()
         assert abs(a - b) <= 1e-12
     # adding one row to every key shifts each logit row by a constant
     q, k, v = qkv(np.random.default_rng(2), 3, 5, 4)
@@ -138,10 +139,11 @@ def test_row_softmax_shift_invariance():
 def test_row_softmax_against_scalar_oracle():
     rng = np.random.default_rng(1)
     x = rng.normal(scale=3.0, size=(1, 7))
-    for logits in (x, x.T):
+    for logits, axis in ((x, 1), (x.T, 0)):
         for t in range(7):
             want = -math.log(softmax_oracle(list(x[0]))[t])
-            assert abs(T.cross_entropy(T.constant(logits), t).item() - want) <= 1e-12
+            got = T.cross_entropy(T.constant(logits), [[t]], axis=axis).item()
+            assert abs(got - want) <= 1e-12
 
 
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
@@ -153,7 +155,7 @@ def test_attention_matches_per_head_oracle(n_heads):
 
 def test_row_softmax_rejects_nan():
     with pytest.raises(NumericError):
-        T.cross_entropy(T.constant([[0.0, float("nan")]]), 0)
+        T.cross_entropy(T.constant([[0.0, float("nan")]]), [[0]], axis=1)
     q, k, v = qkv(np.random.default_rng(4), 2, 3, 4)
     for bad in (float("nan"), float("inf")):
         k[1, 2] = bad
@@ -455,12 +457,10 @@ def test_layer_norm_equals_mean_var_reference(m, n, spread, seed):
 
 
 def test_cross_entropy_rejects_bad_target_and_shape():
-    for logits in (T.constant(np.zeros((1, 3))), T.constant(np.zeros((3, 1)))):
+    for logits, axis in ((T.constant(np.zeros((1, 3))), 1), (T.constant(np.zeros((3, 1))), 0)):
         for target in (-1, 3):
             with pytest.raises(ContractError):
-                T.cross_entropy(logits, target)
-    with pytest.raises(ShapeError):
-        T.cross_entropy(T.constant(np.zeros((2, 3))), 0)
+                T.cross_entropy(logits, [[target]], axis=axis)
 
 
 def test_layer_norm_two_values():
@@ -515,6 +515,31 @@ def test_concat_and_slice():
     assert d.shape == (2, 5)
     assert np.array_equal(d.data[:, :3], a.data)
     assert np.array_equal(d.data[:, 3:], np.ones((2, 2)))
+
+
+def test_scale_rows_zeroes_and_keeps_rows():
+    x = T.constant(np.arange(12.0).reshape(3, 4))
+    out = T.scale_rows(x, T.constant([[1.0], [0.0], [1.0]]))
+    assert np.array_equal(out.data[1], np.zeros(4))
+    assert np.array_equal(out.data[[0, 2]], x.data[[0, 2]])
+
+
+def test_scale_rows_needs_one_weight_per_row():
+    x = T.constant(np.zeros((3, 4)))
+    for w in (np.ones((2, 1)), np.ones((4, 1)), np.ones((1, 3)), np.ones((3, 2))):
+        with pytest.raises(ShapeError):
+            T.scale_rows(x, T.constant(w))
+
+
+def test_scale_rows_grad_check():
+    rng = np.random.default_rng(13)
+    params = {"x": rng.normal(size=(4, 3)), "w": rng.normal(size=(4, 1))}
+    weights = T.constant(rng.normal(size=(4, 3)))
+    report = T.grad_check(
+        lambda p: T.mean_all(T.mul(T.scale_rows(p["x"], p["w"]), weights)), params
+    )
+    assert report.checked == 12 + 4
+    assert report.ok(1e-6), (report.max_rel_err, report.worst_param)
 
 
 def test_mean_rows_and_reductions():
@@ -623,7 +648,7 @@ def test_backward_composition_with_structural_ops():
         taken = T.take_rows(p["t"], [0, 5, 2, 2, 1])
         joined = T.concat_rows(stacked, taken)
         pooled = T.max_rows_per_block(joined, 5)
-        ce = T.cross_entropy(T.slice_rows(pooled, 1, 2), 2)
+        ce = T.cross_entropy(T.slice_rows(pooled, 1, 2), [[2]], axis=1)
         return T.add(ce, T.scale(T.mean_all(T.softplus(pooled)), -1.0))
 
     report = T.grad_check(forward, params)
@@ -694,7 +719,8 @@ def test_attention_grad_check(n_heads):
 @pytest.mark.parametrize("shape", [(5, 1), (1, 5)])
 def test_cross_entropy_grad_check(shape):
     params = {"z": np.random.default_rng(12).normal(scale=2.0, size=shape)}
-    report = T.grad_check(lambda p: T.cross_entropy(p["z"], 3), params)
+    axis = int(shape[0] == 1)  # along the row or down the column
+    report = T.grad_check(lambda p: T.cross_entropy(p["z"], [[3]], axis=axis), params)
     assert report.checked == 5
     assert report.ok(1e-6), (report.max_rel_err, report.worst_param)
 
@@ -725,9 +751,6 @@ def test_segmented_cross_entropy_matches_oracle():
     # without segments every line is one softmax group
     whole = T.cross_entropy(T.constant(x), [[4, 1]]).item()
     assert abs(whole - ce_segment_oracle(x, [0] * 6, [[4, 1]])) <= 1e-12
-    # one column, one segment: the int form
-    assert abs(T.cross_entropy(T.constant(x[:, :1]), [[4]]).item() - T.cross_entropy(
-        T.constant(x[:, :1]), 4).item()) <= 1e-15
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -788,7 +811,7 @@ def test_grad_check_reports_nonfinite():
         # divides by zero and must be flagged, not silently compared.
         eps = T.constant([[0.0]])
         y = T.add(T.relu(p["w"]), eps)
-        return T.cross_entropy(T.concat_cols(T.scale(y, 1e12), T.constant([[0.0]])), 0)
+        return T.cross_entropy(T.concat_cols(T.scale(y, 1e12), T.constant([[0.0]])), [[0]], axis=1)
 
     report = T.grad_check(forward, params)
     assert not report.ok() or report.nonfinite

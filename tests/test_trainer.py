@@ -699,28 +699,36 @@ def add_fold(terms):
     return acc
 
 
+def column(x, i):
+    """Column i of x, as x times a one-hot column."""
+    pick = np.zeros((x.shape[1], 1))
+    pick[i] = 1.0
+    return T.matmul(x, T.constant(pick))
+
+
 def per_sample_reference(out, sample, stage, weights):
     """One sample's components and weighted total, as the per-sample trainer
     computed them: a cross-entropy per block, plain means, a scale/add chain."""
     if stage == "warmup":
         ids = sample.anchor_target_ids
+        scores = [column(out.block_scores, i) for i in range(len(ids))]
         l_ref = T.scale(
-            add_fold([T.cross_entropy(s, t) for s, t in zip(out.scores_per_block, ids)]),
+            add_fold([T.cross_entropy(s, [[t]]) for s, t in zip(scores, ids)]),
             1.0 / len(ids),
         )
     else:
-        l_ref = T.cross_entropy(out.scores, sample.target_id)
-    z = T.concat_cols(*out.mask_logits)
-    bits = T.constant(np.stack([m.bits for m in out.masks], axis=1))
+        l_ref = T.cross_entropy(out.scores, [[sample.target_id]])
+    z = out.mask_logits
+    bits = T.constant(out.masks)
     l_mask = T.mean_all(T.sub(T.softplus(z), T.mul(z, bits)))
     target_class = sample.scene.proposals[sample.target_id].class_id
-    l_text = T.cross_entropy(out.text_class_logits, target_class)
+    l_text = T.cross_entropy(out.text_class_logits, [[target_class]], axis=1)
     parts = [(l_ref, weights.w_ref), (l_mask, weights.w_mask), (l_text, weights.w_text)]
     if stage == "warmup":
         centers = sample.scene.centers()
         offsets = np.hstack([centers - centers[a] for a in sample.anchor_target_ids])
-        pred = T.concat_cols(*out.coord_pred)
-        parts.append((T.mean_all(T.square(T.sub(pred, T.constant(offsets)))), weights.w_crd))
+        l_crd = T.mean_all(T.square(T.sub(out.coord_pred, T.constant(offsets))))
+        parts.append((l_crd, weights.w_crd))
     return [p.item() for p, _ in parts], add_fold([T.scale(p, w) for p, w in parts])
 
 
@@ -729,12 +737,10 @@ class SampleView:
 
     def __init__(self, out, s):
         rows = out.segments == s
-        self.scores_per_block = [T.constant(t.data[rows]) for t in out.scores_per_block]
-        self.scores = self.scores_per_block[-1]
-        self.mask_logits = [T.constant(t.data[rows]) for t in out.mask_logits]
-        self.coord_pred = [T.constant(t.data[rows]) for t in out.coord_pred]
+        for name in ("scores", "block_scores", "mask_logits", "coord_pred"):
+            setattr(self, name, T.constant(getattr(out, name).data[rows]))
         self.text_class_logits = T.constant(out.text_class_logits.data[s : s + 1])
-        self.masks = [type(m)(m.bits[rows]) for m in out.masks]
+        self.masks = out.masks[rows]
 
 
 def mixed_batch():
