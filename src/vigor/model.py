@@ -5,10 +5,10 @@ sees the order suffix starting at position i; its feature-enhancement step
 attends masked object features against the suffix text, attends
 self-attended object features against suffix-plus-description text, fuses
 both, and emits the next K x d object feature matrix.  Four heads read the
-block outputs: target scores, per-block mask logits, per-block coordinate
-offsets, and a sentence-level class prediction.  Every per-block value is
-one matrix with a column (a group of three for offsets) per block, from
-the relevance masks the blocks apply to the outputs the losses read.
+block outputs, each built when a caller first reads it: target scores,
+per-block mask logits, per-block coordinate offsets, and a sentence-level
+class prediction.  Every per-block value is one matrix with a column (a
+group of three for offsets) per block.
 
 Proposal rows carry no positional encoding, so the whole network is
 permutation equivariant over proposals by construction.
@@ -25,6 +25,7 @@ masks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -70,6 +71,8 @@ class ModelConfig:
             raise ContractError("need at least one referring block")
         if self.points_per_proposal < 1:
             raise ContractError("points_per_proposal must be positive")
+        if self.seed < 0:
+            raise ContractError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,12 @@ class TextFeatures:
 
 @dataclass
 class HeadOutputs:
-    """Everything the heads produce, plus the masks the blocks applied.
+    """The block outputs and masks of a forward, and the heads that read them.
+
+    Each head is built from the block outputs on its first read and cached,
+    so a caller builds only the heads it reads.  Read every head a loss
+    needs before `backward`: a head first read after it records its ops on
+    the next step's tape.
 
     For a packed batch of S samples the K rows below are the samples'
     proposals stacked in batch order (`segments` names each row's sample),
@@ -140,13 +148,34 @@ class HeadOutputs:
     F_{i+2}; in `coord_pred` block i owns columns 3i .. 3i+2.
     """
 
-    scores: Tensor  # K x 1 target scores, read from F_{B+1}
-    block_scores: Tensor  # K x B; its last column is `scores`
-    mask_logits: Tensor  # K x B
-    coord_pred: Tensor  # K x 3B
-    text_class_logits: Tensor  # S x C
+    blocks: list[Tensor]  # F_2 .. F_{B+1}, each K x d
+    sentences: Tensor  # S x d, a sentence row per sample
+    params: Mapping[str, Tensor] = field(repr=False)
     masks: np.ndarray  # K x B of 0/1: M_1 .. M_B
     segments: np.ndarray  # (K,) sample index of each proposal row
+
+    @cached_property
+    def scores(self) -> Tensor:  # K x 1 target scores, read from F_{B+1}
+        return _mlp2(self.params, "head.score", self.blocks[-1])
+
+    @cached_property
+    def block_scores(self) -> Tensor:  # K x B; its last column is `scores`
+        earlier = [_mlp2(self.params, "head.score", f) for f in self.blocks[:-1]]
+        return tt.concat_cols(*earlier, self.scores)
+
+    @cached_property
+    def mask_logits(self) -> Tensor:  # K x B
+        heads = (_mlp2(self.params, f"head.mask{i}", f) for i, f in enumerate(self.blocks))
+        return tt.concat_cols(*heads)
+
+    @cached_property
+    def coord_pred(self) -> Tensor:  # K x 3B
+        heads = (_mlp2(self.params, f"head.coord{i}", f) for i, f in enumerate(self.blocks))
+        return tt.concat_cols(*heads)
+
+    @cached_property
+    def text_class_logits(self) -> Tensor:  # S x C
+        return _mlp2(self.params, "head.text", self.sentences)
 
     def predicted_id(self) -> int:
         """The top-scoring proposal of a batch of one."""
@@ -520,15 +549,4 @@ class GroundingModel:
         for i in range(cfg.b):
             nxt = fe_forward(features[-1], masks[:, i], text, p, i, cfg, segments)
             features.append(_finite(nxt, i + 2))
-
-        outs = list(enumerate(features[1:]))  # block i and its output F_{i+2}
-        scores = [_mlp2(p, "head.score", f) for _, f in outs]
-        return HeadOutputs(
-            scores=scores[-1],
-            block_scores=tt.concat_cols(*scores),
-            mask_logits=tt.concat_cols(*(_mlp2(p, f"head.mask{i}", f) for i, f in outs)),
-            coord_pred=tt.concat_cols(*(_mlp2(p, f"head.coord{i}", f) for i, f in outs)),
-            text_class_logits=_mlp2(p, "head.text", text.sentences),
-            masks=masks,
-            segments=segments,
-        )
+        return HeadOutputs(features[1:], text.sentences, p, masks, segments)

@@ -34,6 +34,16 @@ def _is_int(value) -> bool:
     return type(value) is int
 
 
+# The JSON type each of these fields must have; the checks below would pass
+# a string `order`, say, as a list of one-letter names.
+_JSON_TYPES = (
+    ("scene_id", str, "a string"),
+    ("proposals", list, "an array"),
+    ("order", list, "an array"),
+    ("anchor_ids", (list, type(None)), "an array or null"),
+)
+
+
 @dataclass
 class DatasetRecord:
     scene_id: str
@@ -44,6 +54,10 @@ class DatasetRecord:
     anchor_ids: list[int] | None = None
 
     def __post_init__(self):
+        for name, kinds, what in _JSON_TYPES:
+            value = getattr(self, name)
+            if not isinstance(value, kinds):
+                raise ValidationError(f"{name} must be {what}, got {type(value).__name__}")
         if not isinstance(self.description, str) or not self.description.strip():
             raise ValidationError("description must be a nonempty string")
         if not self.order or not all(isinstance(n, str) and n for n in self.order):
@@ -100,14 +114,12 @@ class DatasetRecord:
             raise ValidationError(f"unknown record fields: {sorted(unknown)}")
         try:
             return cls(
-                scene_id=str(blob.get("scene_id", "")),
-                proposals=list(blob["proposals"]),
+                scene_id=blob.get("scene_id", ""),
+                proposals=blob["proposals"],
                 description=blob["description"],
-                order=list(blob["order"]),
+                order=blob["order"],
                 target_id=blob["target_id"],
-                anchor_ids=(
-                    list(blob["anchor_ids"]) if blob.get("anchor_ids") is not None else None
-                ),
+                anchor_ids=blob.get("anchor_ids"),
             )
         except KeyError as exc:
             raise ValidationError(f"record lacks required field {exc.args[0]!r}") from exc

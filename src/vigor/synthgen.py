@@ -99,6 +99,8 @@ class GenConfig:
                 f"class_vocab_size {self.class_vocab_size} and proposals_max "
                 f"{self.proposals_max} allow {room}"
             )
+        if self.seed < 0:
+            raise ContractError(f"seed must be non-negative, got {self.seed}")
         if self.relation not in RELATIONS:
             raise ContractError(f"unknown relation {self.relation!r}")
         if self.style not in ("template", "natural"):

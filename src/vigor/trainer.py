@@ -4,7 +4,8 @@ The warm-up stage synthesizes its batches on the fly and supervises every
 block (anchors, masks, offsets, text class).  The main stage reads stored
 samples, obtains referential orders through a pluggable parser, and
 supervises the target only: reference, mask, and text losses, never the
-coordinate term.
+coordinate term.  A head is built when a loss first reads it, so what a
+stage's loss reads is all of the heads its step builds.
 
 Each optimizer step packs its batch into one graph: one forward through
 `GroundingModel.forward_batch`, one call of each loss over the packed rows
@@ -66,8 +67,8 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if min(self.warmup_steps, self.main_steps, self.eval_every) < 0:
-            raise ContractError("step counts and eval_every cannot be negative")
+        if min(self.warmup_steps, self.main_steps, self.eval_every, self.seed) < 0:
+            raise ContractError("step counts, eval_every and seed cannot be negative")
         if self.batch_size < 1:
             raise ContractError("batch size must be at least 1")
         if not (math.isfinite(self.lr) and self.lr > 0):

@@ -5,6 +5,8 @@ import struct
 
 import pytest
 
+import vigor.model
+
 # Four grounding descriptions with the replies a well-behaved chat model
 # gives through the two-stage prompts.  Stage-1 requests embed the original
 # description; stage-2 requests embed the stage-1 summary.  Substrings are
@@ -103,3 +105,18 @@ def a7_transcript_path(tmp_path):
         for rec in transcript_records():
             fh.write(json.dumps(rec) + "\n")
     return path
+
+
+@pytest.fixture
+def built_heads(monkeypatch):
+    """The prefix of every head `vigor.model._mlp2` builds, in build order."""
+    built = []
+    real = vigor.model._mlp2
+
+    def spy(p, prefix, x):
+        if prefix.startswith("head."):
+            built.append(prefix)
+        return real(p, prefix, x)
+
+    monkeypatch.setattr(vigor.model, "_mlp2", spy)
+    return built

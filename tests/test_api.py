@@ -145,6 +145,9 @@ def endpoint(**fields):
         (endpoint, "model", b"m"),
         # a value of the right type out of the field's range
         (trainer.TrainConfig, "eval_every", -1),
+        (ModelConfig, "seed", -1),
+        (GenConfig, "seed", -1),
+        (trainer.TrainConfig, "seed", -1),
         (endpoint, "max_retries", -1),
         (endpoint, "timeout", float("nan")),
         (endpoint, "timeout", float("inf")),

@@ -76,6 +76,7 @@ def test_synth_is_deterministic(tmp_path):
         ("--points", "0", "points_per_proposal"),
         ("--vocab-size", "0", "class_vocab_size"),
         ("--scenes", "-3", "sample count"),
+        ("--seed", "-1", "seed"),
     ],
 )
 def test_synth_out_of_range_size_is_validation_error(tmp_path, capsys, flag, value, named):

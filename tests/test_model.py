@@ -228,6 +228,24 @@ def test_forward_shapes_and_counts():
     assert out.masks.sum(axis=0).tolist() == [3, 2]
 
 
+def test_forward_builds_a_head_on_its_first_read_only(built_heads):
+    """An argmax reads `scores` alone: one score head, built once, and
+    nothing built before the first read."""
+    m = tiny_model(b=3)
+    out = m.forward(SCENE, ["door", "door", "table"], DESC)
+    assert built_heads == []
+    out.predicted_id()
+    assert out.scores is out.scores
+    assert built_heads == ["head.score"]
+
+
+def test_last_block_score_column_is_the_scores():
+    m = tiny_model(b=3)
+    order = ["door", "door", "table"]
+    block_scores = m.forward(SCENE, order, DESC).block_scores.data
+    assert np.array_equal(block_scores[:, -1:], m.forward(SCENE, order, DESC).scores.data)
+
+
 def test_forward_deterministic():
     m = tiny_model()
     a = m.forward(SCENE, ORDER, DESC)

@@ -122,6 +122,23 @@ def test_record_ids_must_be_json_integers(mutate):
         DatasetRecord.from_dict(blob)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("order", "chair"),  # once read as the five names c, h, a, i, r
+        ("order", {"chair": 1}),  # once read as ["chair"]
+        ("proposals", {"0": {}}),
+        ("anchor_ids", 1),
+        ("anchor_ids", "01"),
+        ("scene_id", ["a"]),  # once stored as the string "['a']"
+        ("scene_id", 7),
+    ],
+)
+def test_record_refuses_a_mistyped_field(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be"):
+        DatasetRecord.from_dict(record_blob(**{field: value}))
+
+
 def test_record_rejects_bad_points():
     blob = record_blob()
     blob["proposals"][0]["points"] = [[1.0, 2.0, 3.0]]  # xyz only, no color

@@ -773,6 +773,7 @@ def check_packed_step(model, samples, orders, labels, stage, loss_fn):
     out = model.forward_batch(scenes, orders, descriptions, params=leaves, labels=labels)
     packed = loss_fn(out, samples, WEIGHTS)
     packed_values = packed.values()
+    views = [SampleView(out, s) for s in range(len(samples))]  # every head, before backward
     packed_grads = T.backward(packed.total, leaves)
 
     leaves = model.trainable()
@@ -789,7 +790,7 @@ def check_packed_step(model, samples, orders, labels, stage, loss_fn):
 
     # the packed outputs give every sample the losses it has alone
     for s, sample in enumerate(samples):
-        got, _ = per_sample_reference(SampleView(out, s), sample, stage, WEIGHTS)
+        got, _ = per_sample_reference(views[s], sample, stage, WEIGHTS)
         assert np.abs(np.subtract(got, values[s])).max() <= 1e-10
     names = ["l_ref", "l_mask", "l_text", "l_crd"][: len(values[0])]
     sums = np.sum(values, axis=0)
@@ -820,6 +821,30 @@ def test_only_the_warmup_loss_supervises_the_offsets():
         else:
             assert np.isfinite(packed.l_crd.item())
             assert all(g.any() for g in coord.values())
+
+
+@pytest.mark.parametrize(
+    "stage, want",
+    [
+        ("main", ["head.score", "head.mask0", "head.mask1", "head.text"]),
+        (
+            "warmup",
+            ["head.score", "head.score", "head.mask0", "head.mask1", "head.text"]
+            + ["head.coord0", "head.coord1"],
+        ),
+    ],
+)
+def test_a_step_builds_only_the_heads_its_loss_reads(stage, want, built_heads):
+    """The fine-tune loss reads the last block's scores and no offsets, so
+    its step builds one score head and no coordinate head; the warm-up
+    builds every head, in the order its loss reads them."""
+    samples, orders = mixed_batch()
+    loss_fn = trainer._warmup_loss if stage == "warmup" else trainer._main_loss
+    cfg = TrainConfig(batch_size=len(samples))
+    batch = list(zip(samples, orders))
+    trainer._train_step(tiny_model(), TrainState.fresh(0), cfg, stage, 1, batch, loss_fn)
+    assert built_heads == want
+    assert len(T._TAPE) == 0  # every head was read before backward
 
 
 def test_packed_step_draws_label_noise_per_sample_in_batch_order():
