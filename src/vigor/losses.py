@@ -121,7 +121,7 @@ def loss_ref(scores: Tensor, targets: Sequence, segments=None) -> Tensor:
     """
     ids = _sample_ids(segments, scores.shape[0])
     targets = _per_sample(targets, int(ids.max()) + 1, scores.shape[1])
-    return tt.scale(tt.cross_entropy(scores, targets, ids), 1.0 / scores.shape[1])
+    return tt.mul(tt.cross_entropy(scores, targets, ids), tt.constant(1.0 / scores.shape[1]))
 
 
 def loss_mask(mask_logits: Tensor, masks: np.ndarray, segments=None) -> Tensor:
@@ -136,9 +136,9 @@ def loss_mask(mask_logits: Tensor, masks: np.ndarray, segments=None) -> Tensor:
             f"mask logits {mask_logits.shape} and masks {np.shape(masks)} must be one K x B"
         )
     ids = _sample_ids(segments, mask_logits.shape[0])
-    z, m = mask_logits, tt.constant(masks)
-    # bce(z, m) = softplus(z) - z*m, elementwise
-    return _per_sample_means(tt.sub(tt.softplus(z), tt.mul(z, m)), ids)
+    z, neg_m = mask_logits, tt.constant(-np.asarray(masks, dtype=np.float64))
+    # bce(z, m) = softplus(z) - z*m = softplus(z) + z*(-m), elementwise
+    return _per_sample_means(tt.add(tt.softplus(z), tt.mul(z, neg_m)), ids)
 
 
 def loss_crd(
@@ -166,11 +166,11 @@ def loss_crd(
     targets = _per_sample(anchor_target_ids, sizes.size, b)
     if ((targets < 0) | (targets >= sizes[:, None])).any():
         raise ContractError(f"anchor ids {targets.tolist()} outside samples of {sizes.tolist()}")
-    # row of each sample's anchor in each block, then offsets K x B x 3
+    # row of each sample's anchor in each block, then negated offsets K x B x 3
     order = np.argsort(ids, kind="stable")  # the rows of sample 0, then 1, ...
     anchors = order[(np.cumsum(sizes) - sizes)[:, None] + targets]
-    offsets = (centers[:, None, :] - centers[anchors[ids]]).reshape(k, 3 * b)
-    return _per_sample_means(tt.square(tt.sub(coord_pred, tt.constant(offsets))), ids)
+    neg_offsets = (centers[anchors[ids]] - centers[:, None, :]).reshape(k, 3 * b)
+    return _per_sample_means(tt.square(tt.add(coord_pred, tt.constant(neg_offsets))), ids)
 
 
 def loss_text(text_class_logits: Tensor, target_class_id) -> Tensor:
@@ -201,5 +201,5 @@ def compose(
         parts.append(l_crd)
         w.append(weights.w_crd)
     # One 1 x n row of components times the n x 1 weight column.
-    total = tt.matmul(tt.concat_cols(*parts), tt.constant(np.reshape(w, (-1, 1))))
+    total = tt.matmul(tt.concat(*parts, axis=1), tt.constant(np.reshape(w, (-1, 1))))
     return LossBreakdown(l_ref=l_ref, l_mask=l_mask, l_text=l_text, l_crd=l_crd, total=total)

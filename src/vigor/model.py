@@ -161,17 +161,17 @@ class HeadOutputs:
     @cached_property
     def block_scores(self) -> Tensor:  # K x B; its last column is `scores`
         earlier = [_mlp2(self.params, "head.score", f) for f in self.blocks[:-1]]
-        return tt.concat_cols(*earlier, self.scores)
+        return tt.concat(*earlier, self.scores, axis=1)
 
     @cached_property
     def mask_logits(self) -> Tensor:  # K x B
         heads = (_mlp2(self.params, f"head.mask{i}", f) for i, f in enumerate(self.blocks))
-        return tt.concat_cols(*heads)
+        return tt.concat(*heads, axis=1)
 
     @cached_property
     def coord_pred(self) -> Tensor:  # K x 3B
         heads = (_mlp2(self.params, f"head.coord{i}", f) for i, f in enumerate(self.blocks))
-        return tt.concat_cols(*heads)
+        return tt.concat(*heads, axis=1)
 
     @cached_property
     def text_class_logits(self) -> Tensor:  # S x C
@@ -291,16 +291,16 @@ def _residual_attention(
     key_segments=None,
 ) -> Tensor:
     """layer_norm(x + attention(x, kv)): the attention sublayer's residual step."""
-    q = tt.add_row(tt.matmul(x, p[f"{attn}.wq"]), p[f"{attn}.bq"])
+    q = tt.add(tt.matmul(x, p[f"{attn}.wq"]), p[f"{attn}.bq"])
     k = tt.matmul(kv, p[f"{attn}.wk"])
-    v = tt.add_row(tt.matmul(kv, p[f"{attn}.wv"]), p[f"{attn}.bv"])
+    v = tt.add(tt.matmul(kv, p[f"{attn}.wv"]), p[f"{attn}.bv"])
     heads = tt.attention(q, k, v, n_heads, segments, key_segments)
-    heads = tt.add_row(tt.matmul(heads, p[f"{attn}.wo"]), p[f"{attn}.bo"])
+    heads = tt.add(tt.matmul(heads, p[f"{attn}.wo"]), p[f"{attn}.bo"])
     return _layer_norm(p, ln, tt.add(x, heads))
 
 
 def _linear(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    return tt.add_row(tt.matmul(x, p[f"{prefix}.w"]), p[f"{prefix}.b"])
+    return tt.add(tt.matmul(x, p[f"{prefix}.w"]), p[f"{prefix}.b"])
 
 
 def _mlp2(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
@@ -389,7 +389,7 @@ def encode_objects(
     pooled = tt.max_rows_per_block(h, i_pts)  # K x d
     centers = np.concatenate([scene.centers() for scene in scenes])
     c = tt.relu(_linear(params, "obj.c", tt.constant(centers)))
-    return _linear(params, "obj.out", tt.concat_cols(pooled, c))
+    return _linear(params, "obj.out", tt.concat(pooled, c, axis=1))
 
 
 def fe_forward(
@@ -417,7 +417,7 @@ def fe_forward(
     n = text.samples
     pre = f"fe{block}"
     n_heads = cfg.n_heads
-    f_mask = tt.scale_rows(f, tt.constant(np.reshape(mask, (-1, 1))))
+    f_mask = tt.mul(f, tt.constant(np.reshape(mask, (-1, 1))))
     suffix = tt.slice_rows(text.order_features, block * n, cfg.b * n)
     if n == 1:
         segments = suffix_ids = up_ids = context_ids = None
@@ -430,11 +430,11 @@ def fe_forward(
     lower = _residual_attention(
         params, f"{pre}.low", f"{pre}.low_ln", suffix, f_mask, n_heads, suffix_ids, segments
     )
-    up_query = tt.concat_rows(suffix, text.sentences, text.words)
+    up_query = tt.concat(suffix, text.sentences, text.words)
     upper = _residual_attention(
         params, f"{pre}.up", f"{pre}.up_ln", up_query, attended, n_heads, up_ids, segments
     )
-    context = tt.concat_rows(lower, upper)
+    context = tt.concat(lower, upper)
     return _residual_attention(
         params, f"{pre}.fuse", f"{pre}.out_ln", attended, context, n_heads, segments, context_ids
     )

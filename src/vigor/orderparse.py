@@ -218,7 +218,13 @@ def parse_appearance_order(description: str, vocab: ClassVocab) -> ParsedOrder:
 
 
 def order_names(reply: ParsedOrder | Sequence[str]) -> list[str]:
-    """The class names of a parser reply: a ParsedOrder or a plain sequence."""
+    """The class names of a parser reply: a ParsedOrder or a plain sequence.
+
+    A bare string is refused: as a sequence it would read as one name a
+    letter.
+    """
+    if isinstance(reply, str):
+        raise ContractError(f"a parser reply must be a sequence of names, not the string {reply!r}")
     return list(getattr(reply, "names", reply))
 
 

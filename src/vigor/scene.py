@@ -81,7 +81,7 @@ class Proposal:
     """One object hypothesis: id, class label, and its xyzrgb points.
 
     The center is the midpoint of the axis-aligned bounding box of the
-    xyz columns.
+    xyz columns; a stored center must be three finite numbers equal to it.
     """
 
     id: int
@@ -102,10 +102,18 @@ class Proposal:
         center = (xyz.min(axis=0) + xyz.max(axis=0)) / 2.0
         if self.center is None:
             self.center = center
-        elif not np.allclose(self.center, center, atol=1e-9):
+            return
+        try:
+            stored = np.asarray(self.center, dtype=np.float64)
+        except (TypeError, ValueError):
+            stored = None
+        if stored is None or stored.shape != (3,) or not np.isfinite(stored).all():
+            raise ContractError(f"a stored center must be three finite numbers: {self.center!r}")
+        # np.allclose(stored, center, atol=1e-9) on finite values, without
+        # its wrappers: this runs once per proposal of every record read.
+        if not (np.abs(stored - center) <= 1e-9 + 1e-5 * np.abs(center)).all():
             raise ContractError("stored center disagrees with bbox center of points")
-        else:
-            self.center = np.asarray(self.center, dtype=np.float64)
+        self.center = stored
 
 
 @dataclass

@@ -38,13 +38,8 @@ __all__ = [
     "attention",
     "relu",
     "add",
-    "add_row",
-    "sub",
     "mul",
-    "scale",
-    "scale_rows",
-    "concat_rows",
-    "concat_cols",
+    "concat",
     "slice_rows",
     "mean_all",
     "square",
@@ -367,122 +362,59 @@ def relu(x: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"add mismatch: {a.shape} vs {b.shape}")
+    """a + b, where b has a's shape or is a 1 x n row added to every row."""
+    row = b.data.shape != a.data.shape
+    if row and b.data.shape != (1, a.data.shape[1]):
+        raise ShapeError(f"add needs {a.shape} or (1, {a.data.shape[1]}), got {b.shape}")
     out = Tensor(a.data + b.data)
     if _traced(a, b):
 
-        def back(g, a=a, b=b):
+        def back(g, a=a, b=b, row=row):
             _acc(a, g)
-            _acc(b, g)
-
-        _TAPE.add(out, back)
-    return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.data - b.data)
-    if _traced(a, b):
-
-        def back(g, a=a, b=b):
-            _acc(a, g)
-            _acc(b, -g)
+            _acc(b, g.sum(axis=0, keepdims=True) if row else g)
 
         _TAPE.add(out, back)
     return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul mismatch: {a.shape} vs {b.shape}")
+    """a * b, where b has a's shape, is an m x 1 column scaling row i of a
+    by b[i, 0] (e.g. a 0/1 relevance mask), or is a 1 x 1 factor."""
+    shape = b.data.shape
+    if shape != a.data.shape and shape != (a.data.shape[0], 1) and shape != (1, 1):
+        raise ShapeError(f"mul needs {a.shape}, ({a.data.shape[0]}, 1) or (1, 1), got {b.shape}")
     out = Tensor(a.data * b.data)
     if _traced(a, b):
 
         def back(g, a=a, b=b):
             _acc(a, g * b.data)
-            _acc(b, g * a.data)
+            if b.node is not None:
+                gb = g * a.data
+                if gb.shape != b.data.shape:  # sum over the axes b broadcasts along
+                    gb = gb.sum(axis=None if b.data.shape[0] == 1 else 1, keepdims=True)
+                _acc(b, gb)
 
         _TAPE.add(out, back)
     return out
 
 
-def add_row(x: Tensor, v: Tensor) -> Tensor:
-    """Broadcast a 1xn row vector over every row of x (bias addition)."""
-    if v.data.shape != (1, x.data.shape[1]):
-        raise ShapeError(f"add_row needs (1, {x.data.shape[1]}), got {v.shape}")
-    out = Tensor(x.data + v.data)
-    if _traced(x, v):
-
-        def back(g, x=x, v=v):
-            _acc(x, g)
-            _acc(v, g.sum(axis=0, keepdims=True))
-
-        _TAPE.add(out, back)
-    return out
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(x.data * c)
-    if _traced(x):
-
-        def back(g, x=x, c=c):
-            _acc(x, g * c)
-
-        _TAPE.add(out, back)
-    return out
-
-
-def scale_rows(x: Tensor, w: Tensor) -> Tensor:
-    """Multiply row i of x by w[i, 0] (e.g. a 0/1 relevance mask)."""
-    if w.data.shape != (x.data.shape[0], 1):
-        raise ShapeError(f"scale_rows needs ({x.data.shape[0]}, 1), got {w.shape}")
-    out = Tensor(x.data * w.data)
-    if _traced(x, w):
-
-        def back(g, x=x, w=w):
-            _acc(x, g * w.data)
-            _acc(w, (g * x.data).sum(axis=1, keepdims=True))
-
-        _TAPE.add(out, back)
-    return out
-
-
-def concat_rows(*parts: Tensor) -> Tensor:
+def concat(*parts: Tensor, axis: int = 0) -> Tensor:
+    """The parts stacked along `axis`: rows (0) or columns (1)."""
     if not parts:
-        raise ContractError("concat_rows needs at least one operand")
-    cols = parts[0].data.shape[1]
+        raise ContractError("concat needs at least one operand")
+    if axis not in (0, 1):
+        raise ContractError(f"axis must be 0 or 1, got {axis}")
+    size = parts[0].data.shape[1 - axis]
     for p in parts:
-        if p.data.shape[1] != cols:
-            raise ShapeError("concat_rows: column counts differ")
-    out = Tensor(np.vstack([p.data for p in parts]))
+        if p.data.shape[1 - axis] != size:
+            raise ShapeError(f"concat along axis {axis}: {[p.shape for p in parts]}")
+    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
     if _traced(*parts):
-        offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
+        offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
 
         def back(g, parts=parts, offsets=offsets):
             for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                _acc(p, g[lo:hi])
-
-        _TAPE.add(out, back)
-    return out
-
-
-def concat_cols(*parts: Tensor) -> Tensor:
-    if not parts:
-        raise ContractError("concat_cols needs at least one operand")
-    rows = parts[0].data.shape[0]
-    for p in parts:
-        if p.data.shape[0] != rows:
-            raise ShapeError("concat_cols: row counts differ")
-    out = Tensor(np.hstack([p.data for p in parts]))
-    if _traced(*parts):
-        offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
-
-        def back(g, parts=parts, offsets=offsets):
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                _acc(p, g[:, lo:hi])
+                _acc(p, g[lo:hi] if axis == 0 else g[:, lo:hi])
 
         _TAPE.add(out, back)
     return out

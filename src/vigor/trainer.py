@@ -287,13 +287,20 @@ def _read_exact(f, n: int) -> bytes:
     return data
 
 
-def _read_group(f, layout: list[tuple[str, tuple[int, int]]], size: int) -> FlatParams:
-    """Read one group of `size` `<f8` values straight into its vector."""
+def _read_group(
+    f, layout: list[tuple[str, tuple[int, int]]], size: int, group: str
+) -> FlatParams:
+    """Read one group of `size` `<f8` values straight into its vector, and
+    refuse it if any entry is not finite."""
     _check_left(f, 8 * size)
     vector = np.empty(size, dtype="<f8")
     if f.readinto(vector) != 8 * size:
         raise CheckpointError(f"truncated checkpoint: wanted {8 * size} bytes")
-    return FlatParams(layout, vector.astype(np.float64, copy=False))
+    arrays = FlatParams(layout, vector.astype(np.float64, copy=False))
+    if not np.isfinite(arrays.vector).all():
+        name = next(name for name, a in arrays.items() if not np.isfinite(a).all())
+        raise CheckpointError(f"non-finite entry in the {group} group, first in {name}")
+    return arrays
 
 
 def _strings(header: dict, key: str) -> tuple[str, ...]:
@@ -355,7 +362,8 @@ def load_checkpoint(path, expect: ModelConfig | None = None) -> Checkpoint:
     `adam_t > 0`) is read in one call straight into its own vector, and
     the returned `params`, `adam_m` and `adam_v` are `FlatParams` views of
     those vectors.  A config that does not match the file shows as
-    truncation or as trailing bytes.
+    truncation or as trailing bytes, and a NaN or an infinity in any group
+    is refused by group and parameter name.
     """
     with open(path, "rb") as f:
         if _read_exact(f, 4) != CHECKPOINT_MAGIC:
@@ -393,10 +401,11 @@ def load_checkpoint(path, expect: ModelConfig | None = None) -> Checkpoint:
             if 8 * size > left:
                 raise CheckpointError(f"truncated checkpoint: the config needs over {left} bytes")
             layout.append((name, shape))
-        params = _read_group(f, layout, size)
+        params = _read_group(f, layout, size, "parameters")
         adam_m = adam_v = {}
         if adam_t:
-            adam_m, adam_v = _read_group(f, layout, size), _read_group(f, layout, size)
+            adam_m = _read_group(f, layout, size, "Adam m")
+            adam_v = _read_group(f, layout, size, "Adam v")
         if f.read(1):
             raise CheckpointError("trailing bytes after the arrays the header's config implies")
     if expect is not None:

@@ -12,7 +12,7 @@ from vigor.model import GroundingModel, ModelConfig
 from vigor.records import read_records
 from vigor.synthgen import default_vocab
 from vigor.tensor import GradCheckReport
-from vigor.trainer import TrainState, load_checkpoint, save_checkpoint
+from vigor.trainer import TrainState, load_checkpoint, model_from_checkpoint, save_checkpoint
 
 from conftest import CORRUPT_LENGTHS, PARSE_CASES, rewrite_checkpoint_header
 
@@ -387,6 +387,19 @@ def test_eval_malformed_checkpoint_vocabulary_is_checkpoint_error(tmp_path, caps
     assert main(["eval", "--data", str(data), "--ckpt", str(ckpt)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_eval_refuses_a_checkpoint_with_a_nan_parameter(tmp_path, capsys):
+    # A NaN in a head is not caught by the blocks' finiteness scan: argmax
+    # would pick proposal 0 for every item and eval would exit 0.
+    data, ckpt = eval_setup(tmp_path, scenes=2)
+    model, state = model_from_checkpoint(load_checkpoint(ckpt))
+    model.params["head.score.2.b"][0, 0] = float("nan")
+    save_checkpoint(ckpt, model, state)
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--ckpt", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "head.score.2.b" in err and "Traceback" not in err
 
 
 def write_transcript(tmp_path, data, unreadable=()):

@@ -162,6 +162,11 @@ def test_accuracy_with_parser_and_without_order():
         accuracy(tiny_model(), stripped)  # no order, no parser
 
 
+def test_accuracy_refuses_a_parser_that_replies_with_a_string():
+    with pytest.raises(ContractError, match="string"):
+        accuracy(tiny_model(), items(2), parser=lambda desc: "chair")
+
+
 def test_accuracy_scores_unreadable_descriptions_as_misses():
     data = items(4)
     data[2] = EvalItem(data[2].scene, "something over there", None, data[2].target_id)

@@ -54,7 +54,7 @@ def cols(*columns):
 
 def test_ref_uniform_logits_is_ln_k():
     scores = [col([0.0, 0.0, 0.0, 0.0]) for _ in range(3)]
-    warm = loss_ref(tt.concat_cols(*scores), [1, 2, 0])
+    warm = loss_ref(tt.concat(*scores, axis=1), [1, 2, 0])
     assert abs(warm.item() - math.log(4)) <= 1e-12
     main = loss_ref(scores[-1], [3])
     assert abs(main.item() - math.log(4)) <= 1e-12
@@ -88,7 +88,7 @@ def test_ref_rejects_bad_ids_and_stages():
     with pytest.raises(ContractError):
         loss_ref(scores[0], [0, 1])  # 2 ids, 1 block
     with pytest.raises(ContractError):
-        loss_ref(tt.concat_cols(*scores * 3), [0, 1])  # 2 ids, 3 blocks
+        loss_ref(tt.concat(*scores * 3, axis=1), [0, 1])  # 2 ids, 3 blocks
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +288,9 @@ def test_loss_gradients_match_finite_differences():
     }
 
     def loss_fn(p):
-        l_r = loss_ref(tt.concat_cols(p["scores0"], p["scores1"]), [2, 0])
-        l_m = loss_mask(tt.concat_cols(p["mlogit0"], p["mlogit1"]), cols(*bits))
-        l_c = loss_crd(tt.concat_cols(p["coord0"], p["coord1"]), centers, [1, 3])
+        l_r = loss_ref(tt.concat(p["scores0"], p["scores1"], axis=1), [2, 0])
+        l_m = loss_mask(tt.concat(p["mlogit0"], p["mlogit1"], axis=1), cols(*bits))
+        l_c = loss_crd(tt.concat(p["coord0"], p["coord1"], axis=1), centers, [1, 3])
         l_t = loss_text(p["tlogit"], 4)
         return compose(l_r, l_m, l_t, l_c).total
 
@@ -322,17 +322,17 @@ def test_loss_weights_reject_negative_and_nonfinite():
 def loss_mask_reference(logits_per_block, masks):
     terms = []
     for logits, bits in zip(logits_per_block, masks):
-        m = tt.constant(bits.reshape(-1, 1))
-        terms.append(tt.mean_all(tt.sub(tt.softplus(logits), tt.mul(logits, m))))
-    return tt.scale(sum_reference(terms), 1.0 / len(terms))
+        neg_m = tt.constant(-bits.reshape(-1, 1))
+        terms.append(tt.mean_all(tt.add(tt.softplus(logits), tt.mul(logits, neg_m))))
+    return tt.mul(sum_reference(terms), tt.constant(1.0 / len(terms)))
 
 
 def loss_crd_reference(preds, centers, ids):
     terms = [
-        tt.mean_all(tt.square(tt.sub(p, tt.constant(centers - centers[a]))))
+        tt.mean_all(tt.square(tt.add(p, tt.constant(centers[a] - centers))))
         for p, a in zip(preds, ids)
     ]
-    return tt.scale(sum_reference(terms), 1.0 / len(terms))
+    return tt.mul(sum_reference(terms), tt.constant(1.0 / len(terms)))
 
 
 def sum_reference(terms):
@@ -373,13 +373,13 @@ def test_whole_matrix_losses_match_per_block_reference(b, stage):
 
     def reference_total(parts):
         weights = [w.w_ref, w.w_mask, w.w_text, w.w_crd]
-        return sum_reference([tt.scale(p, c) for p, c in zip(parts, weights)])
+        return sum_reference([tt.mul(p, tt.constant(c)) for p, c in zip(parts, weights)])
 
     def whole_mask(logits, masks):
-        return loss_mask(tt.concat_cols(*logits), cols(*masks))
+        return loss_mask(tt.concat(*logits, axis=1), cols(*masks))
 
     def whole_crd(preds, centers, ids):
-        return loss_crd(tt.concat_cols(*preds), centers, ids)
+        return loss_crd(tt.concat(*preds, axis=1), centers, ids)
 
     got, got_grads = run(whole_mask, whole_crd, new_total)
     want, want_grads = run(loss_mask_reference, loss_crd_reference, reference_total)

@@ -128,14 +128,14 @@ def encode_piece(m, p, words):
 
 def mean_of_rows(x):
     m = x.shape[0]
-    return tt.scale(tt.matmul(tt.constant(np.ones((1, m))), x), 1.0 / m)
+    return tt.mul(tt.matmul(tt.constant(np.ones((1, m))), x), tt.constant(1.0 / m))
 
 
 def encode_text_per_piece(m, p, tokens, order):
     """Reference: the description, then every order name, each encoded alone."""
     words = encode_piece(m, p, tokens)
     names = [mean_of_rows(encode_piece(m, p, tokenize(name))) for name in order]
-    return tt.concat_rows(mean_of_rows(words), words), tt.concat_rows(*names)
+    return tt.concat(mean_of_rows(words), words), tt.concat(*names)
 
 
 @pytest.mark.parametrize(
@@ -158,7 +158,7 @@ def test_packed_text_encoder_matches_per_piece_passes(order):
         p = m.trainable()
         if packed:
             text = encode_text([tokens], order, p, m.word_vocab, m.cfg)
-            rows, names = tt.concat_rows(text.sentences, text.words), text.order_features
+            rows, names = tt.concat(text.sentences, text.words), text.order_features
         else:
             rows, names = encode_text_per_piece(m, p, tokens, order)
         loss = tt.add(tt.mean_all(tt.mul(rows, w_rows)), tt.mean_all(tt.mul(names, w_names)))

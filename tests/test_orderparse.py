@@ -24,6 +24,7 @@ from vigor.orderparse import (
     TransportError,
     llm_two_stage_order,
     load_transcript,
+    order_names,
     parse_appearance_order,
     trim_pad,
 )
@@ -128,6 +129,13 @@ def test_pad_by_repeating_first():
 
 def test_exact_length_unchanged():
     assert trim_pad(["a", "b", "c", "d"], 4) == ["a", "b", "c", "d"]
+
+
+def test_order_names_reads_a_reply_and_refuses_a_bare_string():
+    assert order_names(ParsedOrder(names=("door", "chair"), source="rule")) == ["door", "chair"]
+    assert order_names(("door", "chair")) == ["door", "chair"]
+    with pytest.raises(ContractError, match="string 'chair'"):
+        order_names("chair")  # not the five names c, h, a, i, r
 
 
 def test_trim_pad_idempotent_and_target_preserving():

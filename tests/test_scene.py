@@ -79,6 +79,25 @@ def test_proposal_center_is_bbox_center():
     assert np.allclose(p.center, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize(
+    "center",
+    [
+        [1.0, 2.0],
+        [1.0, 2.0, 3.0, 4.0],
+        [[1.0, 2.0, 3.0]],
+        "abc",
+        [1.0, 2.0, float("nan")],
+        [1.0, {}, 3.0],
+    ],
+    ids=["two", "four", "nested", "string", "nan", "object"],
+)
+def test_proposal_refuses_a_stored_center_that_is_not_three_finite_numbers(center):
+    with pytest.raises(ContractError, match="three finite numbers"):
+        Proposal(id=0, class_id=0, points=box_points([1.0, 2.0, 3.0]), center=center)
+    stored = Proposal(id=0, class_id=0, points=box_points([1.0, 2.0, 3.0]), center=[1, 2, 3])
+    assert stored.center.dtype == np.float64 and stored.center.shape == (3,)
+
+
 # ---------------------------------------------------------------------------
 # vocab
 

@@ -238,7 +238,7 @@ def test_nan_gradient_names_the_parameter(monkeypatch):
     cfg = TrainConfig(main_steps=1, batch_size=2, seed=0)
     state = refuse_step(
         monkeypatch,
-        lambda loss: T.scale(loss, np.nan),
+        lambda loss: T.mul(loss, T.constant(np.nan)),
         lambda model, state: main_stage(model, dataset(2), cfg, rule_parser, state),
         "main step 1: non-finite gradient for parameter emb",
     )
@@ -570,6 +570,20 @@ def test_checkpoint_arrays_must_match_the_config(tmp_path, mutate):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "group, value",
+    [("parameters", np.nan), ("Adam m", np.inf), ("Adam v", np.nan)],
+    ids=["parameters", "adam-m", "adam-v"],
+)
+def test_checkpoint_non_finite_entry_refused(tmp_path, group, value):
+    model, state, path = trained_pair(tmp_path)
+    arrays = {"parameters": model.params, "Adam m": state.adam.m, "Adam v": state.adam.v}[group]
+    arrays["head.score.2.b"][0, 0] = value
+    save_checkpoint(path, model, state)
+    with pytest.raises(CheckpointError, match=f"{group} group, first in head.score.2.b"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("corrupt", CORRUPT_LENGTHS.values(), ids=CORRUPT_LENGTHS.keys())
 def test_checkpoint_corrupt_length_refused(tmp_path, corrupt):
     _, _, path = trained_pair(tmp_path)
@@ -708,28 +722,28 @@ def column(x, i):
 
 def per_sample_reference(out, sample, stage, weights):
     """One sample's components and weighted total, as the per-sample trainer
-    computed them: a cross-entropy per block, plain means, a scale/add chain."""
+    computed them: a cross-entropy per block, plain means, a mul/add chain."""
     if stage == "warmup":
         ids = sample.anchor_target_ids
         scores = [column(out.block_scores, i) for i in range(len(ids))]
-        l_ref = T.scale(
+        l_ref = T.mul(
             add_fold([T.cross_entropy(s, [[t]]) for s, t in zip(scores, ids)]),
-            1.0 / len(ids),
+            T.constant(1.0 / len(ids)),
         )
     else:
         l_ref = T.cross_entropy(out.scores, [[sample.target_id]])
     z = out.mask_logits
-    bits = T.constant(out.masks)
-    l_mask = T.mean_all(T.sub(T.softplus(z), T.mul(z, bits)))
+    neg_bits = T.constant(-out.masks)
+    l_mask = T.mean_all(T.add(T.softplus(z), T.mul(z, neg_bits)))
     target_class = sample.scene.proposals[sample.target_id].class_id
     l_text = T.cross_entropy(out.text_class_logits, [[target_class]], axis=1)
     parts = [(l_ref, weights.w_ref), (l_mask, weights.w_mask), (l_text, weights.w_text)]
     if stage == "warmup":
         centers = sample.scene.centers()
-        offsets = np.hstack([centers - centers[a] for a in sample.anchor_target_ids])
-        l_crd = T.mean_all(T.square(T.sub(out.coord_pred, T.constant(offsets))))
+        neg_offsets = np.hstack([centers[a] - centers for a in sample.anchor_target_ids])
+        l_crd = T.mean_all(T.square(T.add(out.coord_pred, T.constant(neg_offsets))))
         parts.append((l_crd, weights.w_crd))
-    return [p.item() for p, _ in parts], add_fold([T.scale(p, w) for p, w in parts])
+    return [p.item() for p, _ in parts], add_fold([T.mul(p, T.constant(w)) for p, w in parts])
 
 
 class SampleView:
