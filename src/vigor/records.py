@@ -123,7 +123,8 @@ class DatasetRecord:
             )
         except KeyError as exc:
             raise ValidationError(f"record lacks required field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: a JSON integer too large for a float64 array
             raise ValidationError(f"malformed record: {exc}") from exc
 
 

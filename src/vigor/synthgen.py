@@ -9,6 +9,7 @@ referential order, target last.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -126,6 +127,8 @@ class WarmupSample:
         return self.anchor_target_ids[-1]
 
 
+# A ClassVocab is frozen, so one instance per size can serve every caller.
+@functools.lru_cache(maxsize=16)
 def default_vocab(size: int) -> ClassVocab:
     if size < 1:
         raise ContractError("vocabulary size must be positive")
@@ -139,6 +142,19 @@ def _class_color(class_id: int) -> np.ndarray:
     return np.random.default_rng(10_000 + class_id).uniform(0.1, 0.9, size=3)
 
 
+@functools.lru_cache(maxsize=16)
+def _color_table(num_classes: int) -> np.ndarray:
+    """Row c is `_class_color(c)`; read-only, since every scene shares it."""
+    table = np.array([_class_color(c) for c in range(num_classes)])
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(k, 1)
+
+
 def _pairwise_gaps_ok(centers: np.ndarray, min_sep: float) -> bool:
     """True iff all pairwise center distances differ by >= min_sep."""
     k = centers.shape[0]
@@ -146,8 +162,7 @@ def _pairwise_gaps_ok(centers: np.ndarray, min_sep: float) -> bool:
         return True
     diffs = centers[:, None, :] - centers[None, :, :]
     dists = np.sqrt((diffs**2).sum(axis=2))
-    iu = np.triu_indices(k, 1)
-    flat = np.sort(dists[iu])
+    flat = np.sort(dists[_upper_pairs(k)])
     if flat.size < 2:
         return True
     return bool((np.diff(flat) >= min_sep).all())
@@ -157,23 +172,35 @@ def sample_scene(cfg: GenConfig, rng: np.random.Generator, budget: int = 1000) -
     """Rejection-sample a scene whose relation chains cannot tie.
 
     The gap condition is checked on realized bbox centers (the centers the
-    rest of the pipeline sees), not on the nominal draws.
+    rest of the pipeline sees), not on the nominal draws, and it runs on
+    arrays before any proposal is built, so a rejected try builds none.
     """
     vocab = default_vocab(cfg.class_vocab_size)
+    colors = _color_table(len(vocab))
+    n_points = cfg.points_per_proposal
     for _ in range(budget):
         k = int(rng.integers(cfg.proposals_min, cfg.proposals_max + 1))
         classes = rng.integers(0, len(vocab), size=k)
-        proposals = []
-        for pid in range(k):
-            nominal = rng.uniform(0.0, cfg.room_extent, size=3)
-            half = rng.uniform(0.05, 0.3, size=3)
-            offsets = rng.uniform(-half, half, size=(cfg.points_per_proposal, 3))
-            color = np.tile(_class_color(int(classes[pid])), (cfg.points_per_proposal, 1))
-            pts = np.hstack([nominal + offsets, color])
-            proposals.append(Proposal(id=pid, class_id=int(classes[pid]), points=pts))
-        centers = np.stack([p.center for p in proposals])
-        if _pairwise_gaps_ok(centers, cfg.min_separation):
-            return Scene(proposals=proposals, vocab=vocab)
+        # Row pid holds one proposal's draws in stream order: 3 for its
+        # nominal center, 3 for its half extents, then 3P for its point
+        # offsets.  Each block is mapped as `Generator.uniform` maps a draw,
+        # low + (high - low) * u, so the values are bit for bit those of
+        # per-proposal `uniform` calls on the same stream.
+        u = rng.random((k, 6 + 3 * n_points))
+        nominal = 0.0 + (cfg.room_extent - 0.0) * u[:, :3]
+        half = 0.05 + (0.3 - 0.05) * u[:, 3:6]
+        low, high = -half[:, None, :], half[:, None, :]
+        xyz = nominal[:, None, :] + (low + (high - low) * u[:, 6:].reshape(k, n_points, 3))
+        centers = (xyz.min(axis=1) + xyz.max(axis=1)) / 2.0
+        if not _pairwise_gaps_ok(centers, cfg.min_separation):
+            continue
+        points = np.empty((k, n_points, 6))
+        points[:, :, :3] = xyz
+        points[:, :, 3:] = colors[classes][:, None, :]
+        proposals = [
+            Proposal(id=pid, class_id=int(c), points=points[pid]) for pid, c in enumerate(classes)
+        ]
+        return Scene(proposals=proposals, vocab=vocab)
     raise GenerationError(
         f"no scene met the {cfg.min_separation} distance-gap condition in "
         f"{budget} tries; lower min_separation or enlarge the room"
@@ -279,9 +306,11 @@ def synth_warmup_sample(
     holders = [p.id for p in scene.proposals if p.class_id == first_class]
     survivor = int(rng.choice(holders))
     kept = [p for p in scene.proposals if p.class_id != first_class or p.id == survivor]
+    # Only a proposal whose id moves is rebuilt; the rest are shared.
     pruned = Scene(
         proposals=[
-            Proposal(id=i, class_id=p.class_id, points=p.points) for i, p in enumerate(kept)
+            p if p.id == i else Proposal(id=i, class_id=p.class_id, points=p.points)
+            for i, p in enumerate(kept)
         ],
         vocab=scene.vocab,
         scene_id=scene.scene_id,

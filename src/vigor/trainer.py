@@ -396,11 +396,16 @@ def load_checkpoint(path, expect: ModelConfig | None = None) -> Checkpoint:
         # the bytes in it.  Python ints: np.prod wraps around on a huge shape.
         left = _bytes_left(f)
         layout, size = [], 0
-        for name, shape, _ in param_layout(cfg):
-            size += math.prod(shape)
-            if 8 * size > left:
-                raise CheckpointError(f"truncated checkpoint: the config needs over {left} bytes")
-            layout.append((name, shape))
+        try:
+            for name, shape, _ in param_layout(cfg):
+                size += math.prod(shape)
+                if 8 * size > left:
+                    raise CheckpointError(
+                        f"truncated checkpoint: the config needs over {left} bytes"
+                    )
+                layout.append((name, shape))
+        except OverflowError as exc:  # d**-0.5 of a `d` past float range
+            raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
         params = _read_group(f, layout, size, "parameters")
         adam_m = adam_v = {}
         if adam_t:

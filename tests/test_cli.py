@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -67,6 +68,16 @@ def test_synth_is_deterministic(tmp_path):
     c = synth(tmp_path, name="c.jsonl", seed=6)
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
+
+
+def test_synth_output_is_pinned(tmp_path):
+    """The bytes `generate_dataset` yields through `vigor synth`: a change to
+    the sample stream or to the record format shows here."""
+    path = tmp_path / "pinned.jsonl"
+    argv = ["synth", "--scenes", "20", "--proposals", "5:8", "--order-len", "3", "--seed", "7"]
+    assert main([*argv, "--out", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "ba4f13e6d42238697fd1949788a3370b3590a5af5401e6ae5b5a2a52a8aadb14"
 
 
 @pytest.mark.parametrize(
@@ -353,6 +364,7 @@ MALFORMED_CHECKPOINTS = {
     "float-blocks": edit_header(lambda h: h["model"].update(b=2.0)),
     "float-width": edit_header(lambda h: h["model"].update(d=8.0)),
     "bool-heads": edit_header(lambda h: h["model"].update(n_heads=True)),
+    "width-past-float-range": edit_header(lambda h: h["model"].update(d=10**400)),
     "trailing-byte": lambda path: path.write_bytes(path.read_bytes() + b"\0"),
     **CORRUPT_LENGTHS,
 }
@@ -446,6 +458,20 @@ def test_eval_nonfinite_colour_is_validation_error(tmp_path, capsys):
     assert main(["eval", "--data", str(data), "--ckpt", str(ckpt)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: proposal ") and "finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["center", "points"])
+def test_eval_number_past_float_range_is_validation_error(tmp_path, capsys, field):
+    data, ckpt = eval_setup(tmp_path, scenes=2)
+    blobs = [json.loads(line) for line in data.read_text().splitlines()]
+    prop = blobs[1]["proposals"][0]
+    row = prop["center"] if field == "center" else prop["points"][0]
+    row[0] = 10**400
+    data.write_text("".join(json.dumps(b) + "\n" for b in blobs))
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--ckpt", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}:2: malformed record") and "Traceback" not in err
 
 
 def test_eval_counts_parse_failures(tmp_path, capsys):

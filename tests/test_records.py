@@ -192,6 +192,19 @@ def test_read_skips_blank_lines(tmp_path):
     assert len(read_records(path)) == 2
 
 
+@pytest.mark.parametrize("field", ["center", "points"])
+def test_read_refuses_a_number_past_float_range(tmp_path, field):
+    # json reads 10**400 as an int, which no float64 array can hold
+    blob = record_blob()
+    prop = blob["proposals"][0]
+    row = prop["center"] if field == "center" else prop["points"][0]
+    row[0] = 10**400
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(blob) + "\n")
+    with pytest.raises(ValidationError, match=":1: malformed record"):
+        read_records(path)
+
+
 def test_read_reports_line_numbers(tmp_path):
     path = tmp_path / "data.jsonl"
     path.write_text('{"description": "x"}\nnot json\n')

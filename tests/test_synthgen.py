@@ -1,8 +1,11 @@
 """Tests for scene sampling, warm-up synthesis, and the chain oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from vigor import synthgen
 from vigor.errors import AmbiguityError, ContractError, GenerationError, SkipSample
 from vigor.scene import ClassVocab, Proposal, Scene
 from vigor.synthgen import (
@@ -85,6 +88,35 @@ def test_sample_scene_deterministic():
     for pa, pb in zip(a.proposals, b.proposals):
         assert pa.class_id == pb.class_id
         assert np.array_equal(pa.points, pb.points)
+
+
+def test_a_rejected_try_builds_no_proposal(monkeypatch):
+    cfg = tiny_cfg()
+    with pytest.raises(GenerationError):  # seed 0's first try fails the gap test
+        sample_scene(cfg, np.random.default_rng(0), budget=1)
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(1)
+        return Proposal(*args, **kwargs)
+
+    monkeypatch.setattr(synthgen, "Proposal", spy)
+    scene = sample_scene(cfg, np.random.default_rng(0))
+    assert len(built) == len(scene)
+
+
+def test_samples_share_no_writable_arrays():
+    cfg = tiny_cfg()
+    table = synthgen._color_table(cfg.class_vocab_size)
+    table_before = table.copy()
+    want = sample_at(cfg, 1)
+    for p in sample_at(cfg, 0).scene.proposals:
+        p.points[:] = -1.0
+    got = sample_at(cfg, 1)
+    for a, b in zip(got.scene.proposals, want.scene.proposals, strict=True):
+        assert np.array_equal(a.points, b.points)
+    assert not table.flags.writeable
+    assert np.array_equal(table, table_before)
 
 
 def test_sample_scene_budget_exhaustion():
@@ -269,6 +301,54 @@ def test_generate_dataset_natural_style_resolves():
         assert sample.relation in sample.description
         assert oracle_resolve(sample) == sample.anchor_target_ids
     assert seen_relations == {"farthest", "nearest"}
+
+
+def stream_digest(cfg, n):
+    """sha256 over slots 0 .. n-1 of `sample_at`: class ids, points,
+    centers, order, description, relation and chain."""
+    h = hashlib.sha256()
+    for index in range(n):
+        sample = sample_at(cfg, index)
+        h.update(np.asarray(sample.scene.labels(), dtype="<i8").tobytes())
+        for p in sample.scene.proposals:
+            h.update(p.points.astype("<f8").tobytes())
+        h.update(sample.scene.centers().astype("<f8").tobytes())
+        h.update("\n".join([*sample.order, sample.description, sample.relation]).encode())
+        h.update(np.asarray(sample.anchor_target_ids, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+# Every test's data and every bench digest follow from this stream, so a
+# change to the draw order or to the arithmetic on the draws must show here.
+PINNED_STREAMS = {
+    "template-k5-7-p8-len2": (
+        dict(style="template", proposals_min=5, proposals_max=7, points_per_proposal=8,
+             order_len=2, seed=0),
+        "2eab802312153adf814f67a677699846863cf264aa9a59b8170c0f1024ec6fab",
+    ),
+    "natural-k8-12-p16-len5": (
+        dict(style="natural", proposals_min=8, proposals_max=12, points_per_proposal=16,
+             order_len=5, seed=1),
+        "571c3f77675aa47a221b4979f110338c5ba88620296f43b3c2d2c39d5af77126",
+    ),
+    "template-nearest-k8-12-p16-len3": (
+        dict(style="template", proposals_min=8, proposals_max=12, points_per_proposal=16,
+             order_len=3, relation="nearest", seed=2),
+        "595d37a001af9b674bbf548d330640954193047f5338f9e9f468008090dc3985",
+    ),
+    "natural-k5-7-p8-len4": (
+        dict(style="natural", proposals_min=5, proposals_max=7, points_per_proposal=8,
+             order_len=4, seed=3),
+        "65f205b3a88134d192ce17e41544ec7d1f20a395e18edc87b33e767066e23f63",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "settings, digest", PINNED_STREAMS.values(), ids=PINNED_STREAMS.keys()
+)
+def test_sample_stream_is_pinned(settings, digest):
+    assert stream_digest(GenConfig(**settings), 60) == digest
 
 
 def test_generate_dataset_zero_samples():

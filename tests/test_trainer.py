@@ -550,6 +550,8 @@ def test_checkpoint_bad_header_value_refused(tmp_path, mutate):
         # hold, so these cost no more than the bytes in the file
         lambda h: h["model"].update(b=10**9),
         lambda h: h["model"].update(d=2 * 10**9),
+        # its init scale d**-0.5 overflows before the walk reaches a shape
+        lambda h: h["model"].update(d=10**400),
     ],
     ids=[
         "more-blocks",
@@ -560,6 +562,7 @@ def test_checkpoint_bad_header_value_refused(tmp_path, mutate):
         "moments-without-step",
         "huge-b",
         "huge-d",
+        "d-past-float-range",
     ],
 )
 def test_checkpoint_arrays_must_match_the_config(tmp_path, mutate):
