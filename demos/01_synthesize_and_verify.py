@@ -26,7 +26,7 @@ cfg = GenConfig(
 print("= Synthesizing 5 scenes " + "=" * 40)
 samples = list(generate_dataset(cfg, 5))
 for sample in samples:
-    classes = [sample.scene.vocab.name(p.class_id) for p in sample.scene.proposals]
+    classes = [sample.scene.vocab.name(c) for c in sample.scene.class_ids]
     print(f"\nscene with {len(sample.scene)} proposals: {classes}")
     print(f"  description: {sample.description}")
     print(f"  order (target last):  {' -> '.join(sample.order)}")

@@ -29,13 +29,13 @@ model = GroundingModel(
     ModelConfig(d=16, b=3, n_heads=2, points_per_proposal=8, seed=0), vocab
 )
 
-names = [sample.scene.vocab.name(p.class_id) for p in sample.scene.proposals]
+names = [sample.scene.vocab.name(c) for c in sample.scene.class_ids]
 print(f"proposals: {names}")
 print(f"description: {sample.description}")
 print(f"order: {' -> '.join(sample.order)}  (target id {sample.anchor_target_ids[-1]})")
 
 print("\n= Relevance masks per block " + "=" * 36)
-masks = build_masks(sample.scene.labels(), sample.order, vocab)  # K x B, a column per block
+masks = build_masks(sample.scene.class_ids, sample.order, vocab)  # K x B, a column per block
 for i in range(model.cfg.b):
     bits = masks[:, i]
     kept = [names[j] for j, bit in enumerate(bits) if bit]

@@ -11,7 +11,7 @@ import json
 import sys
 from dataclasses import fields
 
-from .errors import AmbiguityError, EndpointError, ValidationError, VigorError
+from .errors import AmbiguityError, EmptyOrderError, EndpointError, ValidationError, VigorError
 from .evaluation import BREAKDOWN_FAMILIES, accuracy
 from .losses import LossWeights
 from .model import GroundingModel, ModelConfig
@@ -235,7 +235,11 @@ def cmd_verify(args) -> int:
     failures = []
     for i, record in enumerate(records):
         example = example_from_record(record, vocab)
-        parsed = parse_appearance_order(record.description, vocab)
+        try:
+            parsed = parse_appearance_order(record.description, vocab)
+        except EmptyOrderError as exc:  # one record's failure, as in accuracy()
+            failures.append(f"record {i}: {exc}")
+            continue
         if list(parsed.names) != list(record.order):
             failures.append(
                 f"record {i}: parsed order {list(parsed.names)} != stored {record.order}"

@@ -65,8 +65,8 @@ def order_length_bucket(n: int) -> str:
 
 def distractor_bucket(item) -> str:
     """hard = more than 2 other proposals share the target's class."""
-    target_class = item.scene.proposals[item.target_id].class_id
-    same = sum(1 for p in item.scene.proposals if p.class_id == target_class)
+    labels = item.scene.class_ids
+    same = np.count_nonzero(labels == labels[item.target_id])
     return "hard" if same - 1 > 2 else "easy"
 
 

@@ -10,7 +10,8 @@ per-block mask logits, per-block coordinate offsets, and a sentence-level
 class prediction.  Every per-block value is one matrix with a column (a
 group of three for offsets) per block.
 
-Proposal rows carry no positional encoding, so the whole network is
+The object encoder reads a scene's `points` and `centers` row by row, and
+proposal rows carry no positional encoding, so the whole network is
 permutation equivariant over proposals by construction.
 
 `GroundingModel.forward_batch` runs a batch as one packed graph: the
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import tensor as tt
 from .errors import ContractError, check_field_types
-from .scene import ClassVocab, Scene, build_masks, tokenize
+from .scene import MAX_POINTS_PER_PROPOSAL, ClassVocab, Scene, build_masks, tokenize
 from .synthgen import TEMPLATE_WORDS
 from .tensor import Tensor
 
@@ -69,8 +70,8 @@ class ModelConfig:
             raise ContractError("d and n_heads must be positive, and d divisible by n_heads")
         if self.b < 1:
             raise ContractError("need at least one referring block")
-        if self.points_per_proposal < 1:
-            raise ContractError("points_per_proposal must be positive")
+        if not 1 <= self.points_per_proposal <= MAX_POINTS_PER_PROPOSAL:
+            raise ContractError(f"points_per_proposal must lie in 1..{MAX_POINTS_PER_PROPOSAL}")
         if self.seed < 0:
             raise ContractError(f"seed must be non-negative, got {self.seed}")
 
@@ -382,12 +383,12 @@ def encode_objects(
     """
     i_pts = cfg.points_per_proposal
     stacked = np.concatenate(
-        [_resample_points(p.points, i_pts) for scene in scenes for p in scene.proposals]
+        [_resample_points(p, i_pts) for scene in scenes for p in scene.points]
     )
     h = tt.relu(_linear(params, "obj.p1", tt.constant(stacked)))
     h = tt.relu(_linear(params, "obj.p2", h))
     pooled = tt.max_rows_per_block(h, i_pts)  # K x d
-    centers = np.concatenate([scene.centers() for scene in scenes])
+    centers = np.concatenate([scene.centers for scene in scenes])
     c = tt.relu(_linear(params, "obj.c", tt.constant(centers)))
     return _linear(params, "obj.out", tt.concat(pooled, c, axis=1))
 
@@ -534,7 +535,7 @@ class GroundingModel:
                 raise ContractError(f"order length {len(order)} != configured {cfg.b}")
         p = params if params is not None else self.frozen()
         if labels is None:
-            labels = [scene.labels() for scene in scenes]
+            labels = [scene.class_ids for scene in scenes]
         if len(labels) != s or any(len(l) != len(sc) for l, sc in zip(labels, scenes)):
             raise ContractError("one label per proposal required")
 

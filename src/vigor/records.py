@@ -1,9 +1,10 @@
 """Line-delimited JSON persistence for grounding samples.
 
-One record per line, carrying the scene (proposals with class names,
-centers, and points), the description, the referential order (class
-names, target last), the target proposal id, and, for synthetic warm-up
-data, the resolved anchor chain.
+One record per line, carrying the scene (proposals with ids, class
+names, centers, and points), the description, the referential order
+(class names, target last), the target proposal id, and, for synthetic
+warm-up data, the resolved anchor chain.  The ids cover 0..K-1, and a
+rebuilt `Scene` holds proposal id i in row i of its arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .scene import ClassVocab, Proposal, Scene
+from .scene import ClassVocab, Scene
 from .synthgen import WarmupSample
 
 __all__ = [
@@ -140,18 +141,15 @@ class RecordExample:
 
 
 def record_from_sample(sample: WarmupSample) -> DatasetRecord:
-    vocab = sample.scene.vocab
+    scene = sample.scene
     proposals = [
-        {
-            "id": p.id,
-            "class": vocab.name(p.class_id),
-            "center": [float(x) for x in p.center],
-            "points": [[float(x) for x in row] for row in p.points],
-        }
-        for p in sample.scene.proposals
+        {"id": pid, "class": scene.vocab.name(c), "center": center, "points": points.tolist()}
+        for pid, (c, center, points) in enumerate(
+            zip(scene.class_ids.tolist(), scene.centers.tolist(), scene.points)
+        )
     ]
     return DatasetRecord(
-        scene_id=sample.scene.scene_id,
+        scene_id=scene.scene_id,
         proposals=proposals,
         description=sample.description,
         order=list(sample.order),
@@ -166,25 +164,19 @@ def example_from_record(record: DatasetRecord, vocab: ClassVocab) -> RecordExamp
     Classes outside the vocabulary are a validation failure: the caller
     chose a vocabulary that cannot represent this record.
     """
-    proposals = []
-    for prop in sorted(record.proposals, key=lambda p: p["id"]):
-        if prop["class"] not in vocab:
-            raise ValidationError(
-                f"class {prop['class']!r} is not in the {len(vocab)}-name vocabulary"
-            )
-        try:
-            proposals.append(
-                Proposal(
-                    id=prop["id"],
-                    class_id=vocab.index(prop["class"]),
-                    points=np.asarray(prop["points"], dtype=np.float64),
-                    center=np.asarray(prop["center"], dtype=np.float64),
-                )
-            )
-        except ContractError as exc:
-            raise ValidationError(f"proposal {prop['id']}: {exc}") from exc
+    # The record's ids cover 0..K-1, so row i of the scene is proposal id i.
+    props = sorted(record.proposals, key=lambda p: p["id"])
+    unknown = [p["class"] for p in props if p["class"] not in vocab]
+    if unknown:
+        raise ValidationError(f"class {unknown[0]!r} is not in the {len(vocab)}-name vocabulary")
     try:
-        scene = Scene(proposals=proposals, vocab=vocab, scene_id=record.scene_id)
+        scene = Scene(
+            [vocab.index(p["class"]) for p in props],
+            [p["points"] for p in props],
+            vocab,
+            record.scene_id,
+            [p["center"] for p in props],
+        )
     except ContractError as exc:
         raise ValidationError(str(exc)) from exc
     return RecordExample(

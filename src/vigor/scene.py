@@ -1,10 +1,12 @@
 """Scene model: proposals, class vocabulary, relevance masks, relations.
 
-A scene is a list of labelled point-cloud proposals with ids 0..K-1.  The
-relevance masks of a referential order are one K x B array: column i
-marks every proposal whose class name occurs in the suffix `order[i:]`.
-Masks are pure set membership, so each column is invariant to
-duplication and permutation of its suffix.
+A scene holds K labelled point-cloud proposals as arrays (class ids, point
+clouds, bbox centers) whose row i is proposal i, so a proposal's id is its
+row.  `Scene` is the one place a proposal is checked.  The relevance masks
+of a referential order are one K x B array: column i marks every proposal
+whose class name occurs in the suffix `order[i:]`.  Masks are pure set
+membership, so each column is invariant to duplication and permutation of
+its suffix.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +23,6 @@ from .errors import ContractError, NotFoundError
 
 __all__ = [
     "ClassVocab",
-    "Proposal",
     "Scene",
     "build_masks",
     "relation_select",
@@ -31,6 +33,9 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 RELATIONS = ("farthest", "nearest")
+# Synthesis draws a K x P x 6 block and the object encoder runs its point MLP
+# on K x P rows each forward, so a mistyped P past this would ask for gigabytes.
+MAX_POINTS_PER_PROPOSAL = 4096
 
 
 def tokenize(text: str) -> list[str]:
@@ -77,71 +82,78 @@ class ClassVocab:
 
 
 @dataclass
-class Proposal:
-    """One object hypothesis: id, class label, and its xyzrgb points.
+class Scene:
+    """K proposals sharing one class vocabulary; row i of each array is proposal i.
 
-    The center is the midpoint of the axis-aligned bounding box of the
-    xyz columns; a stored center must be three finite numbers equal to it.
+    `points` is K arrays of shape (I_i, 6) with columns x, y, z, r, g, b
+    (a K x I x 6 block qualifies).  Row i of `centers` (K x 3) is the
+    midpoint of the axis-aligned bounding box of proposal i's xyz columns:
+    derived when not given, and given centers must equal it.
     """
 
-    id: int
-    class_id: int
-    points: np.ndarray  # (I, 6) columns x, y, z, r, g, b
-    center: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
-        if self.points.ndim != 2 or self.points.shape[1] != 6 or self.points.shape[0] == 0:
-            raise ContractError(
-                f"proposal points must be non-empty Ix6, got shape {self.points.shape}"
-            )
-        # One finiteness pass over all six columns; the bbox needs no other.
-        if not np.isfinite(self.points).all():
-            raise ContractError("proposal points must be finite in x, y, z, r, g and b")
-        xyz = self.points[:, :3]
-        center = (xyz.min(axis=0) + xyz.max(axis=0)) / 2.0
-        if self.center is None:
-            self.center = center
-            return
-        try:
-            stored = np.asarray(self.center, dtype=np.float64)
-        except (TypeError, ValueError):
-            stored = None
-        if stored is None or stored.shape != (3,) or not np.isfinite(stored).all():
-            raise ContractError(f"a stored center must be three finite numbers: {self.center!r}")
-        # np.allclose(stored, center, atol=1e-9) on finite values, without
-        # its wrappers: this runs once per proposal of every record read.
-        if not (np.abs(stored - center) <= 1e-9 + 1e-5 * np.abs(center)).all():
-            raise ContractError("stored center disagrees with bbox center of points")
-        self.center = stored
-
-
-@dataclass
-class Scene:
-    """A set of proposals sharing one class vocabulary."""
-
-    proposals: list[Proposal]
+    class_ids: np.ndarray  # (K,) ints into `vocab`
+    points: Sequence[np.ndarray] = field(repr=False)
     vocab: ClassVocab
     scene_id: str = ""
+    centers: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not self.proposals:
-            raise ContractError("a scene needs at least one proposal")
-        ids = [p.id for p in self.proposals]
-        if ids != list(range(len(ids))):
-            raise ContractError(f"proposal ids must be 0..K-1 in order, got {ids}")
-        for p in self.proposals:
-            if not 0 <= p.class_id < len(self.vocab):
-                raise ContractError(f"proposal {p.id} has class id outside the vocabulary")
+        ids = np.asarray(self.class_ids)
+        if ids.ndim != 1 or not ids.size:
+            raise ContractError(f"a scene needs a 1-D array of class ids, got shape {ids.shape}")
+        if ids.dtype.kind not in "iu":
+            raise ContractError(f"class ids must be integers, got {ids.dtype}")
+        bad = [i for i, c in enumerate(ids.tolist()) if not 0 <= c < len(self.vocab)]
+        if bad:
+            raise ContractError(f"proposal {bad[0]} has class id outside the vocabulary")
+        k = ids.size
+        if len(self.points) != k:
+            raise ContractError(f"{k} class ids but {len(self.points)} point arrays")
+        points = [np.asarray(p, dtype=np.float64) for p in self.points]
+        bad = [i for i, p in enumerate(points) if p.ndim != 2 or p.shape[1] != 6 or not len(p)]
+        if bad:
+            shape = points[bad[0]].shape
+            raise ContractError(f"proposal {bad[0]}: points must be non-empty Ix6, got {shape}")
+        flat = np.concatenate(points)
+        # One finiteness pass over all six columns; the bbox needs no other.
+        if not np.isfinite(flat).all():
+            i = next(i for i, p in enumerate(points) if not np.isfinite(p).all())
+            raise ContractError(f"proposal {i}: points must be finite in x, y, z, r, g and b")
+        starts = list(accumulate((len(p) for p in points[:-1]), initial=0))
+        xyz = flat[:, :3]
+        derived = (np.minimum.reduceat(xyz, starts) + np.maximum.reduceat(xyz, starts)) / 2.0
+        self.class_ids, self.points = ids, points
+        if self.centers is None:
+            self.centers = derived
+            return
+        try:
+            stored = np.asarray(self.centers, dtype=np.float64)
+        except (TypeError, ValueError):
+            stored = None
+        if stored is None or stored.shape != (k, 3) or not np.isfinite(stored).all():
+            raise ContractError(
+                f"stored centers must be {k} rows of three finite numbers: {self.centers!r}"
+            )
+        # np.allclose(stored, derived, atol=1e-9) on finite values, without
+        # its wrappers: this runs on every record read.
+        close = np.abs(stored - derived) <= 1e-9 + 1e-5 * np.abs(derived)
+        if not close.all():
+            i = close.all(axis=1).argmin()
+            raise ContractError(f"proposal {i}: stored center disagrees with bbox center of points")
+        self.centers = stored
 
     def __len__(self) -> int:
-        return len(self.proposals)
+        return len(self.class_ids)
 
-    def labels(self) -> list[int]:
-        return [p.class_id for p in self.proposals]
-
-    def centers(self) -> np.ndarray:
-        return np.stack([p.center for p in self.proposals])
+    def take(self, rows: Sequence[int]) -> "Scene":
+        """The proposals at `rows`, in that order, renumbered 0..len(rows)-1."""
+        return Scene(
+            self.class_ids[rows],
+            [self.points[i] for i in rows],
+            self.vocab,
+            self.scene_id,
+            self.centers[rows],
+        )
 
 
 def build_masks(labels: Sequence[int], order: Sequence[str], vocab: ClassVocab) -> np.ndarray:
@@ -159,14 +171,12 @@ def build_masks(labels: Sequence[int], order: Sequence[str], vocab: ClassVocab) 
             last[vocab.index(name)] = i
         else:
             log.warning("build_masks: dropping unknown class name %r", name)
-    reach = np.array([last.get(c, -1) for c in labels], dtype=np.intp)
+    reach = np.array([last.get(c, -1) for c in np.asarray(labels).tolist()], dtype=np.intp)
     return (reach[:, None] >= np.arange(len(order))).astype(np.float64)
 
 
-def relation_select(
-    scene: Scene, class_id: int, ref_center: np.ndarray, relation: str
-) -> Proposal:
-    """Pick the farthest/nearest proposal of a class from a reference point.
+def relation_select(scene: Scene, class_id: int, ref_center: np.ndarray, relation: str) -> int:
+    """The id of the farthest/nearest proposal of a class from a reference point.
 
     Exact distance ties are broken by the lowest proposal id, which keeps
     the choice deterministic.
@@ -174,22 +184,17 @@ def relation_select(
     if relation not in RELATIONS:
         raise ContractError(f"relation must be one of {RELATIONS}, got {relation!r}")
     ref = np.asarray(ref_center, dtype=np.float64).reshape(3)
-    candidates = [p for p in scene.proposals if p.class_id == class_id]
-    if not candidates:
+    candidates = np.flatnonzero(scene.class_ids == class_id)
+    if not candidates.size:
         raise NotFoundError(f"no proposal of class id {class_id} in scene")
-    dists = np.array([np.linalg.norm(p.center - ref) for p in candidates])
-    # argmax/argmin return the first extremal index; candidates are already
-    # in ascending id order, so ties resolve to the lowest id.
-    best = int(dists.argmax() if relation == "farthest" else dists.argmin())
-    return candidates[best]
+    dists = np.sqrt(((scene.centers[candidates] - ref) ** 2).sum(axis=1))
+    # argmax/argmin return the first extremal index; candidates are in
+    # ascending id order, so ties resolve to the lowest id.
+    return int(candidates[dists.argmax() if relation == "farthest" else dists.argmin()])
 
 
 def permute_scene(scene: Scene, perm: Sequence[int]) -> Scene:
     """Reorder proposals (new position i takes old proposal perm[i])."""
     if sorted(perm) != list(range(len(scene))):
         raise ContractError("perm must be a permutation of 0..K-1")
-    proposals = [
-        Proposal(id=i, class_id=scene.proposals[j].class_id, points=scene.proposals[j].points)
-        for i, j in enumerate(perm)
-    ]
-    return Scene(proposals=proposals, vocab=scene.vocab, scene_id=scene.scene_id)
+    return scene.take(perm)

@@ -2,9 +2,11 @@
 
 Scenes are sampled so that all pairwise center distances are separated by
 at least a configurable gap, which makes every farthest/nearest relation
-chain uniquely resolvable.  A warm-up sample pairs a pruned scene with a
-templated description whose class-name appearance order equals the
-referential order, target last.
+chain uniquely resolvable.  A scene try is one array draw, and only the
+try that passes the gap test becomes a `Scene`.  A warm-up sample pairs a
+pruned scene (its rows selected with `Scene.take`) with a templated
+description whose class-name appearance order equals the referential
+order, target last.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import AmbiguityError, ContractError, GenerationError, SkipSample, check_field_types
-from .scene import RELATIONS, ClassVocab, Proposal, Scene, relation_select, tokenize
+from .scene import MAX_POINTS_PER_PROPOSAL, RELATIONS, ClassVocab, Scene, relation_select, tokenize
 
 __all__ = [
     "DEFAULT_CLASS_NAMES",
@@ -65,6 +67,9 @@ DEFAULT_CLASS_NAMES = (
 
 TIE_TOLERANCE = 1e-9
 SAMPLE_TRIES = 100  # scenes `sample_at` draws for one slot before giving up
+# `default_vocab` names every class and the model's class head has a row
+# for each, so a mistyped size past this would spend minutes naming classes.
+MAX_CLASS_VOCAB = 4096
 
 
 @dataclass(frozen=True)
@@ -90,9 +95,12 @@ class GenConfig:
             raise ContractError("need 1 <= proposals_min <= proposals_max")
         if self.order_len < 2:
             raise ContractError("order_len must be at least 2")
-        for name in ("points_per_proposal", "class_vocab_size"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, most in (
+            ("points_per_proposal", MAX_POINTS_PER_PROPOSAL),
+            ("class_vocab_size", MAX_CLASS_VOCAB),
+        ):
+            if not 1 <= getattr(self, name) <= most:
+                raise ContractError(f"{name} must lie in 1..{most}, got {getattr(self, name)}")
         room = min(self.class_vocab_size, self.proposals_max)
         if self.order_len > room:
             raise ContractError(
@@ -197,10 +205,7 @@ def sample_scene(cfg: GenConfig, rng: np.random.Generator, budget: int = 1000) -
         points = np.empty((k, n_points, 6))
         points[:, :, :3] = xyz
         points[:, :, 3:] = colors[classes][:, None, :]
-        proposals = [
-            Proposal(id=pid, class_id=int(c), points=points[pid]) for pid, c in enumerate(classes)
-        ]
-        return Scene(proposals=proposals, vocab=vocab)
+        return Scene(classes, points, vocab)
     raise GenerationError(
         f"no scene met the {cfg.min_separation} distance-gap condition in "
         f"{budget} tries; lower min_separation or enlarge the room"
@@ -293,7 +298,7 @@ def synth_warmup_sample(
     Raises SkipSample when the scene has fewer distinct classes than the
     requested order length.
     """
-    distinct = sorted(set(scene.labels()))
+    distinct = sorted(set(scene.class_ids.tolist()))
     if len(distinct) < order_len:
         raise SkipSample(
             f"scene has {len(distinct)} distinct classes, order needs {order_len}"
@@ -302,19 +307,10 @@ def synth_warmup_sample(
 
     # Keep exactly one proposal of the first class so the chain has an
     # unambiguous starting point.
-    first_class = order_ids[0]
-    holders = [p.id for p in scene.proposals if p.class_id == first_class]
-    survivor = int(rng.choice(holders))
-    kept = [p for p in scene.proposals if p.class_id != first_class or p.id == survivor]
-    # Only a proposal whose id moves is rebuilt; the rest are shared.
-    pruned = Scene(
-        proposals=[
-            p if p.id == i else Proposal(id=i, class_id=p.class_id, points=p.points)
-            for i, p in enumerate(kept)
-        ],
-        vocab=scene.vocab,
-        scene_id=scene.scene_id,
-    )
+    keep = scene.class_ids != order_ids[0]
+    survivor = int(rng.choice(np.flatnonzero(~keep)))
+    keep[survivor] = True
+    pruned = scene.take(np.flatnonzero(keep))
 
     chain = resolve_chain(pruned, order_ids, relation)
     order_names = [scene.vocab.name(c) for c in order_ids]
@@ -334,16 +330,14 @@ def synth_warmup_sample(
 
 def resolve_chain(scene: Scene, order_ids: list[int], relation: str) -> list[int]:
     """Follow the relation chain; requires a unique first-class proposal."""
-    first = [p for p in scene.proposals if p.class_id == order_ids[0]]
+    first = np.flatnonzero(scene.class_ids == order_ids[0])
     if len(first) != 1:
         raise ContractError(
             f"chain start needs exactly one proposal of class {order_ids[0]}, found {len(first)}"
         )
-    chain = [first[0].id]
+    chain = [int(first[0])]
     for class_id in order_ids[1:]:
-        prev_center = scene.proposals[chain[-1]].center
-        picked = relation_select(scene, class_id, prev_center, relation)
-        chain.append(picked.id)
+        chain.append(relation_select(scene, class_id, scene.centers[chain[-1]], relation))
     return chain
 
 
@@ -358,22 +352,23 @@ def oracle_resolve(sample: WarmupSample) -> list[int]:
 
 def oracle_resolve_parts(scene: Scene, order: list[str], relation: str) -> list[int]:
     order_ids = [scene.vocab.index(n) for n in order]
-    first = [p for p in scene.proposals if p.class_id == order_ids[0]]
+    labels, centers = scene.class_ids.tolist(), scene.centers.tolist()
+    first = [pid for pid, c in enumerate(labels) if c == order_ids[0]]
     if len(first) != 1:
         raise AmbiguityError(
             f"expected exactly one proposal of class {order[0]!r}, found {len(first)}"
         )
-    chain = [first[0].id]
+    chain = first
     for class_id in order_ids[1:]:
-        ref = scene.proposals[chain[-1]].center
+        ref = centers[chain[-1]]
         best_id, best_d = None, None
         tie = False
-        for p in scene.proposals:
-            if p.class_id != class_id:
+        for pid, (c, center) in enumerate(zip(labels, centers)):
+            if c != class_id:
                 continue
-            d = math.sqrt(sum((float(a) - float(b)) ** 2 for a, b in zip(p.center, ref)))
+            d = math.sqrt(sum((a - b) ** 2 for a, b in zip(center, ref)))
             if best_d is None:
-                best_id, best_d = p.id, d
+                best_id, best_d = pid, d
                 continue
             if abs(d - best_d) <= TIE_TOLERANCE:
                 tie = True
@@ -381,7 +376,7 @@ def oracle_resolve_parts(scene: Scene, order: list[str], relation: str) -> list[
             if (relation == "farthest" and d > best_d) or (
                 relation == "nearest" and d < best_d
             ):
-                best_id, best_d, tie = p.id, d, False
+                best_id, best_d, tie = pid, d, False
         if best_id is None:
             raise AmbiguityError(f"no proposal of class id {class_id} in scene")
         if tie:

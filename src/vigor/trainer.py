@@ -102,19 +102,17 @@ def moving_average(xs: Sequence[float], window: int) -> list[float]:
     return list((sums[window:] - sums[:-window]) / window)
 
 
-def _maybe_noisy_labels(
-    scene: Scene, noise: float, rng: np.random.Generator
-) -> list[int]:
-    labels = scene.labels()
+def _maybe_noisy_labels(scene: Scene, noise: float, rng: np.random.Generator) -> np.ndarray:
+    labels = scene.class_ids
     if noise <= 0.0:
         return labels
     flips = rng.random(len(labels)) < noise
     draws = rng.integers(0, len(scene.vocab), size=len(labels))
-    return [int(d) if f else l for l, f, d in zip(labels, flips, draws)]
+    return np.where(flips, draws, labels)
 
 
 def _target_classes(items: Sequence) -> list[int]:
-    return [item.scene.proposals[item.target_id].class_id for item in items]
+    return [item.scene.class_ids[item.target_id] for item in items]
 
 
 def _warmup_loss(
@@ -122,7 +120,7 @@ def _warmup_loss(
 ) -> LossBreakdown:
     """Every block supervised: anchors, masks, sentence class, offsets."""
     ids = [s.anchor_target_ids for s in samples]
-    centers = np.concatenate([s.scene.centers() for s in samples])
+    centers = np.concatenate([s.scene.centers for s in samples])
     return compose(
         loss_ref(out.block_scores, ids, out.segments),
         loss_mask(out.mask_logits, out.masks, out.segments),

@@ -145,6 +145,9 @@ def endpoint(**fields):
         (endpoint, "model", b"m"),
         # a value of the right type out of the field's range
         (trainer.TrainConfig, "eval_every", -1),
+        pytest.param(ModelConfig, "points_per_proposal", 2**62, id="ModelConfig-points-2**62"),
+        pytest.param(GenConfig, "points_per_proposal", 2**62, id="GenConfig-points-2**62"),
+        pytest.param(GenConfig, "class_vocab_size", 2**62, id="GenConfig-vocab-2**62"),
         (ModelConfig, "seed", -1),
         (GenConfig, "seed", -1),
         (trainer.TrainConfig, "seed", -1),

@@ -85,6 +85,8 @@ def test_synth_output_is_pinned(tmp_path):
     [
         ("--points", "-1", "points_per_proposal"),
         ("--points", "0", "points_per_proposal"),
+        # once a numpy "maximum allowed dimension exceeded" traceback
+        ("--points", str(2**62), "points_per_proposal"),
         ("--vocab-size", "0", "class_vocab_size"),
         ("--scenes", "-3", "sample count"),
         ("--seed", "-1", "seed"),
@@ -163,6 +165,18 @@ def test_verify_catches_wrong_target(tmp_path, capsys):
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
     assert main(["verify", "--data", str(path)]) == 1
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_verify_reports_an_unreadable_description_and_goes_on(tmp_path, capsys):
+    path = synth(tmp_path, scenes=2)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[1]["description"] = "nothing here names a class"
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    assert main(["verify", "--data", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "verify FAILED on 1 of 2 records" in out
+    assert err.startswith("record 1: ") and "no known class name" in err
+    assert "record 0" not in err and "error:" not in err
 
 
 def test_verify_missing_file_is_io_error(tmp_path, capsys):

@@ -68,15 +68,7 @@ def test_distractor_bucket_threshold():
     base = items(1)[0]
 
     def with_classes(classes, target):
-        scene = Scene(
-            proposals=[
-                type(base.scene.proposals[0])(
-                    id=i, class_id=c, points=base.scene.proposals[0].points
-                )
-                for i, c in enumerate(classes)
-            ],
-            vocab=base.scene.vocab,
-        )
+        scene = Scene(classes, [base.scene.points[0]] * len(classes), base.scene.vocab)
         return EvalItem(scene, base.description, base.order, target)
 
     # four of the target's class in total: three distractors, hard
@@ -139,10 +131,7 @@ def test_accuracy_tie_breaks_to_lowest_id():
 
 def test_accuracy_single_proposal_is_one():
     base = items(1)[0]
-    prop = type(base.scene.proposals[0])(
-        id=0, class_id=2, points=base.scene.proposals[0].points
-    )
-    scene = Scene(proposals=[prop], vocab=base.scene.vocab)
+    scene = Scene([2], [base.scene.points[0]], base.scene.vocab)
     name = base.scene.vocab.names[2]
     item = EvalItem(scene, f"the {name} in the room", [name], 0)
     assert accuracy(tiny_model(), [item]).overall == 1.0

@@ -19,7 +19,7 @@ from vigor.model import (
     sinusoid_positions,
     tokenize,
 )
-from vigor.scene import ClassVocab, Proposal, Scene, permute_scene
+from vigor.scene import ClassVocab, Scene, permute_scene
 
 VOCAB = ClassVocab(("chair", "table", "door", "bed", "water bottle"))
 
@@ -31,11 +31,8 @@ def cloud(center, n=8, seed=0):
 
 
 def make_scene(centers, classes, n_points=8, vocab=VOCAB):
-    proposals = [
-        Proposal(id=i, class_id=c, points=cloud(ctr, n=n_points, seed=100 + i))
-        for i, (ctr, c) in enumerate(zip(centers, classes))
-    ]
-    return Scene(proposals=proposals, vocab=vocab)
+    points = [cloud(ctr, n=n_points, seed=100 + i) for i, ctr in enumerate(centers)]
+    return Scene(classes, points, vocab)
 
 
 def tiny_model(b=2, d=8, n_heads=2, points=8, seed=0):

@@ -52,10 +52,10 @@ def test_roundtrip_preserves_everything():
     assert example.target_id == sample.anchor_target_ids[-1]
     assert example.anchor_target_ids == sample.anchor_target_ids
     assert len(example.scene) == len(sample.scene)
-    for a, b in zip(example.scene.proposals, sample.scene.proposals):
-        assert a.class_id == b.class_id
-        assert np.array_equal(a.points, b.points)
-        assert np.array_equal(a.center, b.center)
+    assert np.array_equal(example.scene.class_ids, sample.scene.class_ids)
+    for a, b in zip(example.scene.points, sample.scene.points):
+        assert np.array_equal(a, b)
+    assert np.array_equal(example.scene.centers, sample.scene.centers)
 
 
 def test_record_requires_nonempty_order_and_description():

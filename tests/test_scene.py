@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from vigor.errors import ContractError, NotFoundError
 from vigor.scene import (
     ClassVocab,
-    Proposal,
     Scene,
     build_masks,
     permute_scene,
@@ -28,11 +27,7 @@ def box_points(center, half=0.5):
 
 
 def make_scene(centers, classes, vocab):
-    proposals = [
-        Proposal(id=i, class_id=c, points=box_points(ctr))
-        for i, (ctr, c) in enumerate(zip(centers, classes))
-    ]
-    return Scene(proposals=proposals, vocab=vocab)
+    return Scene(classes, [box_points(ctr) for ctr in centers], vocab)
 
 
 VOCAB = ClassVocab(("chair", "table", "door", "water bottle", "easy chair"))
@@ -43,17 +38,18 @@ VOCAB = ClassVocab(("chair", "table", "door", "water bottle", "easy chair"))
 
 
 def proposal_of(xyz, rgb=0.5):
+    """A one-proposal scene."""
     xyz = np.asarray(xyz, dtype=float)
-    return Proposal(id=0, class_id=0, points=np.hstack([xyz, np.full_like(xyz, rgb)]))
+    return Scene([0], [np.hstack([xyz, np.full_like(xyz, rgb)])], VOCAB)
 
 
 def test_center_bbox_unit_cube():
     p = proposal_of([[0.0, 0, 0], [1, 1, 1], [0.5, 0.2, 0.9]])
-    assert np.array_equal(p.center, [0.5, 0.5, 0.5])
+    assert np.array_equal(p.centers[0], [0.5, 0.5, 0.5])
 
 
 def test_center_bbox_single_point():
-    assert np.array_equal(proposal_of([[2.0, -1.0, 3.0]]).center, [2.0, -1.0, 3.0])
+    assert np.array_equal(proposal_of([[2.0, -1.0, 3.0]]).centers[0], [2.0, -1.0, 3.0])
 
 
 def test_center_bbox_random_oracle():
@@ -61,7 +57,7 @@ def test_center_bbox_random_oracle():
     for _ in range(50):
         pts = rng.normal(size=(rng.integers(1, 30), 3)) * 5
         # colours far outside the xyz range must not move the center
-        center = proposal_of(pts, rgb=100.0).center
+        center = proposal_of(pts, rgb=100.0).centers[0]
         # scalar re-derivation per axis
         for ax in range(3):
             lo = min(float(v) for v in pts[:, ax])
@@ -75,8 +71,8 @@ def test_center_bbox_empty_rejected():
 
 
 def test_proposal_center_is_bbox_center():
-    p = Proposal(id=0, class_id=0, points=box_points([1.0, 2.0, 3.0]))
-    assert np.allclose(p.center, [1.0, 2.0, 3.0])
+    p = Scene([0], [box_points([1.0, 2.0, 3.0])], VOCAB)
+    assert np.allclose(p.centers[0], [1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize(
@@ -93,9 +89,49 @@ def test_proposal_center_is_bbox_center():
 )
 def test_proposal_refuses_a_stored_center_that_is_not_three_finite_numbers(center):
     with pytest.raises(ContractError, match="three finite numbers"):
-        Proposal(id=0, class_id=0, points=box_points([1.0, 2.0, 3.0]), center=center)
-    stored = Proposal(id=0, class_id=0, points=box_points([1.0, 2.0, 3.0]), center=[1, 2, 3])
-    assert stored.center.dtype == np.float64 and stored.center.shape == (3,)
+        Scene([0], [box_points([1.0, 2.0, 3.0])], VOCAB, centers=[center])
+    stored = Scene([0], [box_points([1.0, 2.0, 3.0])], VOCAB, centers=[[1, 2, 3]])
+    assert stored.centers.dtype == np.float64 and stored.centers.shape == (1, 3)
+
+
+def test_scene_centers_of_ragged_proposals_match_the_oracle():
+    """Proposals of different point counts: each center comes from its own rows."""
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        sizes = rng.integers(1, 12, size=int(rng.integers(1, 8)))
+        clouds = [rng.normal(size=(int(n), 6)) * 5 for n in sizes]
+        scene = Scene([0] * len(clouds), clouds, VOCAB)
+        for cloud, center in zip(clouds, scene.centers, strict=True):
+            for ax in range(3):
+                assert center[ax] == (min(cloud[:, ax]) + max(cloud[:, ax])) / 2
+
+
+BOX = box_points([0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "class_ids, points, match",
+    [
+        ([], [], "1-D array of class ids"),
+        ([0.0], [BOX], "integers"),
+        ([0, 1], [BOX], "2 class ids but 1 point arrays"),
+        ([0, 5], [BOX, BOX], "proposal 1 has class id outside the vocabulary"),
+        ([0, 1], [BOX, BOX[:, :3]], "proposal 1: points must be non-empty Ix6"),
+        ([0, 1, 2], [BOX, BOX, np.where(BOX > 0, np.inf, BOX)], "proposal 2: .*finite"),
+    ],
+    ids=["empty", "float-ids", "count", "class-range", "xyz-only", "infinite"],
+)
+def test_scene_refuses_malformed_arrays(class_ids, points, match):
+    with pytest.raises(ContractError, match=match):
+        Scene(class_ids, points, VOCAB)
+
+
+def test_take_keeps_the_stored_centers():
+    stored = np.array([[0.0, 0.0, 0.0], [3.000001, 0.0, 0.0]])  # within the bbox tolerance
+    scene = Scene([0, 1], [box_points([0, 0, 0]), box_points([3, 0, 0])], VOCAB, centers=stored)
+    taken = scene.take([1, 0])
+    assert np.array_equal(taken.centers, stored[[1, 0]])
+    assert taken.class_ids.tolist() == [1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +152,6 @@ def test_vocab_rejects_duplicates():
         ClassVocab(("chair", "Chair"))
 
 
-def test_scene_requires_contiguous_ids():
-    props = [Proposal(id=1, class_id=0, points=box_points([0, 0, 0]))]
-    with pytest.raises(ContractError):
-        Scene(proposals=props, vocab=VOCAB)
-
-
 # ---------------------------------------------------------------------------
 # masks
 
@@ -132,7 +162,7 @@ def test_build_mask_example():
         classes=[0, 1, 0, 2],  # chair, table, chair, door
         vocab=VOCAB,
     )
-    mask = build_masks(scene.labels(), ["table", "chair"], VOCAB)[:, 0]
+    mask = build_masks(scene.class_ids, ["table", "chair"], VOCAB)[:, 0]
     assert np.array_equal(mask, [1, 1, 1, 0])
     assert mask.sum() == 3
 
@@ -218,11 +248,11 @@ def test_relation_select_farthest_nearest():
         classes=[2, 1, 1],  # door, table, table
         vocab=VOCAB,
     )
-    ref = scene.proposals[0].center
+    ref = scene.centers[0]
     far = relation_select(scene, class_id=1, ref_center=ref, relation="farthest")
     near = relation_select(scene, class_id=1, ref_center=ref, relation="nearest")
-    assert far.id == 2
-    assert near.id == 1
+    assert far == 2
+    assert near == 1
 
 
 def test_relation_select_tie_breaks_lowest_id():
@@ -231,8 +261,8 @@ def test_relation_select_tie_breaks_lowest_id():
         classes=[2, 1, 1],
         vocab=VOCAB,
     )
-    picked = relation_select(scene, 1, scene.proposals[0].center, "farthest")
-    assert picked.id == 1
+    picked = relation_select(scene, 1, scene.centers[0], "farthest")
+    assert picked == 1
 
 
 def test_relation_select_missing_class():
@@ -257,18 +287,18 @@ def test_relation_select_exhaustive_oracle():
             picked = relation_select(scene, target_class, ref, relation)
             # brute force over proposals of that class, ids ascending
             best_id, best_d = None, None
-            for p in scene.proposals:
-                if p.class_id != target_class:
+            for pid, (class_id, center) in enumerate(zip(scene.class_ids, scene.centers)):
+                if class_id != target_class:
                     continue
-                d = float(np.sqrt(((p.center - ref) ** 2).sum()))
+                d = float(np.sqrt(((center - ref) ** 2).sum()))
                 better = (
                     best_d is None
                     or (relation == "farthest" and d > best_d)
                     or (relation == "nearest" and d < best_d)
                 )
                 if better:
-                    best_id, best_d = p.id, d
-            assert picked.id == best_id
+                    best_id, best_d = pid, d
+            assert picked == best_id
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +313,7 @@ def test_permute_scene_roundtrip():
     )
     perm = [2, 0, 1]
     permuted = permute_scene(scene, perm)
-    assert [p.class_id for p in permuted.proposals] == [2, 0, 1]
-    assert np.array_equal(permuted.proposals[0].center, scene.proposals[2].center)
+    assert permuted.class_ids.tolist() == [2, 0, 1]
+    assert np.array_equal(permuted.centers[0], scene.centers[2])
     with pytest.raises(ContractError):
         permute_scene(scene, [0, 0, 1])

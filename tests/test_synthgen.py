@@ -7,7 +7,7 @@ import pytest
 
 from vigor import synthgen
 from vigor.errors import AmbiguityError, ContractError, GenerationError, SkipSample
-from vigor.scene import ClassVocab, Proposal, Scene
+from vigor.scene import ClassVocab, Scene
 from vigor.synthgen import (
     GenConfig,
     default_vocab,
@@ -37,8 +37,8 @@ def tiny_cfg(**kw):
 
 
 def scene_from_centers(centers, classes, vocab):
-    proposals = []
-    for i, (c, cls) in enumerate(zip(centers, classes)):
+    points = []
+    for c in centers:
         c = np.asarray(c, dtype=float)
         pts = np.array(
             [
@@ -46,8 +46,8 @@ def scene_from_centers(centers, classes, vocab):
                 [c[0] + 0.1, c[1] + 0.1, c[2] + 0.1, 0.5, 0.5, 0.5],
             ]
         )
-        proposals.append(Proposal(id=i, class_id=cls, points=pts))
-    return Scene(proposals=proposals, vocab=vocab)
+        points.append(pts)
+    return Scene(classes, points, vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +60,7 @@ def test_sample_scene_respects_bounds_and_gap():
     for _ in range(20):
         scene = sample_scene(cfg, rng)
         assert cfg.proposals_min <= len(scene) <= cfg.proposals_max
-        centers = scene.centers()
+        centers = scene.centers
         assert (centers >= -0.5).all() and (centers <= cfg.room_extent + 0.5).all()
         k = len(scene)
         dists = sorted(
@@ -74,10 +74,10 @@ def test_sample_scene_respects_bounds_and_gap():
 
 def test_sample_scene_centers_match_bbox():
     scene = sample_scene(tiny_cfg(), np.random.default_rng(2))
-    for p in scene.proposals:
-        xyz = p.points[:, :3]
+    for points, center in zip(scene.points, scene.centers, strict=True):
+        xyz = points[:, :3]
         want = (xyz.min(axis=0) + xyz.max(axis=0)) / 2
-        assert np.allclose(p.center, want)
+        assert np.allclose(center, want)
 
 
 def test_sample_scene_deterministic():
@@ -85,24 +85,25 @@ def test_sample_scene_deterministic():
     a = sample_scene(cfg, np.random.default_rng(7))
     b = sample_scene(cfg, np.random.default_rng(7))
     assert len(a) == len(b)
-    for pa, pb in zip(a.proposals, b.proposals):
-        assert pa.class_id == pb.class_id
-        assert np.array_equal(pa.points, pb.points)
+    assert np.array_equal(a.class_ids, b.class_ids)
+    for pa, pb in zip(a.points, b.points):
+        assert np.array_equal(pa, pb)
 
 
-def test_a_rejected_try_builds_no_proposal(monkeypatch):
+def test_a_rejected_try_builds_no_scene(monkeypatch):
     cfg = tiny_cfg()
-    with pytest.raises(GenerationError):  # seed 0's first try fails the gap test
-        sample_scene(cfg, np.random.default_rng(0), budget=1)
     built = []
 
     def spy(*args, **kwargs):
         built.append(1)
-        return Proposal(*args, **kwargs)
+        return Scene(*args, **kwargs)
 
-    monkeypatch.setattr(synthgen, "Proposal", spy)
-    scene = sample_scene(cfg, np.random.default_rng(0))
-    assert len(built) == len(scene)
+    monkeypatch.setattr(synthgen, "Scene", spy)
+    with pytest.raises(GenerationError):  # seed 0's first try fails the gap test
+        sample_scene(cfg, np.random.default_rng(0), budget=1)
+    assert not built
+    sample_scene(cfg, np.random.default_rng(0))
+    assert len(built) == 1
 
 
 def test_samples_share_no_writable_arrays():
@@ -110,11 +111,11 @@ def test_samples_share_no_writable_arrays():
     table = synthgen._color_table(cfg.class_vocab_size)
     table_before = table.copy()
     want = sample_at(cfg, 1)
-    for p in sample_at(cfg, 0).scene.proposals:
-        p.points[:] = -1.0
+    for points in sample_at(cfg, 0).scene.points:
+        points[:] = -1.0
     got = sample_at(cfg, 1)
-    for a, b in zip(got.scene.proposals, want.scene.proposals, strict=True):
-        assert np.array_equal(a.points, b.points)
+    for a, b in zip(got.scene.points, want.scene.points, strict=True):
+        assert np.array_equal(a, b)
     assert not table.flags.writeable
     assert np.array_equal(table, table_before)
 
@@ -223,14 +224,12 @@ def test_synth_warmup_sample_prunes_first_class():
         except SkipSample:
             continue
         first = sample.order[0]
-        count = sum(
-            1 for p in sample.scene.proposals if sample.scene.vocab.name(p.class_id) == first
-        )
+        count = sum(1 for c in sample.scene.class_ids if sample.scene.vocab.name(c) == first)
         assert count == 1
         assert len(sample.order) == 3
         assert len(set(sample.anchor_target_ids)) == 3
-        ids = [p.id for p in sample.scene.proposals]
-        assert ids == list(range(len(ids)))
+        scene = sample.scene
+        assert len(scene.class_ids) == len(scene.points) == len(scene.centers)
 
 
 def test_synth_warmup_sample_skips_when_too_few_classes():
@@ -281,7 +280,7 @@ def test_generate_dataset_deterministic_and_valid():
         assert sa.description == sb.description
         assert sa.order == sb.order
         assert sa.anchor_target_ids == sb.anchor_target_ids
-        assert np.array_equal(sa.scene.centers(), sb.scene.centers())
+        assert np.array_equal(sa.scene.centers, sb.scene.centers)
 
 
 def test_generate_dataset_oracle_agreement_sweep():
@@ -309,10 +308,10 @@ def stream_digest(cfg, n):
     h = hashlib.sha256()
     for index in range(n):
         sample = sample_at(cfg, index)
-        h.update(np.asarray(sample.scene.labels(), dtype="<i8").tobytes())
-        for p in sample.scene.proposals:
-            h.update(p.points.astype("<f8").tobytes())
-        h.update(sample.scene.centers().astype("<f8").tobytes())
+        h.update(np.asarray(sample.scene.class_ids, dtype="<i8").tobytes())
+        for points in sample.scene.points:
+            h.update(points.astype("<f8").tobytes())
+        h.update(sample.scene.centers.astype("<f8").tobytes())
         h.update("\n".join([*sample.order, sample.description, sample.relation]).encode())
         h.update(np.asarray(sample.anchor_target_ids, dtype="<i8").tobytes())
     return h.hexdigest()

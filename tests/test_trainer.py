@@ -2,16 +2,17 @@
 
 import copy
 import struct
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vigor import tensor as T
 from vigor import trainer
-from vigor.errors import CheckpointError, ContractError, NumericError
+from vigor.errors import CheckpointError, ContractError, NumericError, VigorError
 from vigor.losses import LossWeights, loss_text
 from vigor.model import GroundingModel, ModelConfig, param_layout
 from vigor.orderparse import parse_appearance_order
@@ -507,6 +508,9 @@ def test_checkpoint_extra_model_key_refused(tmp_path):
         lambda h: h["model"].update(d=8.0),
         lambda h: h["model"].update(n_heads=True),
         lambda h: h["model"].update(seed="0"),
+        # no array depends on it, so it once loaded and ran out of memory
+        # at the first forward
+        lambda h: h["model"].update(points_per_proposal=2**62),
         # same length, so the arrays still fit: only the vocabulary check refuses it
         lambda h: h["word_tokens"].__setitem__(2, h["word_tokens"][1]),
     ],
@@ -526,6 +530,7 @@ def test_checkpoint_extra_model_key_refused(tmp_path):
         "float-width",
         "bool-heads",
         "string-seed",
+        "huge-points",
         "repeated-word",
     ],
 )
@@ -657,6 +662,54 @@ def test_checkpoint_fuzz_truncated_or_flipped(small_checkpoint, data):
     assert isinstance(ckpt, Checkpoint)
 
 
+MISSING = object()
+# JSON values a header's model field might hold: huge, zero, negative,
+# mistyped, non-finite, nested, or the key left out.
+HEADER_VALUES = st.sampled_from(
+    [2**62, 10**400, 0, -1, -(2**62), True, False, 1.5, float("nan"), float("inf"),
+     "8", None, [8], {"d": 8}, MISSING]
+) | st.integers(-2, 40)
+
+
+@pytest.fixture(scope="module")
+def header_case(tmp_path_factory):
+    """A valid d=8, b=2 checkpoint and a 5-proposal sample to run it on."""
+    model = tiny_model()
+    path = tmp_path_factory.mktemp("header") / "ckpt.bin"
+    save_checkpoint(path, model, TrainState.fresh(0))
+    sample = sample_at(replace(GEN, proposals_min=5, proposals_max=5), 0)
+    return path.read_bytes(), path, sample
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    edits=st.dictionaries(
+        st.sampled_from([f.name for f in fields(ModelConfig)]), HEADER_VALUES, max_size=3
+    )
+)
+@example(edits={"points_per_proposal": 2**62})
+def test_checkpoint_header_model_fields_run_or_refuse(header_case, edits):
+    """Whatever the header's `model` holds, loading the file, building the
+    model and one forward either work or raise the package's own error."""
+    blob, path, sample = header_case
+    path.write_bytes(blob)
+
+    def mutate(header):
+        for name, value in edits.items():
+            if value is MISSING:
+                header["model"].pop(name)
+            else:
+                header["model"][name] = value
+
+    rewrite_checkpoint_header(path, mutate)
+    try:
+        model, _ = model_from_checkpoint(load_checkpoint(path))
+        out = model.forward(sample.scene, sample.order, sample.description)
+    except VigorError:
+        return
+    assert out.scores.shape == (5, 1)
+
+
 def test_checkpoint_wrong_width_refused(tmp_path):
     _, _, path = trained_pair(tmp_path)
     want = ModelConfig(d=16, b=2, n_heads=2, points_per_proposal=6)
@@ -738,11 +791,11 @@ def per_sample_reference(out, sample, stage, weights):
     z = out.mask_logits
     neg_bits = T.constant(-out.masks)
     l_mask = T.mean_all(T.add(T.softplus(z), T.mul(z, neg_bits)))
-    target_class = sample.scene.proposals[sample.target_id].class_id
+    target_class = sample.scene.class_ids[sample.target_id]
     l_text = T.cross_entropy(out.text_class_logits, [[target_class]], axis=1)
     parts = [(l_ref, weights.w_ref), (l_mask, weights.w_mask), (l_text, weights.w_text)]
     if stage == "warmup":
-        centers = sample.scene.centers()
+        centers = sample.scene.centers
         neg_offsets = np.hstack([centers[a] - centers for a in sample.anchor_target_ids])
         l_crd = T.mean_all(T.square(T.add(out.coord_pred, T.constant(neg_offsets))))
         parts.append((l_crd, weights.w_crd))
@@ -776,7 +829,7 @@ def test_packed_step_matches_per_sample_reference(stage, monkeypatch):
     model = tiny_model(seed=3)
     rng = np.random.default_rng(7)
     labels = [trainer._maybe_noisy_labels(s.scene, 0.4, rng) for s in samples]
-    assert any(l != s.scene.labels() for l, s in zip(labels, samples))
+    assert any(not np.array_equal(l, s.scene.class_ids) for l, s in zip(labels, samples))
     loss_fn = trainer._warmup_loss if stage == "warmup" else trainer._main_loss
     # every segmented attention dense, then every one padded
     for saving in (float("inf"), float("-inf")):
@@ -881,7 +934,7 @@ def test_packed_step_draws_label_noise_per_sample_in_batch_order():
     )
     rng = np.random.default_rng(5)
     want = [trainer._maybe_noisy_labels(s.scene, 0.5, rng) for s in samples]
-    assert seen == [want]
+    assert [[l.tolist() for l in labels] for labels in seen] == [[l.tolist() for l in want]]
     assert state.rng.bit_generator.state == rng.bit_generator.state
 
 
