@@ -170,7 +170,8 @@ def loss_crd(
     order = np.argsort(ids, kind="stable")  # the rows of sample 0, then 1, ...
     anchors = order[(np.cumsum(sizes) - sizes)[:, None] + targets]
     neg_offsets = (centers[anchors[ids]] - centers[:, None, :]).reshape(k, 3 * b)
-    return _per_sample_means(tt.square(tt.add(coord_pred, tt.constant(neg_offsets))), ids)
+    err = tt.add(coord_pred, tt.constant(neg_offsets))
+    return _per_sample_means(tt.mul(err, err), ids)
 
 
 def loss_text(text_class_logits: Tensor, target_class_id) -> Tensor:

@@ -3,20 +3,20 @@
 One record per line, carrying the scene (proposals with ids, class
 names, centers, and points), the description, the referential order
 (class names, target last), the target proposal id, and, for synthetic
-warm-up data, the resolved anchor chain.  The ids cover 0..K-1, and a
-rebuilt `Scene` holds proposal id i in row i of its arrays.
+warm-up data, the resolved anchor chain.  The ids cover 0..K-1.  A record
+is checked in full when built, its points and centers by the rule a
+`Scene` runs (`scene.proposal_arrays`), and holds its proposals sorted by
+id as float64 arrays, which a rebuilt `Scene` takes as they are.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import ContractError, ValidationError
-from .scene import ClassVocab, Scene
+from .scene import ClassVocab, Scene, proposal_arrays
 from .synthgen import WarmupSample
 
 __all__ = [
@@ -43,12 +43,15 @@ _JSON_TYPES = (
     ("order", list, "an array"),
     ("anchor_ids", (list, type(None)), "an array or null"),
 )
+_PROPOSAL_FIELDS = {"id", "class", "center", "points"}
 
 
-@dataclass
+@dataclass(eq=False)
 class DatasetRecord:
     scene_id: str
-    proposals: list[dict]  # {id, class, center, points}
+    # {id, class, center, points}, sorted by id once built; center is a
+    # float64 row of 3 and points an (I, 6) float64 array.
+    proposals: list[dict]
     description: str
     order: list[str]
     target_id: int
@@ -67,66 +70,72 @@ class DatasetRecord:
             raise ValidationError("record carries no proposals")
         ids = []
         for i, prop in enumerate(self.proposals):
-            missing = {"id", "class", "center", "points"} - set(prop)
-            if missing:
-                raise ValidationError(f"proposal {i} lacks fields {sorted(missing)}")
+            if not isinstance(prop, dict) or prop.keys() != _PROPOSAL_FIELDS:
+                raise ValidationError(f"proposal {i} must have just id, class, center and points")
             if not isinstance(prop["class"], str) or not prop["class"]:
                 raise ValidationError(f"proposal {i} needs a class name string")
-            pts = np.asarray(prop["points"], dtype=np.float64)
-            if pts.ndim != 2 or pts.shape[1] != 6 or pts.shape[0] == 0:
-                raise ValidationError(
-                    f"proposal {i} points must be a nonempty list of [x,y,z,r,g,b] rows"
-                )
-            center = np.asarray(prop["center"], dtype=np.float64)
-            if center.shape != (3,):
-                raise ValidationError(f"proposal {i} center must be [x, y, z]")
             if not _is_int(prop["id"]):
                 raise ValidationError(f"proposal {i} id must be an integer, got {prop['id']!r}")
             ids.append(prop["id"])
         if sorted(ids) != list(range(len(ids))):
             raise ValidationError(f"proposal ids must cover 0..K-1, got {sorted(ids)}")
+        # From here on row i is proposal id i, as in the scene it rebuilds.
+        props = sorted(self.proposals, key=lambda p: p["id"])
+        try:
+            points, centers = proposal_arrays(
+                [p["points"] for p in props], [p["center"] for p in props]
+            )
+        except ContractError as exc:
+            raise ValidationError(str(exc)) from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: a JSON integer too large for a float64 array
+            raise ValidationError(f"malformed record: {exc}") from exc
+        self.proposals = [
+            {"id": i, "class": p["class"], "center": center, "points": pts}
+            for i, (p, center, pts) in enumerate(zip(props, centers, points))
+        ]
         if not _is_int(self.target_id):
             raise ValidationError(f"target id must be an integer, got {self.target_id!r}")
         if self.target_id not in ids:
-            raise ValidationError(
-                f"target id {self.target_id} is not a proposal id"
-            )
+            raise ValidationError(f"target id {self.target_id} is not a proposal id")
         if self.anchor_ids is not None:
             if len(self.anchor_ids) != len(self.order):
-                raise ValidationError(
-                    "anchor_ids must name one proposal per order position"
-                )
+                raise ValidationError("anchor_ids must name one proposal per order position")
             bad = [a for a in self.anchor_ids if not _is_int(a) or a not in ids]
             if bad:
                 raise ValidationError(f"anchor ids {bad} are not proposal ids")
             if self.anchor_ids[-1] != self.target_id:
                 raise ValidationError("the last anchor must be the target")
 
+    def __eq__(self, other):  # through to_dict: == on arrays is elementwise
+        return isinstance(other, DatasetRecord) and self.to_dict() == other.to_dict()
+
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The record as its JSON object: the file's keys, in the file's order."""
+        return {
+            "scene_id": self.scene_id,
+            "proposals": [
+                {**p, "center": p["center"].tolist(), "points": p["points"].tolist()}
+                for p in self.proposals
+            ],
+            "description": self.description,
+            "order": list(self.order),
+            "target_id": self.target_id,
+            "anchor_ids": None if self.anchor_ids is None else list(self.anchor_ids),
+        }
 
     @classmethod
     def from_dict(cls, blob: dict) -> "DatasetRecord":
         if not isinstance(blob, dict):
             raise ValidationError("each record must be a JSON object")
         allowed = {"scene_id", "proposals", "description", "order", "target_id", "anchor_ids"}
-        unknown = set(blob) - allowed
+        unknown = blob.keys() - allowed
         if unknown:
             raise ValidationError(f"unknown record fields: {sorted(unknown)}")
-        try:
-            return cls(
-                scene_id=blob.get("scene_id", ""),
-                proposals=blob["proposals"],
-                description=blob["description"],
-                order=blob["order"],
-                target_id=blob["target_id"],
-                anchor_ids=blob.get("anchor_ids"),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"record lacks required field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            # OverflowError: a JSON integer too large for a float64 array
-            raise ValidationError(f"malformed record: {exc}") from exc
+        missing = allowed - {"scene_id", "anchor_ids"} - blob.keys()
+        if missing:
+            raise ValidationError(f"record lacks required fields {sorted(missing)}")
+        return cls(**{"scene_id": "", **blob})
 
 
 @dataclass
@@ -143,10 +152,8 @@ class RecordExample:
 def record_from_sample(sample: WarmupSample) -> DatasetRecord:
     scene = sample.scene
     proposals = [
-        {"id": pid, "class": scene.vocab.name(c), "center": center, "points": points.tolist()}
-        for pid, (c, center, points) in enumerate(
-            zip(scene.class_ids.tolist(), scene.centers.tolist(), scene.points)
-        )
+        {"id": pid, "class": scene.vocab.name(c), "center": scene.centers[pid], "points": points}
+        for pid, (c, points) in enumerate(zip(scene.class_ids.tolist(), scene.points))
     ]
     return DatasetRecord(
         scene_id=scene.scene_id,
@@ -162,31 +169,21 @@ def example_from_record(record: DatasetRecord, vocab: ClassVocab) -> RecordExamp
     """Rebuild the scene with class ids resolved against `vocab`.
 
     Classes outside the vocabulary are a validation failure: the caller
-    chose a vocabulary that cannot represent this record.
+    chose a vocabulary that cannot represent this record.  The scene takes
+    the record's arrays as they are: they already passed its rule.
     """
-    # The record's ids cover 0..K-1, so row i of the scene is proposal id i.
-    props = sorted(record.proposals, key=lambda p: p["id"])
+    props = record.proposals
     unknown = [p["class"] for p in props if p["class"] not in vocab]
     if unknown:
         raise ValidationError(f"class {unknown[0]!r} is not in the {len(vocab)}-name vocabulary")
-    try:
-        scene = Scene(
-            [vocab.index(p["class"]) for p in props],
-            [p["points"] for p in props],
-            vocab,
-            record.scene_id,
-            [p["center"] for p in props],
-        )
-    except ContractError as exc:
-        raise ValidationError(str(exc)) from exc
+    classes, points = [vocab.index(p["class"]) for p in props], [p["points"] for p in props]
+    scene = Scene(classes, points, vocab, record.scene_id, [p["center"] for p in props])
     return RecordExample(
         scene=scene,
         description=record.description,
         order=list(record.order),
         target_id=record.target_id,
-        anchor_target_ids=(
-            list(record.anchor_ids) if record.anchor_ids is not None else None
-        ),
+        anchor_target_ids=None if record.anchor_ids is None else list(record.anchor_ids),
     )
 
 

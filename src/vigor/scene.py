@@ -2,7 +2,8 @@
 
 A scene holds K labelled point-cloud proposals as arrays (class ids, point
 clouds, bbox centers) whose row i is proposal i, so a proposal's id is its
-row.  `Scene` is the one place a proposal is checked.  The relevance masks
+row.  `proposal_arrays` is the one check of a proposal's arrays; `Scene`
+and the dataset records both run it.  The relevance masks
 of a referential order are one K x B array: column i marks every proposal
 whose class name occurs in the suffix `order[i:]`.  Masks are pure set
 membership, so each column is invariant to duplication and permutation of
@@ -24,6 +25,7 @@ from .errors import ContractError, NotFoundError
 __all__ = [
     "ClassVocab",
     "Scene",
+    "proposal_arrays",
     "build_masks",
     "relation_select",
     "permute_scene",
@@ -36,6 +38,10 @@ RELATIONS = ("farthest", "nearest")
 # Synthesis draws a K x P x 6 block and the object encoder runs its point MLP
 # on K x P rows each forward, so a mistyped P past this would ask for gigabytes.
 MAX_POINTS_PER_PROPOSAL = 4096
+# Every point value (metres, or a 0..1 colour) must lie within ±this: far
+# above any room, and far below the ~1e154 whose products overflow float64
+# in the model's matmuls (attention multiplies two projections of a point).
+MAX_POINT_VALUE = 1e6
 
 
 def tokenize(text: str) -> list[str]:
@@ -81,6 +87,45 @@ class ClassVocab:
         return self.names[class_id]
 
 
+def proposal_arrays(points: Sequence, centers=None) -> tuple[list[np.ndarray], np.ndarray]:
+    """The one rule of K proposals: K non-empty (I_i, 6) float64 point arrays
+    (float64 input is not copied), every value within ±MAX_POINT_VALUE, and
+    K x 3 bbox centers, derived or given and checked.  A fault raises
+    `ContractError` naming its row; numpy raises on what it cannot convert."""
+    points = [np.asarray(p, dtype=np.float64) for p in points]
+    bad = [i for i, p in enumerate(points) if p.ndim != 2 or p.shape[1] != 6 or not len(p)]
+    if bad:
+        shape = points[bad[0]].shape
+        raise ContractError(f"proposal {bad[0]}: points must be non-empty Ix6, got {shape}")
+    flat = np.concatenate(points)
+    # One pass over all six columns; the bound is false for NaN and inf too.
+    if not (np.abs(flat) <= MAX_POINT_VALUE).all():
+        i = next(i for i, p in enumerate(points) if not (np.abs(p) <= MAX_POINT_VALUE).all())
+        raise ContractError(
+            f"proposal {i}: points must be finite in x, y, z, r, g and b, "
+            f"within ±{MAX_POINT_VALUE:g}"
+        )
+    starts = list(accumulate((len(p) for p in points[:-1]), initial=0))
+    lo, hi = np.minimum.reduceat(flat[:, :3], starts), np.maximum.reduceat(flat[:, :3], starts)
+    derived = (lo + hi) / 2.0
+    if centers is None:
+        return points, derived
+    k = len(points)
+    try:
+        stored = np.asarray(centers, dtype=np.float64)
+    except (TypeError, ValueError):
+        stored = None
+    if stored is None or stored.shape != (k, 3) or not np.isfinite(stored).all():
+        raise ContractError(f"stored centers must be {k} rows of three finite numbers: {centers!r}")
+    # np.allclose(stored, derived, atol=1e-9) on finite values, without
+    # its wrappers: this runs on every record read.
+    close = np.abs(stored - derived) <= 1e-9 + 1e-5 * np.abs(derived)
+    if not close.all():
+        i = close.all(axis=1).argmin()
+        raise ContractError(f"proposal {i}: stored center disagrees with bbox center of points")
+    return points, stored
+
+
 @dataclass
 class Scene:
     """K proposals sharing one class vocabulary; row i of each array is proposal i.
@@ -106,41 +151,10 @@ class Scene:
         bad = [i for i, c in enumerate(ids.tolist()) if not 0 <= c < len(self.vocab)]
         if bad:
             raise ContractError(f"proposal {bad[0]} has class id outside the vocabulary")
-        k = ids.size
-        if len(self.points) != k:
-            raise ContractError(f"{k} class ids but {len(self.points)} point arrays")
-        points = [np.asarray(p, dtype=np.float64) for p in self.points]
-        bad = [i for i, p in enumerate(points) if p.ndim != 2 or p.shape[1] != 6 or not len(p)]
-        if bad:
-            shape = points[bad[0]].shape
-            raise ContractError(f"proposal {bad[0]}: points must be non-empty Ix6, got {shape}")
-        flat = np.concatenate(points)
-        # One finiteness pass over all six columns; the bbox needs no other.
-        if not np.isfinite(flat).all():
-            i = next(i for i, p in enumerate(points) if not np.isfinite(p).all())
-            raise ContractError(f"proposal {i}: points must be finite in x, y, z, r, g and b")
-        starts = list(accumulate((len(p) for p in points[:-1]), initial=0))
-        xyz = flat[:, :3]
-        derived = (np.minimum.reduceat(xyz, starts) + np.maximum.reduceat(xyz, starts)) / 2.0
-        self.class_ids, self.points = ids, points
-        if self.centers is None:
-            self.centers = derived
-            return
-        try:
-            stored = np.asarray(self.centers, dtype=np.float64)
-        except (TypeError, ValueError):
-            stored = None
-        if stored is None or stored.shape != (k, 3) or not np.isfinite(stored).all():
-            raise ContractError(
-                f"stored centers must be {k} rows of three finite numbers: {self.centers!r}"
-            )
-        # np.allclose(stored, derived, atol=1e-9) on finite values, without
-        # its wrappers: this runs on every record read.
-        close = np.abs(stored - derived) <= 1e-9 + 1e-5 * np.abs(derived)
-        if not close.all():
-            i = close.all(axis=1).argmin()
-            raise ContractError(f"proposal {i}: stored center disagrees with bbox center of points")
-        self.centers = stored
+        if len(self.points) != ids.size:
+            raise ContractError(f"{ids.size} class ids but {len(self.points)} point arrays")
+        self.class_ids = ids
+        self.points, self.centers = proposal_arrays(self.points, self.centers)
 
     def __len__(self) -> int:
         return len(self.class_ids)

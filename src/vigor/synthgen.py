@@ -19,7 +19,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import AmbiguityError, ContractError, GenerationError, SkipSample, check_field_types
-from .scene import MAX_POINTS_PER_PROPOSAL, RELATIONS, ClassVocab, Scene, relation_select, tokenize
+from .scene import MAX_POINT_VALUE, MAX_POINTS_PER_PROPOSAL, RELATIONS, ClassVocab, Scene
+from .scene import relation_select, tokenize
 
 __all__ = [
     "DEFAULT_CLASS_NAMES",
@@ -95,12 +96,16 @@ class GenConfig:
             raise ContractError("need 1 <= proposals_min <= proposals_max")
         if self.order_len < 2:
             raise ContractError("order_len must be at least 2")
+        # A box reaches at most 0.3 past the room, so its points keep the
+        # scene's bound, and no two distances in that room differ by more.
         for name, most in (
             ("points_per_proposal", MAX_POINTS_PER_PROPOSAL),
             ("class_vocab_size", MAX_CLASS_VOCAB),
+            ("room_extent", MAX_POINT_VALUE / 2),
+            ("min_separation", MAX_POINT_VALUE),
         ):
-            if not 1 <= getattr(self, name) <= most:
-                raise ContractError(f"{name} must lie in 1..{most}, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) <= most:
+                raise ContractError(f"{name} must lie in (0, {most:g}], got {getattr(self, name)}")
         room = min(self.class_vocab_size, self.proposals_max)
         if self.order_len > room:
             raise ContractError(
@@ -114,10 +119,6 @@ class GenConfig:
             raise ContractError(f"unknown relation {self.relation!r}")
         if self.style not in ("template", "natural"):
             raise ContractError(f"unknown style {self.style!r}")
-        for name in ("room_extent", "min_separation"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ContractError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass
@@ -138,12 +139,10 @@ class WarmupSample:
 # A ClassVocab is frozen, so one instance per size can serve every caller.
 @functools.lru_cache(maxsize=16)
 def default_vocab(size: int) -> ClassVocab:
-    if size < 1:
-        raise ContractError("vocabulary size must be positive")
-    names = list(DEFAULT_CLASS_NAMES[:size])
-    for i in range(len(names), size):
-        names.append(f"object {i}")
-    return ClassVocab(tuple(names))
+    if not 1 <= size <= MAX_CLASS_VOCAB:
+        raise ContractError(f"vocabulary size must lie in 1..{MAX_CLASS_VOCAB}, got {size}")
+    extra = (f"object {i}" for i in range(len(DEFAULT_CLASS_NAMES), size))
+    return ClassVocab(DEFAULT_CLASS_NAMES[:size] + tuple(extra))
 
 
 def _class_color(class_id: int) -> np.ndarray:

@@ -42,7 +42,6 @@ __all__ = [
     "concat",
     "slice_rows",
     "mean_all",
-    "square",
     "softplus",
     "cross_entropy",
     "layer_norm",
@@ -448,17 +447,6 @@ def mean_all(x: Tensor) -> Tensor:
     return out
 
 
-def square(x: Tensor) -> Tensor:
-    out = Tensor(x.data * x.data)
-    if _traced(x):
-
-        def back(g, x=x):
-            _acc(x, 2.0 * x.data * g)
-
-        _TAPE.add(out, back)
-    return out
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -585,7 +573,7 @@ def take_rows(table: Tensor, indices) -> Tensor:
         raise ContractError("take_rows needs at least one index")
     if (idx < 0).any() or (idx >= m).any():
         raise ContractError(f"take_rows index out of range [0, {m})")
-    out = Tensor(table.data[idx].copy())
+    out = Tensor(table.data[idx])  # integer indexing already copies
     if _traced(table):
 
         def back(g, table=table, idx=idx):

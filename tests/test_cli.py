@@ -471,7 +471,8 @@ def test_eval_nonfinite_colour_is_validation_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--data", str(data), "--ckpt", str(ckpt)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: proposal ") and "finite" in err and "Traceback" not in err
+    assert err.startswith(f"error: {data}:2: proposal ") and "finite" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("field", ["center", "points"])

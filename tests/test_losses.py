@@ -328,10 +328,8 @@ def loss_mask_reference(logits_per_block, masks):
 
 
 def loss_crd_reference(preds, centers, ids):
-    terms = [
-        tt.mean_all(tt.square(tt.add(p, tt.constant(centers[a] - centers))))
-        for p, a in zip(preds, ids)
-    ]
+    errs = [tt.add(p, tt.constant(centers[a] - centers)) for p, a in zip(preds, ids)]
+    terms = [tt.mean_all(tt.mul(e, e)) for e in errs]
     return tt.mul(sum_reference(terms), tt.constant(1.0 / len(terms)))
 
 

@@ -1,11 +1,16 @@
 """Tests for dataset record validation and line-delimited persistence."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vigor.errors import ValidationError
+from vigor.errors import ValidationError, VigorError
+from vigor.evaluation import accuracy
+from vigor.model import GroundingModel, ModelConfig
 from vigor.records import (
     DatasetRecord,
     dataset_vocab,
@@ -154,22 +159,65 @@ def test_example_rejects_unknown_class():
 
 
 def test_example_rejects_tampered_center():
+    # The record runs the scene's rule when it is built, so no example of it
+    # is ever made.
     blob = record_blob()
     blob["proposals"][0]["center"] = [99.0, 99.0, 99.0]
-    record = DatasetRecord.from_dict(blob)
     with pytest.raises(ValidationError):
-        example_from_record(record, default_vocab(GEN.class_vocab_size))
+        DatasetRecord.from_dict(blob)
 
 
 @pytest.mark.parametrize("column", range(6), ids="xyzrgb")
 def test_example_rejects_nonfinite_points(column):
-    # json reads NaN, so a record can carry one in any of the six columns
+    # json reads NaN, so a record can carry one in any of the six columns;
+    # the record refuses it when built, before any example of it is made.
     blob = record_blob()
     prop = blob["proposals"][1]
     prop["points"][0][column] = float("nan")
-    record = DatasetRecord.from_dict(json.loads(json.dumps(blob)))
     with pytest.raises(ValidationError, match=f"proposal {prop['id']}: .*finite"):
-        example_from_record(record, default_vocab(GEN.class_vocab_size))
+        DatasetRecord.from_dict(json.loads(json.dumps(blob)))
+
+
+def test_example_scene_holds_the_records_arrays():
+    """One conversion: the scene takes the record's arrays, uncopied."""
+    record = DatasetRecord.from_dict(record_blob())
+    example = example_from_record(record, default_vocab(GEN.class_vocab_size))
+    assert len(example.scene.points) == len(record.proposals)
+    for points, prop in zip(example.scene.points, record.proposals, strict=True):
+        assert points is prop["points"]
+        assert points.dtype == np.float64 and points.shape[1] == 6
+        assert prop["center"].dtype == np.float64 and prop["center"].shape == (3,)
+
+
+def test_record_keeps_proposals_in_id_order():
+    blob = record_blob()
+    blob["proposals"].reverse()
+    record = DatasetRecord.from_dict(blob)
+    assert [p["id"] for p in record.proposals] == list(range(len(blob["proposals"])))
+    assert record == DatasetRecord.from_dict(record_blob())
+    assert record.to_dict() == record_blob()
+    assert list(record.to_dict()) == [
+        "scene_id", "proposals", "description", "order", "target_id", "anchor_ids"
+    ]
+    assert [list(p) for p in record.to_dict()["proposals"]] == [
+        ["id", "class", "center", "points"]
+    ] * len(record.proposals)
+
+
+def test_record_equality_compares_contents():
+    a, b = (DatasetRecord.from_dict(record_blob()) for _ in range(2))
+    assert a == b and not a != b
+    changed = record_blob()
+    changed["proposals"][0]["points"][0][3] += 0.5  # a colour: the center holds
+    assert a != DatasetRecord.from_dict(changed)
+    assert a != record_blob()
+
+
+def test_record_refuses_an_unknown_proposal_field():
+    blob = record_blob()
+    blob["proposals"][0]["score"] = 0.9  # to_dict would drop it on write-back
+    with pytest.raises(ValidationError, match="proposal 0 must have just id, class, center"):
+        DatasetRecord.from_dict(blob)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +253,27 @@ def test_read_refuses_a_number_past_float_range(tmp_path, field):
         read_records(path)
 
 
+def bad_colour(blob):
+    blob["proposals"][1]["points"][0][4] = float("nan")
+
+
+def tampered_center(blob):
+    blob["proposals"][1]["center"] = [99.0, 99.0, 99.0]
+
+
+@pytest.mark.parametrize(
+    "mutate, match",
+    [(bad_colour, "proposal 1: points must be finite"), (tampered_center, "proposal 1: stored")],
+)
+def test_read_refuses_a_bad_proposal_with_its_line(tmp_path, mutate, match):
+    blobs = [record_blob() for _ in range(3)]
+    mutate(blobs[2])
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(json.dumps(b) + "\n" for b in blobs))
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:3: {match}"):
+        read_records(path)
+
+
 def test_read_reports_line_numbers(tmp_path):
     path = tmp_path / "data.jsonl"
     path.write_text('{"description": "x"}\nnot json\n')
@@ -223,3 +292,72 @@ def test_dataset_vocab_collects_sorted_names():
     assert tuple(sorted(seen)) == vocab.names
     with pytest.raises(ValidationError):
         dataset_vocab([])
+
+
+# ---------------------------------------------------------------------------
+# property: any mutation of a valid line runs to accuracy() or is refused
+
+MISSING = object()
+# JSON values a mutated line might hold: mistyped, nested, null, huge
+# integers and floats, non-finite, or the key or element left out.
+LINE_VALUES = st.sampled_from(
+    ["8", "", 1.5, True, None, [], [8], [[[8]]], {"a": 1}, 0, -1, 10**400, 2**62, -(2**62),
+     2**1023, 1e200, -1e200, 1e155, float("nan"), float("inf"), float("-inf"), MISSING]
+)
+# Where a mutation lands: a top-level field, a field of proposal 1, one
+# number of proposal 1's center or first point, or the first order name or
+# anchor id.
+LINE_SPOTS = st.sampled_from(
+    [(f,) for f in ("scene_id", "proposals", "description", "order", "target_id", "anchor_ids")]
+    + [("proposals", 1, f) for f in ("id", "class", "center", "points")]
+    + [("proposals", 1, "center", c) for c in range(3)]
+    + [("proposals", 1, "points", 0, c) for c in range(6)]
+    + [("order", 0), ("anchor_ids", 0)]
+)
+
+
+@pytest.fixture(scope="module")
+def line_case(tmp_path_factory):
+    """A valid records line, a file to write it to, and a d=8 model of its vocabulary."""
+    model = GroundingModel(
+        ModelConfig(d=8, b=2, n_heads=2, points_per_proposal=6), default_vocab(GEN.class_vocab_size)
+    )
+    return json.dumps(record_blob()), tmp_path_factory.mktemp("line") / "data.jsonl", model
+
+
+def set_at(blob, spot, value):
+    *parents, last = spot
+    for key in parents:
+        blob = blob[key]
+    if value is not MISSING:
+        blob[last] = value
+    elif isinstance(blob, dict) or last < len(blob):
+        del blob[last]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    edits=st.lists(st.tuples(LINE_SPOTS, LINE_VALUES), min_size=1, max_size=2),
+    cut=st.none() | st.floats(0.0, 1.0),
+)
+# Each value passed every check and overflowed the model's matmuls.
+@example(edits=[(("proposals", 1, "points", 0, 0), 1e155)], cut=None)
+@example(edits=[(("proposals", 1, "points", 0, 5), 1e200)], cut=None)
+def test_record_line_runs_or_refuses(line_case, edits, cut):
+    """Whatever a records line holds, reading it, rebuilding its example and
+    scoring it with accuracy() either work or raise the package's own error."""
+    line, path, model = line_case
+    blob = json.loads(line)
+    for spot, value in edits:
+        try:
+            set_at(blob, spot, value)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit removed or retyped this spot's parent
+    text = json.dumps(blob)
+    path.write_text((text if cut is None else text[: int(cut * len(text))]) + "\n")
+    try:
+        examples = [example_from_record(r, model.class_vocab) for r in read_records(path)]
+        report = accuracy(model, examples)
+    except VigorError:
+        return
+    assert report.count == 1

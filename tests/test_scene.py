@@ -118,8 +118,9 @@ BOX = box_points([0.0, 0.0, 0.0])
         ([0, 5], [BOX, BOX], "proposal 1 has class id outside the vocabulary"),
         ([0, 1], [BOX, BOX[:, :3]], "proposal 1: points must be non-empty Ix6"),
         ([0, 1, 2], [BOX, BOX, np.where(BOX > 0, np.inf, BOX)], "proposal 2: .*finite"),
+        ([0, 1], [BOX, box_points([0.0, 0.0, 2e6])], "proposal 1: .*finite"),
     ],
-    ids=["empty", "float-ids", "count", "class-range", "xyz-only", "infinite"],
+    ids=["empty", "float-ids", "count", "class-range", "xyz-only", "infinite", "past-bound"],
 )
 def test_scene_refuses_malformed_arrays(class_ids, points, match):
     with pytest.raises(ContractError, match=match):

@@ -137,6 +137,8 @@ def test_sample_scene_budget_exhaustion():
         ("min_separation", float("nan")),
         ("min_separation", float("inf")),
         ("min_separation", 0.0),
+        ("room_extent", 1e155),  # its points would pass no scene's bound
+        ("min_separation", 1e200),  # no two distances in a room differ by this
         ("points_per_proposal", 0),
         ("points_per_proposal", -1),
         ("class_vocab_size", 0),
@@ -162,6 +164,14 @@ def test_default_vocab_extends_past_base_names():
     vocab = default_vocab(30)
     assert len(vocab) == 30
     assert "object 29" in vocab
+
+
+def test_default_vocab_refuses_a_size_past_the_bound():
+    # Each name is made in Python, so an unbounded size would never return.
+    with pytest.raises(ContractError, match="vocabulary size"):
+        default_vocab(synthgen.MAX_CLASS_VOCAB + 1)
+    assert len(default_vocab(synthgen.MAX_CLASS_VOCAB)) == synthgen.MAX_CLASS_VOCAB
+    assert default_vocab(30).names[:24] == synthgen.DEFAULT_CLASS_NAMES
 
 
 # ---------------------------------------------------------------------------

@@ -484,7 +484,7 @@ def test_layer_norm_constant_row_maps_to_bias():
 def test_relu_and_friends():
     x = T.constant([[-1.0, 0.0, 2.0]])
     assert np.array_equal(T.relu(x).data, [[0.0, 0.0, 2.0]])
-    assert np.array_equal(T.square(x).data, [[1.0, 0.0, 4.0]])
+    assert np.array_equal(T.mul(x, x).data, [[1.0, 0.0, 4.0]])
     y = T.constant([[1.0, 1.0, 1.0]])
     assert np.array_equal(T.add(x, y).data, [[0.0, 1.0, 3.0]])
     assert np.array_equal(T.mul(x, y).data, x.data)
@@ -635,7 +635,7 @@ def test_unreachable_parameter_gets_zeros():
     T.reset_tape()
     used = T.leaf([[1.0, 2.0]])
     unused = T.leaf([[5.0]])
-    loss = T.mean_all(T.square(used))
+    loss = T.mean_all(T.mul(used, used))
     grads = T.backward(loss, {"used": used, "unused": unused})
     assert np.array_equal(grads["unused"], [[0.0]])
     assert np.allclose(grads["used"], [[1.0, 2.0]])
@@ -704,7 +704,7 @@ def test_backward_composition_with_structural_ops():
 def test_tape_cleared_after_backward():
     T.reset_tape()
     w = T.leaf([[1.0]])
-    T.backward(T.mean_all(T.square(w)))
+    T.backward(T.mean_all(T.mul(w, w)))
     from vigor.tensor import _TAPE
 
     assert len(_TAPE) == 0
@@ -716,8 +716,8 @@ def test_leaf_is_traced_but_not_on_the_tape():
     from vigor.tensor import _TAPE
 
     assert w.node is not None and len(_TAPE) == 0
-    loss = T.mean_all(T.square(w))
-    assert len(_TAPE) == 2  # square and mean_all; the leaf records nothing
+    loss = T.mean_all(T.mul(w, w))
+    assert len(_TAPE) == 2  # mul and mean_all; the leaf records nothing
     grads = T.backward(loss, {"w": w})
     assert np.array_equal(grads["w"], [[1.0, -2.0]])
 

@@ -797,7 +797,8 @@ def per_sample_reference(out, sample, stage, weights):
     if stage == "warmup":
         centers = sample.scene.centers
         neg_offsets = np.hstack([centers[a] - centers for a in sample.anchor_target_ids])
-        l_crd = T.mean_all(T.square(T.add(out.coord_pred, T.constant(neg_offsets))))
+        err = T.add(out.coord_pred, T.constant(neg_offsets))
+        l_crd = T.mean_all(T.mul(err, err))
         parts.append((l_crd, weights.w_crd))
     return [p.item() for p, _ in parts], add_fold([T.mul(p, T.constant(w)) for p, w in parts])
 
