@@ -121,15 +121,20 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def _train_configs(args) -> tuple[GenConfig, TrainConfig, ModelConfig]:
+    """The configs `vigor train` runs with, from its flags and --config file."""
     s = _train_settings(args)
     # GenConfig first, so a bad order_len is refused under its own name.
     gen_cfg = GenConfig(**_fields_of(GenConfig, s))
     weights = LossWeights(**_fields_of(LossWeights, s))
     train_cfg = TrainConfig(**_fields_of(TrainConfig, s), weights=weights)
-    # The model finalizes class_vocab_size from the vocabulary built below.
+    # The model finalizes class_vocab_size from the vocabulary cmd_train builds.
     model_cfg = ModelConfig(b=s["order_len"], **_fields_of(ModelConfig, s))
+    return gen_cfg, train_cfg, model_cfg
 
+
+def cmd_train(args) -> int:
+    gen_cfg, train_cfg, model_cfg = _train_configs(args)
     vocab = default_vocab(gen_cfg.class_vocab_size)
     model = GroundingModel(model_cfg, vocab)
     state = TrainState.fresh(train_cfg.seed)

@@ -14,6 +14,11 @@ The object encoder reads a scene's `points` and `centers` row by row, and
 proposal rows carry no positional encoding, so the whole network is
 permutation equivariant over proposals by construction.
 
+Every attention sub-layer (projections, attention, output projection,
+residual add, layer norm) is one `tt.attention_sublayer` node and every
+two-layer perceptron (the text feed-forward, the point MLP and each head)
+one `tt.mlp2` node, so a block records 8 tape nodes and a head 1.
+
 `GroundingModel.forward_batch` runs a batch as one packed graph: the
 proposals of all samples stack into one matrix, all descriptions and order
 names share one text-encoder pass, and each attention is confined to its
@@ -26,7 +31,7 @@ masks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -138,9 +143,10 @@ class HeadOutputs:
     """The block outputs and masks of a forward, and the heads that read them.
 
     Each head is built from the block outputs on its first read and cached,
-    so a caller builds only the heads it reads.  Read every head a loss
-    needs before `backward`: a head first read after it records its ops on
-    the next step's tape.
+    so a caller builds only the heads it reads; a head is one `tt.mlp2`
+    node per block it reads, plus one concat for the per-block ones.  Read
+    every head a loss needs before `backward`: a head first read after it
+    records its ops on the next step's tape.
 
     For a packed batch of S samples the K rows below are the samples'
     proposals stacked in batch order (`segments` names each row's sample),
@@ -186,13 +192,17 @@ class HeadOutputs:
         return int(np.argmax(self.scores.data[:, 0]))
 
 
+@lru_cache(maxsize=64)
 def sinusoid_positions(n: int, d: int) -> np.ndarray:
+    """The n x d sinusoid position table, built once per (n, d) and then
+    shared: read-only, so no caller can change what the next one reads."""
     pos = np.arange(n, dtype=np.float64)[:, None]
     dim = np.arange(d, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, 2.0 * (dim // 2) / d)
     out = np.empty((n, d))
     out[:, 0::2] = np.sin(angles[:, 0::2])
     out[:, 1::2] = np.cos(angles[:, 1::2])
+    out.flags.writeable = False
     return out
 
 
@@ -291,13 +301,18 @@ def _residual_attention(
     segments=None,
     key_segments=None,
 ) -> Tensor:
-    """layer_norm(x + attention(x, kv)): the attention sublayer's residual step."""
-    q = tt.add(tt.matmul(x, p[f"{attn}.wq"]), p[f"{attn}.bq"])
-    k = tt.matmul(kv, p[f"{attn}.wk"])
-    v = tt.add(tt.matmul(kv, p[f"{attn}.wv"]), p[f"{attn}.bv"])
-    heads = tt.attention(q, k, v, n_heads, segments, key_segments)
-    heads = tt.add(tt.matmul(heads, p[f"{attn}.wo"]), p[f"{attn}.bo"])
-    return _layer_norm(p, ln, tt.add(x, heads))
+    """layer_norm(x + attention(x, kv)), x attending over kv with the
+    projections `attn` and the norm `ln`: one `tt.attention_sublayer` node."""
+    return tt.attention_sublayer(
+        x,
+        kv,
+        *(p[f"{attn}.{name}"] for name in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")),
+        p[f"{ln}.g"],
+        p[f"{ln}.b"],
+        n_heads,
+        segments,
+        key_segments,
+    )
 
 
 def _linear(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
@@ -305,7 +320,8 @@ def _linear(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
 
 
 def _mlp2(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    return _linear(p, f"{prefix}.2", tt.relu(_linear(p, f"{prefix}.1", x)))
+    """linear `prefix.2` of relu of linear `prefix.1`: one `tt.mlp2` node."""
+    return tt.mlp2(x, *(p[f"{prefix}.{name}"] for name in ("1.w", "1.b", "2.w", "2.b")))
 
 
 def _encoder_layer(
@@ -385,8 +401,9 @@ def encode_objects(
     stacked = np.concatenate(
         [_resample_points(p, i_pts) for scene in scenes for p in scene.points]
     )
-    h = tt.relu(_linear(params, "obj.p1", tt.constant(stacked)))
-    h = tt.relu(_linear(params, "obj.p2", h))
+    # relu(linear obj.p2 of relu(linear obj.p1)): the point MLP, one mlp2 node
+    mlp = [params[name] for name in ("obj.p1.w", "obj.p1.b", "obj.p2.w", "obj.p2.b")]
+    h = tt.relu(tt.mlp2(tt.constant(stacked), *mlp))
     pooled = tt.max_rows_per_block(h, i_pts)  # K x d
     centers = np.concatenate([scene.centers for scene in scenes])
     c = tt.relu(_linear(params, "obj.c", tt.constant(centers)))
@@ -491,9 +508,11 @@ class GroundingModel:
         # second copy of the parameters is held.
         self._params.assign(arrays)
 
-    def trainable(self) -> dict[str, Tensor]:
-        """Wrap parameters as traced leaves (one wrap per training step)."""
-        return {k: tt.leaf(v) for k, v in self.params.items()}
+    def trainable(self) -> Mapping[str, Tensor]:
+        """Parameters as traced leaves for one training step: wrapped once
+        per vector, their gradient buffers views of `params.grad`, which
+        this call zeroes."""
+        return self.params.leaves()
 
     def frozen(self) -> Mapping[str, Tensor]:
         """Parameters as constants, wrapped once per vector; reads current values."""

@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ContractError, ValidationError
 from .scene import ClassVocab, Scene, proposal_arrays
 from .synthgen import WarmupSample
@@ -170,14 +172,20 @@ def example_from_record(record: DatasetRecord, vocab: ClassVocab) -> RecordExamp
 
     Classes outside the vocabulary are a validation failure: the caller
     chose a vocabulary that cannot represent this record.  The scene takes
-    the record's arrays as they are: they already passed its rule.
+    the record's arrays as they are, unchecked: they passed its rule when
+    the record was built.
     """
     props = record.proposals
     unknown = [p["class"] for p in props if p["class"] not in vocab]
     if unknown:
         raise ValidationError(f"class {unknown[0]!r} is not in the {len(vocab)}-name vocabulary")
-    classes, points = [vocab.index(p["class"]) for p in props], [p["points"] for p in props]
-    scene = Scene(classes, points, vocab, record.scene_id, [p["center"] for p in props])
+    scene = Scene._of_checked(
+        np.array([vocab.index(p["class"]) for p in props]),
+        [p["points"] for p in props],
+        vocab,
+        record.scene_id,
+        np.array([p["center"] for p in props]),
+    )
     return RecordExample(
         scene=scene,
         description=record.description,

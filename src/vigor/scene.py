@@ -3,7 +3,9 @@
 A scene holds K labelled point-cloud proposals as arrays (class ids, point
 clouds, bbox centers) whose row i is proposal i, so a proposal's id is its
 row.  `proposal_arrays` is the one check of a proposal's arrays; `Scene`
-and the dataset records both run it.  The relevance masks
+and the dataset records both run it, and a scene built from arrays that
+already passed it (`Scene.take`, a record's example) does not run it
+again.  The relevance masks
 of a referential order are one K x B array: column i marks every proposal
 whose class name occurs in the suffix `order[i:]`.  Masks are pure set
 membership, so each column is invariant to duplication and permutation of
@@ -159,14 +161,29 @@ class Scene:
     def __len__(self) -> int:
         return len(self.class_ids)
 
+    @classmethod
+    def _of_checked(cls, class_ids, points, vocab, scene_id, centers) -> "Scene":
+        """A scene of arrays that already passed this class's checks, taken
+        as they are: checking them again would cost more than the copy."""
+        scene = cls.__new__(cls)
+        scene.class_ids, scene.points, scene.vocab = class_ids, points, vocab
+        scene.scene_id, scene.centers = scene_id, centers
+        return scene
+
     def take(self, rows: Sequence[int]) -> "Scene":
-        """The proposals at `rows`, in that order, renumbered 0..len(rows)-1."""
-        return Scene(
-            self.class_ids[rows],
-            [self.points[i] for i in rows],
+        """The proposals at `rows`, integers in 0..K-1, in that order,
+        renumbered 0..len(rows)-1."""
+        idx = np.asarray(rows)
+        if idx.ndim != 1 or not idx.size or idx.dtype.kind not in "iu":
+            raise ContractError(f"rows must be a non-empty list of integers, got {rows!r}")
+        if idx.min() < 0 or idx.max() >= len(self):
+            raise ContractError(f"rows must lie in 0..{len(self) - 1}, got {rows!r}")
+        return Scene._of_checked(
+            self.class_ids[idx],
+            [self.points[i] for i in idx.tolist()],
             self.vocab,
             self.scene_id,
-            self.centers[rows],
+            self.centers[idx],
         )
 
 

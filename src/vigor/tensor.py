@@ -10,9 +10,17 @@ The engine favours exact, checkable gradients over speed: everything is
 float64 and every op has a closed-form local gradient that the finite
 difference checker in `grad_check` can be pointed at.
 
+Python dispatch, not arithmetic, is the cost at the model's sizes, so two
+ops record a whole sub-layer as one tape node: `attention_sublayer` (the
+projections, multi-head attention, output projection, residual add and
+layer norm) and `mlp2` (linear, relu, linear).  Each runs the numpy
+expressions of the ops it replaces in their order, and its backward
+accumulates into each operand in the sequence theirs would, so outputs
+and gradients are the same bits.
+
 Two ops take segment ids, so that independent samples packed into one
-matrix never mix: `attention` (one id per query row and per key row) and
-`cross_entropy` (softmax groups within a column or a row).
+matrix never mix: `attention_sublayer` (one id per query row and per key
+row) and `cross_entropy` (softmax groups within a column or a row).
 """
 
 from __future__ import annotations
@@ -31,11 +39,11 @@ __all__ = [
     "Tensor",
     "Tape",
     "constant",
-    "leaf",
     "reset_tape",
     "backward",
     "matmul",
-    "attention",
+    "attention_sublayer",
+    "mlp2",
     "relu",
     "add",
     "mul",
@@ -73,15 +81,16 @@ class Tensor:
 
     `node is None` marks a constant: gradients neither reach nor pass
     through it, and ops on constants skip the tape entirely.  A leaf's
-    node is -1: it receives gradients but owns no tape entry.
+    node is -1: it receives gradients but owns no tape entry, and its
+    `grad` is a buffer of its own shape that backward adds into in place.
     """
 
     __slots__ = ("data", "node", "grad")
 
-    def __init__(self, data: np.ndarray, node: int | None = None):
+    def __init__(self, data: np.ndarray, node: int | None = None, grad: np.ndarray | None = None):
         self.data = data
         self.node = node
-        self.grad: np.ndarray | None = None
+        self.grad = grad
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -91,9 +100,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def grad_or_zeros(self) -> np.ndarray:
-        return self.grad if self.grad is not None else np.zeros_like(self.data)
 
     def __repr__(self) -> str:
         tag = "const" if self.node is None else f"node {self.node}"
@@ -141,16 +147,20 @@ def leaf(values) -> Tensor:
     """A gradient-receiving input (a parameter): traced, but not on the tape.
 
     Backward has nothing to run for a leaf, so it owns no tape entry; ops
-    that read it record themselves and accumulate into its `grad`.
+    that read it record themselves and add into its `grad`, a zero buffer
+    of its shape.  `FlatParams.leaves` makes leaves whose buffers share
+    one vector.
     """
-    return Tensor(_as_matrix(values), node=-1)
+    data = _as_matrix(values)
+    return Tensor(data, -1, np.zeros_like(data))
 
 
 def backward(loss: Tensor, params: Mapping[str, Tensor] | None = None):
     """Run the reverse sweep from a scalar loss and clear the tape.
 
-    Returns a name -> gradient map when `params` is given; parameters the
-    loss never touched get zero gradients of the right shape.
+    Returns a name -> gradient map of the leaves `params` when given:
+    copies of their buffers, so a later step that zeroes a reused buffer
+    leaves the map as it was.  A leaf the loss never touched reads zeros.
     """
     global _TAPE
     if loss.data.size != 1:
@@ -159,14 +169,17 @@ def backward(loss: Tensor, params: Mapping[str, Tensor] | None = None):
         _TAPE.backward_from(loss)
     _TAPE = Tape()
     if params is not None:
-        return {name: t.grad_or_zeros() for name, t in params.items()}
+        return {name: t.grad.copy() for name, t in params.items()}
     return None
 
 
 def _acc(t: Tensor, g: np.ndarray) -> None:
     if t.node is None:
         return
-    t.grad = g if t.grad is None else t.grad + g
+    if t.node < 0:  # a leaf: into the buffer it owns (0 + g is g, bit for bit)
+        t.grad += g
+    else:
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _traced(*ts: Tensor) -> bool:
@@ -274,10 +287,10 @@ def _from_heads(x: np.ndarray, slots) -> np.ndarray:
     return rows if slots is None else rows[slots]
 
 
-def attention(
-    q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments=None, key_segments=None
-) -> Tensor:
-    """Multi-head scaled dot-product attention, heads side by side in columns.
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, segments, key_segments):
+    """Multi-head scaled dot-product attention on arrays, heads side by side
+    in columns; returns the output rows and `back`, which maps the output's
+    gradient to the gradients of q, k and v.
 
     With dh = width / n_heads, head h reads and writes column group
     [h*dh, (h+1)*dh) of q, k, v and the output; its weights are the row
@@ -302,8 +315,8 @@ def attention(
     logits are checked for finiteness before masking.  When every query
     and key shares one id, the rows are used as they are, with no mask.
     """
-    (m, d), (n, dk) = q.data.shape, k.data.shape
-    if dk != d or v.data.shape != (n, d):
+    (m, d), (n, dk) = q.shape, k.shape
+    if dk != d or v.shape != (n, d):
         raise ShapeError(f"attention mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
     if n_heads < 1 or d % n_heads != 0:
         raise ShapeError(f"width {d} not divisible into {n_heads} heads")
@@ -324,21 +337,116 @@ def attention(
             n_groups, (q_slots, q_len), (k_slots, k_len), keep = _segment_layout(qs, ks, lo, hi)
     c = (d // n_heads) ** -0.5
     # (groups, heads, rows, dh) stacks: every product is one batched matmul.
-    qh = _to_heads(q.data, q_slots, n_groups, q_len, n_heads)
-    kh = _to_heads(k.data, k_slots, n_groups, k_len, n_heads)
-    vh = _to_heads(v.data, k_slots, n_groups, k_len, n_heads)
+    qh = _to_heads(q, q_slots, n_groups, q_len, n_heads)
+    kh = _to_heads(k, k_slots, n_groups, k_len, n_heads)
+    vh = _to_heads(v, k_slots, n_groups, k_len, n_heads)
     w = np.exp(_finite_shift((qh @ kh.swapaxes(2, 3)) * c, "attention", keep))
     w /= w.sum(axis=3, keepdims=True)
-    out = Tensor(_from_heads(w @ vh, q_slots))
-    if _traced(q, k, v):
 
-        def back(g, q=q, k=k, v=v, w=w):
-            gh = _to_heads(g, q_slots, n_groups, q_len, n_heads)
-            gw = gh @ vh.swapaxes(2, 3)
-            gs = w * (gw - (gw * w).sum(axis=3, keepdims=True)) * c
-            _acc(q, _from_heads(gs @ kh, q_slots))
-            _acc(k, _from_heads(gs.swapaxes(2, 3) @ qh, k_slots))
-            _acc(v, _from_heads(w.swapaxes(2, 3) @ gh, k_slots))
+    def back(g):
+        gh = _to_heads(g, q_slots, n_groups, q_len, n_heads)
+        gw = gh @ vh.swapaxes(2, 3)
+        gs = w * (gw - (gw * w).sum(axis=3, keepdims=True)) * c
+        return (
+            _from_heads(gs @ kh, q_slots),
+            _from_heads(gs.swapaxes(2, 3) @ qh, k_slots),
+            _from_heads(w.swapaxes(2, 3) @ gh, k_slots),
+        )
+
+    return _from_heads(w @ vh, q_slots), back
+
+
+def attention_sublayer(
+    x: Tensor,
+    kv: Tensor,
+    wq: Tensor,
+    bq: Tensor,
+    wk: Tensor,
+    wv: Tensor,
+    bv: Tensor,
+    wo: Tensor,
+    bo: Tensor,
+    gain: Tensor,
+    bias: Tensor,
+    n_heads: int,
+    segments=None,
+    key_segments=None,
+) -> Tensor:
+    """layer_norm(x + attention(x wq + bq, kv wk, kv wv + bv) wo + bo), one
+    tape node: a residual attention sub-layer, x attending over kv.
+
+    Every weight is d x d and every bias, gain and norm bias 1 x d, where
+    x is m x d and kv is n x d; x and kv may be one tensor
+    (self-attention).  `segments` and `key_segments` confine each query
+    row to the key rows of its id, as `_attention` describes.  The
+    forward runs the composed ops' expressions in their order, and the
+    backward accumulates into each operand in the order their backward
+    would, so the output and every gradient are theirs, bit for bit.
+    """
+    d = x.data.shape[1]
+    if kv.data.shape[1] != d or any(w.data.shape != (d, d) for w in (wq, wk, wv, wo)):
+        shapes = [t.shape for t in (x, kv, wq, wk, wv, wo)]
+        raise ShapeError(f"attention sub-layer needs width {d} and ({d}, {d}) weights: {shapes}")
+    if any(b.data.shape != (1, d) for b in (bq, bv, bo, gain, bias)):
+        shapes = [t.shape for t in (bq, bv, bo, gain, bias)]
+        raise ShapeError(f"attention sub-layer biases and gain must be (1, {d}), got {shapes}")
+    xd, kvd = x.data, kv.data
+    q, k, v = xd @ wq.data + bq.data, kvd @ wk.data, kvd @ wv.data + bv.data
+    heads, attention_back = _attention(q, k, v, n_heads, segments, key_segments)
+    xhat, inv = _normalize_rows(xd + (heads @ wo.data + bo.data))
+    out = Tensor(xhat * gain.data + bias.data)
+    if _traced(x, kv, wq, bq, wk, wv, bv, wo, bo, gain, bias):
+
+        def back(g):
+            # layer_norm, then the residual add, out-projection, attention,
+            # value, key and query projections: the chain's reverse order.
+            _acc(gain, (g * xhat).sum(axis=0, keepdims=True))
+            _acc(bias, g.sum(axis=0, keepdims=True))
+            g = _normalize_rows_back(g * gain.data, xhat, inv)
+            _acc(x, g)
+            _acc(bo, g.sum(axis=0, keepdims=True))
+            g_heads = g @ wo.data.T
+            _acc(wo, heads.T @ g)
+            gq, gk, gv = attention_back(g_heads)
+            _acc(bv, gv.sum(axis=0, keepdims=True))
+            _acc(kv, gv @ wv.data.T)
+            _acc(wv, kvd.T @ gv)
+            _acc(kv, gk @ wk.data.T)
+            _acc(wk, kvd.T @ gk)
+            _acc(bq, gq.sum(axis=0, keepdims=True))
+            _acc(x, gq @ wq.data.T)
+            _acc(wq, xd.T @ gq)
+
+        _TAPE.add(out, back)
+    return out
+
+
+def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """relu(x w1 + b1) w2 + b2, one tape node: a two-layer perceptron.
+
+    The biases are 1 x n rows added to every row.  The forward and
+    backward are the composed ops' expressions in their order, so the
+    output and every gradient are theirs, bit for bit.
+    """
+    (d, h), (h2, o) = w1.data.shape, w2.data.shape
+    if x.data.shape[1] != d or h2 != h:
+        raise ShapeError(f"mlp2 mismatch: x {x.shape} @ {w1.shape} @ {w2.shape}")
+    if b1.data.shape != (1, h) or b2.data.shape != (1, o):
+        raise ShapeError(f"mlp2 biases must be (1, {h}) and (1, {o}), got {b1.shape}, {b2.shape}")
+    pre = x.data @ w1.data + b1.data
+    hidden = np.maximum(pre, 0.0)
+    out = Tensor(hidden @ w2.data + b2.data)
+    if _traced(x, w1, b1, w2, b2):
+        mask = pre > 0.0
+
+        def back(g):
+            _acc(b2, g.sum(axis=0, keepdims=True))
+            g_hidden = g @ w2.data.T
+            _acc(w2, hidden.T @ g)
+            g = g_hidden * mask
+            _acc(b1, g.sum(axis=0, keepdims=True))
+            _acc(x, g @ w1.data.T)
+            _acc(w1, x.data.T @ g)
 
         _TAPE.add(out, back)
     return out
@@ -529,33 +637,39 @@ def cross_entropy(logits: Tensor, target, segments=None, axis: int = 0) -> Tenso
         _TAPE.add(out, back)
     return out
 
+
+def _normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row at zero mean and unit variance, and 1 / its deviation."""
+    n = x.shape[1]
+    # Direct sums equal np.mean/np.var bit for bit, without their wrappers.
+    dev = x - x.sum(axis=1, keepdims=True) / n
+    var = (dev * dev).sum(axis=1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    return dev * inv, inv
+
+
+def _normalize_rows_back(gy: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The gradient of x from gy, that of `_normalize_rows(x)[0]`."""
+    n = xhat.shape[1]
+    return inv * (
+        gy - gy.sum(axis=1, keepdims=True) / n - xhat * ((gy * xhat).sum(axis=1, keepdims=True) / n)
+    )
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row to zero mean / unit variance, then affine."""
     n = x.data.shape[1]
     if gain.data.shape != (1, n) or bias.data.shape != (1, n):
         raise ShapeError(f"layer_norm affine params must be (1, {n})")
-    # Direct sums equal np.mean/np.var bit for bit, without their wrappers.
-    dev = x.data - x.data.sum(axis=1, keepdims=True) / n
-    var = (dev * dev).sum(axis=1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = dev * inv
+    xhat, inv = _normalize_rows(x.data)
     out = Tensor(xhat * gain.data + bias.data)
     if _traced(x, gain, bias):
 
-        def back(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv, n=n):
+        def back(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv):
             _acc(gain, (g * xhat).sum(axis=0, keepdims=True))
             _acc(bias, g.sum(axis=0, keepdims=True))
             if x.node is not None:
-                gy = g * gain.data
-                _acc(
-                    x,
-                    inv
-                    * (
-                        gy
-                        - gy.sum(axis=1, keepdims=True) / n
-                        - xhat * ((gy * xhat).sum(axis=1, keepdims=True) / n)
-                    ),
-                )
+                _acc(x, _normalize_rows_back(g * gain.data, xhat, inv))
 
         _TAPE.add(out, back)
     return out
@@ -623,11 +737,14 @@ class FlatParams(Mapping[str, np.ndarray]):
     in the other.  Whole-vector ops (an optimizer step, a finiteness scan)
     run on `vector`; name lookups, as the model's forward makes them, run
     on the views.  Copies (`copy.deepcopy`, pickling) copy the vector once
-    and rebuild the views, so a copy never shares memory with its source
-    or its constant wraps.
+    and rebuild the views, so a copy never shares memory with its source,
+    its constant wraps or its leaves.
+
+    `grad` is None until `leaves` first runs; from then on it is the flat
+    gradient vector, in the same layout, that the leaves' buffers view.
     """
 
-    __slots__ = ("vector", "_views", "_constants")
+    __slots__ = ("vector", "grad", "_views", "_constants", "_leaves")
 
     def __init__(
         self, layout: Iterable[tuple[str, tuple[int, ...]]], vector: np.ndarray | None = None
@@ -657,6 +774,8 @@ class FlatParams(Mapping[str, np.ndarray]):
         if len(self._views) != len(layout):
             raise ContractError("layout names must be distinct")
         self._constants: Mapping[str, Tensor] | None = None
+        self._leaves: Mapping[str, Tensor] | None = None
+        self.grad: np.ndarray | None = None
 
     def constants(self) -> Mapping[str, Tensor]:
         """Every view wrapped as a constant, built on first use and then
@@ -670,6 +789,24 @@ class FlatParams(Mapping[str, np.ndarray]):
                 {name: constant(view) for name, view in self._views.items()}
             )
         return self._constants
+
+    def leaves(self) -> Mapping[str, Tensor]:
+        """Every view wrapped as a leaf, for one backward pass: a read-only
+        mapping in layout order, built on first use and then reused.
+
+        Leaf `name`'s gradient buffer is the `name` view of `grad`, and
+        each call zeroes `grad`, so after backward `grad` holds the whole
+        gradient in layout order, with no per-step wrap, dict or copy.
+        """
+        if self._leaves is None:
+            self.grad = np.zeros_like(self.vector)
+            grads = FlatParams(self.layout(), self.grad)
+            self._leaves = MappingProxyType(
+                {name: Tensor(view, -1, grads[name]) for name, view in self._views.items()}
+            )
+        else:
+            self.grad.fill(0.0)
+        return self._leaves
 
     def layout(self) -> list[tuple[str, tuple[int, ...]]]:
         return [(name, view.shape) for name, view in self._views.items()]
@@ -763,12 +900,12 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update of the vector `params.vector`, in place.
 
-    `grads` is the flat gradient in the same order: the per-parameter
-    gradients concatenated in layout order.  The moments and the
-    parameters are updated in one pass over the vectors, block by block,
-    each entry as `p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`, operation
-    for operation, so the result equals updating each array on its own,
-    bit for bit.
+    `grads` is the flat gradient in the same layout, such as
+    `params.grad` after a backward through `params.leaves()`.  The
+    moments and the parameters are updated in one pass over the vectors,
+    block by block, each entry as `p -= lr * (m / bc1) / (sqrt(v / bc2) +
+    eps)`, operation for operation, so the result equals updating each
+    array on its own, bit for bit.
     """
     p = params.vector
     if grads.shape != p.shape:

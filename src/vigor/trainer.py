@@ -173,15 +173,16 @@ def _train_step(
         labels=labels,
     )
     batch_total = batch_loss(out, items, train_cfg.weights).total
-    grads = backward(batch_total, leaves)
+    backward(batch_total)
     loss = batch_total.item()
     # nan passes LossBreakdown's nonnegativity check (nan < 0 is False), so
     # this is the last stop before Adam writes it into the parameters.  The
-    # gradients are concatenated in the parameter vector's order, so one
-    # scan checks them all and Adam updates the whole vector at once.
-    flat = np.concatenate([g.reshape(-1) for g in grads.values()])
+    # leaves' gradient buffers are views of one vector in the parameter
+    # vector's order, so one scan checks them all and Adam updates the
+    # whole vector at once.
+    flat = model.params.grad
     if not (np.isfinite(flat).all() and np.isfinite(loss)):
-        bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
+        bad = next((name for name, t in leaves.items() if not np.isfinite(t.grad).all()), None)
         what = f"gradient for parameter {bad}" if bad else f"loss {loss}"
         raise NumericError(f"{stage} step {step}: non-finite {what}")
     adam_step(model.params, flat, state.adam, lr=train_cfg.lr)

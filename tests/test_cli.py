@@ -4,6 +4,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vigor.cli as cli
 from vigor import errors
@@ -316,6 +318,67 @@ def test_config_keys_are_the_dataclass_fields():
         "order_len", "points_per_proposal", "proposals_min", "proposals_max",
         "room_extent", "class_vocab_size", "relation", "min_separation", "style",
     }
+
+
+# ---------------------------------------------------------------------------
+# property: any mutation of a valid --config file loads or is refused
+
+# Every key a config may set, each at a value `vigor train` accepts.
+VALID_CONFIG = {
+    "seed": 3, "warmup_steps": 2, "main_steps": 1, "batch_size": 2, "lr": 0.001,
+    "label_noise": 0.1, "eval_every": 0, "w_ref": 1.0, "w_mask": 0.5, "w_text": 0.5,
+    "w_crd": 0.5, "d": 8, "n_heads": 2, "order_len": 2, "points_per_proposal": 6,
+    "proposals_min": 4, "proposals_max": 6, "room_extent": 6.0, "class_vocab_size": 6,
+    "relation": "farthest", "min_separation": 0.5, "style": "template",
+}
+MISSING = object()
+# JSON values a mutated file might hold: mistyped, nested, null, huge or
+# tiny numbers, non-finite, another key's valid value, or the key left out.
+CONFIG_VALUES = st.sampled_from(
+    ["8", "", "natural", 1.5, 2.0, True, False, None, [], [8], [[[8]]], {"d": 8}, 0, -1, 1, 3,
+     10**400, 2**62, -(2**62), 2**1023, 1e200, -1e200, 5e-324, float("nan"), float("inf"),
+     float("-inf"), MISSING]
+)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "config.json"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    edits=st.lists(st.tuples(st.sampled_from(sorted(VALID_CONFIG)), CONFIG_VALUES), max_size=3),
+    nest=st.sampled_from([None, None, "array", "object", "value"]),
+    cut=st.none() | st.floats(0.0, 1.0),
+)
+@example(edits=[], nest=None, cut=None)
+def test_train_config_loads_or_refuses(config_path, edits, nest, cut):
+    """Whatever a `vigor train --config` file holds, reading it and building
+    the configs and vocabulary a run starts from either work or raise the
+    package's own error."""
+    blob = dict(VALID_CONFIG)
+    for key, value in edits:
+        if value is MISSING:
+            blob.pop(key, None)
+        else:
+            blob[key] = value
+    if nest == "array":
+        blob = [blob]
+    elif nest == "object":
+        blob = {"config": blob}
+    elif nest == "value":
+        blob["d"] = {"d": blob.get("d")}
+    text = json.dumps(blob)
+    config_path.write_text(text if cut is None else text[: int(cut * len(text))])
+    args = cli.build_parser().parse_args(["train", "--config", str(config_path), "--out", "-"])
+    try:
+        gen_cfg, train_cfg, model_cfg = cli._train_configs(args)
+        default_vocab(gen_cfg.class_vocab_size)
+    except errors.VigorError:
+        assert blob != VALID_CONFIG or cut is not None  # the valid file loads
+        return
+    assert model_cfg.b == gen_cfg.order_len and train_cfg.weights.w_ref >= 0.0
 
 
 def test_train_without_config_builds_the_default_model(tmp_path, capsys):

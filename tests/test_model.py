@@ -110,6 +110,14 @@ def test_sinusoid_positions():
     assert np.allclose(pe[0], [0, 1, 0, 1, 0, 1, 0, 1])
 
 
+def test_sinusoid_positions_are_built_once_and_read_only():
+    pe = sinusoid_positions(7, 16)
+    assert sinusoid_positions(7, 16) is pe
+    with pytest.raises(ValueError):
+        pe[0, 0] = 2.0
+    assert pe[0, 0] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # text encoder
 

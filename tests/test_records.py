@@ -19,7 +19,9 @@ from vigor.records import (
     record_from_sample,
     write_records,
 )
-from vigor.scene import ClassVocab
+from vigor import records as records_module
+from vigor import scene as scene_module
+from vigor.scene import ClassVocab, Scene, permute_scene, proposal_arrays
 from vigor.synthgen import GenConfig, default_vocab, generate_dataset
 
 GEN = GenConfig(
@@ -187,6 +189,34 @@ def test_example_scene_holds_the_records_arrays():
         assert points is prop["points"]
         assert points.dtype == np.float64 and points.shape[1] == 6
         assert prop["center"].dtype == np.float64 and prop["center"].shape == (3,)
+
+
+def test_checked_arrays_are_not_checked_again(monkeypatch):
+    """A record's example, `Scene.take` and `permute_scene` build scenes
+    from arrays that already passed `proposal_arrays`: none runs it again,
+    and each takes the checked arrays as they are."""
+    record = DatasetRecord.from_dict(record_blob())
+    vocab = default_vocab(GEN.class_vocab_size)
+    calls = []
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return proposal_arrays(*args)
+
+    monkeypatch.setattr(scene_module, "proposal_arrays", spy)
+    monkeypatch.setattr(records_module, "proposal_arrays", spy)
+    scene = example_from_record(record, vocab).scene
+    taken = scene.take([2, 0])
+    permuted = permute_scene(scene, list(range(len(scene)))[::-1])
+    assert calls == []
+    centers = np.array([p["center"] for p in record.proposals])
+    assert np.array_equal(scene.centers, centers)
+    assert scene.class_ids.tolist() == [vocab.index(p["class"]) for p in record.proposals]
+    assert np.array_equal(taken.centers, centers[[2, 0]]) and taken.points[0] is scene.points[2]
+    assert np.array_equal(permuted.centers, centers[::-1])
+    assert permuted.points[0] is scene.points[-1]
+    Scene([0], [scene.points[0]], vocab)  # a scene from outside is still checked
+    assert calls == [1]
 
 
 def test_record_keeps_proposals_in_id_order():

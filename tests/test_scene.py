@@ -135,6 +135,17 @@ def test_take_keeps_the_stored_centers():
     assert taken.class_ids.tolist() == [1, 0]
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [[], [0.0, 1.0], [3], [-1], [[0, 1]], None],
+    ids=["empty", "float", "past-end", "negative", "2-D", "none"],
+)
+def test_take_refuses_rows_that_name_no_proposal(rows):
+    scene = make_scene([[0, 0, 0], [3, 0, 0], [6, 0, 0]], [0, 1, 2], VOCAB)
+    with pytest.raises(ContractError, match="rows"):
+        scene.take(rows)
+
+
 # ---------------------------------------------------------------------------
 # vocab
 
@@ -318,3 +329,5 @@ def test_permute_scene_roundtrip():
     assert np.array_equal(permuted.centers[0], scene.centers[2])
     with pytest.raises(ContractError):
         permute_scene(scene, [0, 0, 1])
+    with pytest.raises(ContractError):
+        permute_scene(scene, [2.0, 0.0, 1.0])  # sorts to 0, 1, 2 but names no rows

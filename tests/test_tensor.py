@@ -109,6 +109,21 @@ def attention_oracle(q, k, v, n_heads):
     return out
 
 
+def attention(q, k, v, n_heads, segments=None, key_segments=None):
+    """The core `T._attention`, that `attention_sublayer` runs forward and
+    backward, recorded as a tape op of its own so q, k and v can be traced."""
+    data, back = T._attention(q.data, k.data, v.data, n_heads, segments, key_segments)
+    out = T.Tensor(data)
+    if T._traced(q, k, v):
+
+        def backfn(g):
+            for t, gt in zip((q, k, v), back(g)):
+                T._acc(t, gt)
+
+        T._TAPE.add(out, backfn)
+    return out
+
+
 def qkv(rng, m, n, d, scale=1.0):
     return [rng.normal(scale=scale, size=shape) for shape in ((m, d), (n, d), (n, d))]
 
@@ -119,7 +134,7 @@ def test_row_softmax_uniform():
         assert abs(ce.item() - math.log(4)) <= 1e-15
     # zero queries weigh every key alike, so each output row is the mean value row
     _, k, v = qkv(np.random.default_rng(0), 3, 5, 4)
-    out = T.attention(T.constant(np.zeros((3, 4))), T.constant(k), T.constant(v), 2).data
+    out = attention(T.constant(np.zeros((3, 4))), T.constant(k), T.constant(v), 2).data
     assert np.allclose(out, np.tile(v.mean(axis=0), (3, 1)), atol=1e-15)
 
 
@@ -131,8 +146,8 @@ def test_row_softmax_shift_invariance():
     # adding one row to every key shifts each logit row by a constant
     q, k, v = qkv(np.random.default_rng(2), 3, 5, 4)
     shifted = k + np.random.default_rng(3).normal(size=(1, 4))
-    a = T.attention(T.constant(q), T.constant(k), T.constant(v), 2).data
-    b = T.attention(T.constant(q), T.constant(shifted), T.constant(v), 2).data
+    a = attention(T.constant(q), T.constant(k), T.constant(v), 2).data
+    b = attention(T.constant(q), T.constant(shifted), T.constant(v), 2).data
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -149,7 +164,7 @@ def test_row_softmax_against_scalar_oracle():
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
 def test_attention_matches_per_head_oracle(n_heads):
     q, k, v = qkv(np.random.default_rng(n_heads), 3, 5, 8, scale=2.0)
-    got = T.attention(T.constant(q), T.constant(k), T.constant(v), n_heads).data
+    got = attention(T.constant(q), T.constant(k), T.constant(v), n_heads).data
     assert np.abs(got - attention_oracle(q, k, v, n_heads)).max() <= 1e-12
 
 
@@ -160,7 +175,7 @@ def test_row_softmax_rejects_nan():
     for bad in (float("nan"), float("inf")):
         k[1, 2] = bad
         with pytest.raises(NumericError):
-            T.attention(T.constant(q), T.constant(k), T.constant(v), 2)
+            attention(T.constant(q), T.constant(k), T.constant(v), 2)
 
 
 @settings(max_examples=50, deadline=None)
@@ -172,18 +187,18 @@ def test_row_softmax_rejects_nan():
 def test_row_softmax_rows_sum_to_one(m, n, seed):
     # with all-ones values every output entry is a sum of one head's weights
     q, k, _ = qkv(np.random.default_rng(seed), m, n, 4, scale=20.0)
-    out = T.attention(T.constant(q), T.constant(k), T.constant(np.ones((n, 4))), 2).data
+    out = attention(T.constant(q), T.constant(k), T.constant(np.ones((n, 4))), 2).data
     assert np.all(np.abs(out - 1.0) <= 1e-12)
 
 
 def test_attention_shape_errors():
     q, k, v = (T.constant(a) for a in qkv(np.random.default_rng(5), 2, 3, 4))
     with pytest.raises(ShapeError):
-        T.attention(q, T.constant(np.ones((3, 6))), v, 2)
+        attention(q, T.constant(np.ones((3, 6))), v, 2)
     with pytest.raises(ShapeError):
-        T.attention(q, k, T.constant(np.ones((2, 4))), 2)
+        attention(q, k, T.constant(np.ones((2, 4))), 2)
     with pytest.raises(ShapeError):
-        T.attention(q, k, v, 3)
+        attention(q, k, v, 3)
 
 
 # Segments of 4, 1 and 3 rows; a segment's rows need not be adjacent.
@@ -208,10 +223,10 @@ def test_segmented_attention_equals_each_segment_alone(n_heads):
     k[4] *= 1e3
     seg = np.array(SEGMENTS)
     for _ in each_layout():
-        got = T.attention(T.constant(q), T.constant(k), T.constant(v), n_heads, SEGMENTS).data
+        got = attention(T.constant(q), T.constant(k), T.constant(v), n_heads, SEGMENTS).data
         for s in set(SEGMENTS):
             rows = seg == s
-            alone = T.attention(*(T.constant(a[rows]) for a in (q, k, v)), n_heads).data
+            alone = attention(*(T.constant(a[rows]) for a in (q, k, v)), n_heads).data
             assert np.abs(got[rows] - alone).max() <= 1e-12
 
 
@@ -222,7 +237,7 @@ def test_segmented_attention_grad_check(n_heads):
     weights = T.constant(rng.normal(size=(8, 8)))
 
     def forward(p):
-        out = T.attention(p["q"], p["k"], p["v"], n_heads, SEGMENTS)
+        out = attention(p["q"], p["k"], p["v"], n_heads, SEGMENTS)
         return T.mean_all(T.mul(out, weights))
 
     for layout in each_layout():
@@ -235,21 +250,21 @@ def test_segmented_attention_errors():
     q, k, v = (T.constant(a) for a in qkv(np.random.default_rng(6), 3, 3, 4))
     for bad in ([0, 0], [0, 1, 1, 1]):
         with pytest.raises(ShapeError):
-            T.attention(q, k, v, 2, bad)
+            attention(q, k, v, 2, bad)
     # segments mean self-attention: queries and keys must share their rows
     k5, v5 = (T.constant(np.ones((5, 4))) for _ in range(2))
     with pytest.raises(ShapeError):
-        T.attention(q, k5, v5, 2, [0, 0, 1])
+        attention(q, k5, v5, 2, [0, 0, 1])
     # two or more segments take integer ids in [0, q rows + k rows)
     for bad in ([0, 0, 6], [-1, 0, 0], [0.0, 0.0, 1.0]):
         with pytest.raises(ContractError, match="segment ids"):
-            T.attention(q, k, v, 2, bad)
+            attention(q, k, v, 2, bad)
     for _ in each_layout():
         # the finiteness check reads the raw logits, masked or not
         bad_k = k.data.copy()
         bad_k[2, 0] = float("nan")
         with pytest.raises(NumericError):
-            T.attention(q, T.constant(bad_k), v, 2, [0, 0, 1])
+            attention(q, T.constant(bad_k), v, 2, [0, 0, 1])
 
 
 # Queries and keys of one call in different segments: 5 query rows against 7
@@ -271,7 +286,7 @@ def test_cross_segment_attention_equals_each_segment_alone(n_heads):
     q, k, v = cross_segment_qkv(np.random.default_rng(40 + n_heads))
     qs, ks = np.array(QUERY_SEGMENTS), np.array(KEY_SEGMENTS)
     for _ in each_layout():
-        got = T.attention(
+        got = attention(
             T.constant(q), T.constant(k), T.constant(v), n_heads, QUERY_SEGMENTS, KEY_SEGMENTS
         ).data
         for s in set(QUERY_SEGMENTS):
@@ -287,7 +302,7 @@ def test_cross_segment_attention_grad_check(n_heads):
     weights = T.constant(rng.normal(size=(5, 8)))
 
     def forward(p):
-        out = T.attention(p["q"], p["k"], p["v"], n_heads, QUERY_SEGMENTS, KEY_SEGMENTS)
+        out = attention(p["q"], p["k"], p["v"], n_heads, QUERY_SEGMENTS, KEY_SEGMENTS)
         return T.mean_all(T.mul(out, weights))
 
     for layout in each_layout():
@@ -299,20 +314,20 @@ def test_cross_segment_attention_grad_check(n_heads):
 def test_cross_segment_attention_errors():
     q, k, v = (T.constant(a) for a in qkv(np.random.default_rng(7), 3, 4, 4))
     with pytest.raises(ContractError):
-        T.attention(q, k, v, 2, None, [0, 0, 1, 1])  # key ids alone
+        attention(q, k, v, 2, None, [0, 0, 1, 1])  # key ids alone
     for qs, ks in (([0, 1], [0, 0, 1, 1]), ([0, 1, 1], [0, 1, 1]), ([0, 1, 1], [0, 1, 1, 1, 0])):
         with pytest.raises(ShapeError):
-            T.attention(q, k, v, 2, qs, ks)
+            attention(q, k, v, 2, qs, ks)
     for _ in each_layout():
         with pytest.raises(ContractError, match="no keys"):
-            T.attention(q, k, v, 2, [0, 1, 2], [0, 1, 1, 0])
+            attention(q, k, v, 2, [0, 1, 2], [0, 1, 1, 0])
         with pytest.raises(ContractError, match="no keys"):
-            T.attention(q, k, v, 2, [1, 1, 1], [0, 0, 0, 0])
+            attention(q, k, v, 2, [1, 1, 1], [0, 0, 0, 0])
         # the finiteness check reads the raw logits, masked or not
         bad_k = k.data.copy()
         bad_k[3, 1] = float("inf")
         with pytest.raises(NumericError):
-            T.attention(q, T.constant(bad_k), v, 2, [0, 0, 1], [0, 1, 1, 0])
+            attention(q, T.constant(bad_k), v, 2, [0, 0, 1], [0, 1, 1, 0])
 
 
 def test_attention_with_one_shared_segment_builds_no_mask(monkeypatch):
@@ -325,9 +340,9 @@ def test_attention_with_one_shared_segment_builds_no_mask(monkeypatch):
         return real(x, op, keep)
 
     monkeypatch.setattr(T, "_finite_shift", spy)
-    plain = T.attention(q, k, v, 2).data
-    shared = T.attention(q, k, v, 2, [4, 4, 4], [4, 4, 4, 4]).data
-    T.attention(q, k, v, 2, [0, 0, 1], [0, 1, 1, 0])
+    plain = attention(q, k, v, 2).data
+    shared = attention(q, k, v, 2, [4, 4, 4], [4, 4, 4, 4]).data
+    attention(q, k, v, 2, [0, 0, 1], [0, 1, 1, 0])
     assert np.array_equal(plain, shared)
     assert seen[0] is None and seen[1] is None and seen[2] is not None
 
@@ -343,7 +358,7 @@ def test_attention_pads_only_when_that_skips_enough_logits(monkeypatch):
     monkeypatch.setattr(T, "_finite_shift", spy)
     # 8 rows in 3 segments: padding would skip few logits, so one dense mask
     q, k, v = (T.constant(a) for a in qkv(np.random.default_rng(10), 8, 8, 4))
-    T.attention(q, k, v, 2, SEGMENTS)
+    attention(q, k, v, 2, SEGMENTS)
     assert shapes.pop() == ((1, 2, 8, 8), (8, 8))
     # 16 segments of 3 queries against 2 to 4 keys, interleaved: one
     # (segments, heads, 3, 4) stack instead of 48 x 49 logits a head
@@ -351,7 +366,7 @@ def test_attention_pads_only_when_that_skips_enough_logits(monkeypatch):
     qs = rng.permutation(np.repeat(np.arange(16), 3))
     ks = rng.permutation(np.repeat(np.arange(16), [2, 3, 4, 3] * 4))
     q, k, v = (T.leaf(a) for a in qkv(rng, qs.size, ks.size, 4))
-    out = T.attention(q, k, v, 2, qs, ks)
+    out = attention(q, k, v, 2, qs, ks)
     assert shapes.pop() == ((16, 2, 3, 4), (16, 1, 1, 4))
     for s in range(16):
         alone = attention_oracle(q.data[qs == s], k.data[ks == s], v.data[ks == s], 2)
@@ -361,7 +376,7 @@ def test_attention_pads_only_when_that_skips_enough_logits(monkeypatch):
     orphan = T.leaf(np.vstack([k.data, rng.normal(size=(1, 4))]))
     v5 = T.leaf(np.vstack([v.data, rng.normal(size=(1, 4))]))
     with np.errstate(invalid="raise"):
-        again = T.attention(q, orphan, v5, 2, qs, np.append(ks, 18))
+        again = attention(q, orphan, v5, 2, qs, np.append(ks, 18))
         assert shapes.pop() == ((19, 2, 3, 4), (19, 1, 1, 4))
         weights = T.constant(rng.normal(size=out.shape))
         grads = T.backward(T.mean_all(T.mul(again, weights)), dict(k=orphan, v=v5))
@@ -417,7 +432,7 @@ def test_attention_matches_einsum_reference(n_heads, dh, m, n, segmented, seed, 
     segments = rng.integers(0, 3, size=n) if segmented else None
     q, k, v = (T.leaf(a) for a in qkv(rng, m, n, n_heads * dh, scale=2.0))
     with mock.patch.object(T, "_PAD_SAVING", LAYOUTS[layout]):
-        out = T.attention(q, k, v, n_heads, segments)
+        out = attention(q, k, v, n_heads, segments)
     weights, g = upstream(out.shape, rng)
     got = [out.data, *T.backward(T.mean_all(T.mul(out, weights)), dict(q=q, k=k, v=v)).values()]
     want = attention_einsum_reference(q.data, k.data, v.data, n_heads, segments, g)
@@ -611,6 +626,201 @@ def test_max_rows_per_block():
 
 
 # ---------------------------------------------------------------------------
+# fused ops: one tape node for a chain of the ops above
+
+SUBLAYER_PARAMS = ("wq", "bq", "wk", "wv", "bv", "wo", "bo", "g", "b")
+
+
+def sublayer_params(rng, d):
+    """d x d weights; 1 x d biases, gain (near 1) and norm bias."""
+    p = {
+        name: rng.normal(scale=d**-0.5, size=(d, d) if name[0] == "w" else (1, d))
+        for name in SUBLAYER_PARAMS
+    }
+    p["g"] += 1.0
+    return p
+
+
+def sublayer_chain(x, kv, p, n_heads, segments=None, key_segments=None):
+    """The composed ops that `attention_sublayer` replaces, in their order."""
+    q = T.add(T.matmul(x, p["wq"]), p["bq"])
+    k = T.matmul(kv, p["wk"])
+    v = T.add(T.matmul(kv, p["wv"]), p["bv"])
+    heads = attention(q, k, v, n_heads, segments, key_segments)
+    heads = T.add(T.matmul(heads, p["wo"]), p["bo"])
+    return T.layer_norm(T.add(x, heads), p["g"], p["b"])
+
+
+def sublayer_op(x, kv, p, n_heads, segments=None, key_segments=None):
+    params = (p[name] for name in SUBLAYER_PARAMS)
+    return T.attention_sublayer(x, kv, *params, n_heads, segments, key_segments)
+
+
+def mlp2_chain(x, w1, b1, w2, b2):
+    """The composed ops that `mlp2` replaces, in their order."""
+    return T.add(T.matmul(T.relu(T.add(T.matmul(x, w1), b1)), w2), b2)
+
+
+def sublayer_rows(layout, shared, rng):
+    """(query rows, key rows, query ids, key ids) of one test layout.
+
+    "none" passes no ids; "dense" ids mask one logit matrix; "padded" packs
+    16 segments, so padding skips more than `_PAD_SAVING` logits a head
+    and the op pads without a patched threshold.
+    """
+    if layout == "none":
+        return (5, 5, None, None) if shared else (3, 5, None, None)
+    if layout == "dense":
+        if shared:
+            return len(SEGMENTS), len(SEGMENTS), SEGMENTS, None
+        return len(QUERY_SEGMENTS), len(KEY_SEGMENTS), QUERY_SEGMENTS, KEY_SEGMENTS
+    if shared:
+        ids = rng.permutation(np.repeat(np.arange(16), 4))
+        return ids.size, ids.size, ids, None
+    qs = rng.permutation(np.repeat(np.arange(16), 3))
+    ks = rng.permutation(np.repeat(np.arange(16), [2, 3, 4, 3] * 4))
+    return qs.size, ks.size, qs, ks
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["self", "cross"])
+@pytest.mark.parametrize("layout", ["none", "dense", "padded"])
+def test_attention_sublayer_equals_the_chain_bit_for_bit(layout, shared, monkeypatch):
+    rng = np.random.default_rng(60)
+    m, n, qs, ks = sublayer_rows(layout, shared, rng)
+    d, n_heads = 8, 2
+    arrays = {"x": rng.normal(size=(m, d)), **sublayer_params(rng, d)}
+    if not shared:
+        arrays["kv"] = rng.normal(size=(n, d))
+    weights = T.constant(rng.normal(size=(m, d)))
+    masks = []
+    real = T._finite_shift
+
+    def spy(x, op, keep=None):
+        masks.append(None if keep is None else keep.ndim)
+        return real(x, op, keep)
+
+    monkeypatch.setattr(T, "_finite_shift", spy)
+    results = []
+    for build in (sublayer_chain, sublayer_op):
+        leaves = {name: T.leaf(a) for name, a in arrays.items()}
+        # x and kv are op outputs, as in the model, and one tensor in self-attention
+        x = T.mul(leaves["x"], T.constant(1.5))
+        kv = x if shared else T.mul(leaves["kv"], T.constant(0.5))
+        out = build(x, kv, leaves, n_heads, qs, ks)
+        grads = T.backward(T.mean_all(T.mul(out, weights)), leaves)
+        results.append((out.data, grads))
+    (want, want_grads), (got, got_grads) = results
+    assert masks == [{"none": None, "dense": 2, "padded": 4}[layout]] * 2
+    assert np.array_equal(got, want)
+    for name, g in want_grads.items():
+        assert np.array_equal(got_grads[name], g), name
+
+
+def test_mlp2_equals_the_chain_bit_for_bit():
+    rng = np.random.default_rng(61)
+    arrays = {
+        "x": rng.normal(size=(6, 5)),
+        "w1": rng.normal(size=(5, 7)),
+        "b1": rng.normal(size=(1, 7)),
+        "w2": rng.normal(size=(7, 3)),
+        "b2": rng.normal(size=(1, 3)),
+    }
+    weights = T.constant(rng.normal(size=(6, 3)))
+    results = []
+    for build in (mlp2_chain, T.mlp2):
+        leaves = {name: T.leaf(a) for name, a in arrays.items()}
+        x = T.mul(leaves["x"], T.constant(1.5))  # an op's output, not a leaf
+        out = build(x, leaves["w1"], leaves["b1"], leaves["w2"], leaves["b2"])
+        grads = T.backward(T.mean_all(T.mul(out, weights)), leaves)
+        results.append((out.data, grads))
+    (want, want_grads), (got, got_grads) = results
+    assert (got > 0).any() and (got < 0).any()
+    assert np.array_equal(got, want)
+    for name, g in want_grads.items():
+        assert np.array_equal(got_grads[name], g), name
+
+
+@pytest.mark.parametrize("segmented", [False, True], ids=["plain", "segmented"])
+def test_attention_sublayer_grad_check(segmented):
+    rng = np.random.default_rng(63)
+    qs, ks = (QUERY_SEGMENTS, KEY_SEGMENTS) if segmented else (None, None)
+    params = {"x": rng.normal(size=(5, 4)), "kv": rng.normal(size=(7, 4))}
+    params.update(sublayer_params(rng, 4))
+    weights = T.constant(rng.normal(size=(5, 4)))
+
+    def forward(p):
+        return T.mean_all(T.mul(sublayer_op(p["x"], p["kv"], p, 2, qs, ks), weights))
+
+    for layout in each_layout() if segmented else ["none"]:
+        report = T.grad_check(forward, params)
+        assert report.checked == 5 * 4 + 7 * 4 + 4 * 16 + 5 * 4
+        assert report.ok(1e-6), (layout, report.max_rel_err, report.worst_param)
+
+
+def test_mlp2_grad_check():
+    rng = np.random.default_rng(64)
+    shapes = {"x": (4, 3), "w1": (3, 5), "b1": (1, 5), "w2": (5, 2), "b2": (1, 2)}
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    weights = T.constant(rng.normal(size=(4, 2)))
+
+    def forward(p):
+        return T.mean_all(T.mul(T.mlp2(p["x"], p["w1"], p["b1"], p["w2"], p["b2"]), weights))
+
+    report = T.grad_check(forward, params)
+    assert report.checked == 12 + 15 + 5 + 10 + 2
+    assert report.ok(1e-6), (report.max_rel_err, report.worst_param)
+
+
+@pytest.mark.parametrize("wrap", [T.constant, T.leaf], ids=["constant", "leaf"])
+def test_attention_sublayer_refuses_what_the_chain_refused(wrap):
+    """Every check runs whether or not anything is traced."""
+    rng = np.random.default_rng(65)
+    x = wrap(rng.normal(size=(3, 4)))
+    p = {name: wrap(a) for name, a in sublayer_params(rng, 4).items()}
+    for name, shape in [
+        ("bq", (3, 4)), ("bv", (1, 5)), ("bo", (4, 4)), ("g", (1, 3)), ("b", (2, 4)),
+        ("wq", (4, 5)), ("wk", (5, 4)), ("wv", (4, 3)), ("wo", (3, 4)),
+    ]:
+        with pytest.raises(ShapeError):
+            sublayer_op(x, x, {**p, name: wrap(np.ones(shape))}, 2)
+    with pytest.raises(ShapeError):
+        sublayer_op(x, wrap(np.ones((3, 5))), p, 2)  # kv of another width
+    with pytest.raises(ShapeError):
+        sublayer_op(x, x, p, 3)  # width 4 in 3 heads
+    # the segment-id contracts of attention
+    with pytest.raises(ShapeError):
+        sublayer_op(x, x, p, 2, [0, 0])
+    for bad in ([0, 0, 6], [-1, 0, 0], [0.0, 0.0, 1.0]):
+        with pytest.raises(ContractError, match="segment ids"):
+            sublayer_op(x, x, p, 2, bad)
+    with pytest.raises(ContractError):
+        sublayer_op(x, x, p, 2, None, [0, 0, 1])  # key ids alone
+    with pytest.raises(ContractError, match="no keys"):
+        sublayer_op(x, wrap(np.ones((2, 4))), p, 2, [0, 1, 2], [0, 1])
+    # non-finite logits, in each layout
+    bad_kv = np.ones((3, 4))
+    bad_kv[1, 2] = np.nan
+    for segments in (None, [0, 0, 1]):
+        for _ in each_layout():
+            with pytest.raises(NumericError):
+                sublayer_op(x, wrap(bad_kv), p, 2, segments)
+    T.reset_tape()
+
+
+@pytest.mark.parametrize("wrap", [T.constant, T.leaf], ids=["constant", "leaf"])
+def test_mlp2_refuses_what_the_chain_refused(wrap):
+    rng = np.random.default_rng(66)
+    x = wrap(rng.normal(size=(4, 3)))
+    shapes = {"w1": (3, 5), "b1": (1, 5), "w2": (5, 2), "b2": (1, 2)}
+    p = {name: wrap(rng.normal(size=shape)) for name, shape in shapes.items()}
+    bad = [("w1", (2, 5)), ("b1", (4, 5)), ("b1", (1, 4)), ("w2", (4, 2)), ("b2", (1, 3))]
+    for name, shape in bad:
+        with pytest.raises(ShapeError):
+            T.mlp2(x, *{**p, name: wrap(np.ones(shape))}.values())
+    T.reset_tape()
+
+
+# ---------------------------------------------------------------------------
 # backward
 
 
@@ -666,7 +876,7 @@ def test_backward_matches_finite_differences_on_mlp():
         h = T.relu(T.add(T.matmul(T.constant(x), p["w1"]), p["b1"]))
         out = T.add(T.matmul(h, p["w2"]), p["b2"])
         out = T.layer_norm(out, p["g"], p["beta"])
-        att = T.attention(out, out, out, 1)
+        att = attention(out, out, out, 1)
         return T.mean_all(T.mul(att, att))
 
     T.reset_tape()
@@ -755,7 +965,7 @@ def test_attention_grad_check(n_heads):
     weights = T.constant(rng.normal(size=(3, 8)))
 
     def forward(p):
-        return T.mean_all(T.mul(T.attention(p["q"], p["k"], p["v"], n_heads), weights))
+        return T.mean_all(T.mul(attention(p["q"], p["k"], p["v"], n_heads), weights))
 
     report = T.grad_check(forward, params)
     assert report.checked == 24 + 40 + 40
@@ -1027,3 +1237,25 @@ def test_flat_params_assign_checks_names_and_shapes_first(arrays):
     with pytest.raises(ContractError):
         flat.assign(arrays)
     assert np.array_equal(flat.vector, np.arange(6.0))
+
+
+def test_flat_params_leaves_add_into_one_gradient_vector():
+    flat = T.FlatParams([("a", (2, 2)), ("b", (1, 2))], np.arange(6.0))
+    assert flat.grad is None  # nothing allocated until a step asks for leaves
+    leaves = flat.leaves()
+    assert flat.leaves() is leaves and list(leaves) == ["a", "b"]
+    for name, t in leaves.items():
+        assert t.data is flat[name] and np.shares_memory(t.grad, flat.grad)
+
+    def loss(p):
+        return T.mean_all(T.mul(T.matmul(p["b"], p["a"]), T.constant([[1.0, -3.0]])))
+
+    fresh = {name: T.leaf(a) for name, a in flat.items()}
+    want = np.concatenate([g.reshape(-1) for g in T.backward(loss(fresh), fresh).values()])
+    T.backward(loss(leaves))
+    grad = flat.grad
+    assert np.array_equal(grad, want) and grad.any()
+    assert flat.leaves() is leaves and flat.grad is grad and not grad.any()
+    twin = copy.deepcopy(flat)
+    assert twin.grad is None and twin.leaves()["a"].data is twin["a"]
+

@@ -266,6 +266,62 @@ def test_params_stay_views_of_one_vector_through_a_step():
     assert offset == vector.size
 
 
+def parent_flat_gradient(model, batch, loss_fn, weights):
+    """A batch's flat gradient as steps used to build it: fresh leaf wraps,
+    backward's map of gradients, one concatenation in layout order."""
+    leaves = {name: T.leaf(v) for name, v in model.params.items()}
+    items = [item for item, _ in batch]
+    out = model.forward_batch(
+        [item.scene for item in items],
+        [order for _, order in batch],
+        [item.description for item in items],
+        params=leaves,
+    )
+    grads = T.backward(loss_fn(out, items, weights).total, leaves)
+    return np.concatenate([g.reshape(-1) for g in grads.values()])
+
+
+@pytest.mark.parametrize("stage", ["warmup", "main"])
+def test_a_step_leaves_its_flat_gradient_in_params_grad(stage):
+    """Each step's `params.grad` equals the concatenated per-parameter
+    gradients (signed zeros aside: the buffers start at +0), and a second
+    step starts from zeros, so nothing leaks from the first."""
+    samples, orders = mixed_batch()
+    batch = list(zip(samples, orders))
+    loss_fn = trainer._warmup_loss if stage == "warmup" else trainer._main_loss
+    model, state = tiny_model(seed=3), TrainState.fresh(0)
+    cfg = TrainConfig(batch_size=len(batch))
+    for step in (1, 2):
+        want = parent_flat_gradient(model, batch, loss_fn, cfg.weights)
+        trainer._train_step(model, state, cfg, stage, step, batch, loss_fn)
+        assert np.array_equal(model.params.grad, want)
+        assert model.params.grad.any()
+
+
+def test_nan_gradient_names_the_first_bad_parameter_in_the_vector(monkeypatch):
+    """A gradient non-finite only in two head arrays is refused under the
+    earlier one's name, before Adam moves the parameters or its state."""
+    model = tiny_model()
+    _, state = warmup_stage(model, GEN, TrainConfig(warmup_steps=1, batch_size=2, seed=0))
+    params, (m, v, t) = snapshot(model), adam_snapshot(state)
+    real = trainer.backward
+
+    def corrupting(loss):
+        real(loss)
+        grads = T.FlatParams(model.params.layout(), model.params.grad)  # views by name
+        grads["head.text.2.b"][0, 1] = np.nan
+        grads["head.text.1.w"][2, 0] = np.inf
+
+    monkeypatch.setattr(trainer, "backward", corrupting)
+    cfg = TrainConfig(warmup_steps=1, batch_size=2, seed=0)
+    message = "warmup step 2: non-finite gradient for parameter head.text.1.w$"
+    with pytest.raises(NumericError, match=message):
+        warmup_stage(model, GEN, cfg, state)
+    assert params_equal(params, model.params)
+    m2, v2, t2 = adam_snapshot(state)
+    assert params_equal(m, m2) and params_equal(v, v2) and t == t2 == 1
+
+
 def test_deepcopy_of_model_and_state_trains_identically():
     cfg = TrainConfig(warmup_steps=1, batch_size=2, seed=0)
     model = tiny_model()
