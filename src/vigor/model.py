@@ -57,6 +57,9 @@ __all__ = [
 ]
 
 UNK_TOKEN = "<unk>"
+# A block holds about 18 d x d matrices and Adam keeps two more copies, so a
+# mistyped width past this would ask for gigabytes a block.
+MAX_WIDTH = 1024
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,8 @@ class ModelConfig:
         check_field_types(self)
         if self.n_heads < 1 or self.d < 1 or self.d % self.n_heads != 0:
             raise ContractError("d and n_heads must be positive, and d divisible by n_heads")
+        if self.d > MAX_WIDTH:
+            raise ContractError(f"d must lie in 1..{MAX_WIDTH}, got {self.d}")
         if self.b < 1:
             raise ContractError("need at least one referring block")
         if not 1 <= self.points_per_proposal <= MAX_POINTS_PER_PROPOSAL:

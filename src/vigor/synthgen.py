@@ -71,6 +71,9 @@ SAMPLE_TRIES = 100  # scenes `sample_at` draws for one slot before giving up
 # `default_vocab` names every class and the model's class head has a row
 # for each, so a mistyped size past this would spend minutes naming classes.
 MAX_CLASS_VOCAB = 4096
+# A scene try draws K x (6 + 3P) values and the gap test compares K^2 / 2
+# distances, so a mistyped K past this would ask for gigabytes a try.
+MAX_PROPOSALS = 1024
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,8 @@ class GenConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.proposals_min < 1 or self.proposals_max < self.proposals_min:
-            raise ContractError("need 1 <= proposals_min <= proposals_max")
+        if not 1 <= self.proposals_min <= self.proposals_max <= MAX_PROPOSALS:
+            raise ContractError(f"need 1 <= proposals_min <= proposals_max <= {MAX_PROPOSALS}")
         if self.order_len < 2:
             raise ContractError("order_len must be at least 2")
         # A box reaches at most 0.3 past the room, so its points keep the
@@ -204,7 +207,11 @@ def sample_scene(cfg: GenConfig, rng: np.random.Generator, budget: int = 1000) -
         points = np.empty((k, n_points, 6))
         points[:, :, :3] = xyz
         points[:, :, 3:] = colors[classes][:, None, :]
-        return Scene(classes, points, vocab)
+        # Scene's checks hold by construction: class ids come from the
+        # vocabulary, colours lie in 0.1 .. 0.9 and coordinates within
+        # room_extent + 0.3 <= MAX_POINT_VALUE, and `centers` is the bbox
+        # midpoint `proposal_arrays` would derive, computed the same way.
+        return Scene._of_checked(classes, list(points), vocab, "", centers)
     raise GenerationError(
         f"no scene met the {cfg.min_separation} distance-gap condition in "
         f"{budget} tries; lower min_separation or enlarge the room"

@@ -11,6 +11,15 @@ Each optimizer step packs its batch into one graph: one forward through
 `GroundingModel.forward_batch`, one call of each loss over the packed rows
 (each loss sums its per-sample values), one `compose`, one backward.
 
+Warm-up samples are synthesized ahead of training by one worker process,
+forked when the stage starts and pinned off the trainer's CPU, which sends
+them over a one-way pipe in index order; the pipe's buffer bounds how far
+ahead it runs.  `sample_at` is a pure function of the generator config and
+the index, so the stream is bit for bit the one an in-process loop draws,
+and an error raised drawing a sample is raised at that sample's step.
+Without `os.fork` or `os.sched_getaffinity`, or with a CPU affinity of one,
+the same stream is drawn in-process.
+
 Checkpoints hold the finalized config, both vocabularies, parameters,
 optimizer moments, step counters, and the training rng state, so a resumed
 run continues bit-exactly.
@@ -18,22 +27,26 @@ run continues bit-exactly.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import multiprocessing
 import os
+import signal
 import struct
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CheckpointError, ContractError, NumericError, check_field_types
+from .errors import CheckpointError, ContractError, GenerationError, NumericError
+from .errors import check_field_types
 from .losses import LossBreakdown, LossWeights, compose
 from .losses import loss_crd, loss_mask, loss_ref, loss_text
 from .model import GroundingModel, HeadOutputs, ModelConfig, WordVocab, param_layout
 from .orderparse import order_names, trim_pad
 from .scene import ClassVocab, Scene
-from .synthgen import GenConfig, sample_at
+from .synthgen import GenConfig, WarmupSample, sample_at
 from .tensor import AdamState, FlatParams, GradCheckReport, adam_step, backward, grad_check
 
 __all__ = [
@@ -189,6 +202,83 @@ def _train_step(
     return loss / train_cfg.batch_size
 
 
+def _current_cpu() -> int | None:
+    """The CPU this process runs on now (field 39 of /proc/self/stat), or
+    None where that cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as f:
+            return int(f.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _worker_cpus() -> set[int]:
+    """The CPUs a synthesis worker is pinned to: this process's, less the one
+    it runs on now.  Empty, so samples are drawn in-process, without
+    `os.fork` or `os.sched_getaffinity`, or with a CPU affinity of one.
+
+    A worker that waits on a full pipe is woken by the trainer's read, and
+    the scheduler tends to wake it on the reader's CPU, where the two take
+    turns instead of running side by side; the pin keeps it off that CPU.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return set()
+    cpus = os.sched_getaffinity(0)
+    return cpus - {_current_cpu()} if len(cpus) > 1 else set()
+
+
+def _produce(recv, send, cpus: set[int], gen_cfg: GenConfig, start: int, count: int) -> None:
+    """The worker: send each sample in index order; an error goes in its
+    sample's place and ends the stream."""
+    recv.close()  # so a parent that dies leaves the worker a broken pipe
+    # Ctrl-C reaches the whole process group; the parent stops the worker.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with contextlib.suppress(OSError):  # the pin only places the work
+        os.sched_setaffinity(0, cpus)
+    for index in range(start, start + count):
+        try:
+            item = sample_at(gen_cfg, index)
+        except Exception as exc:
+            send.send(exc)
+            return
+        send.send(item)
+
+
+def _warmup_samples(gen_cfg: GenConfig, start: int, count: int) -> Iterator[WarmupSample]:
+    """`sample_at(gen_cfg, i)` for i in start .. start + count - 1, in order.
+
+    The worker is forked at the first read and stopped when the generator
+    is closed or exhausted.  A worker that dies raises `GenerationError`.
+    """
+    cpus = _worker_cpus() if count else set()
+    if not cpus:
+        for index in range(start, start + count):
+            yield sample_at(gen_cfg, index)
+        return
+    fork = multiprocessing.get_context("fork")
+    recv, send = fork.Pipe(duplex=False)
+    worker = fork.Process(
+        target=_produce, args=(recv, send, cpus, gen_cfg, start, count), daemon=True
+    )
+    worker.start()
+    send.close()  # the worker's end is its own, so its exit reads as EOF
+    try:
+        for index in range(start, start + count):
+            try:
+                item = recv.recv()
+            except (EOFError, OSError) as exc:  # OSError: it died mid-message
+                raise GenerationError(
+                    f"the synthesis worker exited before sample {index}"
+                ) from exc
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+    finally:
+        recv.close()
+        worker.terminate()
+        worker.join()
+
+
 def warmup_stage(
     model: GroundingModel,
     gen_cfg: GenConfig,
@@ -202,17 +292,23 @@ def warmup_stage(
             f"generator order length {gen_cfg.order_len} != model blocks {model.cfg.b}"
         )
     state = state if state is not None else TrainState.fresh(train_cfg.seed)
+    size = train_cfg.batch_size
+    stream = _warmup_samples(gen_cfg, state.warmup_done * size, train_cfg.warmup_steps * size)
     losses: list[float] = []
-    for _ in range(train_cfg.warmup_steps):
-        base = state.warmup_done * train_cfg.batch_size
-        samples = [sample_at(gen_cfg, base + j) for j in range(train_cfg.batch_size)]
-        batch = [(s, s.order) for s in samples]
-        losses.append(
-            _train_step(model, state, train_cfg, "warmup", state.warmup_done + 1, batch, _warmup_loss)
-        )
-        state.warmup_done += 1
-        if on_eval and train_cfg.eval_every and state.warmup_done % train_cfg.eval_every == 0:
-            on_eval(state.warmup_done, model)
+    try:
+        for _ in range(train_cfg.warmup_steps):
+            samples = [next(stream) for _ in range(size)]
+            batch = [(s, s.order) for s in samples]
+            losses.append(
+                _train_step(
+                    model, state, train_cfg, "warmup", state.warmup_done + 1, batch, _warmup_loss
+                )
+            )
+            state.warmup_done += 1
+            if on_eval and train_cfg.eval_every and state.warmup_done % train_cfg.eval_every == 0:
+                on_eval(state.warmup_done, model)
+    finally:
+        stream.close()
     return StageReport(stage="warmup", losses=losses), state
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures: canned language-model transcripts and small configs."""
 
 import json
+import multiprocessing
 import struct
 
 import pytest
@@ -120,3 +121,15 @@ def built_heads(monkeypatch):
 
     monkeypatch.setattr(vigor.model, "_mlp2", spy)
     return built
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test after which a multiprocessing child is still running, and
+    stop the child so the next test starts clean."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+        child.join()
+    assert not left, f"processes left running: {left}"

@@ -16,9 +16,9 @@ import vigor
 from vigor import tensor, trainer
 from vigor.errors import ContractError
 from vigor.losses import LossWeights
-from vigor.model import GroundingModel, ModelConfig
+from vigor.model import MAX_WIDTH, GroundingModel, ModelConfig
 from vigor.orderparse import LlmEndpointConfig, parse_appearance_order
-from vigor.synthgen import GenConfig, default_vocab, generate_dataset
+from vigor.synthgen import MAX_PROPOSALS, GenConfig, default_vocab, generate_dataset
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(vigor.__path__))
 
@@ -148,6 +148,8 @@ def endpoint(**fields):
         pytest.param(ModelConfig, "points_per_proposal", 2**62, id="ModelConfig-points-2**62"),
         pytest.param(GenConfig, "points_per_proposal", 2**62, id="GenConfig-points-2**62"),
         pytest.param(GenConfig, "class_vocab_size", 2**62, id="GenConfig-vocab-2**62"),
+        pytest.param(ModelConfig, "d", 2**62, id="ModelConfig-d-2**62"),
+        pytest.param(GenConfig, "proposals_max", 2**62, id="GenConfig-proposals_max-2**62"),
         (ModelConfig, "seed", -1),
         (GenConfig, "seed", -1),
         (trainer.TrainConfig, "seed", -1),
@@ -159,6 +161,15 @@ def endpoint(**fields):
 def test_config_refuses_a_bad_field(make, field, value):
     with pytest.raises(ContractError, match=field):
         make(**{field: value})
+
+
+def test_size_bounds_admit_their_limit_and_refuse_past_it():
+    assert ModelConfig(d=MAX_WIDTH, n_heads=1).d == MAX_WIDTH
+    with pytest.raises(ContractError, match="d must"):
+        ModelConfig(d=MAX_WIDTH + 1, n_heads=1)
+    assert GenConfig(proposals_max=MAX_PROPOSALS).proposals_max == MAX_PROPOSALS
+    with pytest.raises(ContractError, match="proposals_max"):
+        GenConfig(proposals_max=MAX_PROPOSALS + 1)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from vigor.cli import main
 from vigor.errors import CheckpointError
 from vigor.model import GroundingModel, ModelConfig
 from vigor.records import read_records
-from vigor.synthgen import default_vocab
+from vigor.synthgen import default_vocab, sample_scene
 from vigor.tensor import GradCheckReport
 from vigor.trainer import TrainState, load_checkpoint, model_from_checkpoint, save_checkpoint
 
@@ -298,6 +299,8 @@ def test_train_config_rejects_mistyped_values(tmp_path, capsys, text, key):
         ('{"room_extent": 0}', "room_extent"),
         ('{"room_extent": NaN}', "room_extent"),
         ('{"min_separation": NaN}', "min_separation"),
+        ('{"d": 4611686018427387904}', "d"),
+        ('{"proposals_max": 4611686018427387904}', "proposals_max"),
     ],
 )
 def test_train_config_rejects_out_of_range_geometry(tmp_path, capsys, text, key):
@@ -374,11 +377,14 @@ def test_train_config_loads_or_refuses(config_path, edits, nest, cut):
     args = cli.build_parser().parse_args(["train", "--config", str(config_path), "--out", "-"])
     try:
         gen_cfg, train_cfg, model_cfg = cli._train_configs(args)
-        default_vocab(gen_cfg.class_vocab_size)
+        model = GroundingModel(model_cfg, default_vocab(gen_cfg.class_vocab_size))
+        scene = sample_scene(gen_cfg, np.random.default_rng(0))
     except errors.VigorError:
         assert blob != VALID_CONFIG or cut is not None  # the valid file loads
         return
     assert model_cfg.b == gen_cfg.order_len and train_cfg.weights.w_ref >= 0.0
+    assert model.params.vector.size > 0
+    assert gen_cfg.proposals_min <= len(scene) <= gen_cfg.proposals_max
 
 
 def test_train_without_config_builds_the_default_model(tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Tests for the two-stage trainer and the checkpoint format."""
 
 import copy
+import multiprocessing
+import os
+import signal
 import struct
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -12,7 +16,7 @@ from hypothesis import strategies as st
 
 from vigor import tensor as T
 from vigor import trainer
-from vigor.errors import CheckpointError, ContractError, NumericError, VigorError
+from vigor.errors import CheckpointError, ContractError, GenerationError, NumericError, VigorError
 from vigor.losses import LossWeights, loss_text
 from vigor.model import GroundingModel, ModelConfig, param_layout
 from vigor.orderparse import parse_appearance_order
@@ -138,6 +142,195 @@ def test_warmup_eval_callback_fires():
         on_eval=lambda step, m: seen.append(step),
     )
     assert seen == [2, 4]
+
+
+# ---------------------------------------------------------------------------
+# the warm-up sample stream
+
+forking = pytest.mark.skipif(not hasattr(os, "fork"), reason="the stream forks a worker")
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set how many CPUs the stream sees, so both of its paths run here."""
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return set_cpus
+
+
+def same_sample(a, b):
+    """Equal bit for bit: text, chain, ids, and every array's dtype and bytes."""
+    sa, sb = a.scene, b.scene
+    return (
+        (a.description, a.order, a.anchor_target_ids, a.relation)
+        == (b.description, b.order, b.anchor_target_ids, b.relation)
+        and (sa.scene_id, sa.vocab) == (sb.scene_id, sb.vocab)
+        and [(x.dtype, x.shape, x.tobytes()) for x in (sa.class_ids, sa.centers, *sa.points)]
+        == [(x.dtype, x.shape, x.tobytes()) for x in (sb.class_ids, sb.centers, *sb.points)]
+    )
+
+
+def run_end(model, state):
+    return state.warmup_done, snapshot(model), adam_snapshot(state), state.rng.bit_generator.state
+
+
+def same_end(a, b):
+    (done_a, params_a, (m_a, v_a, t_a), rng_a), (done_b, params_b, (m_b, v_b, t_b), rng_b) = a, b
+    return (
+        (done_a, t_a, rng_a) == (done_b, t_b, rng_b)
+        and params_equal(params_a, params_b)
+        and params_equal(m_a, m_b)
+        and params_equal(v_a, v_b)
+    )
+
+
+@forking
+@pytest.mark.parametrize("start", [0, 6])
+def test_stream_is_sample_at_in_index_order(cpus, start):
+    cpus(2)
+    stream = trainer._warmup_samples(GEN, start, 10)
+    got = [next(stream)]
+    assert len(multiprocessing.active_children()) == 1  # one worker draws them
+    got += list(stream)
+    assert multiprocessing.active_children() == []
+    want = [sample_at(GEN, i) for i in range(start, start + 10)]
+    assert len(got) == len(want) and all(map(same_sample, got, want))
+
+
+@pytest.mark.parametrize("without", ["second CPU", "fork"])
+def test_stream_falls_back_to_the_same_draws_in_process(cpus, monkeypatch, without):
+    if without == "fork":
+        cpus(2)
+        monkeypatch.delattr(os, "fork", raising=False)
+    else:
+        cpus(1)
+    got = []
+    for sample in trainer._warmup_samples(GEN, 3, 6):
+        assert multiprocessing.active_children() == []
+        got.append(sample)
+    assert all(map(same_sample, got, [sample_at(GEN, i) for i in range(3, 9)]))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="Linux affinity")
+def test_the_worker_is_pinned_off_the_trainers_cpu(monkeypatch):
+    cpus = os.sched_getaffinity(0)
+    here = trainer._current_cpu()
+    assert here in cpus
+    if len(cpus) < 2:
+        assert trainer._worker_cpus() == set()
+        return
+    monkeypatch.setattr(trainer, "_current_cpu", lambda: here)
+    assert trainer._worker_cpus() == cpus - {here}
+    stream = trainer._warmup_samples(GEN, 0, 3)
+    next(stream)
+    (worker,) = multiprocessing.active_children()
+    assert os.sched_getaffinity(worker.pid) == cpus - {here}
+    stream.close()
+    assert multiprocessing.active_children() == []
+
+
+@forking
+def test_resumed_warmup_trains_as_the_in_process_draws_do(cpus):
+    cfg = TrainConfig(warmup_steps=2, batch_size=3, seed=0)
+    ends = []
+    for n in (2, 1):
+        cpus(n)
+        model = tiny_model()
+        _, state = warmup_stage(model, GEN, cfg)
+        report, state = warmup_stage(model, GEN, cfg, state)
+        ends.append((report.losses, run_end(model, state)))
+    (losses_fork, end_fork), (losses_serial, end_serial) = ends
+    assert losses_fork == losses_serial and same_end(end_fork, end_serial)
+    assert end_fork[0] == 4
+
+
+def fail_at(monkeypatch, bad, error):
+    """Make `trainer.sample_at` raise `error` for index `bad`; a forked
+    worker inherits the patch."""
+    real = trainer.sample_at
+
+    def flaky(cfg, index):
+        if index == bad:
+            raise error
+        return real(cfg, index)
+
+    monkeypatch.setattr(trainer, "sample_at", flaky)
+
+
+@forking
+def test_a_draw_error_lands_on_its_step_with_the_serial_state(cpus, monkeypatch):
+    bad = 7
+    fail_at(monkeypatch, bad, GenerationError("no scene for this slot"))
+    cfg = TrainConfig(warmup_steps=5, batch_size=3, seed=0)
+    ends = []
+    for n in (2, 1):
+        cpus(n)
+        model, state = tiny_model(), TrainState.fresh(0)
+        with pytest.raises(GenerationError, match="no scene for this slot"):
+            warmup_stage(model, GEN, cfg, state)
+        assert multiprocessing.active_children() == []
+        ends.append(run_end(model, state))
+    assert ends[0][0] == bad // cfg.batch_size
+    assert same_end(*ends)
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("cannot pickle")
+
+
+@forking
+def test_a_draw_error_that_does_not_pickle_ends_the_stream_at_its_sample(cpus, monkeypatch):
+    cpus(2)
+    fail_at(monkeypatch, 2, Unpicklable("odd"))
+    stream = trainer._warmup_samples(GEN, 0, 5)
+    assert [next(stream).scene.scene_id for _ in range(2)] == ["scene-11-0", "scene-11-1"]
+    with pytest.raises(GenerationError, match="exited before sample 2"):
+        next(stream)
+    assert multiprocessing.active_children() == []
+
+
+@forking
+@pytest.mark.parametrize("where", ["step", "on_eval"])
+def test_a_raising_step_or_callback_stops_the_worker(cpus, monkeypatch, where):
+    cpus(2)
+
+    def boom(*args):
+        raise NumericError("boom")
+
+    if where == "step":
+        monkeypatch.setattr(trainer, "_train_step", boom)
+    cfg = TrainConfig(warmup_steps=50, batch_size=2, eval_every=1)
+    with pytest.raises(NumericError, match="boom"):
+        warmup_stage(tiny_model(), GEN, cfg, on_eval=boom if where == "on_eval" else None)
+    assert multiprocessing.active_children() == []
+
+
+@forking
+@pytest.mark.parametrize("points", [6, 256])  # 256: a sample outgrows the pipe's buffer
+def test_a_killed_worker_raises_instead_of_hanging(cpus, points):
+    cpus(2)
+    stream = trainer._warmup_samples(replace(GEN, points_per_proposal=points), 0, 10_000)
+    next(stream)
+    time.sleep(0.2)  # the worker fills the pipe, with a sample cut short at 256
+    (worker,) = multiprocessing.active_children()
+    os.kill(worker.pid, signal.SIGKILL)
+
+    def timeout(signum, frame):
+        raise TimeoutError("the stream hung after its worker died")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        with pytest.raises(GenerationError, match="exited before sample"):
+            for _ in stream:
+                pass
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
