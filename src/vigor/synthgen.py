@@ -207,11 +207,7 @@ def sample_scene(cfg: GenConfig, rng: np.random.Generator, budget: int = 1000) -
         points = np.empty((k, n_points, 6))
         points[:, :, :3] = xyz
         points[:, :, 3:] = colors[classes][:, None, :]
-        # Scene's checks hold by construction: class ids come from the
-        # vocabulary, colours lie in 0.1 .. 0.9 and coordinates within
-        # room_extent + 0.3 <= MAX_POINT_VALUE, and `centers` is the bbox
-        # midpoint `proposal_arrays` would derive, computed the same way.
-        return Scene._of_checked(classes, list(points), vocab, "", centers)
+        return Scene(classes, points, vocab)
     raise GenerationError(
         f"no scene met the {cfg.min_separation} distance-gap condition in "
         f"{budget} tries; lower min_separation or enlarge the room"

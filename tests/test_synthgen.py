@@ -7,7 +7,7 @@ import pytest
 
 from vigor import synthgen
 from vigor.errors import AmbiguityError, ContractError, GenerationError, SkipSample
-from vigor.scene import MAX_POINT_VALUE, ClassVocab, Scene
+from vigor.scene import ClassVocab, Scene
 from vigor.synthgen import (
     GenConfig,
     default_vocab,
@@ -90,33 +90,15 @@ def test_sample_scene_deterministic():
         assert np.array_equal(pa, pb)
 
 
-def scene_bytes(scene):
-    arrays = (scene.class_ids, scene.centers, *scene.points)
-    return scene.vocab, scene.scene_id, [(x.dtype, x.shape, x.tobytes()) for x in arrays]
-
-
-@pytest.mark.parametrize("room", [6.0, MAX_POINT_VALUE / 2])
-def test_sampled_scene_is_the_checked_constructor_bit_for_bit(room):
-    """`sample_scene` skips Scene's checks; the checked constructor on the
-    same arrays derives the same centers and keeps the same points."""
-    cfg = tiny_cfg(room_extent=room, proposals_min=2, proposals_max=12)
-    for seed in range(200):
-        scene = sample_scene(cfg, np.random.default_rng(seed))
-        checked = Scene(scene.class_ids, scene.points, scene.vocab)
-        assert type(scene.points) is type(checked.points) is list
-        assert scene_bytes(scene) == scene_bytes(checked)
-
-
 def test_a_rejected_try_builds_no_scene(monkeypatch):
     cfg = tiny_cfg()
     built = []
-    real = Scene._of_checked
 
     def spy(*args, **kwargs):
         built.append(1)
-        return real(*args, **kwargs)
+        return Scene(*args, **kwargs)
 
-    monkeypatch.setattr(Scene, "_of_checked", spy)
+    monkeypatch.setattr(synthgen, "Scene", spy)
     with pytest.raises(GenerationError):  # seed 0's first try fails the gap test
         sample_scene(cfg, np.random.default_rng(0), budget=1)
     assert not built
