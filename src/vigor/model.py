@@ -19,13 +19,19 @@ residual add, layer norm) is one `tt.attention_sublayer` node and every
 two-layer perceptron (the text feed-forward, the point MLP and each head)
 one `tt.mlp2` node, so a block records 8 tape nodes and a head 1.
 
-`GroundingModel.forward_batch` runs a batch as one packed graph: the
-proposals of all samples stack into one matrix, all descriptions and order
-names share one text-encoder pass, and each attention is confined to its
-sample by segment ids, so a sample's outputs equal running it alone
-(Krell et al., "Efficient Sequence Packing without Cross-contamination",
-arXiv 2107.02027).  `forward` is a batch of one and builds no segment
-masks.
+A batch runs as one packed graph: the proposals of all samples stack into
+one matrix, all descriptions and order names share one text-encoder pass,
+and each attention is confined to its sample by an `AttentionLayout`, so a
+sample's outputs equal running it alone (Krell et al., "Efficient Sequence
+Packing without Cross-contamination", arXiv 2107.02027).  The work splits
+in two.  `pack_batch` reads no parameter: it resamples and stacks the
+points and centers, tokenizes the descriptions and order names, and builds
+one layout per distinct pair of (query ids, key ids), so the two text
+layers share one and so do the B blocks' self-attentions.  It can run
+ahead of the step, in another process.  `GroundingModel.forward_packed`
+runs the parameter math on a `PackedBatch` and the relevance masks.
+`forward_batch` and `forward` (a batch of one, which needs no layout in
+the blocks) call the two in turn.
 """
 
 from __future__ import annotations
@@ -46,9 +52,13 @@ __all__ = [
     "ModelConfig",
     "WordVocab",
     "TextFeatures",
+    "PackedText",
+    "PackedBatch",
     "HeadOutputs",
     "GroundingModel",
     "tokenize",
+    "pack_text",
+    "pack_batch",
     "encode_text",
     "param_layout",
     "encode_objects",
@@ -119,28 +129,71 @@ class TextFeatures:
     """Sentence and word features of S descriptions, plus order-name features.
 
     `sentences` holds one pooled row per description (description s at row
-    s) and `words` the word rows of each description in turn.  `segments`
-    names the description of each row of `sentences` followed by `words`,
-    the order a block's up-branch query stacks them in.  `order_features`
-    holds one pooled row per order name given to `encode_text`, in that
-    order.
+    s) and `words` the word rows of each description in turn.
+    `order_features` holds one pooled row per order name given to
+    `encode_text`, in that order.
     """
 
     sentences: Tensor  # S x d
     words: Tensor  # (sum of token counts) x d
     order_features: Tensor  # one row per order name
     token_counts: tuple[int, ...]  # words per description
-    segments: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.sentences.shape[0] != self.samples or self.words.shape[0] != sum(self.token_counts):
             raise ContractError("text needs one sentence row and its word rows per description")
-        ids = np.arange(self.samples)
-        self.segments = np.concatenate([ids, np.repeat(ids, self.token_counts)])
 
     @property
     def samples(self) -> int:
         return len(self.token_counts)
+
+
+@dataclass
+class PackedText:
+    """The parameter-free half of `encode_text`, built by `pack_text`.
+
+    The pieces are the descriptions, then every distinct order name in
+    first-appearance order.  Their token rows stack into one matrix;
+    positions restart at 0 in each piece, and `layout` keeps attention
+    inside a piece, for both encoder layers.  Row p of `averaging`
+    mean-pools piece p, and `slots` names the pooled row of each order
+    name.
+    """
+
+    ids: np.ndarray  # token id of every row
+    positions: np.ndarray  # rows x d: each row's sinusoid position code
+    layout: tt.AttentionLayout
+    averaging: np.ndarray  # pieces x rows
+    slots: dict[str, int]  # order name -> pooled row
+    token_counts: tuple[int, ...]  # words per description
+
+
+@dataclass
+class PackedBatch:
+    """What a forward reads of its S samples, built by `pack_batch` without
+    parameters: every array a step needs but the relevance masks.
+
+    `points` stacks each proposal's resampled points, `points_per_proposal`
+    rows a proposal, and `segments` names the sample of each proposal row.
+    `names` is block-major: name j of sample s sits at j*S + s, so sample
+    s's order is `names[s::S]`.  `layouts` holds each block's four
+    attention layouts (self, low, up, fuse), None for one sample.
+    """
+
+    points: np.ndarray  # (K * points_per_proposal) x 6
+    centers: np.ndarray  # K x 3
+    segments: np.ndarray  # (K,) sample index of each proposal row
+    sizes: tuple[int, ...]  # proposals per sample
+    text: PackedText
+    names: list[str]
+    layouts: list[tuple[tt.AttentionLayout, ...]] | None
+
+    @property
+    def samples(self) -> int:
+        return len(self.sizes)
+
+    def order(self, s: int) -> list[str]:
+        return self.names[s :: self.samples]
 
 
 @dataclass
@@ -303,8 +356,7 @@ def _residual_attention(
     x: Tensor,
     kv: Tensor,
     n_heads: int,
-    segments=None,
-    key_segments=None,
+    layout: tt.AttentionLayout | None = None,
 ) -> Tensor:
     """layer_norm(x + attention(x, kv)), x attending over kv with the
     projections `attn` and the norm `ln`: one `tt.attention_sublayer` node."""
@@ -315,8 +367,7 @@ def _residual_attention(
         p[f"{ln}.g"],
         p[f"{ln}.b"],
         n_heads,
-        segments,
-        key_segments,
+        layout,
     )
 
 
@@ -330,56 +381,73 @@ def _mlp2(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
 
 
 def _encoder_layer(
-    p: dict[str, Tensor], prefix: str, x: Tensor, n_heads: int, segments: np.ndarray
+    p: dict[str, Tensor], prefix: str, x: Tensor, n_heads: int, layout: tt.AttentionLayout | None
 ) -> Tensor:
-    x = _residual_attention(p, f"{prefix}.attn", f"{prefix}.ln1", x, x, n_heads, segments)
+    x = _residual_attention(p, f"{prefix}.attn", f"{prefix}.ln1", x, x, n_heads, layout)
     return _layer_norm(p, f"{prefix}.ln2", tt.add(x, _mlp2(p, f"{prefix}.ffn", x)))
 
 
-def encode_text(
+def pack_text(
     descriptions: Sequence[Sequence[str]],
     order_names: Sequence[str],
-    params: dict[str, Tensor],
     word_vocab: WordVocab,
     cfg: ModelConfig,
-) -> TextFeatures:
-    """Encode descriptions and order names through one shared encoder.
-
-    `descriptions` holds one token list per sample.  Every description and
-    every distinct order name (in first-appearance order) are stacked as
-    pieces of one matrix and encoded in one pass: positions restart at 0 in
-    each piece and attention never crosses a piece, so each piece encodes
-    as it would alone.  One averaging matmul mean-pools every piece, and a
-    name repeated within or across samples reads its one pooled row.
-    """
+) -> PackedText:
+    """Token ids, position codes, the attention layout and the pooling of
+    the descriptions (one token list each) and the distinct order names."""
     if not descriptions:
         raise ContractError("need at least one description")
     if any(isinstance(tokens, str) for tokens in descriptions):
         raise ContractError("each description must be a token list, not a string")
     s = len(descriptions)
-    slot = {name: i for i, name in enumerate(dict.fromkeys(order_names), start=s)}
+    slots = {name: i for i, name in enumerate(dict.fromkeys(order_names), start=s)}
     pieces = [word_vocab.encode(tokens) for tokens in descriptions]
     if not all(pieces):
         raise ContractError("cannot encode an empty description")
-    for name in slot:
+    for name in slots:
         pieces.append(word_vocab.encode(tokenize(name)))
         if not pieces[-1]:
             raise ContractError(f"order name {name!r} has no tokens")
     lengths = [len(ids) for ids in pieces]
     segments = np.repeat(np.arange(len(pieces)), lengths)
     positions = np.concatenate([np.arange(n) for n in lengths])
-    x = tt.take_rows(params["emb"], np.concatenate(pieces))
-    x = tt.add(x, tt.constant(sinusoid_positions(max(lengths), cfg.d)[positions]))
-    for layer in range(2):
-        x = _encoder_layer(params, f"txt{layer}", x, cfg.n_heads, segments)
     averaging = np.zeros((len(pieces), segments.size))
     averaging[segments, np.arange(segments.size)] = 1.0 / np.repeat(lengths, lengths)
-    pooled = tt.matmul(tt.constant(averaging), x)
-    counts = tuple(lengths[:s])
+    return PackedText(
+        ids=np.concatenate(pieces),
+        positions=sinusoid_positions(max(lengths), cfg.d)[positions],
+        layout=tt.AttentionLayout(segments),
+        averaging=averaging,
+        slots=slots,
+        token_counts=tuple(lengths[:s]),
+    )
+
+
+def encode_text(
+    text: PackedText,
+    order_names: Sequence[str],
+    params: dict[str, Tensor],
+    cfg: ModelConfig,
+) -> TextFeatures:
+    """Encode a packed text through one shared encoder.
+
+    Every description and every distinct order name are pieces of one
+    matrix, encoded in one pass: positions restart at 0 in each piece and
+    attention never crosses a piece, so each piece encodes as it would
+    alone.  One averaging matmul mean-pools every piece, and each of
+    `order_names` (names `pack_text` saw) reads its name's one pooled row.
+    """
+    x = tt.take_rows(params["emb"], text.ids)
+    x = tt.add(x, tt.constant(text.positions))
+    for layer in range(2):
+        x = _encoder_layer(params, f"txt{layer}", x, cfg.n_heads, text.layout)
+    pooled = tt.matmul(tt.constant(text.averaging), x)
+    counts = text.token_counts
+    s = len(counts)
     return TextFeatures(
         sentences=tt.slice_rows(pooled, 0, s),
         words=tt.slice_rows(x, 0, sum(counts)),
-        order_features=tt.take_rows(pooled, [slot[name] for name in order_names]),
+        order_features=tt.take_rows(pooled, [text.slots[name] for name in order_names]),
         token_counts=counts,
     )
 
@@ -394,25 +462,77 @@ def _resample_points(points: np.ndarray, count: int) -> np.ndarray:
     return np.resize(points, (count, points.shape[1]))
 
 
-def encode_objects(
-    scenes: Sequence[Scene], params: dict[str, Tensor], cfg: ModelConfig
-) -> Tensor:
+def encode_objects(batch: PackedBatch, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
     """F_1: per-proposal point MLP + max-pool, concatenated with a center code.
 
-    The proposals of all scenes stack in order into one K x d matrix; every
-    row depends on its own proposal only.
+    The proposals of all samples stack in order into one K x d matrix;
+    every row depends on its own proposal only.
     """
-    i_pts = cfg.points_per_proposal
-    stacked = np.concatenate(
-        [_resample_points(p, i_pts) for scene in scenes for p in scene.points]
-    )
     # relu(linear obj.p2 of relu(linear obj.p1)): the point MLP, one mlp2 node
     mlp = [params[name] for name in ("obj.p1.w", "obj.p1.b", "obj.p2.w", "obj.p2.b")]
-    h = tt.relu(tt.mlp2(tt.constant(stacked), *mlp))
-    pooled = tt.max_rows_per_block(h, i_pts)  # K x d
-    centers = np.concatenate([scene.centers for scene in scenes])
-    c = tt.relu(_linear(params, "obj.c", tt.constant(centers)))
+    h = tt.relu(tt.mlp2(tt.constant(batch.points), *mlp))
+    pooled = tt.max_rows_per_block(h, cfg.points_per_proposal)  # K x d
+    c = tt.relu(_linear(params, "obj.c", tt.constant(batch.centers)))
     return _linear(params, "obj.out", tt.concat(pooled, c, axis=1))
+
+
+def _block_layouts(segments: np.ndarray, token_counts: Sequence[int], b: int):
+    """Each block's (self, low, up, fuse) attention layouts for S >= 2
+    samples; every block shares the one self-attention layout."""
+    s = len(token_counts)
+    ids = np.arange(s)
+    # the sample of each sentence row, then of each word row: the order a
+    # block's up-branch query stacks them in
+    text_segments = np.concatenate([ids, np.repeat(ids, token_counts)])
+    own = tt.AttentionLayout(segments)
+    layouts = []
+    for block in range(b):
+        suffix_ids = np.tile(np.arange(s), b - block)
+        up_ids = np.concatenate([suffix_ids, text_segments])
+        context_ids = np.concatenate([suffix_ids, up_ids])
+        layouts.append(
+            (
+                own,
+                tt.AttentionLayout(suffix_ids, segments),
+                tt.AttentionLayout(up_ids, segments),
+                tt.AttentionLayout(segments, context_ids),
+            )
+        )
+    return layouts
+
+
+def pack_batch(
+    scenes: Sequence[Scene],
+    orders: Sequence[Sequence[str]],
+    descriptions: Sequence[str],
+    word_vocab: WordVocab,
+    cfg: ModelConfig,
+) -> PackedBatch:
+    """Everything S samples give a forward but the masks, built without
+    parameters: see `PackedBatch`."""
+    s = len(scenes)
+    if s < 1 or len(orders) != s or len(descriptions) != s:
+        raise ContractError("need one order and one description per scene, and a scene")
+    for order in orders:
+        if len(order) != cfg.b:
+            raise ContractError(f"order length {len(order)} != configured {cfg.b}")
+    tokens = [tokenize(description) for description in descriptions]
+    names = [order[j] for j in range(cfg.b) for order in orders]  # block-major
+    text = pack_text(tokens, names, word_vocab, cfg)
+    sizes = tuple(len(scene) for scene in scenes)
+    segments = np.repeat(np.arange(s), sizes)
+    i_pts = cfg.points_per_proposal
+    return PackedBatch(
+        points=np.concatenate(
+            [_resample_points(p, i_pts) for scene in scenes for p in scene.points]
+        ),
+        centers=np.concatenate([scene.centers for scene in scenes]),
+        segments=segments,
+        sizes=sizes,
+        text=text,
+        names=names,
+        layouts=None if s == 1 else _block_layouts(segments, text.token_counts, cfg.b),
+    )
 
 
 def fe_forward(
@@ -422,44 +542,36 @@ def fe_forward(
     params: dict[str, Tensor],
     block: int,
     cfg: ModelConfig,
-    segments: np.ndarray,
+    layouts: tuple[tt.AttentionLayout, ...] | None,
 ) -> Tensor:
     """One feature-enhancement step: masked branch, context branch, fusion.
 
     `mask` holds one 0/1 entry per row of f (this block's column of the
     relevance masks); the masked branch zeroes the rows outside it.  For a
-    packed batch of S samples, `segments` names the sample of each
-    row of f, and `text.order_features` is block-major: name j of sample s
-    sits at row j*S + s, so the suffix from `block` on is one slice.  Every
-    attention then stays inside a sample.  One sample needs no ids at all;
-    passing none spares each attention its id checks (about 15% of an
-    eval forward).
+    packed batch of S samples, `text.order_features` is block-major: name
+    j of sample s sits at row j*S + s, so the suffix from `block` on is
+    one slice, and `layouts` (this block's entry of `PackedBatch.layouts`)
+    keeps each attention inside a sample.  One sample needs no layout.
     """
     if not 0 <= block < cfg.b:
         raise ContractError(f"block index {block} outside 0..{cfg.b - 1}")
     n = text.samples
+    if (layouts is None) != (n == 1):
+        raise ContractError("one sample takes no attention layouts, and more need them")
+    own, low, up, fuse = layouts or (None, None, None, None)
     pre = f"fe{block}"
     n_heads = cfg.n_heads
     f_mask = tt.mul(f, tt.constant(np.reshape(mask, (-1, 1))))
     suffix = tt.slice_rows(text.order_features, block * n, cfg.b * n)
-    if n == 1:
-        segments = suffix_ids = up_ids = context_ids = None
-    else:
-        suffix_ids = np.tile(np.arange(n), cfg.b - block)
-        up_ids = np.concatenate([suffix_ids, text.segments])
-        context_ids = np.concatenate([suffix_ids, up_ids])
-
-    attended = _residual_attention(params, f"{pre}.self", f"{pre}.self_ln", f, f, n_heads, segments)
-    lower = _residual_attention(
-        params, f"{pre}.low", f"{pre}.low_ln", suffix, f_mask, n_heads, suffix_ids, segments
-    )
+    attended = _residual_attention(params, f"{pre}.self", f"{pre}.self_ln", f, f, n_heads, own)
+    lower = _residual_attention(params, f"{pre}.low", f"{pre}.low_ln", suffix, f_mask, n_heads, low)
     up_query = tt.concat(suffix, text.sentences, text.words)
     upper = _residual_attention(
-        params, f"{pre}.up", f"{pre}.up_ln", up_query, attended, n_heads, up_ids, segments
+        params, f"{pre}.up", f"{pre}.up_ln", up_query, attended, n_heads, up
     )
     context = tt.concat(lower, upper)
     return _residual_attention(
-        params, f"{pre}.fuse", f"{pre}.out_ln", attended, context, n_heads, segments, context_ids
+        params, f"{pre}.fuse", f"{pre}.out_ln", attended, context, n_heads, fuse
     )
 
 
@@ -544,34 +656,39 @@ class GroundingModel:
         params: dict[str, Tensor] | None = None,
         labels: Sequence[Sequence[int]] | None = None,
     ) -> HeadOutputs:
-        """Run S samples as one packed graph.
-
-        Proposals stack into one matrix, descriptions and order names go
-        through one text-encoder pass, and every attention is confined to
-        its sample, so each sample's outputs equal running it alone.
-        """
-        cfg = self.cfg
-        s = len(scenes)
-        if s < 1 or len(orders) != s or len(descriptions) != s:
-            raise ContractError("need one order and one description per scene, and a scene")
-        for order in orders:
-            if len(order) != cfg.b:
-                raise ContractError(f"order length {len(order)} != configured {cfg.b}")
-        p = params if params is not None else self.frozen()
+        """Run S samples as one packed graph: `pack_batch`, the masks of
+        `labels` (the scenes' class ids by default), `forward_packed`."""
+        batch = pack_batch(scenes, orders, descriptions, self.word_vocab, self.cfg)
         if labels is None:
             labels = [scene.class_ids for scene in scenes]
-        if len(labels) != s or any(len(l) != len(sc) for l, sc in zip(labels, scenes)):
-            raise ContractError("one label per proposal required")
+        return self.forward_packed(batch, self.masks(batch, labels), params)
 
-        masks = np.concatenate(
-            [build_masks(l, order, self.class_vocab) for l, order in zip(labels, orders)]
+    def masks(self, batch: PackedBatch, labels: Sequence[Sequence[int]]) -> np.ndarray:
+        """The K x B relevance masks of a packed batch under `labels`, one
+        class id per proposal of each sample."""
+        if len(labels) != batch.samples or any(
+            len(l) != k for l, k in zip(labels, batch.sizes)
+        ):
+            raise ContractError("one label per proposal required")
+        return np.concatenate(
+            [build_masks(l, batch.order(s), self.class_vocab) for s, l in enumerate(labels)]
         )
-        tokens = [tokenize(description) for description in descriptions]
-        names = [order[j] for j in range(cfg.b) for order in orders]  # block-major
-        text = encode_text(tokens, names, p, self.word_vocab, cfg)
-        segments = np.repeat(np.arange(s), [len(scene) for scene in scenes])
-        features = [_finite(encode_objects(scenes, p, cfg), 1)]  # F_1 .. F_{B+1}
+
+    def forward_packed(
+        self,
+        batch: PackedBatch,
+        masks: np.ndarray,
+        params: dict[str, Tensor] | None = None,
+    ) -> HeadOutputs:
+        """The parameter math of a packed batch: proposals as one matrix,
+        one text-encoder pass, every attention confined to its sample, so
+        each sample's outputs equal running it alone."""
+        cfg = self.cfg
+        p = params if params is not None else self.frozen()
+        text = encode_text(batch.text, batch.names, p, cfg)
+        features = [_finite(encode_objects(batch, p, cfg), 1)]  # F_1 .. F_{B+1}
         for i in range(cfg.b):
-            nxt = fe_forward(features[-1], masks[:, i], text, p, i, cfg, segments)
+            layouts = None if batch.layouts is None else batch.layouts[i]
+            nxt = fe_forward(features[-1], masks[:, i], text, p, i, cfg, layouts)
             features.append(_finite(nxt, i + 2))
-        return HeadOutputs(features[1:], text.sentences, p, masks, segments)
+        return HeadOutputs(features[1:], text.sentences, p, masks, batch.segments)

@@ -92,14 +92,26 @@ class ClassVocab:
 def proposal_arrays(points: Sequence, centers=None) -> tuple[list[np.ndarray], np.ndarray]:
     """The one rule of K proposals: K non-empty (I_i, 6) float64 point arrays
     (float64 input is not copied), every value within ±MAX_POINT_VALUE, and
-    K x 3 bbox centers, derived or given and checked.  A fault raises
-    `ContractError` naming its row; numpy raises on what it cannot convert."""
-    points = [np.asarray(p, dtype=np.float64) for p in points]
-    bad = [i for i, p in enumerate(points) if p.ndim != 2 or p.shape[1] != 6 or not len(p)]
-    if bad:
-        shape = points[bad[0]].shape
-        raise ContractError(f"proposal {bad[0]}: points must be non-empty Ix6, got {shape}")
-    flat = np.concatenate(points)
+    K x 3 bbox centers, derived or given and checked.  A K x I x 6 float64
+    block is checked and its centers derived in whole-array passes.  A
+    fault raises `ContractError` naming its row; numpy raises on what it
+    cannot convert."""
+    block = (
+        isinstance(points, np.ndarray)
+        and points.dtype == np.float64
+        and points.ndim == 3
+        and 0 not in points.shape
+        and points.shape[2] == 6
+    )
+    if block:
+        flat, points = points, list(points)
+    else:  # row by row, so a fault names its row
+        points = [np.asarray(p, dtype=np.float64) for p in points]
+        bad = [i for i, p in enumerate(points) if p.ndim != 2 or p.shape[1] != 6 or not len(p)]
+        if bad:
+            shape = points[bad[0]].shape
+            raise ContractError(f"proposal {bad[0]}: points must be non-empty Ix6, got {shape}")
+        flat = np.concatenate(points)
     # One pass over all six columns; the bound is false for NaN and inf too.
     if not (np.abs(flat) <= MAX_POINT_VALUE).all():
         i = next(i for i, p in enumerate(points) if not (np.abs(p) <= MAX_POINT_VALUE).all())
@@ -107,8 +119,13 @@ def proposal_arrays(points: Sequence, centers=None) -> tuple[list[np.ndarray], n
             f"proposal {i}: points must be finite in x, y, z, r, g and b, "
             f"within ±{MAX_POINT_VALUE:g}"
         )
-    starts = list(accumulate((len(p) for p in points[:-1]), initial=0))
-    lo, hi = np.minimum.reduceat(flat[:, :3], starts), np.maximum.reduceat(flat[:, :3], starts)
+    if block:
+        xyz = flat[:, :, :3]
+        lo, hi = xyz.min(axis=1), xyz.max(axis=1)
+    else:
+        starts = list(accumulate((len(p) for p in points[:-1]), initial=0))
+        lo = np.minimum.reduceat(flat[:, :3], starts)
+        hi = np.maximum.reduceat(flat[:, :3], starts)
     derived = (lo + hi) / 2.0
     if centers is None:
         return points, derived

@@ -18,9 +18,12 @@ expressions of the ops it replaces in their order, and its backward
 accumulates into each operand in the sequence theirs would, so outputs
 and gradients are the same bits.
 
-Two ops take segment ids, so that independent samples packed into one
-matrix never mix: `attention_sublayer` (one id per query row and per key
-row) and `cross_entropy` (softmax groups within a column or a row).
+Independent samples packed into one matrix never mix.  `cross_entropy`
+takes segment ids (softmax groups within a column or a row), and
+`attention_sublayer` takes an `AttentionLayout`: built once from one id
+per query row and per key row, it runs the id checks and computes which
+keys each query reads, and then serves every call that shares those ids.
+It holds no parameter, so it can be built ahead of the step that reads it.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "backward",
     "matmul",
     "attention_sublayer",
+    "AttentionLayout",
     "mlp2",
     "relu",
     "add",
@@ -230,45 +234,78 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 _PAD_SAVING = 1500
 
 
-def _segment_layout(qs: np.ndarray, ks: np.ndarray, lo, hi):
-    """How attention lays out rows of two or more segments, ids lo..hi.
+class AttentionLayout:
+    """Which keys each query of a segmented attention reads, built once
+    from ids and shared by every call that has them.
 
-    Returns (groups, (query slots, query length), (key slots, key length),
-    keep).  Padded: the i-th row of segment s, counted in row order, sits
-    at slot s * length + i of a (groups * length)-row matrix, and keep is
-    the (groups, 1, 1, key length) mask of real keys; a segment without
-    keys has no queries either, so its padding keys are kept to leave no
-    row without a key.  Dense: one group, no slots, and keep is the m x n
-    mask of same-segment pairs.
+    `AttentionLayout(segments, key_segments=None)` takes one integer id per
+    query row and one per key (and value) row; without `key_segments` the
+    keys take the query ids (self-attention).  A query reads only the keys
+    of its id, so each segment attends as it would alone.  Ids of two or
+    more segments lie in [0, m + n) for m queries and n keys, and every
+    query's segment needs a key; the constructor checks both, so a call
+    that reads the layout checks only that its rows match `rows` and
+    `keys`.  When every query and key shares one id, `keep` is None and
+    the rows are used as they are.
+
+    Padded (`q_slots` set): the i-th row of segment s, counted in row
+    order, sits at slot s * length + i of a (groups * length)-row matrix,
+    and `keep` is the (groups, 1, 1, key length) mask of real keys; a
+    segment without keys has no queries either, so its padding keys are
+    kept to leave no row without a key.  Dense: one group, no slots, and
+    `keep` is the m x n mask of same-segment pairs.
     """
-    m, n = qs.size, ks.size
-    if qs.dtype.kind not in "iu" or ks.dtype.kind not in "iu":
-        raise ContractError("segment ids must be integers")
-    if lo < 0 or hi >= m + n:
-        raise ContractError(f"segment ids must lie in [0, {m + n}), got {lo}..{hi}")
-    n_groups = int(hi) + 1
-    dense = m * n <= _PAD_SAVING  # too few logits to skip enough of them
-    if not dense:
-        both = np.concatenate([qs, ks + n_groups])
-        counts = np.bincount(both, minlength=2 * n_groups)
-        q_counts, k_counts = counts[:n_groups], counts[n_groups:]
-        q_len, k_len = int(q_counts.max()), int(k_counts.max())
-        dense = m * n - n_groups * q_len * k_len <= _PAD_SAVING
-    if dense:
-        keep = qs[:, None] == ks[None, :]
-        if not keep.any(axis=1).all():
+
+    __slots__ = ("rows", "keys", "groups", "q_slots", "q_len", "k_slots", "k_len", "keep")
+
+    def __init__(self, segments, key_segments=None):
+        if segments is None:
+            raise ContractError("key segments need query segments")
+        qs = np.asarray(segments).reshape(-1)
+        ks = qs if key_segments is None else np.asarray(key_segments).reshape(-1)
+        m, n = qs.size, ks.size
+        if not (m and n):
+            raise ShapeError(f"segments need a query and a key, got {m} and {n} ids")
+        self.rows, self.keys = m, n
+        self.groups, self.q_slots, self.q_len, self.k_slots, self.k_len = 1, None, m, None, n
+        self.keep = None
+        lo, hi = min(qs.min(), ks.min()), max(qs.max(), ks.max())
+        if lo != hi:
+            self._segment(qs, ks, lo, hi)
+
+    def _segment(self, qs: np.ndarray, ks: np.ndarray, lo, hi) -> None:
+        """Lay out ids of two or more segments, lo..hi: dense or padded."""
+        m, n = qs.size, ks.size
+        if qs.dtype.kind not in "iu" or ks.dtype.kind not in "iu":
+            raise ContractError("segment ids must be integers")
+        if lo < 0 or hi >= m + n:
+            raise ContractError(f"segment ids must lie in [0, {m + n}), got {lo}..{hi}")
+        n_groups = int(hi) + 1
+        dense = m * n <= _PAD_SAVING  # too few logits to skip enough of them
+        if not dense:
+            both = np.concatenate([qs, ks + n_groups])
+            counts = np.bincount(both, minlength=2 * n_groups)
+            q_counts, k_counts = counts[:n_groups], counts[n_groups:]
+            q_len, k_len = int(q_counts.max()), int(k_counts.max())
+            dense = m * n - n_groups * q_len * k_len <= _PAD_SAVING
+        if dense:
+            keep = qs[:, None] == ks[None, :]
+            if not keep.any(axis=1).all():
+                raise ContractError("a query segment has no keys")
+            self.keep = keep
+            return
+        if not k_counts[qs].all():
             raise ContractError("a query segment has no keys")
-        return 1, (None, m), (None, n), keep
-    if not k_counts[qs].all():
-        raise ContractError("a query segment has no keys")
-    order = np.argsort(both, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(both.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    k_slots = ks * k_len + rank[m:]
-    keep = np.zeros((n_groups, k_len), dtype=bool)
-    keep.flat[k_slots] = True
-    keep[k_counts == 0] = True
-    return n_groups, (qs * q_len + rank[:m], q_len), (k_slots, k_len), keep[:, None, None, :]
+        order = np.argsort(both, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(both.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        k_slots = ks * k_len + rank[m:]
+        keep = np.zeros((n_groups, k_len), dtype=bool)
+        keep.flat[k_slots] = True
+        keep[k_counts == 0] = True
+        self.groups, self.keep = n_groups, keep[:, None, None, :]
+        self.q_slots, self.q_len = qs * q_len + rank[:m], q_len
+        self.k_slots, self.k_len = k_slots, k_len
 
 
 def _to_heads(x: np.ndarray, slots, n_groups: int, length: int, n_heads: int) -> np.ndarray:
@@ -287,7 +324,7 @@ def _from_heads(x: np.ndarray, slots) -> np.ndarray:
     return rows if slots is None else rows[slots]
 
 
-def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, segments, key_segments):
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, layout=None):
     """Multi-head scaled dot-product attention on arrays, heads side by side
     in columns; returns the output rows and `back`, which maps the output's
     gradient to the gradients of q, k and v.
@@ -296,14 +333,10 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, segmen
     [h*dh, (h+1)*dh) of q, k, v and the output; its weights are the row
     softmax of q_h k_h^T / sqrt(dh).  q may have other rows than k and v.
 
-    Ids pack independent sequences into one call: `segments` gives one id
-    per query row and `key_segments` one per key (and value) row; without
-    `key_segments` the keys take the query ids, so q, k and v must share
-    their rows (self-attention).  Ids of two or more segments are
-    integers in [0, m + n).  A query's weight on a key of another segment
-    is exactly 0, so each segment's output equals attending it alone;
-    every query's segment needs at least one key.  Rows of one segment
-    need not be adjacent.
+    An `AttentionLayout` packs independent sequences into one call, one
+    segment id per query row and per key row.  A query's weight on a key
+    of another segment is exactly 0, so each segment's output equals
+    attending it alone.  Rows of one segment need not be adjacent.
 
     Two layouts compute the same weights.  Dense: one m x n logit matrix
     per head under an m x n keep mask, whose memory and work grow with
@@ -311,30 +344,23 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, segmen
     gathered into a zero-padded slice of a (segments, heads, rows, dh)
     stack, one batched matmul computes every segment's logits, and work
     grows with the number of segments times the square of the longest.
-    A call pads when that skips enough logits to repay the gathers.  The
-    logits are checked for finiteness before masking.  When every query
-    and key shares one id, the rows are used as they are, with no mask.
+    A layout pads when that skips enough logits to repay the gathers.  The
+    logits are checked for finiteness before masking.
     """
     (m, d), (n, dk) = q.shape, k.shape
     if dk != d or v.shape != (n, d):
         raise ShapeError(f"attention mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
     if n_heads < 1 or d % n_heads != 0:
         raise ShapeError(f"width {d} not divisible into {n_heads} heads")
-    n_groups, (q_slots, q_len), (k_slots, k_len) = 1, (None, m), (None, n)
-    keep = None
-    if segments is not None or key_segments is not None:
-        if segments is None:
-            raise ContractError("key segments need query segments")
-        qs = np.asarray(segments).reshape(-1)
-        ks = qs if key_segments is None else np.asarray(key_segments).reshape(-1)
-        if qs.size != m or ks.size != n:
+    n_groups, q_slots, q_len, k_slots, k_len, keep = 1, None, m, None, n, None
+    if layout is not None:
+        if layout.rows != m or layout.keys != n:
             raise ShapeError(
-                f"segments need one id a row: q {q.shape} with {qs.size} ids, "
-                f"k {k.shape} with {ks.size} ids"
+                f"segments need one id a row: q {q.shape} with {layout.rows} ids, "
+                f"k {k.shape} with {layout.keys} ids"
             )
-        lo, hi = min(qs.min(), ks.min()), max(qs.max(), ks.max())
-        if lo != hi:
-            n_groups, (q_slots, q_len), (k_slots, k_len), keep = _segment_layout(qs, ks, lo, hi)
+        n_groups, keep = layout.groups, layout.keep
+        q_slots, q_len, k_slots, k_len = layout.q_slots, layout.q_len, layout.k_slots, layout.k_len
     c = (d // n_heads) ** -0.5
     # (groups, heads, rows, dh) stacks: every product is one batched matmul.
     qh = _to_heads(q, q_slots, n_groups, q_len, n_heads)
@@ -369,16 +395,15 @@ def attention_sublayer(
     gain: Tensor,
     bias: Tensor,
     n_heads: int,
-    segments=None,
-    key_segments=None,
+    layout: AttentionLayout | None = None,
 ) -> Tensor:
     """layer_norm(x + attention(x wq + bq, kv wk, kv wv + bv) wo + bo), one
     tape node: a residual attention sub-layer, x attending over kv.
 
     Every weight is d x d and every bias, gain and norm bias 1 x d, where
     x is m x d and kv is n x d; x and kv may be one tensor
-    (self-attention).  `segments` and `key_segments` confine each query
-    row to the key rows of its id, as `_attention` describes.  The
+    (self-attention).  A `layout` confines each query row to the key rows
+    of its segment, as `_attention` describes.  The
     forward runs the composed ops' expressions in their order, and the
     backward accumulates into each operand in the order their backward
     would, so the output and every gradient are theirs, bit for bit.
@@ -392,7 +417,7 @@ def attention_sublayer(
         raise ShapeError(f"attention sub-layer biases and gain must be (1, {d}), got {shapes}")
     xd, kvd = x.data, kv.data
     q, k, v = xd @ wq.data + bq.data, kvd @ wk.data, kvd @ wv.data + bv.data
-    heads, attention_back = _attention(q, k, v, n_heads, segments, key_segments)
+    heads, attention_back = _attention(q, k, v, n_heads, layout)
     xhat, inv = _normalize_rows(xd + (heads @ wo.data + bo.data))
     out = Tensor(xhat * gain.data + bias.data)
     if _traced(x, kv, wq, bq, wk, wv, bv, wo, bo, gain, bias):
@@ -517,7 +542,7 @@ def concat(*parts: Tensor, axis: int = 0) -> Tensor:
             raise ShapeError(f"concat along axis {axis}: {[p.shape for p in parts]}")
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
     if _traced(*parts):
-        offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
+        offsets = list(itertools.accumulate((p.data.shape[axis] for p in parts), initial=0))
 
         def back(g, parts=parts, offsets=offsets):
             for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):

@@ -7,18 +7,24 @@ supervises the target only: reference, mask, and text losses, never the
 coordinate term.  A head is built when a loss first reads it, so what a
 stage's loss reads is all of the heads its step builds.
 
-Each optimizer step packs its batch into one graph: one forward through
-`GroundingModel.forward_batch`, one call of each loss over the packed rows
-(each loss sums its per-sample values), one `compose`, one backward.
+Each optimizer step runs its batch as one graph.  `_pack_step` first
+does all of the step's parameter-free work (`model.pack_batch`: resampled
+points, token ids, attention layouts) and keeps what the losses read of
+each sample.  The step itself draws the label noise, builds the masks, and
+runs one forward through `GroundingModel.forward_packed`, one call of
+each loss over the packed rows (each loss sums its per-sample values),
+one `compose` and one backward.
 
-Warm-up samples are synthesized ahead of training by one worker process,
-forked when the stage starts and pinned off the trainer's CPU, which sends
-them over a one-way pipe in index order; the pipe's buffer bounds how far
-ahead it runs.  `sample_at` is a pure function of the generator config and
-the index, so the stream is bit for bit the one an in-process loop draws,
-and an error raised drawing a sample is raised at that sample's step.
-Without `os.fork` or `os.sched_getaffinity`, or with a CPU affinity of one,
-the same stream is drawn in-process.
+Warm-up steps are synthesized and packed ahead of training by one worker
+process, forked when the stage starts and pinned off the trainer's CPU,
+which sends one packed step a message over a one-way pipe in step order;
+the pipe's buffer bounds how far ahead it runs.  `sample_at` is a pure
+function of the generator config and the index, and packing a pure
+function of the samples, so the stream is bit for bit the one an
+in-process loop builds, and an error raised drawing or packing a sample
+is raised at that sample's step.  Without `os.fork` or
+`os.sched_getaffinity`, with a CPU affinity of one, or with a cgroup CPU
+quota below two CPUs, the same stream is built in-process.
 
 Checkpoints hold the finalized config, both vocabularies, parameters,
 optimizer moments, step counters, and the training rng state, so a resumed
@@ -28,6 +34,7 @@ run continues bit-exactly.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import multiprocessing
@@ -43,10 +50,11 @@ from .errors import CheckpointError, ContractError, GenerationError, NumericErro
 from .errors import check_field_types
 from .losses import LossBreakdown, LossWeights, compose
 from .losses import loss_crd, loss_mask, loss_ref, loss_text
-from .model import GroundingModel, HeadOutputs, ModelConfig, WordVocab, param_layout
+from .model import GroundingModel, HeadOutputs, ModelConfig, PackedBatch, WordVocab
+from .model import pack_batch, param_layout
 from .orderparse import order_names, trim_pad
-from .scene import ClassVocab, Scene
-from .synthgen import GenConfig, WarmupSample, sample_at
+from .scene import ClassVocab
+from .synthgen import GenConfig, sample_at
 from .tensor import AdamState, FlatParams, GradCheckReport, adam_step, backward, grad_check
 
 __all__ = [
@@ -115,40 +123,77 @@ def moving_average(xs: Sequence[float], window: int) -> list[float]:
     return list((sums[window:] - sums[:-window]) / window)
 
 
-def _maybe_noisy_labels(scene: Scene, noise: float, rng: np.random.Generator) -> np.ndarray:
-    labels = scene.class_ids
+def _maybe_noisy_labels(
+    labels: np.ndarray, n_classes: int, noise: float, rng: np.random.Generator
+) -> np.ndarray:
+    """One sample's class ids, each replaced by a uniform draw from its
+    `n_classes` with chance `noise`."""
     if noise <= 0.0:
         return labels
     flips = rng.random(len(labels)) < noise
-    draws = rng.integers(0, len(scene.vocab), size=len(labels))
+    draws = rng.integers(0, n_classes, size=len(labels))
     return np.where(flips, draws, labels)
 
 
-def _target_classes(items: Sequence) -> list[int]:
-    return [item.scene.class_ids[item.target_id] for item in items]
+@dataclass
+class _Step:
+    """One optimizer step's samples, packed: the forward's `PackedBatch`
+    and what the label noise and the losses read of each sample."""
+
+    batch: PackedBatch
+    labels: list[np.ndarray]  # class ids
+    n_classes: list[int]  # class vocabulary size
+    targets: list[list[int]]  # supervised ids, target last
+
+
+def _pack_step(
+    batch: Sequence[tuple[object, Sequence[str]]],
+    stage: str,
+    word_vocab: WordVocab,
+    cfg: ModelConfig,
+) -> _Step:
+    """Pack (item, order) pairs for one step, without parameters.  The
+    warm-up supervises each sample's anchor chain, the main stage its
+    target only."""
+    items = [item for item, _ in batch]
+    scenes = [item.scene for item in items]
+    if stage == "warmup":
+        targets = [list(item.anchor_target_ids) for item in items]
+    else:
+        targets = [[item.target_id] for item in items]
+    return _Step(
+        pack_batch(
+            scenes, [order for _, order in batch], [it.description for it in items], word_vocab, cfg
+        ),
+        [scene.class_ids for scene in scenes],
+        [len(scene.vocab) for scene in scenes],
+        targets,
+    )
+
+
+def _target_classes(step: _Step) -> list[int]:
+    return [labels[ids[-1]] for labels, ids in zip(step.labels, step.targets)]
 
 
 def _warmup_loss(
-    out: HeadOutputs, samples: Sequence, weights: LossWeights = LossWeights()
+    out: HeadOutputs, step: _Step, weights: LossWeights = LossWeights()
 ) -> LossBreakdown:
     """Every block supervised: anchors, masks, sentence class, offsets."""
-    ids = [s.anchor_target_ids for s in samples]
-    centers = np.concatenate([s.scene.centers for s in samples])
     return compose(
-        loss_ref(out.block_scores, ids, out.segments),
+        loss_ref(out.block_scores, step.targets, out.segments),
         loss_mask(out.mask_logits, out.masks, out.segments),
-        loss_text(out.text_class_logits, _target_classes(samples)),
-        loss_crd(out.coord_pred, centers, ids, out.segments),
+        loss_text(out.text_class_logits, _target_classes(step)),
+        loss_crd(out.coord_pred, step.batch.centers, step.targets, out.segments),
         weights=weights,
     )
 
 
-def _main_loss(out: HeadOutputs, items: Sequence, weights: LossWeights) -> LossBreakdown:
+def _main_loss(out: HeadOutputs, step: _Step, weights: LossWeights) -> LossBreakdown:
     """Target only: reference, mask, and sentence class; no offsets."""
     return compose(
-        loss_ref(out.scores, [[it.target_id] for it in items], out.segments),
+        loss_ref(out.scores, step.targets, out.segments),
         loss_mask(out.mask_logits, out.masks, out.segments),
-        loss_text(out.text_class_logits, _target_classes(items)),
+        loss_text(out.text_class_logits, _target_classes(step)),
         weights=weights,
     )
 
@@ -159,33 +204,30 @@ def _train_step(
     train_cfg: TrainConfig,
     stage: str,
     step: int,
-    batch: Sequence[tuple[object, Sequence[str]]],
-    batch_loss: Callable[[HeadOutputs, Sequence, LossWeights], LossBreakdown],
+    packed: _Step,
+    batch_loss: Callable[[HeadOutputs, _Step, LossWeights], LossBreakdown],
 ) -> float:
-    """One optimizer step over (item, order) pairs; returns the batch mean loss.
+    """One optimizer step over a packed batch; returns the batch mean loss.
 
     The batch runs as one packed graph: one forward, one loss whose total
     is the sum of the samples' totals, one backward.  Label noise is drawn
-    from `state.rng` per sample, in batch order.  A non-finite loss or
-    gradient raises before the update, leaving the parameters, Adam's
-    moments and its step count as they were (a first step may have
-    allocated the moments, as zeros).
+    from `state.rng` per sample, in batch order, and the masks are built
+    from the noisy labels.  A non-finite loss or gradient raises before
+    the update, leaving the parameters, Adam's moments and its step count
+    as they were (a first step may have allocated the moments, as zeros).
     """
     # Allocated before the step's graph rather than inside adam_step, so on
     # a first step the two parameter-sized vectors do not land above the
     # graph's memory, which would keep it from being returned (peak RSS).
     state.adam.moments(model.params)
     leaves = model.trainable()
-    items = [item for item, _ in batch]
-    labels = [_maybe_noisy_labels(item.scene, train_cfg.label_noise, state.rng) for item in items]
-    out = model.forward_batch(
-        [item.scene for item in items],
-        [order for _, order in batch],
-        [item.description for item in items],
-        params=leaves,
-        labels=labels,
-    )
-    batch_total = batch_loss(out, items, train_cfg.weights).total
+    noise = train_cfg.label_noise
+    labels = [
+        _maybe_noisy_labels(ids, n, noise, state.rng)
+        for ids, n in zip(packed.labels, packed.n_classes)
+    ]
+    out = model.forward_packed(packed.batch, model.masks(packed.batch, labels), leaves)
+    batch_total = batch_loss(out, packed, train_cfg.weights).total
     backward(batch_total)
     loss = batch_total.item()
     # nan passes LossBreakdown's nonnegativity check (nan < 0 is False), so
@@ -212,10 +254,41 @@ def _current_cpu() -> int | None:
         return None
 
 
+# Where `_cpu_quota` reads the cgroup's CPU quota.
+_CGROUP_ROOT = "/sys/fs/cgroup"
+
+
+def _read_words(*parts: str) -> list[str]:
+    with open(os.path.join(_CGROUP_ROOT, *parts)) as f:
+        return f.read().split()
+
+
+def _cpu_quota() -> float:
+    """The CPUs this process's cgroup quota allows: cgroup v2 `cpu.max`,
+    else v1 `cpu.cfs_quota_us` over `cpu.cfs_period_us`; inf without a
+    quota or where neither can be read."""
+    try:
+        quota, period = _read_words("cpu.max")
+    except (OSError, ValueError):
+        try:
+            (quota,), (period,) = (
+                _read_words("cpu", name) for name in ("cpu.cfs_quota_us", "cpu.cfs_period_us")
+            )
+        except (OSError, ValueError):
+            return math.inf
+    try:
+        quota_us, period_us = int(quota), int(period)
+    except ValueError:  # "max": no quota
+        return math.inf
+    return quota_us / period_us if quota_us > 0 and period_us > 0 else math.inf
+
+
 def _worker_cpus() -> set[int]:
     """The CPUs a synthesis worker is pinned to: this process's, less the one
-    it runs on now.  Empty, so samples are drawn in-process, without
-    `os.fork` or `os.sched_getaffinity`, or with a CPU affinity of one.
+    it runs on now.  Empty, so steps are built in-process, without `os.fork`
+    or `os.sched_getaffinity`, with a CPU affinity of one, or with a cgroup
+    CPU quota below two CPUs, where a worker could only take turns with
+    the trainer.
 
     A worker that waits on a full pipe is woken by the trainer's read, and
     the scheduler tends to wake it on the reader's CPU, where the two take
@@ -224,51 +297,65 @@ def _worker_cpus() -> set[int]:
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return set()
     cpus = os.sched_getaffinity(0)
-    return cpus - {_current_cpu()} if len(cpus) > 1 else set()
+    if len(cpus) < 2 or _cpu_quota() < 2:
+        return set()
+    return cpus - {_current_cpu()}
 
 
-def _produce(recv, send, cpus: set[int], gen_cfg: GenConfig, start: int, count: int) -> None:
-    """The worker: send each sample in index order; an error goes in its
-    sample's place and ends the stream."""
+def _warmup_step(
+    gen_cfg: GenConfig, word_vocab: WordVocab, cfg: ModelConfig, size: int, index: int
+) -> _Step:
+    """Warm-up step `index` (from 0), packed: samples index * size onward."""
+    samples = (sample_at(gen_cfg, i) for i in range(index * size, (index + 1) * size))
+    return _pack_step([(s, s.order) for s in samples], "warmup", word_vocab, cfg)
+
+
+def _produce(recv, send, cpus: set[int], draw: Callable[[int], _Step], first: int, count: int):
+    """The worker: send each packed step in order; an error goes in its
+    step's place and ends the stream."""
     recv.close()  # so a parent that dies leaves the worker a broken pipe
     # Ctrl-C reaches the whole process group; the parent stops the worker.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     with contextlib.suppress(OSError):  # the pin only places the work
         os.sched_setaffinity(0, cpus)
-    for index in range(start, start + count):
+    for index in range(first, first + count):
         try:
-            item = sample_at(gen_cfg, index)
+            item = draw(index)
         except Exception as exc:
             send.send(exc)
             return
         send.send(item)
 
 
-def _warmup_samples(gen_cfg: GenConfig, start: int, count: int) -> Iterator[WarmupSample]:
-    """`sample_at(gen_cfg, i)` for i in start .. start + count - 1, in order.
+def _warmup_steps(
+    gen_cfg: GenConfig, word_vocab: WordVocab, cfg: ModelConfig, size: int, first: int, count: int
+) -> Iterator[_Step]:
+    """`_warmup_step(..., i)` for i in first .. first + count - 1, in order.
 
     The worker is forked at the first read and stopped when the generator
     is closed or exhausted.  A worker that dies raises `GenerationError`.
     """
+    draw = functools.partial(_warmup_step, gen_cfg, word_vocab, cfg, size)
     cpus = _worker_cpus() if count else set()
     if not cpus:
-        for index in range(start, start + count):
-            yield sample_at(gen_cfg, index)
+        for index in range(first, first + count):
+            yield draw(index)
         return
     fork = multiprocessing.get_context("fork")
     recv, send = fork.Pipe(duplex=False)
     worker = fork.Process(
-        target=_produce, args=(recv, send, cpus, gen_cfg, start, count), daemon=True
+        target=_produce, args=(recv, send, cpus, draw, first, count), daemon=True
     )
     worker.start()
     send.close()  # the worker's end is its own, so its exit reads as EOF
     try:
-        for index in range(start, start + count):
+        for index in range(first, first + count):
             try:
                 item = recv.recv()
             except (EOFError, OSError) as exc:  # OSError: it died mid-message
                 raise GenerationError(
-                    f"the synthesis worker exited before sample {index}"
+                    f"the synthesis worker exited before sample {index * size} "
+                    f"(step {index + 1})"
                 ) from exc
             if isinstance(item, BaseException):
                 raise item
@@ -292,16 +379,20 @@ def warmup_stage(
             f"generator order length {gen_cfg.order_len} != model blocks {model.cfg.b}"
         )
     state = state if state is not None else TrainState.fresh(train_cfg.seed)
-    size = train_cfg.batch_size
-    stream = _warmup_samples(gen_cfg, state.warmup_done * size, train_cfg.warmup_steps * size)
+    stream = _warmup_steps(
+        gen_cfg,
+        model.word_vocab,
+        model.cfg,
+        train_cfg.batch_size,
+        state.warmup_done,
+        train_cfg.warmup_steps,
+    )
     losses: list[float] = []
     try:
-        for _ in range(train_cfg.warmup_steps):
-            samples = [next(stream) for _ in range(size)]
-            batch = [(s, s.order) for s in samples]
+        for packed in stream:
             losses.append(
                 _train_step(
-                    model, state, train_cfg, "warmup", state.warmup_done + 1, batch, _warmup_loss
+                    model, state, train_cfg, "warmup", state.warmup_done + 1, packed, _warmup_loss
                 )
             )
             state.warmup_done += 1
@@ -335,8 +426,9 @@ def main_stage(
     for _ in range(train_cfg.main_steps):
         picks = state.rng.integers(0, len(dataset), size=train_cfg.batch_size)
         batch = [(dataset[int(i)], orders[int(i)]) for i in picks]
+        packed = _pack_step(batch, "main", model.word_vocab, model.cfg)
         losses.append(
-            _train_step(model, state, train_cfg, "main", state.main_done + 1, batch, _main_loss)
+            _train_step(model, state, train_cfg, "main", state.main_done + 1, packed, _main_loss)
         )
         state.main_done += 1
         if on_eval and train_cfg.eval_every and state.main_done % train_cfg.eval_every == 0:
@@ -565,8 +657,10 @@ def full_model_grad_check(seed: int = 0) -> GradCheckReport:
     cfg = ModelConfig(d=8, b=2, n_heads=2, points_per_proposal=8, seed=seed)
     model = GroundingModel(cfg, sample.scene.vocab)
 
+    packed = _pack_step([(sample, sample.order)], "warmup", model.word_vocab, model.cfg)
+
     def loss_fn(p):
         out = model.forward(sample.scene, sample.order, sample.description, params=p)
-        return _warmup_loss(out, [sample]).total
+        return _warmup_loss(out, packed).total
 
     return grad_check(loss_fn, model.params)

@@ -16,6 +16,8 @@ from vigor.model import (
     encode_objects,
     encode_text,
     init_params,
+    pack_batch,
+    pack_text,
     sinusoid_positions,
     tokenize,
 )
@@ -162,7 +164,7 @@ def test_packed_text_encoder_matches_per_piece_passes(order):
     for packed in (True, False):
         p = m.trainable()
         if packed:
-            text = encode_text([tokens], order, p, m.word_vocab, m.cfg)
+            text = encode_text(pack_text([tokens], order, m.word_vocab, m.cfg), order, p, m.cfg)
             rows, names = tt.concat(text.sentences, text.words), text.order_features
         else:
             rows, names = encode_text_per_piece(m, p, tokens, order)
@@ -179,23 +181,30 @@ def test_packed_text_encoder_matches_per_piece_passes(order):
 def test_packed_text_encoder_rejects_empty_pieces():
     m = tiny_model(b=2)
     with pytest.raises(ContractError):
-        encode_text([tokenize(DESC)], ["door", "?!"], m.frozen(), m.word_vocab, m.cfg)
+        pack_text([tokenize(DESC)], ["door", "?!"], m.word_vocab, m.cfg)
     with pytest.raises(ContractError):
-        encode_text([tokenize(DESC), []], ORDER, m.frozen(), m.word_vocab, m.cfg)
+        pack_text([tokenize(DESC), []], ORDER, m.word_vocab, m.cfg)
     with pytest.raises(ContractError):
-        encode_text([], ORDER, m.frozen(), m.word_vocab, m.cfg)
+        pack_text([], ORDER, m.word_vocab, m.cfg)
     # a bare token list is a sequence of strings, not of descriptions
     with pytest.raises(ContractError):
-        encode_text(tokenize(DESC), ORDER, m.frozen(), m.word_vocab, m.cfg)
+        pack_text(tokenize(DESC), ORDER, m.word_vocab, m.cfg)
 
 
 # ---------------------------------------------------------------------------
 # object encoder
 
 
+def objects(m, scenes):
+    """F_1 of scenes, packed as a forward packs them."""
+    n = len(scenes)
+    batch = pack_batch(scenes, [ORDER] * n, [DESC] * n, m.word_vocab, m.cfg)
+    return encode_objects(batch, m.frozen(), m.cfg)
+
+
 def test_encode_objects_shape():
     m = tiny_model()
-    out = encode_objects([SCENE], m.frozen(), m.cfg)
+    out = objects(m, [SCENE])
     assert out.shape == (3, m.cfg.d)
 
 
@@ -203,8 +212,8 @@ def test_encode_objects_is_per_proposal():
     """Each row depends only on its own proposal, so rows permute cleanly."""
     m = tiny_model()
     perm = [2, 0, 1]
-    base = encode_objects([SCENE], m.frozen(), m.cfg).data
-    permuted = encode_objects([permute_scene(SCENE, perm)], m.frozen(), m.cfg).data
+    base = objects(m, [SCENE]).data
+    permuted = objects(m, [permute_scene(SCENE, perm)]).data
     assert np.array_equal(permuted, base[perm])
 
 
@@ -212,7 +221,7 @@ def test_resampling_handles_any_point_count():
     m = tiny_model(points=8)
     for n in (3, 8, 20):
         scene = make_scene([(0, 0, 0), (4, 0, 0)], [0, 1], n_points=n)
-        out = encode_objects([scene], m.frozen(), m.cfg)
+        out = objects(m, [scene])
         assert out.shape == (2, 8)
         assert np.isfinite(out.data).all()
 

@@ -5,14 +5,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from conftest import PARSE_CASES, transcript_records
 from vigor import orderparse
+from vigor.cli import main
 from vigor.errors import (
     ContractError,
     EmptyOrderError,
     EndpointError,
     OrderParseError,
+    VigorError,
 )
 from vigor.orderparse import (
     FIRST_STAGE_PREFIX,
@@ -297,3 +301,98 @@ def test_parsed_order_invariants():
     with pytest.raises(ContractError):
         ParsedOrder(names=("Chair",), source="rule")
     assert ParsedOrder(names=("a", "b"), source="rule").target == "b"
+
+
+# ---------------------------------------------------------------------------
+# mutated language-model replies
+
+# A key only stage-2 prompts hold, so a stage-2 reply is found whatever
+# summary a mutated stage-1 reply gives; listed first, so a summary that
+# repeats the description cannot reach the stage-1 record.
+STAGE2_KEY = "give me the anchor objects and the referential order"
+assert STAGE2_KEY in SECOND_STAGE_PREFIX and STAGE2_KEY not in FIRST_STAGE_PREFIX
+
+
+def drop_lines(keep):
+    return lambda reply: "\n".join(
+        line for line, k in zip(reply.split("\n"), keep + [True] * 8) if k
+    )
+
+
+def empty_field(i):
+    def mutate(reply):
+        lines = reply.split("\n")
+        key = lines[i % len(lines)].split(":")[0]
+        lines[i % len(lines)] = f"{key}:"
+        return "\n".join(lines)
+
+    return mutate
+
+
+def set_field(key, value):
+    return lambda reply: "\n".join(
+        f"{key}: {value}" if line.startswith(f"{key}:") else line for line in reply.split("\n")
+    )
+
+
+NAME = st.text(alphabet="abcdefghijklmnopqrstuvwxyz zq", min_size=1, max_size=12)
+MUTATIONS = st.one_of(
+    st.lists(st.booleans(), min_size=2, max_size=2).map(drop_lines),
+    st.integers(0, 1).map(empty_field),
+    st.text(alphabet="→->  ", max_size=12).map(lambda a: set_field("referential order", a)),
+    st.lists(NAME, min_size=1, max_size=5).map(
+        lambda names: set_field("referential order", "→".join(names))
+    ),
+    st.sampled_from(["target object", "summarized description", "referential order"]).flatmap(
+        lambda key: st.integers(1_000, 5_000).map(lambda n: set_field(key, "bed→" * n + "x"))
+    ),
+    st.text(max_size=200).map(lambda text: lambda reply: text),
+    st.text(max_size=40).map(lambda text: lambda reply: reply + "\n" + text),
+)
+
+
+def mutated_records(case, stage1_mutations, stage2_mutations):
+    (stage1, stage2) = transcript_records([case])
+    for mutate in stage1_mutations:
+        stage1["response"] = mutate(stage1["response"])
+    for mutate in stage2_mutations:
+        stage2["response"] = mutate(stage2["response"])
+    return [{**stage2, "request_substring": STAGE2_KEY}, stage1]
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.sampled_from(PARSE_CASES),
+    st.lists(MUTATIONS, max_size=2),
+    st.lists(MUTATIONS, max_size=2),
+)
+def test_a_mutated_reply_gives_an_order_or_a_package_error(
+    tmp_path, capsys, case, stage1_mutations, stage2_mutations
+):
+    """Dropped lines, emptied fields, arrows only, very long text, unknown
+    names: each reply pair yields an order or a `VigorError`, from the
+    client and from `vigor parse --parser llm` (exit 1, no traceback)."""
+    records = mutated_records(case, stage1_mutations, stage2_mutations)
+    try:
+        order = llm_two_stage_order(case["description"], transport=CannedTransport(records))
+    except VigorError as exc:
+        event(type(exc).__name__)
+        order = None
+    else:
+        event("order")
+        assert order.names and all(type(n) is str and n for n in order.names)
+
+    transcript = tmp_path / "transcript.jsonl"
+    transcript.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+    argv = ["parse", "--desc", case["description"], "--parser", "llm"]
+    code = main([*argv, "--transcript", str(transcript)])
+    out, err = capsys.readouterr()
+    if order is None:
+        assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+    else:
+        assert code == 0 and out == "→".join(order.names) + "\n"

@@ -109,10 +109,18 @@ def attention_oracle(q, k, v, n_heads):
     return out
 
 
+def layout_of(segments, key_segments):
+    """The layout of ids, as a caller builds it; None without ids."""
+    if segments is None and key_segments is None:
+        return None
+    return T.AttentionLayout(segments, key_segments)
+
+
 def attention(q, k, v, n_heads, segments=None, key_segments=None):
     """The core `T._attention`, that `attention_sublayer` runs forward and
     backward, recorded as a tape op of its own so q, k and v can be traced."""
-    data, back = T._attention(q.data, k.data, v.data, n_heads, segments, key_segments)
+    layout = layout_of(segments, key_segments)
+    data, back = T._attention(q.data, k.data, v.data, n_heads, layout)
     out = T.Tensor(data)
     if T._traced(q, k, v):
 
@@ -653,7 +661,7 @@ def sublayer_chain(x, kv, p, n_heads, segments=None, key_segments=None):
 
 def sublayer_op(x, kv, p, n_heads, segments=None, key_segments=None):
     params = (p[name] for name in SUBLAYER_PARAMS)
-    return T.attention_sublayer(x, kv, *params, n_heads, segments, key_segments)
+    return T.attention_sublayer(x, kv, *params, n_heads, layout_of(segments, key_segments))
 
 
 def mlp2_chain(x, w1, b1, w2, b2):

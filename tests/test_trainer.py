@@ -1,6 +1,7 @@
 """Tests for the two-stage trainer and the checkpoint format."""
 
 import copy
+import math
 import multiprocessing
 import os
 import signal
@@ -145,14 +146,16 @@ def test_warmup_eval_callback_fires():
 
 
 # ---------------------------------------------------------------------------
-# the warm-up sample stream
+# the warm-up step stream
 
 forking = pytest.mark.skipif(not hasattr(os, "fork"), reason="the stream forks a worker")
 
 
 @pytest.fixture
-def cpus(monkeypatch):
-    """Set how many CPUs the stream sees, so both of its paths run here."""
+def cpus(monkeypatch, tmp_path):
+    """Set how many CPUs the stream sees, with no cgroup CPU quota, so both
+    of its paths run here."""
+    monkeypatch.setattr(trainer, "_CGROUP_ROOT", str(tmp_path / "no-cgroup"))
 
     def set_cpus(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
@@ -160,16 +163,42 @@ def cpus(monkeypatch):
     return set_cpus
 
 
-def same_sample(a, b):
-    """Equal bit for bit: text, chain, ids, and every array's dtype and bytes."""
-    sa, sb = a.scene, b.scene
-    return (
-        (a.description, a.order, a.anchor_target_ids, a.relation)
-        == (b.description, b.order, b.anchor_target_ids, b.relation)
-        and (sa.scene_id, sa.vocab) == (sb.scene_id, sb.vocab)
-        and [(x.dtype, x.shape, x.tobytes()) for x in (sa.class_ids, sa.centers, *sa.points)]
-        == [(x.dtype, x.shape, x.tobytes()) for x in (sb.class_ids, sb.centers, *sb.points)]
-    )
+def flat(x):
+    """A packed step as nested lists: every array by dtype, shape and bytes,
+    every dataclass and layout by its fields in order."""
+    if isinstance(x, np.ndarray):
+        return ("array", x.dtype.str, x.shape, x.tobytes())
+    if isinstance(x, T.AttentionLayout):
+        return ("layout", [flat(getattr(x, name)) for name in T.AttentionLayout.__slots__])
+    if hasattr(x, "__dataclass_fields__"):
+        return (type(x).__name__, [flat(getattr(x, f.name)) for f in fields(x)])
+    if isinstance(x, dict):
+        return ("dict", [(k, flat(v)) for k, v in x.items()])
+    if isinstance(x, (list, tuple)):
+        return (type(x).__name__, [flat(v) for v in x])
+    return (type(x).__name__, x)
+
+
+def same_step(a, b):
+    """Equal bit for bit: every array's dtype and bytes, every name and id."""
+    return flat(a) == flat(b)
+
+
+def stream(start, count, size=3, gen=GEN, cfg=None):
+    """The warm-up stream of `tiny_model`'s steps `start` onward."""
+    model = tiny_model()
+    return trainer._warmup_steps(gen, model.word_vocab, cfg or model.cfg, size, start, count)
+
+
+def packed_steps(start, count, size=3):
+    """Steps packed in-process from `sample_at`, as the trainer packs them."""
+    model = tiny_model()
+    steps = []
+    for index in range(start, start + count):
+        samples = [sample_at(GEN, i) for i in range(index * size, (index + 1) * size)]
+        batch = [(s, s.order) for s in samples]
+        steps.append(trainer._pack_step(batch, "warmup", model.word_vocab, model.cfg))
+    return steps
 
 
 def run_end(model, state):
@@ -190,13 +219,13 @@ def same_end(a, b):
 @pytest.mark.parametrize("start", [0, 6])
 def test_stream_is_sample_at_in_index_order(cpus, start):
     cpus(2)
-    stream = trainer._warmup_samples(GEN, start, 10)
-    got = [next(stream)]
+    steps = stream(start, 10)
+    got = [next(steps)]
     assert len(multiprocessing.active_children()) == 1  # one worker draws them
-    got += list(stream)
+    got += list(steps)
     assert multiprocessing.active_children() == []
-    want = [sample_at(GEN, i) for i in range(start, start + 10)]
-    assert len(got) == len(want) and all(map(same_sample, got, want))
+    want = packed_steps(start, 10)
+    assert len(got) == len(want) and all(map(same_step, got, want))
 
 
 @pytest.mark.parametrize("without", ["second CPU", "fork"])
@@ -207,10 +236,10 @@ def test_stream_falls_back_to_the_same_draws_in_process(cpus, monkeypatch, witho
     else:
         cpus(1)
     got = []
-    for sample in trainer._warmup_samples(GEN, 3, 6):
+    for step in stream(3, 6):
         assert multiprocessing.active_children() == []
-        got.append(sample)
-    assert all(map(same_sample, got, [sample_at(GEN, i) for i in range(3, 9)]))
+        got.append(step)
+    assert all(map(same_step, got, packed_steps(3, 6)))
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="Linux affinity")
@@ -218,17 +247,63 @@ def test_the_worker_is_pinned_off_the_trainers_cpu(monkeypatch):
     cpus = os.sched_getaffinity(0)
     here = trainer._current_cpu()
     assert here in cpus
-    if len(cpus) < 2:
+    if len(cpus) < 2 or trainer._cpu_quota() < 2:
         assert trainer._worker_cpus() == set()
         return
     monkeypatch.setattr(trainer, "_current_cpu", lambda: here)
     assert trainer._worker_cpus() == cpus - {here}
-    stream = trainer._warmup_samples(GEN, 0, 3)
-    next(stream)
+    steps = stream(0, 3)
+    next(steps)
     (worker,) = multiprocessing.active_children()
     assert os.sched_getaffinity(worker.pid) == cpus - {here}
-    stream.close()
+    steps.close()
     assert multiprocessing.active_children() == []
+
+
+def write_cgroup(root, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
+V1 = ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")
+
+
+@pytest.mark.parametrize(
+    "files, quota",
+    [
+        ({}, math.inf),
+        ({"cpu.max": "max 100000\n"}, math.inf),
+        ({"cpu.max": "150000 100000\n"}, 1.5),
+        ({"cpu.max": "200000 100000\n"}, 2.0),
+        ({V1[0]: "-1\n", V1[1]: "100000\n"}, math.inf),
+        ({V1[0]: "50000\n", V1[1]: "100000\n"}, 0.5),
+        ({V1[0]: "400000\n", V1[1]: "100000\n"}, 4.0),
+        ({V1[0]: "50000\n"}, math.inf),  # no period: unreadable, so no quota
+        ({"cpu.max": "garbled\n"}, math.inf),
+        ({"cpu.max": "0 100000\n"}, math.inf),
+    ],
+    ids=[
+        "none", "v2-max", "v2-1.5", "v2-2", "v1-unlimited", "v1-0.5", "v1-4",
+        "v1-no-period", "v2-garbled", "v2-zero",
+    ],
+)
+def test_the_cpu_quota_decides_the_path_with_the_affinity(
+    cpus, monkeypatch, tmp_path, files, quota
+):
+    """Below two CPUs of quota a worker could only take turns with the
+    trainer, so the steps are built in-process even on two CPUs."""
+    cpus(2)
+    root = tmp_path / "cgroup"
+    write_cgroup(root, files)
+    monkeypatch.setattr(trainer, "_CGROUP_ROOT", str(root))
+    assert trainer._cpu_quota() == quota
+    assert bool(trainer._worker_cpus()) == (quota >= 2)
+    if quota < 2:
+        got = list(stream(0, 2))
+        assert multiprocessing.active_children() == []
+        assert all(map(same_step, got, packed_steps(0, 2)))
 
 
 @forking
@@ -244,6 +319,53 @@ def test_resumed_warmup_trains_as_the_in_process_draws_do(cpus):
     (losses_fork, end_fork), (losses_serial, end_serial) = ends
     assert losses_fork == losses_serial and same_end(end_fork, end_serial)
     assert end_fork[0] == 4
+
+
+@forking
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_worker_packed_step_equals_the_in_process_one(cpus, n):
+    """A step packed by the worker (two CPUs) or in-process (one) equals
+    `pack_batch` on the samples, and forwards as `forward_batch` does."""
+    cpus(n)
+    got = list(stream(0, 3, size=4))
+    assert all(map(same_step, got, packed_steps(0, 3, size=4)))
+    model = tiny_model(seed=2)
+    samples = [sample_at(GEN, i) for i in range(4, 8)]
+    want = model.forward_batch(
+        [s.scene for s in samples], [s.order for s in samples], [s.description for s in samples]
+    )
+    step = got[1]
+    out = model.forward_packed(step.batch, model.masks(step.batch, step.labels))
+    for name in ("scores", "block_scores", "mask_logits", "coord_pred", "text_class_logits"):
+        assert np.array_equal(getattr(out, name).data, getattr(want, name).data), name
+    assert np.array_equal(out.masks, want.masks)
+
+
+@forking
+@pytest.mark.parametrize("n", [1, 2])
+def test_layouts_are_built_once_per_distinct_id_pair(cpus, monkeypatch, n):
+    """A step of S >= 2 samples and B blocks has 2 + 3B distinct (query ids,
+    key ids) pairs: the text pieces, the proposals' self-attention, and
+    each block's low, up and fuse branches.  Each is built once, and the
+    two text layers and the B self-attentions read one layout each."""
+    cpus(n)
+    builds = multiprocessing.get_context("fork").Value("i", 0)
+    real = T.AttentionLayout.__init__
+
+    def spy(self, *args):
+        with builds.get_lock():
+            builds.value += 1
+        real(self, *args)
+
+    monkeypatch.setattr(T.AttentionLayout, "__init__", spy)
+    b, steps = tiny_model().cfg.b, 4
+    got = list(stream(0, steps))
+    assert multiprocessing.active_children() == []
+    assert builds.value == steps * (2 + 3 * b)
+    for step in got:
+        layouts = [step.batch.text.layout, *(l for block in step.batch.layouts for l in block)]
+        assert len({id(l) for l in layouts}) == 2 + 3 * b
+        assert len({id(block[0]) for block in step.batch.layouts}) == 1
 
 
 def fail_at(monkeypatch, bad, error):
@@ -276,6 +398,34 @@ def test_a_draw_error_lands_on_its_step_with_the_serial_state(cpus, monkeypatch)
     assert same_end(*ends)
 
 
+@forking
+def test_a_packing_error_lands_on_its_step_with_the_serial_state(cpus, monkeypatch):
+    """A sample whose order has a name without tokens fails to pack; the
+    error is raised at its step, after the steps before it, and label noise
+    leaves the rng where the in-process loop leaves it."""
+    bad = 7
+    real = trainer.sample_at
+
+    def unpackable(cfg, index):
+        sample = real(cfg, index)
+        if index == bad:
+            sample = replace(sample, order=[sample.order[0], "?!"])
+        return sample
+
+    monkeypatch.setattr(trainer, "sample_at", unpackable)
+    cfg = TrainConfig(warmup_steps=5, batch_size=3, seed=0, label_noise=0.3)
+    ends = []
+    for n in (2, 1):
+        cpus(n)
+        model, state = tiny_model(), TrainState.fresh(0)
+        with pytest.raises(ContractError, match="has no tokens"):
+            warmup_stage(model, GEN, cfg, state)
+        assert multiprocessing.active_children() == []
+        ends.append(run_end(model, state))
+    assert ends[0][0] == bad // cfg.batch_size
+    assert same_end(*ends)
+
+
 class Unpicklable(Exception):
     def __reduce__(self):
         raise TypeError("cannot pickle")
@@ -285,10 +435,11 @@ class Unpicklable(Exception):
 def test_a_draw_error_that_does_not_pickle_ends_the_stream_at_its_sample(cpus, monkeypatch):
     cpus(2)
     fail_at(monkeypatch, 2, Unpicklable("odd"))
-    stream = trainer._warmup_samples(GEN, 0, 5)
-    assert [next(stream).scene.scene_id for _ in range(2)] == ["scene-11-0", "scene-11-1"]
+    steps = stream(0, 5, size=1)
+    got = [next(steps) for _ in range(2)]
+    assert all(map(same_step, got, packed_steps(0, 2, size=1)))
     with pytest.raises(GenerationError, match="exited before sample 2"):
-        next(stream)
+        next(steps)
     assert multiprocessing.active_children() == []
 
 
@@ -309,12 +460,34 @@ def test_a_raising_step_or_callback_stops_the_worker(cpus, monkeypatch, where):
 
 
 @forking
-@pytest.mark.parametrize("points", [6, 256])  # 256: a sample outgrows the pipe's buffer
+def test_ctrl_c_stops_the_worker_and_the_worker_ignores_it(cpus):
+    """Ctrl-C reaches the whole process group: the worker keeps sending,
+    and the trainer's KeyboardInterrupt stops it."""
+    cpus(2)
+    seen = []
+
+    def interrupt(step, model):
+        seen.append(step)
+        (worker,) = multiprocessing.active_children()
+        os.kill(worker.pid, signal.SIGINT)
+        if step == 3:
+            os.kill(os.getpid(), signal.SIGINT)
+
+    cfg = TrainConfig(warmup_steps=50, batch_size=2, eval_every=1)
+    with pytest.raises(KeyboardInterrupt):
+        warmup_stage(tiny_model(), GEN, cfg, on_eval=interrupt)
+    assert seen == [1, 2, 3]
+    assert multiprocessing.active_children() == []
+
+
+@forking
+@pytest.mark.parametrize("points", [6, 256])  # 256: a step outgrows the pipe's buffer
 def test_a_killed_worker_raises_instead_of_hanging(cpus, points):
     cpus(2)
-    stream = trainer._warmup_samples(replace(GEN, points_per_proposal=points), 0, 10_000)
-    next(stream)
-    time.sleep(0.2)  # the worker fills the pipe, with a sample cut short at 256
+    cfg = replace(tiny_model().cfg, points_per_proposal=points)
+    steps = stream(0, 10_000, size=2, gen=replace(GEN, points_per_proposal=points), cfg=cfg)
+    next(steps)
+    time.sleep(0.2)  # the worker fills the pipe, with a step cut short at 256
     (worker,) = multiprocessing.active_children()
     os.kill(worker.pid, signal.SIGKILL)
 
@@ -325,7 +498,7 @@ def test_a_killed_worker_raises_instead_of_hanging(cpus, points):
     signal.setitimer(signal.ITIMER_REAL, 10.0)
     try:
         with pytest.raises(GenerationError, match="exited before sample"):
-            for _ in stream:
+            for _ in steps:
                 pass
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
@@ -470,7 +643,7 @@ def parent_flat_gradient(model, batch, loss_fn, weights):
         [item.description for item in items],
         params=leaves,
     )
-    grads = T.backward(loss_fn(out, items, weights).total, leaves)
+    grads = T.backward(loss_fn(out, step_of(model, batch, loss_fn), weights).total, leaves)
     return np.concatenate([g.reshape(-1) for g in grads.values()])
 
 
@@ -486,7 +659,7 @@ def test_a_step_leaves_its_flat_gradient_in_params_grad(stage):
     cfg = TrainConfig(batch_size=len(batch))
     for step in (1, 2):
         want = parent_flat_gradient(model, batch, loss_fn, cfg.weights)
-        trainer._train_step(model, state, cfg, stage, step, batch, loss_fn)
+        trainer._train_step(model, state, cfg, stage, step, step_of(model, batch, loss_fn), loss_fn)
         assert np.array_equal(model.params.grad, want)
         assert model.params.grad.any()
 
@@ -1063,6 +1236,12 @@ class SampleView:
         self.masks = out.masks[rows]
 
 
+def step_of(model, batch, loss_fn):
+    """(item, order) pairs packed as the stage of `loss_fn` packs them."""
+    stage = "warmup" if loss_fn is trainer._warmup_loss else "main"
+    return trainer._pack_step(batch, stage, model.word_vocab, model.cfg)
+
+
 def mixed_batch():
     """Four samples of 3 to 7 proposals whose orders repeat names within
     and across samples."""
@@ -1078,7 +1257,10 @@ def test_packed_step_matches_per_sample_reference(stage, monkeypatch):
     assert len({len(s.scene) for s in samples}) > 1
     model = tiny_model(seed=3)
     rng = np.random.default_rng(7)
-    labels = [trainer._maybe_noisy_labels(s.scene, 0.4, rng) for s in samples]
+    labels = [
+        trainer._maybe_noisy_labels(s.scene.class_ids, len(s.scene.vocab), 0.4, rng)
+        for s in samples
+    ]
     assert any(not np.array_equal(l, s.scene.class_ids) for l, s in zip(labels, samples))
     loss_fn = trainer._warmup_loss if stage == "warmup" else trainer._main_loss
     # every segmented attention dense, then every one padded
@@ -1091,7 +1273,7 @@ def check_packed_step(model, samples, orders, labels, stage, loss_fn):
     leaves = model.trainable()
     scenes, descriptions = [s.scene for s in samples], [s.description for s in samples]
     out = model.forward_batch(scenes, orders, descriptions, params=leaves, labels=labels)
-    packed = loss_fn(out, samples, WEIGHTS)
+    packed = loss_fn(out, step_of(model, list(zip(samples, orders)), loss_fn), WEIGHTS)
     packed_values = packed.values()
     views = [SampleView(out, s) for s in range(len(samples))]  # every head, before backward
     packed_grads = T.backward(packed.total, leaves)
@@ -1131,7 +1313,7 @@ def test_only_the_warmup_loss_supervises_the_offsets():
     for loss_fn in (trainer._warmup_loss, trainer._main_loss):
         leaves = model.trainable()
         out = model.forward_batch(scenes, orders, descriptions, params=leaves)
-        packed = loss_fn(out, samples, WEIGHTS)
+        packed = loss_fn(out, step_of(model, list(zip(samples, orders)), loss_fn), WEIGHTS)
         grads = T.backward(packed.total, leaves)
         coord = {name: g for name, g in grads.items() if name.startswith("head.coord")}
         assert len(coord) == 4 * model.cfg.b  # two linear layers, weight and bias
@@ -1161,8 +1343,9 @@ def test_a_step_builds_only_the_heads_its_loss_reads(stage, want, built_heads):
     samples, orders = mixed_batch()
     loss_fn = trainer._warmup_loss if stage == "warmup" else trainer._main_loss
     cfg = TrainConfig(batch_size=len(samples))
-    batch = list(zip(samples, orders))
-    trainer._train_step(tiny_model(), TrainState.fresh(0), cfg, stage, 1, batch, loss_fn)
+    model = tiny_model()
+    step = step_of(model, list(zip(samples, orders)), loss_fn)
+    trainer._train_step(model, TrainState.fresh(0), cfg, stage, 1, step, loss_fn)
     assert built_heads == want
     assert len(T._TAPE) == 0  # every head was read before backward
 
@@ -1172,18 +1355,20 @@ def test_packed_step_draws_label_noise_per_sample_in_batch_order():
     model, state = tiny_model(), TrainState.fresh(5)
     cfg = TrainConfig(batch_size=len(samples), label_noise=0.5, seed=5)
     seen = []
-    real = model.forward_batch
+    real = model.masks
 
-    def spy(*args, **kwargs):
-        seen.append(kwargs["labels"])
-        return real(*args, **kwargs)
+    def spy(batch, labels):
+        seen.append(labels)
+        return real(batch, labels)
 
-    model.forward_batch = spy
-    trainer._train_step(
-        model, state, cfg, "warmup", 1, list(zip(samples, orders)), trainer._warmup_loss
-    )
+    model.masks = spy
+    step = step_of(model, list(zip(samples, orders)), trainer._warmup_loss)
+    trainer._train_step(model, state, cfg, "warmup", 1, step, trainer._warmup_loss)
     rng = np.random.default_rng(5)
-    want = [trainer._maybe_noisy_labels(s.scene, 0.5, rng) for s in samples]
+    want = [
+        trainer._maybe_noisy_labels(s.scene.class_ids, len(s.scene.vocab), 0.5, rng)
+        for s in samples
+    ]
     assert [[l.tolist() for l in labels] for labels in seen] == [[l.tolist() for l in want]]
     assert state.rng.bit_generator.state == rng.bit_generator.state
 
