@@ -12,7 +12,7 @@ an item whose description the parser cannot read counts as a miss in the
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -95,17 +95,7 @@ class EvalReport:
                 raise ContractError(f"{family} buckets do not partition the dataset")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "overall": self.overall,
-                "count": self.count,
-                "subsets": self.subsets,
-                "config": self.config,
-                "parse_failures": self.parse_failures,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def accuracy(

@@ -1,9 +1,10 @@
 """Training objectives and their weighted total.
 
 Each loss computes what it is given: `loss_ref` averages over whatever
-score columns it is handed, and `compose` weights the three or four parts
-it is handed.  Which parts are supervised, and when, is `vigor.trainer`'s
-decision alone.
+score columns it is handed, and `compose` weighs each part of the name ->
+loss mapping it is handed by the `LossWeights` field of that name.  Which
+parts are supervised, and when, is `vigor.trainer`'s decision alone; a new
+part is one `LossWeights` field and one entry in a stage's mapping.
 
 Per-block values arrive as one matrix with a column (a group of three
 columns for offsets) per block, so each loss is one op chain over the
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -54,29 +55,17 @@ class LossWeights:
 
 @dataclass
 class LossBreakdown:
-    l_ref: Tensor
-    l_mask: Tensor
-    l_text: Tensor
-    l_crd: Tensor | None
+    parts: dict[str, Tensor]  # by name, in compose order
     total: Tensor
 
     def __post_init__(self):
-        for name in ("l_ref", "l_mask", "l_text", "l_crd"):
-            t = getattr(self, name)
-            if t is not None and t.item() < 0.0:
-                raise ContractError(f"{name} must be nonnegative, got {t.item()}")
+        for name, t in self.parts.items():
+            if t.item() < 0.0:
+                raise ContractError(f"loss part {name} must be nonnegative, got {t.item()}")
 
     def values(self) -> dict[str, float]:
-        """Plain floats for logging."""
-        out = {
-            "l_ref": self.l_ref.item(),
-            "l_mask": self.l_mask.item(),
-            "l_text": self.l_text.item(),
-            "total": self.total.item(),
-        }
-        if self.l_crd is not None:
-            out["l_crd"] = self.l_crd.item()
-        return out
+        """Plain floats for logging: each part by name, then the total."""
+        return {**{name: t.item() for name, t in self.parts.items()}, "total": self.total.item()}
 
 
 def _sample_ids(segments, rows: int) -> np.ndarray:
@@ -188,19 +177,11 @@ def loss_text(text_class_logits: Tensor, target_class_id) -> Tensor:
     return tt.cross_entropy(text_class_logits, targets, axis=1)
 
 
-def compose(
-    l_ref: Tensor,
-    l_mask: Tensor,
-    l_text: Tensor,
-    l_crd: Tensor | None = None,
-    weights: LossWeights = LossWeights(),
-) -> LossBreakdown:
-    """Weighted total of the parts given; `l_crd` None leaves it out."""
-    parts = [l_ref, l_mask, l_text]
-    w = [weights.w_ref, weights.w_mask, weights.w_text]
-    if l_crd is not None:
-        parts.append(l_crd)
-        w.append(weights.w_crd)
+def compose(parts: Mapping[str, Tensor], weights: LossWeights = LossWeights()) -> LossBreakdown:
+    """Weighted total of the named parts: part `name` weighs `weights.w_<name>`."""
+    w = [getattr(weights, f"w_{name}", None) for name in parts]
+    if not parts or None in w:
+        raise ContractError(f"loss parts {list(parts)} must be nonempty, each with a weight")
     # One 1 x n row of components times the n x 1 weight column.
-    total = tt.matmul(tt.concat(*parts, axis=1), tt.constant(np.reshape(w, (-1, 1))))
-    return LossBreakdown(l_ref=l_ref, l_mask=l_mask, l_text=l_text, l_crd=l_crd, total=total)
+    total = tt.matmul(tt.concat(*parts.values(), axis=1), tt.constant(np.reshape(w, (-1, 1))))
+    return LossBreakdown(dict(parts), total)

@@ -56,7 +56,6 @@ __all__ = [
     "PackedBatch",
     "HeadOutputs",
     "GroundingModel",
-    "tokenize",
     "pack_text",
     "pack_batch",
     "encode_text",
@@ -137,15 +136,6 @@ class TextFeatures:
     sentences: Tensor  # S x d
     words: Tensor  # (sum of token counts) x d
     order_features: Tensor  # one row per order name
-    token_counts: tuple[int, ...]  # words per description
-
-    def __post_init__(self):
-        if self.sentences.shape[0] != self.samples or self.words.shape[0] != sum(self.token_counts):
-            raise ContractError("text needs one sentence row and its word rows per description")
-
-    @property
-    def samples(self) -> int:
-        return len(self.token_counts)
 
 
 @dataclass
@@ -442,13 +432,10 @@ def encode_text(
     for layer in range(2):
         x = _encoder_layer(params, f"txt{layer}", x, cfg.n_heads, text.layout)
     pooled = tt.matmul(tt.constant(text.averaging), x)
-    counts = text.token_counts
-    s = len(counts)
     return TextFeatures(
-        sentences=tt.slice_rows(pooled, 0, s),
-        words=tt.slice_rows(x, 0, sum(counts)),
+        sentences=tt.slice_rows(pooled, 0, len(text.token_counts)),
+        words=tt.slice_rows(x, 0, sum(text.token_counts)),
         order_features=tt.take_rows(pooled, [text.slots[name] for name in order_names]),
-        token_counts=counts,
     )
 
 
@@ -555,7 +542,7 @@ def fe_forward(
     """
     if not 0 <= block < cfg.b:
         raise ContractError(f"block index {block} outside 0..{cfg.b - 1}")
-    n = text.samples
+    n = text.sentences.shape[0]  # samples
     if (layouts is None) != (n == 1):
         raise ContractError("one sample takes no attention layouts, and more need them")
     own, low, up, fuse = layouts or (None, None, None, None)
@@ -657,11 +644,19 @@ class GroundingModel:
         labels: Sequence[Sequence[int]] | None = None,
     ) -> HeadOutputs:
         """Run S samples as one packed graph: `pack_batch`, the masks of
-        `labels` (the scenes' class ids by default), `forward_packed`."""
+        `labels` (the scenes' class ids by default), `forward_packed`.  The
+        scenes' labels must be in the model's class vocabulary."""
+        self.check_vocab([scene.vocab for scene in scenes], "a scene's")
         batch = pack_batch(scenes, orders, descriptions, self.word_vocab, self.cfg)
         if labels is None:
             labels = [scene.class_ids for scene in scenes]
         return self.forward_packed(batch, self.masks(batch, labels), params)
+
+    def check_vocab(self, vocabs: Sequence[ClassVocab], whose: str) -> None:
+        """Refuse class ids from any vocabulary but the model's own: its text
+        head and its masks would read them as other classes."""
+        if any(vocab != self.class_vocab for vocab in vocabs):
+            raise ContractError(f"{whose} class vocabulary is not the model's")
 
     def masks(self, batch: PackedBatch, labels: Sequence[Sequence[int]]) -> np.ndarray:
         """The K x B relevance masks of a packed batch under `labels`, one

@@ -13,7 +13,8 @@ points, token ids, attention layouts) and keeps what the losses read of
 each sample.  The step itself draws the label noise, builds the masks, and
 runs one forward through `GroundingModel.forward_packed`, one call of
 each loss over the packed rows (each loss sums its per-sample values),
-one `compose` and one backward.
+one `compose` of the stage's parts by name and one backward.  Both stages
+run their steps through one loop, which counts them and calls `on_eval`.
 
 Warm-up steps are synthesized and packed ahead of training by one worker
 process, forked when the stage starts and pinned off the trainer's CPU,
@@ -54,7 +55,7 @@ from .model import GroundingModel, HeadOutputs, ModelConfig, PackedBatch, WordVo
 from .model import pack_batch, param_layout
 from .orderparse import order_names, trim_pad
 from .scene import ClassVocab
-from .synthgen import GenConfig, sample_at
+from .synthgen import GenConfig, default_vocab, sample_at
 from .tensor import AdamState, FlatParams, GradCheckReport, adam_step, backward, grad_check
 
 __all__ = [
@@ -141,8 +142,7 @@ class _Step:
     and what the label noise and the losses read of each sample."""
 
     batch: PackedBatch
-    labels: list[np.ndarray]  # class ids
-    n_classes: list[int]  # class vocabulary size
+    labels: list[np.ndarray]  # class ids in the model's class vocabulary
     targets: list[list[int]]  # supervised ids, target last
 
 
@@ -166,7 +166,6 @@ def _pack_step(
             scenes, [order for _, order in batch], [it.description for it in items], word_vocab, cfg
         ),
         [scene.class_ids for scene in scenes],
-        [len(scene.vocab) for scene in scenes],
         targets,
     )
 
@@ -180,21 +179,25 @@ def _warmup_loss(
 ) -> LossBreakdown:
     """Every block supervised: anchors, masks, sentence class, offsets."""
     return compose(
-        loss_ref(out.block_scores, step.targets, out.segments),
-        loss_mask(out.mask_logits, out.masks, out.segments),
-        loss_text(out.text_class_logits, _target_classes(step)),
-        loss_crd(out.coord_pred, step.batch.centers, step.targets, out.segments),
-        weights=weights,
+        {
+            "ref": loss_ref(out.block_scores, step.targets, out.segments),
+            "mask": loss_mask(out.mask_logits, out.masks, out.segments),
+            "text": loss_text(out.text_class_logits, _target_classes(step)),
+            "crd": loss_crd(out.coord_pred, step.batch.centers, step.targets, out.segments),
+        },
+        weights,
     )
 
 
 def _main_loss(out: HeadOutputs, step: _Step, weights: LossWeights) -> LossBreakdown:
     """Target only: reference, mask, and sentence class; no offsets."""
     return compose(
-        loss_ref(out.scores, step.targets, out.segments),
-        loss_mask(out.mask_logits, out.masks, out.segments),
-        loss_text(out.text_class_logits, _target_classes(step)),
-        weights=weights,
+        {
+            "ref": loss_ref(out.scores, step.targets, out.segments),
+            "mask": loss_mask(out.mask_logits, out.masks, out.segments),
+            "text": loss_text(out.text_class_logits, _target_classes(step)),
+        },
+        weights,
     )
 
 
@@ -211,7 +214,8 @@ def _train_step(
 
     The batch runs as one packed graph: one forward, one loss whose total
     is the sum of the samples' totals, one backward.  Label noise is drawn
-    from `state.rng` per sample, in batch order, and the masks are built
+    from `state.rng` per sample, in batch order, over the model's class
+    vocabulary (the stages refuse labels of any other), and the masks are built
     from the noisy labels.  A non-finite loss or gradient raises before
     the update, leaving the parameters, Adam's moments and its step count
     as they were (a first step may have allocated the moments, as zeros).
@@ -221,11 +225,8 @@ def _train_step(
     # graph's memory, which would keep it from being returned (peak RSS).
     state.adam.moments(model.params)
     leaves = model.trainable()
-    noise = train_cfg.label_noise
-    labels = [
-        _maybe_noisy_labels(ids, n, noise, state.rng)
-        for ids, n in zip(packed.labels, packed.n_classes)
-    ]
+    n_classes, noise = len(model.class_vocab), train_cfg.label_noise
+    labels = [_maybe_noisy_labels(ids, n_classes, noise, state.rng) for ids in packed.labels]
     out = model.forward_packed(packed.batch, model.masks(packed.batch, labels), leaves)
     batch_total = batch_loss(out, packed, train_cfg.weights).total
     backward(batch_total)
@@ -366,6 +367,28 @@ def _warmup_steps(
         worker.join()
 
 
+def _run_stage(
+    model: GroundingModel,
+    state: TrainState,
+    train_cfg: TrainConfig,
+    stage: str,
+    steps: Iterator[_Step],
+    batch_loss: Callable[[HeadOutputs, _Step, LossWeights], LossBreakdown],
+    on_eval: Callable[[int, GroundingModel], None] | None,
+) -> StageReport:
+    """Train on each packed step in turn, counting it in `state.<stage>_done`
+    and calling `on_eval` every `eval_every` steps of that count."""
+    counter = f"{stage}_done"
+    losses: list[float] = []
+    for packed in steps:
+        done = getattr(state, counter) + 1
+        losses.append(_train_step(model, state, train_cfg, stage, done, packed, batch_loss))
+        setattr(state, counter, done)
+        if on_eval and train_cfg.eval_every and done % train_cfg.eval_every == 0:
+            on_eval(done, model)
+    return StageReport(stage=stage, losses=losses)
+
+
 def warmup_stage(
     model: GroundingModel,
     gen_cfg: GenConfig,
@@ -378,6 +401,7 @@ def warmup_stage(
         raise ContractError(
             f"generator order length {gen_cfg.order_len} != model blocks {model.cfg.b}"
         )
+    model.check_vocab([default_vocab(gen_cfg.class_vocab_size)], "the generator's")
     state = state if state is not None else TrainState.fresh(train_cfg.seed)
     stream = _warmup_steps(
         gen_cfg,
@@ -387,20 +411,9 @@ def warmup_stage(
         state.warmup_done,
         train_cfg.warmup_steps,
     )
-    losses: list[float] = []
-    try:
-        for packed in stream:
-            losses.append(
-                _train_step(
-                    model, state, train_cfg, "warmup", state.warmup_done + 1, packed, _warmup_loss
-                )
-            )
-            state.warmup_done += 1
-            if on_eval and train_cfg.eval_every and state.warmup_done % train_cfg.eval_every == 0:
-                on_eval(state.warmup_done, model)
-    finally:
-        stream.close()
-    return StageReport(stage="warmup", losses=losses), state
+    with contextlib.closing(stream):
+        report = _run_stage(model, state, train_cfg, "warmup", stream, _warmup_loss, on_eval)
+    return report, state
 
 
 def main_stage(
@@ -416,24 +429,23 @@ def main_stage(
     `dataset` items carry a scene, a description, and a `target_id`.
     `parser` maps a description to an order (class names, target last);
     results are normalized to the model's block count with trim_pad and
-    cached, so each description is parsed once.
+    cached, so each description is parsed once.  Each step's picks are
+    drawn from `state.rng` when the step starts, after the previous step's
+    label noise.
     """
     if not dataset:
         raise ContractError("main stage needs a nonempty dataset")
+    model.check_vocab([item.scene.vocab for item in dataset], "a dataset scene's")
     state = state if state is not None else TrainState.fresh(train_cfg.seed)
     orders = [trim_pad(order_names(parser(item.description)), model.cfg.b) for item in dataset]
-    losses: list[float] = []
-    for _ in range(train_cfg.main_steps):
-        picks = state.rng.integers(0, len(dataset), size=train_cfg.batch_size)
-        batch = [(dataset[int(i)], orders[int(i)]) for i in picks]
-        packed = _pack_step(batch, "main", model.word_vocab, model.cfg)
-        losses.append(
-            _train_step(model, state, train_cfg, "main", state.main_done + 1, packed, _main_loss)
-        )
-        state.main_done += 1
-        if on_eval and train_cfg.eval_every and state.main_done % train_cfg.eval_every == 0:
-            on_eval(state.main_done, model)
-    return StageReport(stage="main", losses=losses), state
+
+    def steps() -> Iterator[_Step]:
+        for _ in range(train_cfg.main_steps):
+            picks = state.rng.integers(0, len(dataset), size=train_cfg.batch_size)
+            batch = [(dataset[int(i)], orders[int(i)]) for i in picks]
+            yield _pack_step(batch, "main", model.word_vocab, model.cfg)
+
+    return _run_stage(model, state, train_cfg, "main", steps(), _main_loss, on_eval), state
 
 
 # ---------------------------------------------------------------------------

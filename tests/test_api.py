@@ -1,7 +1,8 @@
-"""The package's public surface: exports resolve, every exported tensor op
-has a caller in the package, both training stages reach the optimizer
-through the trainer's module attributes, once per step, and every config
-dataclass checks the types of its own fields."""
+"""The package's public surface: exports resolve in the module that
+defines them, every exported tensor op has a caller in the package, both
+training stages reach the optimizer through the trainer's module
+attributes, once per step, and every config dataclass checks the types of
+its own fields."""
 
 import ast
 import importlib
@@ -32,11 +33,27 @@ GEN = GenConfig(
 )
 
 
+def top_level_names(module) -> set[str]:
+    """Names a module's own top-level statements define, not import."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_export_resolves(name):
+    """Every name in `__all__` resolves, and the module that lists it
+    defines it rather than re-exporting another module's."""
     module = importlib.import_module(f"vigor.{name}")
-    stale = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    exports = getattr(module, "__all__", ())
+    stale = [n for n in exports if not hasattr(module, n)]
     assert stale == []
+    assert [n for n in exports if n not in top_level_names(module)] == []
 
 
 # Entry points of the engine rather than ops a model is built from.

@@ -15,7 +15,7 @@ from vigor.evaluation import (
 )
 from vigor.model import GroundingModel, ModelConfig
 from vigor.orderparse import parse_appearance_order
-from vigor.scene import Scene
+from vigor.scene import ClassVocab, Scene
 from vigor.synthgen import GenConfig, default_vocab, generate_dataset
 
 GEN = GenConfig(
@@ -95,6 +95,15 @@ def test_accuracy_subsets_partition_the_items():
 def test_accuracy_rejects_empty():
     with pytest.raises(ContractError):
         accuracy(tiny_model(), [])
+
+
+def test_accuracy_refuses_items_of_another_class_vocabulary():
+    """A model on the same names in another order would read each item's
+    class ids as other classes; every forward refuses that."""
+    names = default_vocab(GEN.class_vocab_size).names
+    model = GroundingModel(tiny_model().cfg, ClassVocab(names[::-1]))
+    with pytest.raises(ContractError, match="scene's class vocabulary"):
+        accuracy(model, items(2))
 
 
 def test_accuracy_oracle_injection_is_one():

@@ -234,29 +234,33 @@ def build_parts(stage):
     return l_r, l_m, l_t, l_c
 
 
+def named(parts, names=("ref", "mask", "text", "crd")):
+    return dict(zip(names, parts))
+
+
 def test_compose_totals_are_sums():
     l_r, l_m, l_t, l_c = build_parts("warmup")
-    bd = compose(l_r, l_m, l_t, l_c)
+    bd = compose(named([l_r, l_m, l_t, l_c]))
     want = l_r.item() + l_m.item() + l_t.item() + l_c.item()
     assert abs(bd.total.item() - want) <= 1e-12
-    bd_main = compose(*build_parts("main")[:3])
+    bd_main = compose(named(build_parts("main")[:3]))
     parts = build_parts("main")
     want_main = parts[0].item() + parts[1].item() + parts[2].item()
     assert abs(bd_main.total.item() - want_main) <= 1e-12
-    assert bd_main.l_crd is None
+    assert "crd" not in bd_main.parts
 
 
 def test_compose_respects_weights():
     l_r, l_m, l_t, l_c = build_parts("warmup")
     w = LossWeights(w_ref=2.0, w_mask=0.5, w_text=3.0, w_crd=0.25)
-    bd = compose(l_r, l_m, l_t, l_c, weights=w)
+    bd = compose(named([l_r, l_m, l_t, l_c]), weights=w)
     want = 2.0 * l_r.item() + 0.5 * l_m.item() + 3.0 * l_t.item() + 0.25 * l_c.item()
     assert abs(bd.total.item() - want) <= 1e-12
 
 
 def test_compose_zero_parts_zero_total():
     zero = tt.constant([[0.0]])
-    bd = compose(zero, zero, zero, zero)
+    bd = compose(named([zero, zero, zero, zero]))
     assert bd.total.item() == 0.0
     assert bd.values()["total"] == 0.0
 
@@ -265,7 +269,23 @@ def test_breakdown_rejects_negative_component():
     neg = tt.constant([[-0.5]])
     zero = tt.constant([[0.0]])
     with pytest.raises(ContractError):
-        compose(neg, zero, zero, zero)
+        compose(named([neg, zero, zero, zero]))
+
+
+def test_compose_refuses_a_part_without_a_weight_and_no_parts():
+    zero = tt.constant([[0.0]])
+    with pytest.raises(ContractError, match="obj"):
+        compose({"ref": zero, "obj": zero})
+    with pytest.raises(ContractError):
+        compose({})
+
+
+def test_breakdown_keeps_the_parts_in_compose_order():
+    parts = named(build_parts("warmup"), ("text", "crd", "ref", "mask"))
+    bd = compose(parts)
+    assert list(bd.parts) == ["text", "crd", "ref", "mask"]
+    assert list(bd.values()) == ["text", "crd", "ref", "mask", "total"]
+    assert all(bd.values()[name] == t.item() for name, t in parts.items())
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +312,7 @@ def test_loss_gradients_match_finite_differences():
         l_m = loss_mask(tt.concat(p["mlogit0"], p["mlogit1"], axis=1), cols(*bits))
         l_c = loss_crd(tt.concat(p["coord0"], p["coord1"], axis=1), centers, [1, 3])
         l_t = loss_text(p["tlogit"], 4)
-        return compose(l_r, l_m, l_t, l_c).total
+        return compose(named([l_r, l_m, l_t, l_c])).total
 
     report = tt.grad_check(loss_fn, params)
     assert report.nonfinite == []
@@ -367,7 +387,7 @@ def test_whole_matrix_losses_match_per_block_reference(b, stage):
         return values, tt.backward(total, leaves)
 
     def new_total(parts):
-        return compose(*parts, weights=w).total
+        return compose(named(parts), weights=w).total
 
     def reference_total(parts):
         weights = [w.w_ref, w.w_mask, w.w_text, w.w_crd]

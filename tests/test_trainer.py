@@ -1,6 +1,7 @@
 """Tests for the two-stage trainer and the checkpoint format."""
 
 import copy
+import hashlib
 import math
 import multiprocessing
 import os
@@ -21,6 +22,7 @@ from vigor.errors import CheckpointError, ContractError, GenerationError, Numeri
 from vigor.losses import LossWeights, loss_text
 from vigor.model import GroundingModel, ModelConfig, param_layout
 from vigor.orderparse import parse_appearance_order
+from vigor.scene import ClassVocab
 from vigor.synthgen import GenConfig, default_vocab, generate_dataset, sample_at
 from vigor.trainer import (
     Checkpoint,
@@ -563,6 +565,34 @@ def test_main_deterministic():
     r2, _ = main_stage(m2, data, cfg, rule_parser)
     assert r1.losses == r2.losses
     assert params_equal(m1.params, m2.params)
+
+
+def test_main_picks_each_batch_after_the_last_steps_label_noise():
+    """Each step's picks come from `state.rng` after the previous step's
+    label noise; this run's digest pins that order of draws."""
+    model = tiny_model()
+    cfg = TrainConfig(main_steps=4, batch_size=3, seed=2, label_noise=0.3)
+    report, _ = main_stage(model, dataset(6), cfg, rule_parser)
+    h = hashlib.sha256(np.asarray(report.losses, dtype=np.float64).tobytes())
+    h.update(model.params.vector.tobytes())
+    assert h.hexdigest()[:16] == "9867d2b60ae8ce6b"
+
+
+def reversed_vocab_model():
+    """`tiny_model` on GEN's class names in reverse order: "armchair" is
+    GEN's class 0 and this model's class 5."""
+    names = default_vocab(GEN.class_vocab_size).names
+    return GroundingModel(tiny_model().cfg, ClassVocab(names[::-1]))
+
+
+def test_warmup_refuses_a_generator_vocabulary_not_the_models():
+    with pytest.raises(ContractError, match="generator's class vocabulary"):
+        warmup_stage(reversed_vocab_model(), GEN, TrainConfig(warmup_steps=1, batch_size=2))
+
+
+def test_main_refuses_a_scene_vocabulary_not_the_models():
+    with pytest.raises(ContractError, match="scene's class vocabulary"):
+        main_stage(reversed_vocab_model(), dataset(2), TrainConfig(main_steps=1), rule_parser)
 
 
 # ---------------------------------------------------------------------------
@@ -1294,7 +1324,7 @@ def check_packed_step(model, samples, orders, labels, stage, loss_fn):
     for s, sample in enumerate(samples):
         got, _ = per_sample_reference(views[s], sample, stage, WEIGHTS)
         assert np.abs(np.subtract(got, values[s])).max() <= 1e-10
-    names = ["l_ref", "l_mask", "l_text", "l_crd"][: len(values[0])]
+    names = ["ref", "mask", "text", "crd"][: len(values[0])]
     sums = np.sum(values, axis=0)
     for name, want in zip(names, sums):
         assert abs(packed_values[name] - want) <= 1e-10, name
@@ -1318,11 +1348,28 @@ def test_only_the_warmup_loss_supervises_the_offsets():
         coord = {name: g for name, g in grads.items() if name.startswith("head.coord")}
         assert len(coord) == 4 * model.cfg.b  # two linear layers, weight and bias
         if loss_fn is trainer._main_loss:
-            assert packed.l_crd is None
+            assert "crd" not in packed.parts
             assert not any(g.any() for g in coord.values())
         else:
-            assert np.isfinite(packed.l_crd.item())
+            assert np.isfinite(packed.parts["crd"].item())
             assert all(g.any() for g in coord.values())
+
+
+@pytest.mark.parametrize(
+    "loss_fn, want",
+    [
+        (trainer._warmup_loss, ["ref", "mask", "text", "crd"]),
+        (trainer._main_loss, ["ref", "mask", "text"]),
+    ],
+)
+def test_each_stage_composes_its_parts_in_order(loss_fn, want):
+    samples, orders = mixed_batch()
+    model = tiny_model()
+    scenes, descriptions = [s.scene for s in samples], [s.description for s in samples]
+    out = model.forward_batch(scenes, orders, descriptions)
+    breakdown = loss_fn(out, step_of(model, list(zip(samples, orders)), loss_fn), WEIGHTS)
+    assert list(breakdown.parts) == want
+    assert list(breakdown.values()) == [*want, "total"]
 
 
 @pytest.mark.parametrize(
