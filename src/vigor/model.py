@@ -36,9 +36,10 @@ the blocks) call the two in turn.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -95,6 +96,11 @@ class ModelConfig:
             raise ContractError(f"seed must be non-negative, got {self.seed}")
 
 
+# Order names whose token ids a `WordVocab` keeps: past this many, a new
+# name is encoded on every call, so free-text names cannot grow the dict.
+_NAME_IDS_MAX = 4096
+
+
 @dataclass(frozen=True)
 class WordVocab:
     """Token list with <unk> at id 0; unknown words map to <unk>."""
@@ -108,6 +114,7 @@ class WordVocab:
         if len(ids) != len(self.tokens):
             raise ContractError("word vocabulary repeats a token")
         object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "_name_ids", {})
 
     @classmethod
     def build(cls, class_vocab: ClassVocab) -> "WordVocab":
@@ -121,6 +128,16 @@ class WordVocab:
 
     def encode(self, words: Sequence[str]) -> list[int]:
         return [self._ids.get(w, 0) for w in words]
+
+    def encode_name(self, name: str) -> tuple[int, ...]:
+        """The ids of a class name's tokens, encoded on its first call and
+        then read back: order names repeat from sample to sample."""
+        ids = self._name_ids.get(name)
+        if ids is None:
+            ids = tuple(self.encode(tokenize(name)))
+            if len(self._name_ids) < _NAME_IDS_MAX:
+                self._name_ids[name] = ids
+        return ids
 
 
 @dataclass
@@ -339,6 +356,22 @@ def _layer_norm(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     return tt.layer_norm(x, p[f"{prefix}.g"], p[f"{prefix}.b"])
 
 
+# A model has a few dozen sub-layers and heads, so these caches stay small.
+@lru_cache(maxsize=None)
+def _sublayer_params(attn: str, ln: str) -> Callable[[Mapping[str, Tensor]], tuple]:
+    """The nine parameters of one attention sub-layer, in the order
+    `tt.attention_sublayer` takes them: their names, built once, fetched
+    from a parameter mapping in one call."""
+    names = (f"{attn}.{name}" for name in ("wq", "bq", "wk", "wv", "bv", "wo", "bo"))
+    return operator.itemgetter(*names, f"{ln}.g", f"{ln}.b")
+
+
+@lru_cache(maxsize=None)
+def _mlp2_params(prefix: str) -> Callable[[Mapping[str, Tensor]], tuple]:
+    """The four parameters of one two-layer perceptron, in `tt.mlp2` order."""
+    return operator.itemgetter(*(f"{prefix}.{name}" for name in ("1.w", "1.b", "2.w", "2.b")))
+
+
 def _residual_attention(
     p: dict[str, Tensor],
     attn: str,
@@ -350,15 +383,7 @@ def _residual_attention(
 ) -> Tensor:
     """layer_norm(x + attention(x, kv)), x attending over kv with the
     projections `attn` and the norm `ln`: one `tt.attention_sublayer` node."""
-    return tt.attention_sublayer(
-        x,
-        kv,
-        *(p[f"{attn}.{name}"] for name in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")),
-        p[f"{ln}.g"],
-        p[f"{ln}.b"],
-        n_heads,
-        layout,
-    )
+    return tt.attention_sublayer(x, kv, *_sublayer_params(attn, ln)(p), n_heads, layout)
 
 
 def _linear(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
@@ -367,7 +392,7 @@ def _linear(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
 
 def _mlp2(p: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     """linear `prefix.2` of relu of linear `prefix.1`: one `tt.mlp2` node."""
-    return tt.mlp2(x, *(p[f"{prefix}.{name}"] for name in ("1.w", "1.b", "2.w", "2.b")))
+    return tt.mlp2(x, *_mlp2_params(prefix)(p))
 
 
 def _encoder_layer(
@@ -395,7 +420,7 @@ def pack_text(
     if not all(pieces):
         raise ContractError("cannot encode an empty description")
     for name in slots:
-        pieces.append(word_vocab.encode(tokenize(name)))
+        pieces.append(word_vocab.encode_name(name))
         if not pieces[-1]:
             raise ContractError(f"order name {name!r} has no tokens")
     lengths = [len(ids) for ids in pieces]

@@ -19,8 +19,6 @@ import functools
 import json
 import os
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -106,6 +104,11 @@ class HttpTransport:
         self.config = config
 
     def __call__(self, prompt: str) -> str:
+        # Imported here, not at module load: only this transport needs the
+        # HTTP stack, and loading it costs every other command about 2 MB.
+        import urllib.error
+        import urllib.request
+
         body = json.dumps(
             {"model": self.config.model, "messages": [{"role": "user", "content": prompt}]}
         ).encode("utf-8")

@@ -18,6 +18,13 @@ expressions of the ops it replaces in their order, and its backward
 accumulates into each operand in the sequence theirs would, so outputs
 and gradients are the same bits.
 
+A kernel writes only into arrays it allocated itself: a bias, a residual
+or a norm's affine is added into the fresh product it follows (`+=`,
+`out=`), which gives the bits a new array would, and an operand's data is
+never written.  Nothing is written in place inside a backward closure:
+`_acc` keeps the first gradient a tensor receives by reference, so a later
+write into that array would change the tensor's gradient.
+
 Independent samples packed into one matrix never mix.  `cross_entropy`
 takes segment ids (softmax groups within a column or a row), and
 `attention_sublayer` takes an `AttentionLayout`: built once from one id
@@ -198,13 +205,16 @@ def _finite_shift(x: np.ndarray, op: str, keep: np.ndarray | None = None) -> np.
 
     Entries outside `keep` (a boolean mask broadcast against x) become
     -inf, so they weigh exactly 0 after exp, and the maximum is taken over
-    the kept entries only.  Every row must keep at least one entry.
+    the kept entries only.  Every row must keep at least one entry.  The
+    shift is written into x, or into the masked copy when `keep` is given,
+    so x must be the caller's own temporary.
     """
     if not np.isfinite(x).all():
         raise NumericError(f"{op} requires finite logits")
     if keep is not None:
         x = np.where(keep, x, -np.inf)
-    return x - x.max(axis=-1, keepdims=True)
+    x -= x.max(axis=-1, keepdims=True)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +276,8 @@ class AttentionLayout:
         m, n = qs.size, ks.size
         if not (m and n):
             raise ShapeError(f"segments need a query and a key, got {m} and {n} ids")
+        if qs.dtype.kind not in "iu" or ks.dtype.kind not in "iu":
+            raise ContractError("segment ids must be integers")
         self.rows, self.keys = m, n
         self.groups, self.q_slots, self.q_len, self.k_slots, self.k_len = 1, None, m, None, n
         self.keep = None
@@ -276,8 +288,6 @@ class AttentionLayout:
     def _segment(self, qs: np.ndarray, ks: np.ndarray, lo, hi) -> None:
         """Lay out ids of two or more segments, lo..hi: dense or padded."""
         m, n = qs.size, ks.size
-        if qs.dtype.kind not in "iu" or ks.dtype.kind not in "iu":
-            raise ContractError("segment ids must be integers")
         if lo < 0 or hi >= m + n:
             raise ContractError(f"segment ids must lie in [0, {m + n}), got {lo}..{hi}")
         n_groups = int(hi) + 1
@@ -361,12 +371,22 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, layout
             )
         n_groups, keep = layout.groups, layout.keep
         q_slots, q_len, k_slots, k_len = layout.q_slots, layout.q_len, layout.k_slots, layout.k_len
-    c = (d // n_heads) ** -0.5
+    dh = d // n_heads
+    c = dh**-0.5
     # (groups, heads, rows, dh) stacks: every product is one batched matmul.
-    qh = _to_heads(q, q_slots, n_groups, q_len, n_heads)
-    kh = _to_heads(k, k_slots, n_groups, k_len, n_heads)
-    vh = _to_heads(v, k_slots, n_groups, k_len, n_heads)
-    w = np.exp(_finite_shift((qh @ kh.swapaxes(2, 3)) * c, "attention", keep))
+    # k is taken transposed, (groups, heads, dh, rows), as the logits read it.
+    if q_slots is None:  # one group: each stack is a view of the rows
+        qh = q.reshape(1, m, n_heads, dh).transpose(0, 2, 1, 3)
+        kt = k.reshape(1, n, n_heads, dh).transpose(0, 2, 3, 1)
+        vh = v.reshape(1, n, n_heads, dh).transpose(0, 2, 1, 3)
+    else:
+        qh = _to_heads(q, q_slots, n_groups, q_len, n_heads)
+        kt = _to_heads(k, k_slots, n_groups, k_len, n_heads).swapaxes(2, 3)
+        vh = _to_heads(v, k_slots, n_groups, k_len, n_heads)
+    logits = qh @ kt
+    logits *= c
+    w = _finite_shift(logits, "attention", keep)
+    np.exp(w, out=w)
     w /= w.sum(axis=3, keepdims=True)
 
     def back(g):
@@ -374,11 +394,13 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, layout
         gw = gh @ vh.swapaxes(2, 3)
         gs = w * (gw - (gw * w).sum(axis=3, keepdims=True)) * c
         return (
-            _from_heads(gs @ kh, q_slots),
+            _from_heads(gs @ kt.swapaxes(2, 3), q_slots),
             _from_heads(gs.swapaxes(2, 3) @ qh, k_slots),
             _from_heads(w.swapaxes(2, 3) @ gh, k_slots),
         )
 
+    if q_slots is None:
+        return (w @ vh).transpose(0, 2, 1, 3).reshape(m, d), back
     return _from_heads(w @ vh, q_slots), back
 
 
@@ -408,18 +430,32 @@ def attention_sublayer(
     backward accumulates into each operand in the order their backward
     would, so the output and every gradient are theirs, bit for bit.
     """
-    d = x.data.shape[1]
-    if kv.data.shape[1] != d or any(w.data.shape != (d, d) for w in (wq, wk, wv, wo)):
+    xd, kvd = x.data, kv.data
+    d = xd.shape[1]
+    dd, row = (d, d), (1, d)
+    if (kvd.shape[1], wq.data.shape, wk.data.shape, wv.data.shape, wo.data.shape) != (
+        d, dd, dd, dd, dd
+    ):
         shapes = [t.shape for t in (x, kv, wq, wk, wv, wo)]
         raise ShapeError(f"attention sub-layer needs width {d} and ({d}, {d}) weights: {shapes}")
-    if any(b.data.shape != (1, d) for b in (bq, bv, bo, gain, bias)):
+    if (bq.data.shape, bv.data.shape, bo.data.shape, gain.data.shape, bias.data.shape) != (
+        row, row, row, row, row
+    ):
         shapes = [t.shape for t in (bq, bv, bo, gain, bias)]
         raise ShapeError(f"attention sub-layer biases and gain must be (1, {d}), got {shapes}")
-    xd, kvd = x.data, kv.data
-    q, k, v = xd @ wq.data + bq.data, kvd @ wk.data, kvd @ wv.data + bv.data
+    q = xd @ wq.data
+    q += bq.data
+    k = kvd @ wk.data
+    v = kvd @ wv.data
+    v += bv.data
     heads, attention_back = _attention(q, k, v, n_heads, layout)
-    xhat, inv = _normalize_rows(xd + (heads @ wo.data + bo.data))
-    out = Tensor(xhat * gain.data + bias.data)
+    y = heads @ wo.data
+    y += bo.data
+    y += xd  # the residual: x + y and y + x are the same bits
+    xhat, inv = _normalize_rows(y)
+    y = xhat * gain.data
+    y += bias.data
+    out = Tensor(y)
     if _traced(x, kv, wq, bq, wk, wv, bv, wo, bo, gain, bias):
 
         def back(g):
@@ -454,15 +490,18 @@ def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     output and every gradient are theirs, bit for bit.
     """
     (d, h), (h2, o) = w1.data.shape, w2.data.shape
-    if x.data.shape[1] != d or h2 != h:
+    if (x.data.shape[1], h2) != (d, h):
         raise ShapeError(f"mlp2 mismatch: x {x.shape} @ {w1.shape} @ {w2.shape}")
-    if b1.data.shape != (1, h) or b2.data.shape != (1, o):
+    if (b1.data.shape, b2.data.shape) != ((1, h), (1, o)):
         raise ShapeError(f"mlp2 biases must be (1, {h}) and (1, {o}), got {b1.shape}, {b2.shape}")
-    pre = x.data @ w1.data + b1.data
-    hidden = np.maximum(pre, 0.0)
-    out = Tensor(hidden @ w2.data + b2.data)
+    hidden = x.data @ w1.data
+    hidden += b1.data
+    np.maximum(hidden, 0.0, out=hidden)
+    y = hidden @ w2.data
+    y += b2.data
+    out = Tensor(y)
     if _traced(x, w1, b1, w2, b2):
-        mask = pre > 0.0
+        mask = hidden > 0.0  # where the pre-activation is positive
 
         def back(g):
             _acc(b2, g.sum(axis=0, keepdims=True))
@@ -470,7 +509,8 @@ def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
             _acc(w2, hidden.T @ g)
             g = g_hidden * mask
             _acc(b1, g.sum(axis=0, keepdims=True))
-            _acc(x, g @ w1.data.T)
+            if x.node is not None:  # a constant input, such as points, takes none
+                _acc(x, g @ w1.data.T)
             _acc(w1, x.data.T @ g)
 
         _TAPE.add(out, back)
@@ -667,10 +707,16 @@ def _normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row at zero mean and unit variance, and 1 / its deviation."""
     n = x.shape[1]
     # Direct sums equal np.mean/np.var bit for bit, without their wrappers.
-    dev = x - x.sum(axis=1, keepdims=True) / n
-    var = (dev * dev).sum(axis=1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    return dev * inv, inv
+    mean = x.sum(axis=1, keepdims=True)
+    mean /= n
+    dev = x - mean
+    inv = (dev * dev).sum(axis=1, keepdims=True)
+    inv /= n  # the variance, then its 1 / sqrt(var + eps), in place
+    inv += LAYER_NORM_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    dev *= inv
+    return dev, inv
 
 
 def _normalize_rows_back(gy: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -683,11 +729,13 @@ def _normalize_rows_back(gy: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> n
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row to zero mean / unit variance, then affine."""
-    n = x.data.shape[1]
-    if gain.data.shape != (1, n) or bias.data.shape != (1, n):
-        raise ShapeError(f"layer_norm affine params must be (1, {n})")
+    row = (1, x.data.shape[1])
+    if (gain.data.shape, bias.data.shape) != (row, row):
+        raise ShapeError(f"layer_norm affine params must be {row}")
     xhat, inv = _normalize_rows(x.data)
-    out = Tensor(xhat * gain.data + bias.data)
+    y = xhat * gain.data
+    y += bias.data
+    out = Tensor(y)
     if _traced(x, gain, bias):
 
         def back(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv):

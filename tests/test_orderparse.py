@@ -2,6 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,13 +281,32 @@ def test_http_reply_without_text_is_retried_then_endpoint_error(monkeypatch, con
         sent.append(req)
         return io.BytesIO(json.dumps({"choices": [{"message": {"content": content}}]}).encode())
 
-    monkeypatch.setattr(orderparse.urllib.request, "urlopen", urlopen)
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
     config = LlmEndpointConfig(base_url="http://localhost:9", model="m", max_retries=1)
     with pytest.raises(TransportError, match="unexpected response structure"):
         HttpTransport(config)("prompt")
     with pytest.raises(EndpointError, match="unexpected response structure"):
         llm_two_stage_order("the chair", endpoint=config)
     assert len(sent) == 1 + 2
+
+
+def test_importing_the_package_leaves_the_http_stack_unloaded():
+    """Only `HttpTransport` sends requests, so only a call to it loads urllib."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    check = (
+        "import sys\n"
+        "for name in ('vigor.cli', 'vigor.trainer', 'vigor.evaluation'):\n"
+        "    __import__(name)\n"
+        "    assert 'urllib.request' not in sys.modules, name\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", check],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_endpoint_config_validation(monkeypatch):

@@ -275,6 +275,18 @@ def test_segmented_attention_errors():
             attention(q, T.constant(bad_k), v, 2, [0, 0, 1])
 
 
+@pytest.mark.parametrize(
+    "ids, key_ids",
+    [(np.zeros(3), None), ([True, True], None), (["a", "a"], None), (["a", "b"], None),
+     ([0, 0], [0.0, 0.0]), ([0, 0], [False])],
+    ids=["float", "bool", "str-one", "str-two", "float-keys", "bool-keys"],
+)
+def test_layout_refuses_ids_that_are_not_integers_even_in_one_segment(ids, key_ids):
+    """The id type is checked before the shortcut for one shared id."""
+    with pytest.raises(ContractError, match="segment ids must be integers"):
+        T.AttentionLayout(ids, key_ids)
+
+
 # Queries and keys of one call in different segments: 5 query rows against 7
 # key rows, segments interleaved, query segment 2 with a single key.
 QUERY_SEGMENTS = [1, 0, 2, 1, 0]
@@ -746,6 +758,68 @@ def test_mlp2_equals_the_chain_bit_for_bit():
     assert np.array_equal(got, want)
     for name, g in want_grads.items():
         assert np.array_equal(got_grads[name], g), name
+
+
+def test_mlp2_on_a_constant_input_equals_the_chain_and_gives_it_no_gradient():
+    """As the object encoder's point rows: the input-gradient product is
+    skipped, and every parameter's gradient keeps its bits."""
+    rng = np.random.default_rng(62)
+    x = T.constant(rng.normal(size=(6, 5)))
+    shapes = {"w1": (5, 7), "b1": (1, 7), "w2": (7, 3), "b2": (1, 3)}
+    arrays = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    weights = T.constant(rng.normal(size=(6, 3)))
+    results = []
+    for build in (mlp2_chain, T.mlp2):
+        leaves = {name: T.leaf(a) for name, a in arrays.items()}
+        out = build(x, *leaves.values())
+        results.append((out.data, T.backward(T.mean_all(T.mul(out, weights)), leaves)))
+        assert x.grad is None
+    (want, want_grads), (got, got_grads) = results
+    assert np.array_equal(got, want)
+    for name, g in want_grads.items():
+        assert np.array_equal(got_grads[name], g), name
+
+
+def operand_writes(build, operands):
+    """Run `build` on leaves of `operands` forward and backward; return the
+    names of operands whose data changed, and those that share memory with
+    the output or with any gradient."""
+    before = {name: a.copy() for name, a in operands.items()}
+    leaves = {name: T.leaf(a) for name, a in operands.items()}
+    out = build(leaves)
+    weights = T.constant(np.random.default_rng(67).normal(size=out.shape))
+    T.backward(T.mean_all(T.mul(out, weights)))
+    changed = [name for name, t in leaves.items() if not np.array_equal(t.data, before[name])]
+    produced = [out.data, *(t.grad for t in leaves.values())]
+    shared = [
+        name for name, t in leaves.items() if any(np.shares_memory(t.data, a) for a in produced)
+    ]
+    return changed, shared
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["self", "cross"])
+@pytest.mark.parametrize("layout", ["none", "dense", "padded"])
+def test_attention_sublayer_writes_into_no_operand(layout, shared):
+    rng = np.random.default_rng(68)
+    m, n, qs, ks = sublayer_rows(layout, shared, rng)
+    operands = {"x": rng.normal(size=(m, 8)), **sublayer_params(rng, 8)}
+    if not shared:
+        operands["kv"] = rng.normal(size=(n, 8))
+
+    def build(p):
+        return sublayer_op(p["x"], p["x"] if shared else p["kv"], p, 2, qs, ks)
+
+    assert operand_writes(build, operands) == ([], [])
+
+
+def test_mlp2_and_layer_norm_write_into_no_operand():
+    rng = np.random.default_rng(69)
+    shapes = {"x": (6, 5), "w1": (5, 7), "b1": (1, 7), "w2": (7, 3), "b2": (1, 3)}
+    operands = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    assert operand_writes(lambda p: T.mlp2(*p.values()), operands) == ([], [])
+    shapes = {"x": (4, 6), "g": (1, 6), "b": (1, 6)}
+    operands = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    assert operand_writes(lambda p: T.layer_norm(p["x"], p["g"], p["b"]), operands) == ([], [])
 
 
 @pytest.mark.parametrize("segmented", [False, True], ids=["plain", "segmented"])
