@@ -128,7 +128,6 @@ def _train_configs(args) -> tuple[GenConfig, TrainConfig, ModelConfig]:
     gen_cfg = GenConfig(**_fields_of(GenConfig, s))
     weights = LossWeights(**_fields_of(LossWeights, s))
     train_cfg = TrainConfig(**_fields_of(TrainConfig, s), weights=weights)
-    # The model finalizes class_vocab_size from the vocabulary cmd_train builds.
     model_cfg = ModelConfig(b=s["order_len"], **_fields_of(ModelConfig, s))
     return gen_cfg, train_cfg, model_cfg
 

@@ -29,7 +29,7 @@ points and centers, tokenizes the descriptions and order names, and builds
 one layout per distinct pair of (query ids, key ids), so the two text
 layers share one and so do the B blocks' self-attentions.  It can run
 ahead of the step, in another process.  `GroundingModel.forward_packed`
-runs the parameter math on a `PackedBatch` and the relevance masks.
+builds the relevance masks from class labels and runs the parameter math.
 `forward_batch` and `forward` (a batch of one, which needs no layout in
 the blocks) call the two in turn.
 """
@@ -37,8 +37,9 @@ the blocks) call the two in turn.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -79,8 +80,6 @@ class ModelConfig:
     n_heads: int = 4
     points_per_proposal: int = 16
     seed: int = 0
-    word_vocab_size: int = 0  # finalized when the model is built
-    class_vocab_size: int = 0
 
     def __post_init__(self):
         check_field_types(self)
@@ -178,18 +177,18 @@ class PackedText:
 @dataclass
 class PackedBatch:
     """What a forward reads of its S samples, built by `pack_batch` without
-    parameters: every array a step needs but the relevance masks.
+    parameters: every array a step needs, the masks' class labels too.
 
     `points` stacks each proposal's resampled points, `points_per_proposal`
-    rows a proposal, and `segments` names the sample of each proposal row.
-    `names` is block-major: name j of sample s sits at j*S + s, so sample
-    s's order is `names[s::S]`.  `layouts` holds each block's four
-    attention layouts (self, low, up, fuse), None for one sample.
+    rows a proposal.  `names` is block-major: name j of sample s sits at
+    j*S + s, so sample s's order is `names[s::S]`.  `layouts` holds each
+    block's four attention layouts (self, low, up, fuse), None for one sample.
     """
 
     points: np.ndarray  # (K * points_per_proposal) x 6
     centers: np.ndarray  # K x 3
     segments: np.ndarray  # (K,) sample index of each proposal row
+    labels: np.ndarray  # (K,) class id of each proposal row
     sizes: tuple[int, ...]  # proposals per sample
     text: PackedText
     names: list[str]
@@ -201,6 +200,10 @@ class PackedBatch:
 
     def order(self, s: int) -> list[str]:
         return self.names[s :: self.samples]
+
+    def by_sample(self, rows: np.ndarray) -> list[np.ndarray]:
+        """A value per proposal row, cut into each sample's rows in batch order."""
+        return [rows[end - k : end] for k, end in zip(self.sizes, accumulate(self.sizes))]
 
 
 @dataclass
@@ -293,7 +296,7 @@ def _linear_layout(prefix, n_in, n_out):
     yield f"{prefix}.b", (1, n_out), "zeros"
 
 
-def param_layout(cfg: ModelConfig):
+def param_layout(cfg: ModelConfig, n_words: int, n_classes: int):
     """Yield (name, shape, init) for every parameter, in initialization order.
 
     `init` is the standard deviation of a zero-mean normal draw, or
@@ -301,7 +304,7 @@ def param_layout(cfg: ModelConfig):
     checkpoint's arrays can be checked against an untrusted config.
     """
     d = cfg.d
-    yield "emb", (cfg.word_vocab_size, d), d**-0.5
+    yield "emb", (n_words, d), d**-0.5
     for layer in range(2):
         yield from _attention_layout(f"txt{layer}.attn", d)
         yield from _ln_layout(f"txt{layer}.ln1", d)
@@ -324,20 +327,12 @@ def param_layout(cfg: ModelConfig):
     yield from _linear_layout("head.score.1", d, d)
     yield from _linear_layout("head.score.2", d, 1)
     yield from _linear_layout("head.text.1", d, d)
-    yield from _linear_layout("head.text.2", d, cfg.class_vocab_size)
+    yield from _linear_layout("head.text.2", d, n_classes)
 
 
-def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, int]]]:
-    """(name, shape) of every parameter in `param_layout` order: the layout
-    of the one vector a model's parameters are views into."""
-    return [(name, shape) for name, shape, _ in param_layout(cfg)]
-
-
-def init_params(cfg: ModelConfig) -> tt.FlatParams:
-    if cfg.word_vocab_size < 1 or cfg.class_vocab_size < 1:
-        raise ContractError("vocab sizes must be finalized before initialization")
-    rng = np.random.default_rng(cfg.seed)
-    layout = list(param_layout(cfg))
+def init_params(layout: list[tuple], seed: int) -> tt.FlatParams:
+    """One vector in `layout`, a list of `param_layout`'s triples."""
+    rng = np.random.default_rng(seed)
     p = tt.FlatParams((name, shape) for name, shape, _ in layout)
     for (_, shape, init), view in zip(layout, p.values()):
         # The vector starts at zero; one draw per normal array, in layout order.
@@ -520,8 +515,8 @@ def pack_batch(
     word_vocab: WordVocab,
     cfg: ModelConfig,
 ) -> PackedBatch:
-    """Everything S samples give a forward but the masks, built without
-    parameters: see `PackedBatch`."""
+    """Everything S samples give a forward, built without parameters: see
+    `PackedBatch`."""
     s = len(scenes)
     if s < 1 or len(orders) != s or len(descriptions) != s:
         raise ContractError("need one order and one description per scene, and a scene")
@@ -540,6 +535,7 @@ def pack_batch(
         ),
         centers=np.concatenate([scene.centers for scene in scenes]),
         segments=segments,
+        labels=np.concatenate([scene.class_ids for scene in scenes]),
         sizes=sizes,
         text=text,
         names=names,
@@ -609,21 +605,20 @@ class GroundingModel:
         params: Mapping[str, np.ndarray] | None = None,
     ):
         word_vocab = word_vocab or WordVocab.build(class_vocab)
-        cfg = replace(
-            cfg, word_vocab_size=len(word_vocab), class_vocab_size=len(class_vocab)
-        )
         self.cfg = cfg
         self.class_vocab = class_vocab
         self.word_vocab = word_vocab
+        layout = list(param_layout(cfg, len(word_vocab), len(class_vocab)))
+        shapes = [(name, shape) for name, shape, _ in layout]
         # A FlatParams in this config's layout is adopted, not copied (a
         # loaded checkpoint's vector); any other mapping is copied into a new
         # vector after its names and shapes are checked.
         if params is None:
-            self._params = init_params(cfg)
-        elif isinstance(params, tt.FlatParams) and params.layout() == _param_shapes(cfg):
+            self._params = init_params(layout, cfg.seed)
+        elif isinstance(params, tt.FlatParams) and params.layout() == shapes:
             self._params = params
         else:
-            self._params = tt.FlatParams(_param_shapes(cfg))
+            self._params = tt.FlatParams(shapes)
             self._params.assign(params)
 
     @property
@@ -656,9 +651,7 @@ class GroundingModel:
         labels: Sequence[int] | None = None,
     ) -> HeadOutputs:
         """One sample: a packed batch of one."""
-        return self.forward_batch(
-            [scene], [order], [description], params, None if labels is None else [labels]
-        )
+        return self.forward_batch([scene], [order], [description], params, labels)
 
     def forward_batch(
         self,
@@ -666,16 +659,14 @@ class GroundingModel:
         orders: Sequence[Sequence[str]],
         descriptions: Sequence[str],
         params: dict[str, Tensor] | None = None,
-        labels: Sequence[Sequence[int]] | None = None,
+        labels: Sequence[int] | None = None,
     ) -> HeadOutputs:
-        """Run S samples as one packed graph: `pack_batch`, the masks of
-        `labels` (the scenes' class ids by default), `forward_packed`.  The
-        scenes' labels must be in the model's class vocabulary."""
+        """Run S samples as one packed graph: `pack_batch`, `forward_packed`
+        under `labels` (one class id per proposal row; the scenes' by
+        default).  The scenes' labels must be in the model's vocabulary."""
         self.check_vocab([scene.vocab for scene in scenes], "a scene's")
         batch = pack_batch(scenes, orders, descriptions, self.word_vocab, self.cfg)
-        if labels is None:
-            labels = [scene.class_ids for scene in scenes]
-        return self.forward_packed(batch, self.masks(batch, labels), params)
+        return self.forward_packed(batch, labels, params)
 
     def check_vocab(self, vocabs: Sequence[ClassVocab], whose: str) -> None:
         """Refuse class ids from any vocabulary but the model's own: its text
@@ -683,27 +674,43 @@ class GroundingModel:
         if any(vocab != self.class_vocab for vocab in vocabs):
             raise ContractError(f"{whose} class vocabulary is not the model's")
 
-    def masks(self, batch: PackedBatch, labels: Sequence[Sequence[int]]) -> np.ndarray:
+    def masks(self, batch: PackedBatch, labels: Sequence[int] | None = None) -> np.ndarray:
         """The K x B relevance masks of a packed batch under `labels`, one
-        class id per proposal of each sample."""
-        if len(labels) != batch.samples or any(
-            len(l) != k for l, k in zip(labels, batch.sizes)
-        ):
-            raise ContractError("one label per proposal required")
+        class id per proposal row: checked here if given, else the batch's
+        own, whose scenes `Scene` and `check_vocab` checked."""
+        rows = len(batch.segments)
+        labels = batch.labels if labels is None else self._checked_labels(labels, rows)
+        per_sample = batch.by_sample(labels)
         return np.concatenate(
-            [build_masks(l, batch.order(s), self.class_vocab) for s, l in enumerate(labels)]
+            [build_masks(l, batch.order(s), self.class_vocab) for s, l in enumerate(per_sample)]
         )
+
+    def _checked_labels(self, labels: Sequence[int], rows: int) -> np.ndarray:
+        try:
+            ids = np.asarray(labels)
+        except ValueError as exc:  # a ragged list
+            raise ContractError(f"labels must be one class id per proposal row: {exc}") from exc
+        # A bool is not a class id, and neither is a float, even a whole one.
+        if ids.shape != (rows,) or ids.dtype.kind not in "iu":
+            raise ContractError(
+                f"labels must be {rows} integer class ids, one per proposal row, "
+                f"got {ids.dtype} of shape {ids.shape}"
+            )
+        if ids.min() < 0 or ids.max() >= len(self.class_vocab):
+            raise ContractError(f"labels must lie in 0..{len(self.class_vocab) - 1}")
+        return ids
 
     def forward_packed(
         self,
         batch: PackedBatch,
-        masks: np.ndarray,
+        labels: Sequence[int] | None = None,
         params: dict[str, Tensor] | None = None,
     ) -> HeadOutputs:
         """The parameter math of a packed batch: proposals as one matrix,
         one text-encoder pass, every attention confined to its sample, so
-        each sample's outputs equal running it alone."""
+        each sample's outputs equal running it alone; masks per `masks`."""
         cfg = self.cfg
+        masks = self.masks(batch, labels)
         p = params if params is not None else self.frozen()
         text = encode_text(batch.text, batch.names, p, cfg)
         features = [_finite(encode_objects(batch, p, cfg), 1)]  # F_1 .. F_{B+1}

@@ -63,7 +63,12 @@ class ClassVocab:
     names: tuple[str, ...]
 
     def __post_init__(self):
+        # A bare string would read as one class a letter.
+        if isinstance(self.names, str) or not all(isinstance(n, str) for n in self.names):
+            raise ContractError(f"class names must be a sequence of strings, got {self.names!r}")
         normed = tuple(_norm_name(n) for n in self.names)
+        if not normed:
+            raise ContractError("a class vocabulary needs at least one name")
         if len(set(normed)) != len(normed):
             raise ContractError("class vocabulary contains duplicate names")
         if any(not n for n in normed):

@@ -9,12 +9,13 @@ stage's loss reads is all of the heads its step builds.
 
 Each optimizer step runs its batch as one graph.  `_pack_step` first
 does all of the step's parameter-free work (`model.pack_batch`: resampled
-points, token ids, attention layouts) and keeps what the losses read of
-each sample.  The step itself draws the label noise, builds the masks, and
-runs one forward through `GroundingModel.forward_packed`, one call of
-each loss over the packed rows (each loss sums its per-sample values),
-one `compose` of the stage's parts by name and one backward.  Both stages
-run their steps through one loop, which counts them and calls `on_eval`.
+points, class labels, token ids, attention layouts) and keeps the ids it
+supervises.  The step draws any label noise and runs one forward through
+`GroundingModel.forward_packed`, which builds the masks from the labels,
+one call of each loss over the packed rows (each loss sums its per-sample
+values), one `compose` of the stage's parts by name and one backward.
+Both stages run their steps through one loop, which counts them and
+calls `on_eval`.
 
 Warm-up steps are synthesized and packed ahead of training by one worker
 process, forked when the stage starts and pinned off the trainer's CPU,
@@ -42,7 +43,7 @@ import multiprocessing
 import os
 import signal
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -73,7 +74,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"VGRC"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,9 @@ class StageReport:
 
 
 def moving_average(xs: Sequence[float], window: int) -> list[float]:
-    if window < 1 or window > len(xs):
-        raise ContractError("window must fit inside the series")
+    # A bool is no window length, and neither is a float or a string.
+    if type(window) is not int or not 1 <= window <= len(xs):
+        raise ContractError(f"window must be an integer in 1..{len(xs)}, got {window!r}")
     sums = np.cumsum([0.0, *xs])
     return list((sums[window:] - sums[:-window]) / window)
 
@@ -129,8 +131,6 @@ def _maybe_noisy_labels(
 ) -> np.ndarray:
     """One sample's class ids, each replaced by a uniform draw from its
     `n_classes` with chance `noise`."""
-    if noise <= 0.0:
-        return labels
     flips = rng.random(len(labels)) < noise
     draws = rng.integers(0, n_classes, size=len(labels))
     return np.where(flips, draws, labels)
@@ -139,11 +139,10 @@ def _maybe_noisy_labels(
 @dataclass
 class _Step:
     """One optimizer step's samples, packed: the forward's `PackedBatch`
-    and what the label noise and the losses read of each sample."""
+    (its labels too) and the ids each sample supervises."""
 
     batch: PackedBatch
-    labels: list[np.ndarray]  # class ids in the model's class vocabulary
-    targets: list[list[int]]  # supervised ids, target last
+    targets: np.ndarray  # S x W supervised ids, each within its sample, target last
 
 
 def _pack_step(
@@ -158,20 +157,21 @@ def _pack_step(
     items = [item for item, _ in batch]
     scenes = [item.scene for item in items]
     if stage == "warmup":
-        targets = [list(item.anchor_target_ids) for item in items]
+        targets = [item.anchor_target_ids for item in items]
     else:
         targets = [[item.target_id] for item in items]
     return _Step(
         pack_batch(
             scenes, [order for _, order in batch], [it.description for it in items], word_vocab, cfg
         ),
-        [scene.class_ids for scene in scenes],
-        targets,
+        np.array(targets, dtype=np.intp),
     )
 
 
-def _target_classes(step: _Step) -> list[int]:
-    return [labels[ids[-1]] for labels, ids in zip(step.labels, step.targets)]
+def _target_classes(step: _Step) -> np.ndarray:
+    """Each sample's target class, as its scene labels it."""
+    sizes = np.asarray(step.batch.sizes)
+    return step.batch.labels[np.cumsum(sizes) - sizes + step.targets[:, -1]]
 
 
 def _warmup_loss(
@@ -215,19 +215,24 @@ def _train_step(
     The batch runs as one packed graph: one forward, one loss whose total
     is the sum of the samples' totals, one backward.  Label noise is drawn
     from `state.rng` per sample, in batch order, over the model's class
-    vocabulary (the stages refuse labels of any other), and the masks are built
-    from the noisy labels.  A non-finite loss or gradient raises before
-    the update, leaving the parameters, Adam's moments and its step count
-    as they were (a first step may have allocated the moments, as zeros).
+    vocabulary (the stages refuse labels of any other); the forward builds
+    the masks from the noisy labels, or the batch's own without noise.  A
+    non-finite loss or gradient raises before the update, leaving the
+    parameters, Adam's moments and its step count as they were (a first
+    step may have allocated the moments, as zeros).
     """
     # Allocated before the step's graph rather than inside adam_step, so on
     # a first step the two parameter-sized vectors do not land above the
     # graph's memory, which would keep it from being returned (peak RSS).
     state.adam.moments(model.params)
     leaves = model.trainable()
-    n_classes, noise = len(model.class_vocab), train_cfg.label_noise
-    labels = [_maybe_noisy_labels(ids, n_classes, noise, state.rng) for ids in packed.labels]
-    out = model.forward_packed(packed.batch, model.masks(packed.batch, labels), leaves)
+    batch, noise, labels = packed.batch, train_cfg.label_noise, None
+    if noise > 0.0:
+        n, rng = len(model.class_vocab), state.rng
+        labels = np.concatenate(
+            [_maybe_noisy_labels(ids, n, noise, rng) for ids in batch.by_sample(batch.labels)]
+        )
+    out = model.forward_packed(batch, labels, leaves)
     batch_total = batch_loss(out, packed, train_cfg.weights).total
     backward(batch_total)
     loss = batch_total.item()
@@ -589,14 +594,13 @@ def load_checkpoint(path, expect: ModelConfig | None = None) -> Checkpoint:
             main_done = _count(header, "main_done")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
-        cfg = replace(cfg, word_vocab_size=len(word_vocab), class_vocab_size=len(class_vocab))
         # The layout is walked lazily and given up as soon as the parameters
         # alone outgrow the file, so a huge `b` or `d` costs no more than
         # the bytes in it.  Python ints: np.prod wraps around on a huge shape.
         left = _bytes_left(f)
         layout, size = [], 0
         try:
-            for name, shape, _ in param_layout(cfg):
+            for name, shape, _ in param_layout(cfg, len(word_vocab), len(class_vocab)):
                 size += math.prod(shape)
                 if 8 * size > left:
                     raise CheckpointError(
@@ -672,7 +676,6 @@ def full_model_grad_check(seed: int = 0) -> GradCheckReport:
     packed = _pack_step([(sample, sample.order)], "warmup", model.word_vocab, model.cfg)
 
     def loss_fn(p):
-        out = model.forward(sample.scene, sample.order, sample.description, params=p)
-        return _warmup_loss(out, packed).total
+        return _warmup_loss(model.forward_packed(packed.batch, params=p), packed).total
 
     return grad_check(loss_fn, model.params)

@@ -15,7 +15,6 @@ from vigor.model import (
     _encoder_layer,
     encode_objects,
     encode_text,
-    init_params,
     pack_batch,
     pack_text,
     sinusoid_positions,
@@ -89,11 +88,6 @@ def test_word_vocab_covers_generated_text():
     wv = WordVocab.build(default_vocab(cfg.class_vocab_size))
     for sample in generate_dataset(cfg, 10):
         assert 0 not in wv.encode(tokenize(sample.description))
-
-
-def test_init_requires_finalized_vocab_sizes():
-    with pytest.raises(ContractError):
-        init_params(ModelConfig(d=8, n_heads=2))
 
 
 def test_init_deterministic_by_seed():
@@ -408,3 +402,63 @@ def test_forward_batch_contract():
         m.forward_batch([SCENE, SCENE], [ORDER, ["door"]], [DESC, DESC])
     with pytest.raises(ContractError):
         m.forward_batch([SCENE, SCENE], [ORDER, ORDER], [DESC, DESC], labels=[[0, 1, 1]])
+
+
+def mixed_scenes():
+    """Three scenes of 3, 2 and 4 proposals, their orders and descriptions."""
+    scenes = [
+        SCENE,
+        make_scene([(0, 0, 0), (4, 1, 0)], [VOCAB.index("door"), 0]),
+        make_scene([(1, 0, 0), (2, 5, 1), (7, 0, 2), (5, 5, 0)], [1, 1, 4, VOCAB.index("door")]),
+    ]
+    orders = [ORDER, ["door", "door"], ["water bottle", "table"]]
+    descriptions = [DESC, "the chair near the door", "the table far from the water bottle"]
+    return scenes, orders, descriptions
+
+
+def test_a_packed_batch_carries_each_proposal_rows_class_id():
+    m = tiny_model(b=2)
+    scenes, orders, descriptions = mixed_scenes()
+    batch = pack_batch(scenes, orders, descriptions, m.word_vocab, m.cfg)
+    assert batch.labels.tolist() == np.concatenate([s.class_ids for s in scenes]).tolist()
+    assert [part.tolist() for part in batch.by_sample(batch.labels)] == [
+        s.class_ids.tolist() for s in scenes
+    ]
+
+
+def test_forward_packed_defaults_to_the_batchs_own_labels():
+    m = tiny_model(b=2)
+    batch = pack_batch(*mixed_scenes(), m.word_vocab, m.cfg)
+    default, given = m.forward_packed(batch), m.forward_packed(batch, batch.labels)
+    assert np.array_equal(default.masks, given.masks)
+    for name in ("scores", "block_scores", "mask_logits", "coord_pred", "text_class_logits"):
+        assert np.array_equal(getattr(default, name).data, getattr(given, name).data), name
+
+
+# Each a function of the K proposal rows it is for; C = len(VOCAB) = 5.
+BAD_LABELS = {
+    "too-short": lambda k: [0] * (k - 1),
+    "too-long": lambda k: [0] * (k + 1),
+    "ragged": lambda k: [[0, 1]] + [[0]] * (k - 1),
+    "float": lambda k: [1.0] * k,
+    "half": lambda k: [0.5] * k,
+    "bool": lambda k: [True] * k,
+    "string": lambda k: ["a"] * k,
+    "minus-one": lambda k: [0] * (k - 1) + [-1],
+    "C": lambda k: [0] * (k - 1) + [len(VOCAB)],
+}
+
+
+@pytest.mark.parametrize("via", ["forward", "forward_batch", "forward_packed"])
+@pytest.mark.parametrize("bad", list(BAD_LABELS.values()), ids=list(BAD_LABELS))
+def test_every_forward_refuses_labels_that_are_not_one_class_id_a_row(via, bad):
+    m = tiny_model(b=2)
+    scenes, orders, descriptions = mixed_scenes()
+    with pytest.raises(ContractError, match="labels"):
+        if via == "forward":
+            m.forward(SCENE, ORDER, DESC, labels=bad(len(SCENE)))
+        elif via == "forward_batch":
+            m.forward_batch(scenes, orders, descriptions, labels=bad(9))
+        else:
+            batch = pack_batch(scenes, orders, descriptions, m.word_vocab, m.cfg)
+            m.forward_packed(batch, bad(9))

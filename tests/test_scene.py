@@ -164,6 +164,18 @@ def test_vocab_rejects_duplicates():
         ClassVocab(("chair", "Chair"))
 
 
+@pytest.mark.parametrize("names", ["chair", ("chair", None), (1, 2), (b"chair",)])
+def test_vocab_refuses_names_that_are_not_a_sequence_of_strings(names):
+    # a bare string would read as one class a letter
+    with pytest.raises(ContractError, match="sequence of strings"):
+        ClassVocab(names)
+
+
+def test_vocab_refuses_no_names():
+    with pytest.raises(ContractError, match="at least one name"):
+        ClassVocab(())
+
+
 # ---------------------------------------------------------------------------
 # masks
 

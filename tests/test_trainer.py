@@ -16,11 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vigor import model as model_module
 from vigor import tensor as T
 from vigor import trainer
 from vigor.errors import CheckpointError, ContractError, GenerationError, NumericError, VigorError
 from vigor.losses import LossWeights, loss_text
-from vigor.model import GroundingModel, ModelConfig, param_layout
+from vigor.model import GroundingModel, ModelConfig, WordVocab, pack_batch, param_layout
 from vigor.orderparse import parse_appearance_order
 from vigor.scene import ClassVocab
 from vigor.synthgen import GenConfig, default_vocab, generate_dataset, sample_at
@@ -52,6 +53,11 @@ GEN = GenConfig(
 def tiny_model(seed=0):
     cfg = ModelConfig(d=8, b=2, n_heads=2, points_per_proposal=6, seed=seed)
     return GroundingModel(cfg, default_vocab(GEN.class_vocab_size))
+
+
+def model_layout(model):
+    """`param_layout` of a model's config and vocabularies."""
+    return param_layout(model.cfg, len(model.word_vocab), len(model.class_vocab))
 
 
 def snapshot(model):
@@ -87,6 +93,12 @@ def test_moving_average():
     assert moving_average([1.0, 2.0, 3.0, 4.0], 2) == [1.5, 2.5, 3.5]
     with pytest.raises(ContractError):
         moving_average([1.0], 2)
+
+
+@pytest.mark.parametrize("window", [2.5, 2.0, "2", None, True, 0])
+def test_moving_average_refuses_a_window_that_is_not_a_length(window):
+    with pytest.raises(ContractError, match="window"):
+        moving_average([1.0, 2.0, 3.0], window)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +349,7 @@ def test_a_worker_packed_step_equals_the_in_process_one(cpus, n):
         [s.scene for s in samples], [s.order for s in samples], [s.description for s in samples]
     )
     step = got[1]
-    out = model.forward_packed(step.batch, model.masks(step.batch, step.labels))
+    out = model.forward_packed(step.batch)
     for name in ("scores", "block_scores", "mask_logits", "coord_pred", "text_class_logits"):
         assert np.array_equal(getattr(out, name).data, getattr(want, name).data), name
     assert np.array_equal(out.masks, want.masks)
@@ -476,8 +488,14 @@ def test_ctrl_c_stops_the_worker_and_the_worker_ignores_it(cpus):
             os.kill(os.getpid(), signal.SIGINT)
 
     cfg = TrainConfig(warmup_steps=50, batch_size=2, eval_every=1)
-    with pytest.raises(KeyboardInterrupt):
-        warmup_stage(tiny_model(), GEN, cfg, on_eval=interrupt)
+    # A suite started with SIGINT ignored (a background job of a
+    # non-interactive shell) has no KeyboardInterrupt handler to restore.
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            warmup_stage(tiny_model(), GEN, cfg, on_eval=interrupt)
+    finally:
+        signal.signal(signal.SIGINT, previous)
     assert seen == [1, 2, 3]
     assert multiprocessing.active_children() == []
 
@@ -654,7 +672,7 @@ def test_params_stay_views_of_one_vector_through_a_step():
     assert model.params.vector is vector
     assert not np.array_equal(vector, before)
     offset = 0
-    for name, shape, _ in param_layout(model.cfg):
+    for name, shape, _ in model_layout(model):
         view = model.params[name]
         assert view.shape == shape and np.shares_memory(view, vector)
         assert np.array_equal(view.ravel(), vector[offset : offset + view.size])
@@ -877,7 +895,7 @@ def test_checkpoint_v1_file_refused(tmp_path):
     _, _, path = trained_pair(tmp_path)
     blob = path.read_bytes()
     path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
-    with pytest.raises(CheckpointError, match=r"version 1 unsupported \(expected 2\)"):
+    with pytest.raises(CheckpointError, match=r"version 1 unsupported \(expected 3\)"):
         load_checkpoint(path)
 
 
@@ -897,15 +915,15 @@ def test_checkpoint_layout_is_header_then_arrays_in_config_order(tmp_path, steps
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, model, state)
     (hlen,) = struct.unpack("<Q", path.read_bytes()[8:16])
-    n = sum(int(np.prod(shape)) for _, shape, _ in param_layout(model.cfg))
+    n = sum(int(np.prod(shape)) for _, shape, _ in model_layout(model))
     assert path.stat().st_size == 16 + hlen + 8 * n * (3 if steps else 1)
     body = np.frombuffer(path.read_bytes()[16 + hlen :], dtype="<f8")
-    flat = np.concatenate([model.params[name].ravel() for name, _, _ in param_layout(model.cfg)])
+    flat = np.concatenate([model.params[name].ravel() for name, _, _ in model_layout(model)])
     assert np.array_equal(body[:n], flat)
     ckpt = load_checkpoint(path)
     assert ckpt.adam_t == state.adam.t == steps
     if steps:
-        m = np.concatenate([state.adam.m[name].ravel() for name, _, _ in param_layout(model.cfg)])
+        m = np.concatenate([state.adam.m[name].ravel() for name, _, _ in model_layout(model)])
         assert np.array_equal(body[n : 2 * n], m)
     else:
         assert ckpt.adam_m == ckpt.adam_v == {}
@@ -927,7 +945,7 @@ def test_checkpoint_arrays_are_bytes_of_a_per_array_write(tmp_path, steps):
     reference = b"".join(
         np.ascontiguousarray(group[name], dtype="<f8").tobytes()
         for group in groups
-        for name, _, _ in param_layout(model.cfg)
+        for name, _, _ in model_layout(model)
     )
     blob = path.read_bytes()
     (hlen,) = struct.unpack("<Q", blob[8:16])
@@ -1194,10 +1212,31 @@ def test_full_model_grad_check_entry_point(monkeypatch):
     report = full_model_grad_check(seed=1)
     assert report.checked == 0  # the spy's report is what comes back
     cfg = ModelConfig(d=8, b=2, n_heads=2, points_per_proposal=8)
-    assert list(seen["params"]) == [name for name, _, _ in param_layout(cfg)]
+    vocab = default_vocab(6)  # full_model_grad_check's generator vocabulary
+    layout = param_layout(cfg, len(WordVocab.build(vocab)), len(vocab))
+    assert list(seen["params"]) == [name for name, _, _ in layout]
     assert np.isfinite(seen["loss"]) and seen["loss"] > 0.0
     # the loss reads every parameter it is handed
     assert [n for n, g in seen["grads"].items() if not g.any()] == []
+
+
+def test_full_model_grad_check_packs_its_sample_once(monkeypatch):
+    packs = []
+
+    def counting(*args):
+        packs.append(args)
+        return pack_batch(*args)
+
+    def three_evaluations(loss_fn, params):
+        for _ in range(3):
+            loss_fn(params.constants())
+        return T.GradCheckReport(max_rel_err=0.0, worst_param=None, checked=0)
+
+    monkeypatch.setattr(trainer, "pack_batch", counting)
+    monkeypatch.setattr(model_module, "pack_batch", counting)
+    monkeypatch.setattr(trainer, "grad_check", three_evaluations)
+    full_model_grad_check(seed=1)
+    assert len(packs) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1302,7 +1341,9 @@ def test_packed_step_matches_per_sample_reference(stage, monkeypatch):
 def check_packed_step(model, samples, orders, labels, stage, loss_fn):
     leaves = model.trainable()
     scenes, descriptions = [s.scene for s in samples], [s.description for s in samples]
-    out = model.forward_batch(scenes, orders, descriptions, params=leaves, labels=labels)
+    out = model.forward_batch(
+        scenes, orders, descriptions, params=leaves, labels=np.concatenate(labels)
+    )
     packed = loss_fn(out, step_of(model, list(zip(samples, orders)), loss_fn), WEIGHTS)
     packed_values = packed.values()
     views = [SampleView(out, s) for s in range(len(samples))]  # every head, before backward
@@ -1416,7 +1457,7 @@ def test_packed_step_draws_label_noise_per_sample_in_batch_order():
         trainer._maybe_noisy_labels(s.scene.class_ids, len(s.scene.vocab), 0.5, rng)
         for s in samples
     ]
-    assert [[l.tolist() for l in labels] for labels in seen] == [[l.tolist() for l in want]]
+    assert [labels.tolist() for labels in seen] == [np.concatenate(want).tolist()]
     assert state.rng.bit_generator.state == rng.bit_generator.state
 
 
