@@ -52,9 +52,11 @@ __all__ = ["main"]
 
 # Every key a --config file may set, a `vigor train` flag of the same name
 # winning: the fields of GenConfig, TrainConfig and LossWeights, plus
-# ModelConfig's d and n_heads, whose dataclasses check them.
+# ModelConfig's d and n_heads, whose dataclasses check them.  `eval_every`
+# is left out: `vigor train` runs no evaluation callback for it to pace.
 CONFIG_KEYS = frozenset(
-    ({f.name for cls in (GenConfig, TrainConfig, LossWeights) for f in fields(cls)} - {"weights"})
+    {f.name for cls in (GenConfig, TrainConfig, LossWeights) for f in fields(cls)}
+    - {"weights", "eval_every"}
     | {"d", "n_heads"}
 )
 

@@ -8,10 +8,10 @@ part is one `LossWeights` field and one entry in a stage's mapping.
 
 Per-block values arrive as one matrix with a column (a group of three
 columns for offsets) per block, so each loss is one op chain over the
-whole matrix.  Every loss takes the rows of a packed batch with their
-sample ids (`segments`; None for one sample) and returns the sum of the
-samples' losses, so `compose`, being linear, gives the sum of the samples'
-totals.
+whole matrix.  Every loss takes the rows of a packed batch with the rows
+of each sample (`sizes`: each sample one run of consecutive rows, in
+batch order; None for one sample) and returns the sum of the samples'
+losses, so `compose`, being linear, gives the sum of the samples' totals.
 """
 
 from __future__ import annotations
@@ -68,14 +68,15 @@ class LossBreakdown:
         return {**{name: t.item() for name, t in self.parts.items()}, "total": self.total.item()}
 
 
-def _sample_ids(segments, rows: int) -> np.ndarray:
-    """The sample of each of `rows` packed rows; all 0 without segments."""
-    if segments is None:
-        return np.zeros(rows, dtype=np.intp)
-    ids = np.asarray(segments).reshape(-1)
-    if ids.size != rows:
-        raise ContractError(f"{ids.size} segment ids for {rows} rows")
-    return ids
+def _sizes(sizes, rows: int) -> np.ndarray:
+    """The rows of each sample, checked to be positive integers that sum
+    to `rows`; one sample of all rows without sizes."""
+    if sizes is None:
+        return np.array([rows])
+    arr = np.asarray(sizes)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu" or arr.sum() != rows or (arr < 1).any():
+        raise ContractError(f"sample sizes {sizes} must be positive integers that sum to {rows}")
+    return arr
 
 
 def _per_sample(ids: Sequence, samples: int, width: int) -> np.ndarray:
@@ -88,57 +89,57 @@ def _per_sample(ids: Sequence, samples: int, width: int) -> np.ndarray:
     return arr.reshape(samples, width)
 
 
-def _per_sample_means(e: Tensor, ids: np.ndarray) -> Tensor:
+def _per_sample_means(e: Tensor, sizes: np.ndarray) -> Tensor:
     """Sum over samples of the mean of each sample's rows of e, as a 1x1.
 
     A constant row weights row r by 1/K_s, K_s the rows of its sample s,
     and the mean over the columns adds 1/columns: every entry of sample s
     weighs 1/(K_s * columns).
     """
-    weights = 1.0 / np.bincount(ids)[ids]
+    weights = np.repeat(1.0 / sizes, sizes)
     return tt.mean_all(tt.matmul(tt.constant(weights.reshape(1, -1)), e))
 
 
-def loss_ref(scores: Tensor, targets: Sequence, segments=None) -> Tensor:
+def loss_ref(scores: Tensor, targets: Sequence, sizes=None) -> Tensor:
     """Reference loss: mean over the W score columns of each column's
     cross-entropy within every sample.
 
     `targets` holds W ids per sample, each counted within its sample (a
-    flat sequence serves one sample); `segments` names the sample of each
-    score row of a packed batch (None: one sample).  The result is the sum
+    flat sequence serves one sample); `sizes` holds the score rows of each
+    sample of a packed batch (None: one sample).  The result is the sum
     over samples of each sample's loss.
     """
-    ids = _sample_ids(segments, scores.shape[0])
-    targets = _per_sample(targets, int(ids.max()) + 1, scores.shape[1])
-    return tt.mul(tt.cross_entropy(scores, targets, ids), tt.constant(1.0 / scores.shape[1]))
+    sizes = _sizes(sizes, scores.shape[0])
+    targets = _per_sample(targets, sizes.size, scores.shape[1])
+    return tt.mul(tt.cross_entropy(scores, targets, sizes), tt.constant(1.0 / scores.shape[1]))
 
 
-def loss_mask(mask_logits: Tensor, masks: np.ndarray, segments=None) -> Tensor:
+def loss_mask(mask_logits: Tensor, masks: np.ndarray, sizes=None) -> Tensor:
     """Mean over blocks of binary cross-entropy with logits against M_i.
 
     `mask_logits` and `masks` are K x B, a column per block.  Each
     sample's mean over its rows is the mean of its per-block means; the
-    result sums it over the samples that `segments` names (None: one).
+    result sums it over the samples whose rows `sizes` counts (None: one).
     """
     if mask_logits.shape != np.shape(masks) or not mask_logits.shape[1]:
         raise ContractError(
             f"mask logits {mask_logits.shape} and masks {np.shape(masks)} must be one K x B"
         )
-    ids = _sample_ids(segments, mask_logits.shape[0])
+    sizes = _sizes(sizes, mask_logits.shape[0])
     z, neg_m = mask_logits, tt.constant(-np.asarray(masks, dtype=np.float64))
     # bce(z, m) = softplus(z) - z*m = softplus(z) + z*(-m), elementwise
-    return _per_sample_means(tt.add(tt.softplus(z), tt.mul(z, neg_m)), ids)
+    return _per_sample_means(tt.add(tt.softplus(z), tt.mul(z, neg_m)), sizes)
 
 
 def loss_crd(
-    coord_pred: Tensor, centers: np.ndarray, anchor_target_ids: Sequence, segments=None
+    coord_pred: Tensor, centers: np.ndarray, anchor_target_ids: Sequence, sizes=None
 ) -> Tensor:
     """Mean over blocks of MSE against per-anchor center offsets.
 
     Block i regresses, in columns 3i .. 3i+2 of the K x 3B `coord_pred`,
     the offset centers[j] - v_i of every proposal j, where v_i is the
     center of that block's anchor.  Every block has K x 3 entries, so a
-    sample's mean is the mean of its per-block means.  With `segments` the
+    sample's mean is the mean of its per-block means.  With `sizes` the
     rows are a packed batch, `anchor_target_ids` holds one row of B ids per
     sample (each counted within its sample), and the result sums the
     samples' losses.
@@ -150,17 +151,15 @@ def loss_crd(
     b = coord_pred.shape[1] // 3
     if coord_pred.shape != (k, 3 * b) or not b:
         raise ContractError(f"coordinate predictions must be {k} x 3B, got {coord_pred.shape}")
-    ids = _sample_ids(segments, k)
-    sizes = np.bincount(ids)
+    sizes = _sizes(sizes, k)
     targets = _per_sample(anchor_target_ids, sizes.size, b)
     if ((targets < 0) | (targets >= sizes[:, None])).any():
         raise ContractError(f"anchor ids {targets.tolist()} outside samples of {sizes.tolist()}")
-    # row of each sample's anchor in each block, then negated offsets K x B x 3
-    order = np.argsort(ids, kind="stable")  # the rows of sample 0, then 1, ...
-    anchors = order[(np.cumsum(sizes) - sizes)[:, None] + targets]
-    neg_offsets = (centers[anchors[ids]] - centers[:, None, :]).reshape(k, 3 * b)
+    # each row's sample's anchor row in each block, then negated offsets K x B x 3
+    anchors = np.repeat((np.cumsum(sizes) - sizes)[:, None] + targets, sizes, axis=0)
+    neg_offsets = (centers[anchors] - centers[:, None, :]).reshape(k, 3 * b)
     err = tt.add(coord_pred, tt.constant(neg_offsets))
-    return _per_sample_means(tt.mul(err, err), ids)
+    return _per_sample_means(tt.mul(err, err), sizes)
 
 
 def loss_text(text_class_logits: Tensor, target_class_id) -> Tensor:

@@ -107,6 +107,8 @@ class WordVocab:
     tokens: tuple[str, ...]
 
     def __post_init__(self):
+        if isinstance(self.tokens, str) or not all(isinstance(t, str) for t in self.tokens):
+            raise ContractError(f"word tokens must be a sequence of strings, got {self.tokens!r}")
         if not self.tokens or self.tokens[0] != UNK_TOKEN:
             raise ContractError(f"token 0 must be {UNK_TOKEN!r}")
         ids = {t: i for i, t in enumerate(self.tokens)}
@@ -179,16 +181,18 @@ class PackedBatch:
     """What a forward reads of its S samples, built by `pack_batch` without
     parameters: every array a step needs, the masks' class labels too.
 
-    `points` stacks each proposal's resampled points, `points_per_proposal`
-    rows a proposal.  `names` is block-major: name j of sample s sits at
-    j*S + s, so sample s's order is `names[s::S]`.  `layouts` holds each
-    block's four attention layouts (self, low, up, fuse), None for one sample.
+    Sample s owns one run of `sizes[s]` consecutive proposal rows, in batch
+    order; no other field says which rows are whose.  `points` stacks each
+    proposal's resampled points, `points_per_proposal` rows a proposal.
+    `names` is block-major: name j of sample s sits at j*S + s, so sample
+    s's order is `names[s::S]`.  `layouts` holds each block's four
+    attention layouts (self, low, up, fuse), None for one sample.
     """
 
     points: np.ndarray  # (K * points_per_proposal) x 6
     centers: np.ndarray  # K x 3
-    segments: np.ndarray  # (K,) sample index of each proposal row
     labels: np.ndarray  # (K,) class id of each proposal row
+    vocab: ClassVocab  # the scenes' one class vocabulary, that of `labels`
     sizes: tuple[int, ...]  # proposals per sample
     text: PackedText
     names: list[str]
@@ -217,9 +221,9 @@ class HeadOutputs:
     records its ops on the next step's tape.
 
     For a packed batch of S samples the K rows below are the samples'
-    proposals stacked in batch order (`segments` names each row's sample),
-    and the text head has one row per sample.  Column i (from 0) of a
-    per-block matrix belongs to block i and is read from its output
+    proposals stacked in batch order, `sizes[s]` consecutive rows for
+    sample s, and the text head has one row per sample.  Column i (from 0)
+    of a per-block matrix belongs to block i and is read from its output
     F_{i+2}; in `coord_pred` block i owns columns 3i .. 3i+2.
     """
 
@@ -227,7 +231,7 @@ class HeadOutputs:
     sentences: Tensor  # S x d, a sentence row per sample
     params: Mapping[str, Tensor] = field(repr=False)
     masks: np.ndarray  # K x B of 0/1: M_1 .. M_B
-    segments: np.ndarray  # (K,) sample index of each proposal row
+    sizes: tuple[int, ...]  # proposal rows per sample, in batch order
 
     @cached_property
     def scores(self) -> Tensor:  # K x 1 target scores, read from F_{B+1}
@@ -254,7 +258,7 @@ class HeadOutputs:
 
     def predicted_id(self) -> int:
         """The top-scoring proposal of a batch of one."""
-        if self.segments[-1] != 0:
+        if len(self.sizes) != 1:
             raise ContractError("predicted_id needs a batch of one sample")
         # argmax returns the first maximum, i.e. ties go to the lowest id
         return int(np.argmax(self.scores.data[:, 0]))
@@ -483,11 +487,12 @@ def encode_objects(batch: PackedBatch, params: dict[str, Tensor], cfg: ModelConf
     return _linear(params, "obj.out", tt.concat(pooled, c, axis=1))
 
 
-def _block_layouts(segments: np.ndarray, token_counts: Sequence[int], b: int):
+def _block_layouts(sizes: Sequence[int], token_counts: Sequence[int], b: int):
     """Each block's (self, low, up, fuse) attention layouts for S >= 2
     samples; every block shares the one self-attention layout."""
     s = len(token_counts)
     ids = np.arange(s)
+    segments = np.repeat(ids, sizes)  # the sample of each proposal row
     # the sample of each sentence row, then of each word row: the order a
     # block's up-branch query stacks them in
     text_segments = np.concatenate([ids, np.repeat(ids, token_counts)])
@@ -516,10 +521,13 @@ def pack_batch(
     cfg: ModelConfig,
 ) -> PackedBatch:
     """Everything S samples give a forward, built without parameters: see
-    `PackedBatch`."""
+    `PackedBatch`.  The scenes must share one class vocabulary."""
     s = len(scenes)
     if s < 1 or len(orders) != s or len(descriptions) != s:
         raise ContractError("need one order and one description per scene, and a scene")
+    vocab = scenes[0].vocab
+    if any(scene.vocab != vocab for scene in scenes[1:]):
+        raise ContractError("the scenes of a batch must share one class vocabulary")
     for order in orders:
         if len(order) != cfg.b:
             raise ContractError(f"order length {len(order)} != configured {cfg.b}")
@@ -527,19 +535,18 @@ def pack_batch(
     names = [order[j] for j in range(cfg.b) for order in orders]  # block-major
     text = pack_text(tokens, names, word_vocab, cfg)
     sizes = tuple(len(scene) for scene in scenes)
-    segments = np.repeat(np.arange(s), sizes)
     i_pts = cfg.points_per_proposal
     return PackedBatch(
         points=np.concatenate(
             [_resample_points(p, i_pts) for scene in scenes for p in scene.points]
         ),
         centers=np.concatenate([scene.centers for scene in scenes]),
-        segments=segments,
         labels=np.concatenate([scene.class_ids for scene in scenes]),
+        vocab=vocab,
         sizes=sizes,
         text=text,
         names=names,
-        layouts=None if s == 1 else _block_layouts(segments, text.token_counts, cfg.b),
+        layouts=None if s == 1 else _block_layouts(sizes, text.token_counts, cfg.b),
     )
 
 
@@ -664,7 +671,6 @@ class GroundingModel:
         """Run S samples as one packed graph: `pack_batch`, `forward_packed`
         under `labels` (one class id per proposal row; the scenes' by
         default).  The scenes' labels must be in the model's vocabulary."""
-        self.check_vocab([scene.vocab for scene in scenes], "a scene's")
         batch = pack_batch(scenes, orders, descriptions, self.word_vocab, self.cfg)
         return self.forward_packed(batch, labels, params)
 
@@ -677,8 +683,10 @@ class GroundingModel:
     def masks(self, batch: PackedBatch, labels: Sequence[int] | None = None) -> np.ndarray:
         """The K x B relevance masks of a packed batch under `labels`, one
         class id per proposal row: checked here if given, else the batch's
-        own, whose scenes `Scene` and `check_vocab` checked."""
-        rows = len(batch.segments)
+        own, which `Scene` checked.  A batch of another class vocabulary is
+        refused either way: the model would read its labels as other classes."""
+        self.check_vocab([batch.vocab], "a scene's")
+        rows = len(batch.labels)
         labels = batch.labels if labels is None else self._checked_labels(labels, rows)
         per_sample = batch.by_sample(labels)
         return np.concatenate(
@@ -708,7 +716,8 @@ class GroundingModel:
     ) -> HeadOutputs:
         """The parameter math of a packed batch: proposals as one matrix,
         one text-encoder pass, every attention confined to its sample, so
-        each sample's outputs equal running it alone; masks per `masks`."""
+        each sample's outputs equal running it alone; masks per `masks`,
+        which refuses a batch of another class vocabulary."""
         cfg = self.cfg
         masks = self.masks(batch, labels)
         p = params if params is not None else self.frozen()
@@ -718,4 +727,4 @@ class GroundingModel:
             layouts = None if batch.layouts is None else batch.layouts[i]
             nxt = fe_forward(features[-1], masks[:, i], text, p, i, cfg, layouts)
             features.append(_finite(nxt, i + 2))
-        return HeadOutputs(features[1:], text.sentences, p, masks, batch.segments)
+        return HeadOutputs(features[1:], text.sentences, p, masks, batch.sizes)

@@ -26,7 +26,7 @@ never written.  Nothing is written in place inside a backward closure:
 write into that array would change the tensor's gradient.
 
 Independent samples packed into one matrix never mix.  `cross_entropy`
-takes segment ids (softmax groups within a column or a row), and
+takes group sizes (softmax runs within a column or a row), and
 `attention_sublayer` takes an `AttentionLayout`: built once from one id
 per query row and per key row, it runs the id checks and computes which
 keys each query reads, and then serves every call that shares those ids.
@@ -646,18 +646,18 @@ def softplus(x: Tensor) -> Tensor:
 # row-wise normalizations
 
 
-def cross_entropy(logits: Tensor, target, segments=None, axis: int = 0) -> Tensor:
+def cross_entropy(logits: Tensor, target, sizes=None, axis: int = 0) -> Tensor:
     """Summed -log softmax(group)[target] over softmax groups, as a 1x1.
 
     The softmax runs along `axis` of the matrix, separately in every column
-    (`axis=0`, column form) or every row (`axis=1`, row form), and
-    `segments` (one id in 0..S-1 per entry along `axis`; default all 0)
-    splits each of those lines into S groups.  `target` is a 2-D integer
-    array of the logits' shape with that axis replaced by S: entry [s, j]
-    (column form) or [j, s] (row form) is the target's index among the
-    rows (columns) of segment s, counted from 0.  Rows of one segment need
-    not be adjacent; every segment needs at least one entry.  One target in
-    an n x 1 column is `[[t]]`; in a 1 x n row, `[[t]]` with `axis=1`.
+    (`axis=0`, column form) or every row (`axis=1`, row form), and `sizes`
+    (S positive integer counts that sum to the entries along `axis`;
+    default one group of them all) splits each of those lines into S runs
+    of consecutive entries.  `target` is a 2-D integer array of the
+    logits' shape with that axis replaced by S: entry [s, j] (column form)
+    or [j, s] (row form) is the target's index among the rows (columns) of
+    group s, counted from its first.  One target in an n x 1 column is
+    `[[t]]`; in a 1 x n row, `[[t]]` with `axis=1`.
     """
     x = logits.data
     if axis not in (0, 1):
@@ -672,30 +672,26 @@ def cross_entropy(logits: Tensor, target, segments=None, axis: int = 0) -> Tenso
     n_seg = tgt.shape[0]
     if tgt.shape[1] != c or n_seg < 1:
         raise ShapeError(f"targets {np.asarray(target).shape} do not fit logits {logits.shape}")
-    seg = np.zeros(n, dtype=np.intp) if segments is None else np.asarray(segments).reshape(-1)
-    if seg.size != n or not np.issubdtype(seg.dtype, np.integer):
-        raise ShapeError(f"need one integer segment id per entry along axis {axis}")
-    if seg.min() < 0 or seg.max() >= n_seg:
-        raise ContractError(f"segment ids must lie in 0..{n_seg - 1}")
-    sizes = np.bincount(seg, minlength=n_seg)
-    if not sizes.all():
-        raise ContractError("every segment needs at least one entry")
+    sizes = np.array([n]) if sizes is None else np.asarray(sizes)
+    if sizes.shape != (n_seg,) or not np.issubdtype(sizes.dtype, np.integer) or sizes.sum() != n:
+        raise ShapeError(f"need one integer group size per target row, summing to {n}: {sizes}")
+    if sizes.min() < 1:
+        raise ContractError(f"every group needs at least one entry, got sizes {sizes}")
     if ((tgt < 0) | (tgt >= sizes[:, None])).any():
-        raise ContractError(f"targets {tgt.tolist()} outside segments of sizes {sizes.tolist()}")
+        raise ContractError(f"targets {tgt.tolist()} outside groups of sizes {sizes.tolist()}")
     if not np.isfinite(x).all():
         raise NumericError("cross_entropy requires finite logits")
-    order = np.argsort(seg, kind="stable")  # the rows of segment 0, then 1, ...
     starts = np.cumsum(sizes) - sizes
-    shifted = x - np.maximum.reduceat(x[order], starts, axis=0)[seg]
-    lse = np.log(np.add.reduceat(np.exp(shifted)[order], starts, axis=0))  # S x c
-    rows = order[starts[:, None] + tgt]  # each target's row in x, S x c
+    shifted = x - np.repeat(np.maximum.reduceat(x, starts, axis=0), sizes, axis=0)
+    lse = np.log(np.add.reduceat(np.exp(shifted), starts, axis=0))  # S x c
+    rows = starts[:, None] + tgt  # each target's row in x, S x c
     cols = np.broadcast_to(np.arange(c), rows.shape)
     out = Tensor(np.array([[(lse - shifted[rows, cols]).sum()]]))
     if _traced(logits):
 
-        def back(g, logits=logits, shifted=shifted, lse=lse, seg=seg, rows=rows, cols=cols):
-            dz = np.exp(shifted - lse[seg])
-            dz[rows, cols] -= 1.0  # each (segment, line) targets its own entry
+        def back(g, logits=logits, shifted=shifted, lse=lse, sizes=sizes, rows=rows, cols=cols):
+            dz = np.exp(shifted - np.repeat(lse, sizes, axis=0))
+            dz[rows, cols] -= 1.0  # each (group, line) targets its own entry
             dz *= g[0, 0]
             _acc(logits, dz if axis == 0 else dz.T)
 

@@ -180,10 +180,10 @@ def _warmup_loss(
     """Every block supervised: anchors, masks, sentence class, offsets."""
     return compose(
         {
-            "ref": loss_ref(out.block_scores, step.targets, out.segments),
-            "mask": loss_mask(out.mask_logits, out.masks, out.segments),
+            "ref": loss_ref(out.block_scores, step.targets, out.sizes),
+            "mask": loss_mask(out.mask_logits, out.masks, out.sizes),
             "text": loss_text(out.text_class_logits, _target_classes(step)),
-            "crd": loss_crd(out.coord_pred, step.batch.centers, step.targets, out.segments),
+            "crd": loss_crd(out.coord_pred, step.batch.centers, step.targets, out.sizes),
         },
         weights,
     )
@@ -193,8 +193,8 @@ def _main_loss(out: HeadOutputs, step: _Step, weights: LossWeights) -> LossBreak
     """Target only: reference, mask, and sentence class; no offsets."""
     return compose(
         {
-            "ref": loss_ref(out.scores, step.targets, out.segments),
-            "mask": loss_mask(out.mask_logits, out.masks, out.segments),
+            "ref": loss_ref(out.scores, step.targets, out.sizes),
+            "mask": loss_mask(out.mask_logits, out.masks, out.sizes),
             "text": loss_text(out.text_class_logits, _target_classes(step)),
         },
         weights,

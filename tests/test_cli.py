@@ -292,6 +292,17 @@ def test_train_config_rejects_mistyped_values(tmp_path, capsys, text, key):
     assert not ckpt.exists()
 
 
+def test_train_config_refuses_eval_every(tmp_path, capsys):
+    # `vigor train` runs no evaluation callback, so the key would do nothing
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"eval_every": 1}))
+    ckpt = tmp_path / "model.ckpt"
+    code = main(train_flags(tmp_path, ckpt, extra=["--config", str(config)]))
+    assert code == 1
+    assert "unknown config keys ['eval_every']" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 @pytest.mark.parametrize(
     "text, key",
     [
@@ -317,7 +328,7 @@ def test_train_config_rejects_out_of_range_geometry(tmp_path, capsys, text, key)
 def test_config_keys_are_the_dataclass_fields():
     assert cli.CONFIG_KEYS == {
         "seed", "warmup_steps", "main_steps", "batch_size", "lr", "label_noise",
-        "eval_every", "w_ref", "w_mask", "w_text", "w_crd", "d", "n_heads",
+        "w_ref", "w_mask", "w_text", "w_crd", "d", "n_heads",
         "order_len", "points_per_proposal", "proposals_min", "proposals_max",
         "room_extent", "class_vocab_size", "relation", "min_separation", "style",
     }
@@ -329,7 +340,7 @@ def test_config_keys_are_the_dataclass_fields():
 # Every key a config may set, each at a value `vigor train` accepts.
 VALID_CONFIG = {
     "seed": 3, "warmup_steps": 2, "main_steps": 1, "batch_size": 2, "lr": 0.001,
-    "label_noise": 0.1, "eval_every": 0, "w_ref": 1.0, "w_mask": 0.5, "w_text": 0.5,
+    "label_noise": 0.1, "w_ref": 1.0, "w_mask": 0.5, "w_text": 0.5,
     "w_crd": 0.5, "d": 8, "n_heads": 2, "order_len": 2, "points_per_proposal": 6,
     "proposals_min": 4, "proposals_max": 6, "room_extent": 6.0, "class_vocab_size": 6,
     "relation": "farthest", "min_separation": 0.5, "style": "template",

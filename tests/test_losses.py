@@ -415,8 +415,7 @@ def test_whole_matrix_losses_match_per_block_reference(b, stage):
 def test_packed_losses_sum_the_per_sample_references():
     rng = np.random.default_rng(21)
     sizes, b = [4, 1, 6], 3
-    segments = np.repeat(np.arange(len(sizes)), sizes)
-    rng.shuffle(segments)  # a sample's rows need not be adjacent
+    segments = np.repeat(np.arange(len(sizes)), sizes)  # each sample one run of rows
     k = segments.size
     scores = [rng.normal(0, 2, size=(k, 1)) for _ in range(b)]
     logits = [rng.normal(0, 2, size=(k, 1)) for _ in range(b)]
@@ -431,10 +430,10 @@ def test_packed_losses_sum_the_per_sample_references():
         return [tt.constant(a[rows]) for a in arrays]
 
     packed = [
-        loss_ref(tt.constant(np.hstack(scores)), ids, segments),
-        loss_ref(tt.constant(scores[-1]), [[i[-1]] for i in ids], segments),
-        loss_mask(tt.constant(np.hstack(logits)), cols(*bits), segments),
-        loss_crd(tt.constant(np.hstack(coords)), centers, ids, segments),
+        loss_ref(tt.constant(np.hstack(scores)), ids, sizes),
+        loss_ref(tt.constant(scores[-1]), [[i[-1]] for i in ids], sizes),
+        loss_mask(tt.constant(np.hstack(logits)), cols(*bits), sizes),
+        loss_crd(tt.constant(np.hstack(coords)), centers, ids, sizes),
         loss_text(tt.constant(text), classes),
     ]
     want = np.zeros(len(packed))
@@ -450,16 +449,41 @@ def test_packed_losses_sum_the_per_sample_references():
     assert np.allclose([p.item() for p in packed], want, rtol=0, atol=1e-12)
 
 
+PACKED_LOSSES = {  # each over three rows, two samples' ids where it takes ids
+    "ref": lambda sizes: loss_ref(col([0.0, 1.0, 2.0]), [[0], [0]], sizes),
+    "mask": lambda sizes: loss_mask(col([0.0, 1.0, 2.0]), cols([0.0, 1.0, 1.0]), sizes),
+    "crd": lambda sizes: loss_crd(tt.constant(np.ones((3, 3))), np.eye(3), [[0], [0]], sizes),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_LOSSES))
+def test_packed_losses_refuse_sizes_that_do_not_describe_the_rows(name):
+    loss = PACKED_LOSSES[name]
+    assert loss([2, 1]).item() > 0.0  # a sample of two rows, then one of one
+    bad = [
+        [2, 2],  # four rows, not three
+        [1, 1],  # two rows, not three
+        [2, 0, 1],  # a zero size
+        [2.0, 1.0],  # float sizes
+        [[2, 1]],  # not one size a sample
+    ]
+    if name != "mask":
+        bad.append([3])  # one sample, where the ids give two
+    for sizes in bad:
+        with pytest.raises(ContractError):
+            loss(sizes)
+
+
 def test_packed_losses_reject_ids_that_do_not_fit_the_samples():
-    segments = [0, 0, 1]
+    sizes = [2, 1]
     col3 = col([0.0, 1.0, 2.0])
     with pytest.raises(ContractError):
-        loss_ref(col3, [[0], [1], [0]], segments)  # three rows of ids, two samples
+        loss_ref(col3, [[0], [1], [0]], sizes)  # three rows of ids, two samples
     with pytest.raises(ContractError):
-        loss_ref(col3, [[0], [1]], [0, 1])  # two ids for three rows
+        loss_ref(col3, [[0], [1]], [1, 1])  # two sizes that cover two of three rows
     with pytest.raises(ContractError):
-        loss_ref(col3, [[2], [0]], segments)  # sample 0 has two rows
+        loss_ref(col3, [[2], [0]], sizes)  # sample 0 has two rows
     with pytest.raises(ContractError):
-        loss_crd(tt.constant(np.zeros((3, 3))), np.zeros((3, 3)), [[0], [1]], segments)
+        loss_crd(tt.constant(np.zeros((3, 3))), np.zeros((3, 3)), [[0], [1]], sizes)
     with pytest.raises(ContractError):
         loss_text(tt.constant(np.zeros((1, 4))), [0, 1])

@@ -81,6 +81,12 @@ def test_word_vocab_refuses_a_repeated_token():
         WordVocab(("<unk>", "chair", "chair", "<unk>"))
 
 
+@pytest.mark.parametrize("tokens", [("<unk>", 3), ("<unk>", b"chair"), "<unk>"])
+def test_word_vocab_refuses_tokens_that_are_not_strings(tokens):
+    with pytest.raises(ContractError, match="strings"):
+        WordVocab(tokens)
+
+
 def test_word_vocab_covers_generated_text():
     from vigor.synthgen import GenConfig, default_vocab, generate_dataset
 
@@ -377,11 +383,12 @@ def test_forward_batch_rows_equal_each_sample_alone():
     orders = [ORDER, ["door", "door"], ["water bottle", "table"]]
     descriptions = [DESC, "the chair near the door", "the table far from the water bottle"]
     packed = m.forward_batch(scenes, orders, descriptions)
-    assert packed.segments.tolist() == [0, 0, 0, 1, 1, 2, 2, 2, 2]
+    assert packed.sizes == (3, 2, 4)
     assert packed.text_class_logits.shape == (3, len(VOCAB))
+    ends = np.cumsum(packed.sizes)
     for s, (scene, order, desc) in enumerate(zip(scenes, orders, descriptions)):
         alone = m.forward(scene, order, desc)
-        rows = packed.segments == s
+        rows = slice(ends[s] - packed.sizes[s], ends[s])  # sample s's run of rows
         for name in ("scores", "block_scores", "mask_logits", "coord_pred"):
             got, want = getattr(packed, name), getattr(alone, name)
             assert np.abs(got.data[rows] - want.data).max() <= 1e-10
@@ -424,6 +431,48 @@ def test_a_packed_batch_carries_each_proposal_rows_class_id():
     assert [part.tolist() for part in batch.by_sample(batch.labels)] == [
         s.class_ids.tolist() for s in scenes
     ]
+
+
+def test_head_outputs_carry_the_batchs_sizes():
+    m = tiny_model(b=2)
+    scenes, orders, descriptions = mixed_scenes()
+    batch = pack_batch(scenes, orders, descriptions, m.word_vocab, m.cfg)
+    assert m.forward_packed(batch).sizes == batch.sizes == (3, 2, 4)
+    two = m.forward_batch(scenes[:2], orders[:2], descriptions[:2])
+    assert two.sizes == (3, 2)
+    with pytest.raises(ContractError, match="batch of one"):
+        two.predicted_id()
+    assert m.forward(SCENE, ORDER, DESC).sizes == (len(SCENE),)
+
+
+def test_forward_packed_refuses_a_batch_of_another_class_vocabulary():
+    from vigor.synthgen import GenConfig, default_vocab, sample_at
+
+    gen = GenConfig(
+        proposals_min=5, proposals_max=7, points_per_proposal=8, class_vocab_size=6, order_len=2
+    )
+    sample = sample_at(gen, 0)
+    reversed_vocab = ClassVocab(default_vocab(6).names[::-1])
+    cfg = ModelConfig(d=8, b=2, n_heads=2, points_per_proposal=8)
+    m = GroundingModel(cfg, reversed_vocab, WordVocab.build(default_vocab(6)))
+    batch = pack_batch([sample.scene], [sample.order], [sample.description], m.word_vocab, cfg)
+    assert batch.vocab == default_vocab(6)
+    with pytest.raises(ContractError, match="vocabulary"):
+        m.forward_packed(batch)
+    with pytest.raises(ContractError, match="vocabulary"):
+        m.masks(batch, batch.labels)
+    with pytest.raises(ContractError, match="vocabulary"):
+        m.forward(sample.scene, sample.order, sample.description)
+    own = GroundingModel(cfg, default_vocab(6), m.word_vocab)
+    assert own.forward_packed(batch).masks.shape == (len(sample.scene), 2)
+
+
+def test_pack_batch_refuses_scenes_of_two_vocabularies():
+    m = tiny_model(b=2)
+    other = ClassVocab(VOCAB.names[::-1])
+    foreign = make_scene([(0, 0, 0), (4, 1, 0)], [0, 1], vocab=other)
+    with pytest.raises(ContractError, match="one class vocabulary"):
+        pack_batch([SCENE, foreign], [ORDER, ORDER], [DESC, DESC], m.word_vocab, m.cfg)
 
 
 def test_forward_packed_defaults_to_the_batchs_own_labels():

@@ -1063,14 +1063,14 @@ def test_cross_entropy_grad_check(shape):
     assert report.ok(1e-6), (report.max_rel_err, report.worst_param)
 
 
-# Rows of three segments of sizes 3, 1 and 2, interleaved.
-CE_SEGMENTS = [2, 0, 0, 1, 2, 0]
-CE_TARGETS = [[2, 0], [0, 0], [1, 0]]  # per segment and column, within the segment
+# Rows of three groups of sizes 3, 1 and 2, each a run of consecutive rows.
+CE_SIZES = [3, 1, 2]
+CE_TARGETS = [[2, 0], [0, 0], [1, 0]]  # per group and column, within the group
 
 
-def ce_segment_oracle(x, segments, targets):
-    """Sum over segments and columns of -log softmax(that segment's rows)[target]."""
-    seg = np.asarray(segments)
+def ce_segment_oracle(x, sizes, targets):
+    """Sum over groups and columns of -log softmax(that group's rows)[target]."""
+    seg = np.repeat(np.arange(len(sizes)), sizes)
     total = 0.0
     for s, row in enumerate(targets):
         for j, t in enumerate(row):
@@ -1081,14 +1081,14 @@ def ce_segment_oracle(x, segments, targets):
 
 def test_segmented_cross_entropy_matches_oracle():
     x = np.random.default_rng(13).normal(scale=3.0, size=(6, 2))
-    want = ce_segment_oracle(x, CE_SEGMENTS, CE_TARGETS)
-    column = T.cross_entropy(T.constant(x), CE_TARGETS, CE_SEGMENTS)
-    row = T.cross_entropy(T.constant(x.T), np.array(CE_TARGETS).T, CE_SEGMENTS, axis=1)
+    want = ce_segment_oracle(x, CE_SIZES, CE_TARGETS)
+    column = T.cross_entropy(T.constant(x), CE_TARGETS, CE_SIZES)
+    row = T.cross_entropy(T.constant(x.T), np.array(CE_TARGETS).T, CE_SIZES, axis=1)
     assert abs(column.item() - want) <= 1e-12
     assert abs(row.item() - want) <= 1e-12
-    # without segments every line is one softmax group
+    # without sizes every line is one softmax group
     whole = T.cross_entropy(T.constant(x), [[4, 1]]).item()
-    assert abs(whole - ce_segment_oracle(x, [0] * 6, [[4, 1]])) <= 1e-12
+    assert abs(whole - ce_segment_oracle(x, [6], [[4, 1]])) <= 1e-12
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -1098,7 +1098,7 @@ def test_segmented_cross_entropy_grad_check(axis):
     targets = CE_TARGETS if axis == 0 else np.array(CE_TARGETS).T
 
     def forward(p):
-        return T.cross_entropy(p["z"], targets, CE_SEGMENTS, axis=axis)
+        return T.cross_entropy(p["z"], targets, CE_SIZES, axis=axis)
 
     report = T.grad_check(forward, params)
     assert report.checked == 12
@@ -1108,29 +1108,72 @@ def test_segmented_cross_entropy_grad_check(axis):
 def test_segmented_cross_entropy_errors():
     z = T.constant(np.zeros((6, 2)))
     bad_shape = [
-        ([0, 1, 2], CE_SEGMENTS, 0),  # targets not 2-D
-        ([[0, 0, 0]] * 3, CE_SEGMENTS, 0),  # three columns for two
-        ([[0.0, 0.0]] * 3, CE_SEGMENTS, 0),  # float targets
-        (CE_TARGETS, CE_SEGMENTS[:5], 0),  # one id short
-        (CE_TARGETS, CE_SEGMENTS, 1),  # row form needs one id per column
+        ([0, 1, 2], CE_SIZES, 0),  # targets not 2-D
+        ([[0, 0, 0]] * 3, CE_SIZES, 0),  # three columns for two
+        ([[0.0, 0.0]] * 3, CE_SIZES, 0),  # float targets
+        (CE_TARGETS, [3, 1, 1], 0),  # one entry short
+        (CE_TARGETS, CE_SIZES, 1),  # row form needs one size per column
     ]
-    for targets, segments, axis in bad_shape:
+    for targets, sizes, axis in bad_shape:
         with pytest.raises(ShapeError):
-            T.cross_entropy(z, targets, segments, axis=axis)
+            T.cross_entropy(z, targets, sizes, axis=axis)
     bad_contract = [
-        ([[0, 0]] * 3, [0, 0, 1, 1, 3, 3], 0),  # id 3 with three segments
-        ([[0, 0]] * 3, [0, 0, 2, 2, 2, 0], 0),  # segment 1 is empty
-        (CE_TARGETS, [2, 0, 0, 1, 2, 0], 2),  # no axis 2
-        ([[2, 0], [1, 0], [1, 0]], CE_SEGMENTS, 0),  # segment 1 has one row
-        ([[2, 0], [0, 0], [-1, 0]], CE_SEGMENTS, 0),
+        ([[0, 0]] * 3, [4, -1, 3], 0),  # a size below 1, though they sum to 6
+        ([[0, 0]] * 3, [2, 0, 4], 0),  # group 1 is empty
+        (CE_TARGETS, CE_SIZES, 2),  # no axis 2
+        ([[2, 0], [1, 0], [1, 0]], CE_SIZES, 0),  # group 1 has one row
+        ([[2, 0], [0, 0], [-1, 0]], CE_SIZES, 0),
     ]
-    for targets, segments, axis in bad_contract:
+    for targets, sizes, axis in bad_contract:
         with pytest.raises(ContractError):
-            T.cross_entropy(z, targets, segments, axis=axis)
+            T.cross_entropy(z, targets, sizes, axis=axis)
     nan = np.zeros((6, 2))
     nan[3, 1] = float("nan")
     with pytest.raises(NumericError):
-        T.cross_entropy(T.constant(nan), CE_TARGETS, CE_SEGMENTS)
+        T.cross_entropy(T.constant(nan), CE_TARGETS, CE_SIZES)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("axis", [0, 1])
+def test_grouped_cross_entropy_sums_one_call_per_group(seed, axis):
+    """Runs of consecutive entries: the packed value and gradient are the
+    sums of one ungrouped call per run."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 6, size=int(rng.integers(1, 5)))
+    c = int(rng.integers(1, 4))
+    x = rng.normal(scale=3.0, size=(sizes.sum(), c))
+    targets = np.array([rng.integers(0, k, size=c) for k in sizes])
+    ends = np.cumsum(sizes)
+
+    def oriented(a):  # row form: the lines are rows, so hand over the transposes
+        return a if axis == 0 else a.T.copy()
+
+    T.reset_tape()
+    whole = T.leaf(oriented(x))
+    packed = T.cross_entropy(whole, oriented(targets), sizes, axis=axis)
+    packed_grad = oriented(T.backward(packed, {"x": whole})["x"])
+    total, grads = 0.0, []
+    for s, end in enumerate(ends):
+        part = T.leaf(oriented(x[end - sizes[s] : end]))
+        loss = T.cross_entropy(part, oriented(targets[s : s + 1]), axis=axis)
+        total += loss.item()
+        grads.append(oriented(T.backward(loss, {"x": part})["x"]))
+    assert abs(packed.item() - total) <= 1e-12
+    assert np.allclose(packed_grad, np.vstack(grads), rtol=0, atol=1e-12)
+
+
+def test_cross_entropy_refuses_sizes_that_do_not_describe_the_groups():
+    z = T.constant(np.zeros((6, 2)))
+    with pytest.raises(ShapeError):
+        T.cross_entropy(z, CE_TARGETS, [3, 3])  # two sizes for three target rows
+    with pytest.raises(ShapeError):
+        T.cross_entropy(z, CE_TARGETS, [3, 1, 3])  # seven entries, not six
+    with pytest.raises(ShapeError):
+        T.cross_entropy(z, CE_TARGETS, [3.0, 1.0, 2.0])  # float sizes
+    with pytest.raises(ContractError):
+        T.cross_entropy(z, [[0, 0]] * 3, [3, 0, 3])  # a zero size
+    with pytest.raises(ShapeError):
+        T.cross_entropy(T.constant(np.zeros((2, 6))), np.array(CE_TARGETS).T, [3, 1], axis=1)
 
 
 def test_grad_check_empty_params():

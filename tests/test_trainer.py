@@ -1298,7 +1298,8 @@ class SampleView:
     """One sample's rows of a packed forward's outputs, as constants."""
 
     def __init__(self, out, s):
-        rows = out.segments == s
+        end = sum(out.sizes[: s + 1])
+        rows = slice(end - out.sizes[s], end)  # sample s's run of rows
         for name in ("scores", "block_scores", "mask_logits", "coord_pred"):
             setattr(self, name, T.constant(getattr(out, name).data[rows]))
         self.text_class_logits = T.constant(out.text_class_logits.data[s : s + 1])
