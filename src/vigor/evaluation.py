@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, EmptyOrderError, OrderParseError
+from .errors import ContractError, EmptyOrderError, NumericError, OrderParseError
 from .model import GroundingModel
 from .orderparse import order_names, trim_pad
 
@@ -109,7 +109,8 @@ def accuracy(
 
     `score_fn(item, order)` may replace the model's scores with an
     injected K-vector, which keeps the harness testable against oracles.
-    Ties go to the lowest proposal id.  A description the parser rejects
+    Ties go to the lowest proposal id, and a score vector with a NaN or an
+    infinity raises `NumericError`.  A description the parser rejects
     (`EmptyOrderError`, `OrderParseError`) is scored as a miss, bucketed as
     `order_length:unparsed` and counted in `parse_failures`.
     """
@@ -119,9 +120,7 @@ def accuracy(
     parse_failures = 0
     bucket_hits: dict[str, int] = {}
     bucket_counts: dict[str, int] = {}
-    # One constant wrap of the parameters serves every item.
-    params = model.frozen() if score_fn is None else None
-    for item in items:
+    for index, item in enumerate(items):
         raw = _parsed_order(item, parser)
         label = _labels(item, raw)
         if raw is None:
@@ -132,10 +131,13 @@ def accuracy(
             if score_fn is not None:
                 scores = np.asarray(score_fn(item, order), dtype=np.float64).reshape(-1)
             else:
-                out = model.forward(item.scene, order, item.description, params=params)
-                scores = out.scores.data[:, 0]
+                scores = model.forward(item.scene, order, item.description).scores.data[:, 0]
             if scores.shape[0] != len(item.scene):
                 raise ContractError("score vector length must match proposal count")
+            # argmax takes a NaN for the maximum, and ties among infinities
+            # go to the lowest id: neither is a prediction.
+            if not np.isfinite(scores).all():
+                raise NumericError(f"item {index} has a non-finite score: {scores.tolist()}")
             hit = int(np.argmax(scores)) == item.target_id
         hits_total += hit
         for family, bucket in label.items():

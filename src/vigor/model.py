@@ -29,9 +29,10 @@ points and centers, tokenizes the descriptions and order names, and builds
 one layout per distinct pair of (query ids, key ids), so the two text
 layers share one and so do the B blocks' self-attentions.  It can run
 ahead of the step, in another process.  `GroundingModel.forward_packed`
-builds the relevance masks from class labels and runs the parameter math.
-`forward_batch` and `forward` (a batch of one, which needs no layout in
-the blocks) call the two in turn.
+builds the relevance masks from class labels and runs the parameter math;
+every caller that packs a batch, passes labels or passes parameters calls
+the two in turn.  `forward` is inference on one sample (a batch of one,
+which needs no layout in the blocks).
 """
 
 from __future__ import annotations
@@ -531,6 +532,8 @@ def pack_batch(
     for order in orders:
         if len(order) != cfg.b:
             raise ContractError(f"order length {len(order)} != configured {cfg.b}")
+        if not all(isinstance(name, str) for name in order):
+            raise ContractError(f"order names must be strings, got {list(order)!r}")
     tokens = [tokenize(description) for description in descriptions]
     names = [order[j] for j in range(cfg.b) for order in orders]  # block-major
     text = pack_text(tokens, names, word_vocab, cfg)
@@ -602,7 +605,8 @@ def _finite(f: Tensor, block: int) -> Tensor:
 
 
 class GroundingModel:
-    """Parameters plus vocabularies; `forward` runs the whole pipeline."""
+    """Parameters plus vocabularies; `forward_packed` runs the whole pipeline
+    on a `pack_batch` batch, and `forward` on one sample."""
 
     def __init__(
         self,
@@ -639,40 +643,12 @@ class GroundingModel:
         # second copy of the parameters is held.
         self._params.assign(arrays)
 
-    def trainable(self) -> Mapping[str, Tensor]:
-        """Parameters as traced leaves for one training step: wrapped once
-        per vector, their gradient buffers views of `params.grad`, which
-        this call zeroes."""
-        return self.params.leaves()
-
-    def frozen(self) -> Mapping[str, Tensor]:
-        """Parameters as constants, wrapped once per vector; reads current values."""
-        return self.params.constants()
-
-    def forward(
-        self,
-        scene: Scene,
-        order: Sequence[str],
-        description: str,
-        params: dict[str, Tensor] | None = None,
-        labels: Sequence[int] | None = None,
-    ) -> HeadOutputs:
-        """One sample: a packed batch of one."""
-        return self.forward_batch([scene], [order], [description], params, labels)
-
-    def forward_batch(
-        self,
-        scenes: Sequence[Scene],
-        orders: Sequence[Sequence[str]],
-        descriptions: Sequence[str],
-        params: dict[str, Tensor] | None = None,
-        labels: Sequence[int] | None = None,
-    ) -> HeadOutputs:
-        """Run S samples as one packed graph: `pack_batch`, `forward_packed`
-        under `labels` (one class id per proposal row; the scenes' by
-        default).  The scenes' labels must be in the model's vocabulary."""
-        batch = pack_batch(scenes, orders, descriptions, self.word_vocab, self.cfg)
-        return self.forward_packed(batch, labels, params)
+    def forward(self, scene: Scene, order: Sequence[str], description: str) -> HeadOutputs:
+        """Inference on one sample, under its scene's labels and the current
+        parameters: a packed batch of one."""
+        return self.forward_packed(
+            pack_batch([scene], [order], [description], self.word_vocab, self.cfg)
+        )
 
     def check_vocab(self, vocabs: Sequence[ClassVocab], whose: str) -> None:
         """Refuse class ids from any vocabulary but the model's own: its text
@@ -712,15 +688,17 @@ class GroundingModel:
         self,
         batch: PackedBatch,
         labels: Sequence[int] | None = None,
-        params: dict[str, Tensor] | None = None,
+        params: Mapping[str, Tensor] | None = None,
     ) -> HeadOutputs:
         """The parameter math of a packed batch: proposals as one matrix,
         one text-encoder pass, every attention confined to its sample, so
-        each sample's outputs equal running it alone; masks per `masks`,
-        which refuses a batch of another class vocabulary."""
+        each sample's outputs equal running it alone.  The masks come from
+        `labels` per `masks`, which refuses a batch of another class
+        vocabulary.  `params` defaults to the constant wraps of
+        `self.params`; a training step passes `self.params.leaves()`."""
         cfg = self.cfg
         masks = self.masks(batch, labels)
-        p = params if params is not None else self.frozen()
+        p = params if params is not None else self.params.constants()
         text = encode_text(batch.text, batch.names, p, cfg)
         features = [_finite(encode_objects(batch, p, cfg), 1)]  # F_1 .. F_{B+1}
         for i in range(cfg.b):

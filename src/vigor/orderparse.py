@@ -440,14 +440,18 @@ def llm_two_stage_order(
 ) -> ParsedOrder:
     """Summarize, then order: two in-context requests against a chat model.
 
-    If the model's stage-1 target disagrees with the last element of the
-    stage-2 order, the order wins; both replies are preserved verbatim in
-    raw_response for auditing.
+    A failed request is retried up to `max_retries` times, read from
+    `endpoint`, else from an `HttpTransport`'s own config, else the
+    `LlmEndpointConfig` default.  If the model's stage-1 target disagrees
+    with the last element of the stage-2 order, the order wins; both
+    replies are preserved verbatim in raw_response for auditing.
     """
     if endpoint is None and transport is None:
         endpoint = LlmEndpointConfig.from_env()
     if transport is None:
         transport = HttpTransport(endpoint)
+    elif endpoint is None and isinstance(transport, HttpTransport):
+        endpoint = transport.config
     max_retries = endpoint.max_retries if endpoint else LlmEndpointConfig.max_retries
 
     reply1 = _send_with_retries(

@@ -373,16 +373,12 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, layout
         q_slots, q_len, k_slots, k_len = layout.q_slots, layout.q_len, layout.k_slots, layout.k_len
     dh = d // n_heads
     c = dh**-0.5
-    # (groups, heads, rows, dh) stacks: every product is one batched matmul.
-    # k is taken transposed, (groups, heads, dh, rows), as the logits read it.
-    if q_slots is None:  # one group: each stack is a view of the rows
-        qh = q.reshape(1, m, n_heads, dh).transpose(0, 2, 1, 3)
-        kt = k.reshape(1, n, n_heads, dh).transpose(0, 2, 3, 1)
-        vh = v.reshape(1, n, n_heads, dh).transpose(0, 2, 1, 3)
-    else:
-        qh = _to_heads(q, q_slots, n_groups, q_len, n_heads)
-        kt = _to_heads(k, k_slots, n_groups, k_len, n_heads).swapaxes(2, 3)
-        vh = _to_heads(v, k_slots, n_groups, k_len, n_heads)
+    # (groups, heads, rows, dh) stacks, views of the rows for one group:
+    # every product is one batched matmul.  k is taken transposed,
+    # (groups, heads, dh, rows), as the logits read it.
+    qh = _to_heads(q, q_slots, n_groups, q_len, n_heads)
+    kt = _to_heads(k, k_slots, n_groups, k_len, n_heads).swapaxes(2, 3)
+    vh = _to_heads(v, k_slots, n_groups, k_len, n_heads)
     logits = qh @ kt
     logits *= c
     w = _finite_shift(logits, "attention", keep)
@@ -399,8 +395,6 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, layout
             _from_heads(w.swapaxes(2, 3) @ gh, k_slots),
         )
 
-    if q_slots is None:
-        return (w @ vh).transpose(0, 2, 1, 3).reshape(m, d), back
     return _from_heads(w @ vh, q_slots), back
 
 

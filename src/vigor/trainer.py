@@ -225,7 +225,7 @@ def _train_step(
     # a first step the two parameter-sized vectors do not land above the
     # graph's memory, which would keep it from being returned (peak RSS).
     state.adam.moments(model.params)
-    leaves = model.trainable()
+    leaves = model.params.leaves()
     batch, noise, labels = packed.batch, train_cfg.label_noise, None
     if noise > 0.0:
         n, rng = len(model.class_vocab), state.rng

@@ -99,6 +99,18 @@ CORRUPT_LENGTHS = {
 }
 
 
+# Parser replies holding an order name that is not a string: each once
+# escaped `pack_batch` as AttributeError or TypeError.
+NON_STRING_ORDERS = {"ints": [1, 2], "none": [None, "chair"], "bytes": [b"bed", "chair"]}
+
+
+def forward_samples(model, scenes, orders, descriptions, labels=None, params=None):
+    """`pack_batch` on the samples, then `model.forward_packed` under
+    `labels` and `params`: the one way a caller passes either."""
+    batch = vigor.model.pack_batch(scenes, orders, descriptions, model.word_vocab, model.cfg)
+    return model.forward_packed(batch, labels, params)
+
+
 @pytest.fixture
 def a7_transcript_path(tmp_path):
     path = tmp_path / "transcript.jsonl"

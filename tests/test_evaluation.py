@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from vigor.errors import ContractError
+import vigor.tensor as tt
+from vigor.errors import ContractError, NumericError
 from vigor.evaluation import (
     EvalReport,
     accuracy,
@@ -17,6 +18,8 @@ from vigor.model import GroundingModel, ModelConfig
 from vigor.orderparse import parse_appearance_order
 from vigor.scene import ClassVocab, Scene
 from vigor.synthgen import GenConfig, default_vocab, generate_dataset
+
+from conftest import NON_STRING_ORDERS
 
 GEN = GenConfig(
     proposals_min=4,
@@ -192,20 +195,22 @@ def test_accuracy_parses_each_item_once():
 
 def test_accuracy_wraps_the_parameters_once(monkeypatch):
     data = items(5)
-    model = tiny_model()
+    twin, model = tiny_model(), tiny_model()
     hits = [
-        int(model.forward(d.scene, d.order, d.description).predicted_id() == d.target_id)
+        int(twin.forward(d.scene, d.order, d.description).predicted_id() == d.target_id)
         for d in data
     ]
-    real, calls = model.frozen, []
+    # The first item wraps each parameter once; no later item wraps one again.
+    real, wraps = tt.constant, []
 
-    def counting_frozen():
-        calls.append(1)
-        return real()
+    def counting_constant(value):
+        if np.shares_memory(value, model.params.vector):
+            wraps.append(value)
+        return real(value)
 
-    monkeypatch.setattr(model, "frozen", counting_frozen)
+    monkeypatch.setattr(tt, "constant", counting_constant)
     report = accuracy(model, data)
-    assert len(calls) == 1
+    assert len(wraps) == len(model.params)
     assert report.overall == sum(hits) / len(data)
 
 
@@ -276,3 +281,46 @@ def test_report_json_roundtrip():
         v["count"] for k, v in blob["subsets"].items() if k.startswith("order_length:")
     )
     assert total == blob["count"]
+
+
+def nan_at_target(k, target):
+    scores = np.zeros(k)
+    scores[target] = np.nan
+    return scores
+
+
+def inf_at_target_and_after(k, target):
+    scores = np.zeros(k)
+    scores[[target, (target + 1) % k]] = np.inf
+    return scores
+
+
+@pytest.mark.parametrize("bad", [nan_at_target, inf_at_target_and_after])
+def test_accuracy_refuses_a_non_finite_score(bad):
+    """argmax reads a NaN as the maximum, and the first of two infinities
+    as the top score: each would count as a hit."""
+    data = items(3)
+
+    def scores(item, order):
+        if item is data[0]:
+            return np.eye(len(item.scene))[item.target_id]
+        return bad(len(item.scene), item.target_id)
+
+    with pytest.raises(NumericError, match="item 1 "):
+        accuracy(tiny_model(), data, score_fn=scores)
+
+
+def test_accuracy_refuses_a_non_finite_model_score():
+    model = tiny_model()
+    model.params["head.score.2.b"][0, 0] = np.nan
+    with pytest.raises(NumericError, match="item 0 "):
+        accuracy(model, items(2))
+
+
+@pytest.mark.parametrize("reply", list(NON_STRING_ORDERS.values()), ids=list(NON_STRING_ORDERS))
+def test_an_order_name_that_is_not_a_string_is_refused(reply):
+    model, item = tiny_model(), items(1)[0]
+    with pytest.raises(ContractError, match="order names must be strings"):
+        model.forward(item.scene, reply, item.description)
+    with pytest.raises(ContractError, match="order names must be strings"):
+        accuracy(model, [item], parser=lambda description: reply)

@@ -22,6 +22,8 @@ from vigor.model import (
 )
 from vigor.scene import ClassVocab, Scene, permute_scene
 
+from conftest import forward_samples
+
 VOCAB = ClassVocab(("chair", "table", "door", "bed", "water bottle"))
 
 
@@ -162,7 +164,7 @@ def test_packed_text_encoder_matches_per_piece_passes(order):
     w_names = tt.constant(rng.normal(size=(4, 8)))
     results = []
     for packed in (True, False):
-        p = m.trainable()
+        p = m.params.leaves()
         if packed:
             text = encode_text(pack_text([tokens], order, m.word_vocab, m.cfg), order, p, m.cfg)
             rows, names = tt.concat(text.sentences, text.words), text.order_features
@@ -199,7 +201,7 @@ def objects(m, scenes):
     """F_1 of scenes, packed as a forward packs them."""
     n = len(scenes)
     batch = pack_batch(scenes, [ORDER] * n, [DESC] * n, m.word_vocab, m.cfg)
-    return encode_objects(batch, m.frozen(), m.cfg)
+    return encode_objects(batch, m.params.constants(), m.cfg)
 
 
 def test_encode_objects_shape():
@@ -277,7 +279,7 @@ def test_forward_rejects_wrong_order_length():
 def test_forward_rejects_wrong_label_count():
     m = tiny_model(b=2)
     with pytest.raises(ContractError):
-        m.forward(SCENE, ORDER, DESC, labels=[0, 1])
+        forward_samples(m, [SCENE], [ORDER], [DESC], labels=[0, 1])
 
 
 def test_forward_finite_with_all_unknown_order():
@@ -330,7 +332,7 @@ def test_forward_permutation_equivariance():
 def test_forward_uses_given_labels_for_masks():
     m = tiny_model(b=2)
     noisy = [1, 1, 1]  # pretend everything is a table
-    out = m.forward(SCENE, ORDER, DESC, labels=noisy)
+    out = forward_samples(m, [SCENE], [ORDER], [DESC], labels=noisy)
     assert out.masks.sum(axis=0).tolist() == [3, 3]
 
 
@@ -361,7 +363,7 @@ def test_forward_gradients_match_finite_differences():
             k: checked[k] if k in checked else tt.constant(v)
             for k, v in m.params.items()
         }
-        out = m.forward(scene, ORDER, DESC, params=p)
+        out = forward_samples(m, [scene], [ORDER], [DESC], params=p)
         return tt.cross_entropy(out.scores, [[target]])
 
     report = tt.grad_check(loss_fn, subset)
@@ -382,7 +384,7 @@ def test_forward_batch_rows_equal_each_sample_alone():
     ]
     orders = [ORDER, ["door", "door"], ["water bottle", "table"]]
     descriptions = [DESC, "the chair near the door", "the table far from the water bottle"]
-    packed = m.forward_batch(scenes, orders, descriptions)
+    packed = forward_samples(m, scenes, orders, descriptions)
     assert packed.sizes == (3, 2, 4)
     assert packed.text_class_logits.shape == (3, len(VOCAB))
     ends = np.cumsum(packed.sizes)
@@ -402,13 +404,13 @@ def test_forward_batch_rows_equal_each_sample_alone():
 def test_forward_batch_contract():
     m = tiny_model(b=2)
     with pytest.raises(ContractError):
-        m.forward_batch([], [], [])
+        forward_samples(m, [], [], [])
     with pytest.raises(ContractError):
-        m.forward_batch([SCENE, SCENE], [ORDER], [DESC, DESC])
+        forward_samples(m, [SCENE, SCENE], [ORDER], [DESC, DESC])
     with pytest.raises(ContractError):
-        m.forward_batch([SCENE, SCENE], [ORDER, ["door"]], [DESC, DESC])
+        forward_samples(m, [SCENE, SCENE], [ORDER, ["door"]], [DESC, DESC])
     with pytest.raises(ContractError):
-        m.forward_batch([SCENE, SCENE], [ORDER, ORDER], [DESC, DESC], labels=[[0, 1, 1]])
+        forward_samples(m, [SCENE, SCENE], [ORDER, ORDER], [DESC, DESC], labels=[[0, 1, 1]])
 
 
 def mixed_scenes():
@@ -438,7 +440,7 @@ def test_head_outputs_carry_the_batchs_sizes():
     scenes, orders, descriptions = mixed_scenes()
     batch = pack_batch(scenes, orders, descriptions, m.word_vocab, m.cfg)
     assert m.forward_packed(batch).sizes == batch.sizes == (3, 2, 4)
-    two = m.forward_batch(scenes[:2], orders[:2], descriptions[:2])
+    two = forward_samples(m, scenes[:2], orders[:2], descriptions[:2])
     assert two.sizes == (3, 2)
     with pytest.raises(ContractError, match="batch of one"):
         two.predicted_id()
@@ -498,16 +500,11 @@ BAD_LABELS = {
 }
 
 
-@pytest.mark.parametrize("via", ["forward", "forward_batch", "forward_packed"])
+# `forward_packed` is the one method that takes labels.
+@pytest.mark.parametrize("via", ["forward_packed"])
 @pytest.mark.parametrize("bad", list(BAD_LABELS.values()), ids=list(BAD_LABELS))
 def test_every_forward_refuses_labels_that_are_not_one_class_id_a_row(via, bad):
     m = tiny_model(b=2)
-    scenes, orders, descriptions = mixed_scenes()
+    batch = pack_batch(*mixed_scenes(), m.word_vocab, m.cfg)
     with pytest.raises(ContractError, match="labels"):
-        if via == "forward":
-            m.forward(SCENE, ORDER, DESC, labels=bad(len(SCENE)))
-        elif via == "forward_batch":
-            m.forward_batch(scenes, orders, descriptions, labels=bad(9))
-        else:
-            batch = pack_batch(scenes, orders, descriptions, m.word_vocab, m.cfg)
-            m.forward_packed(batch, bad(9))
+        getattr(m, via)(batch, bad(9))

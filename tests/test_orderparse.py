@@ -252,6 +252,22 @@ def test_transport_retries_then_succeeds():
     assert list(parsed.names) == PARSE_CASES[0]["order"]
 
 
+def test_an_http_transport_is_tried_as_often_as_its_own_config_says():
+    """With no endpoint given, an `HttpTransport`'s own `max_retries`
+    holds, not the default; this one fails before any request is sent."""
+    calls = []
+
+    class Unreachable(HttpTransport):
+        def __call__(self, prompt):
+            calls.append(prompt)
+            raise TransportError("connection refused")
+
+    config = LlmEndpointConfig(base_url="http://localhost:9", model="m", max_retries=0)
+    with pytest.raises(EndpointError, match="after 1 attempts"):
+        llm_two_stage_order("the chair", transport=Unreachable(config))
+    assert len(calls) == 1
+
+
 def test_ascii_arrow_accepted():
     records = [
         {

@@ -38,7 +38,12 @@ from vigor.trainer import (
     warmup_stage,
 )
 
-from conftest import CORRUPT_LENGTHS, rewrite_checkpoint_header
+from conftest import (
+    CORRUPT_LENGTHS,
+    NON_STRING_ORDERS,
+    forward_samples,
+    rewrite_checkpoint_header,
+)
 
 GEN = GenConfig(
     proposals_min=4,
@@ -339,15 +344,14 @@ def test_resumed_warmup_trains_as_the_in_process_draws_do(cpus):
 @pytest.mark.parametrize("n", [1, 2])
 def test_a_worker_packed_step_equals_the_in_process_one(cpus, n):
     """A step packed by the worker (two CPUs) or in-process (one) equals
-    `pack_batch` on the samples, and forwards as `forward_batch` does."""
+    `pack_batch` on the samples, and forwards as a fresh pack of them does."""
     cpus(n)
     got = list(stream(0, 3, size=4))
     assert all(map(same_step, got, packed_steps(0, 3, size=4)))
     model = tiny_model(seed=2)
     samples = [sample_at(GEN, i) for i in range(4, 8)]
-    want = model.forward_batch(
-        [s.scene for s in samples], [s.order for s in samples], [s.description for s in samples]
-    )
+    scenes, orders = [s.scene for s in samples], [s.order for s in samples]
+    want = forward_samples(model, scenes, orders, [s.description for s in samples])
     step = got[1]
     out = model.forward_packed(step.batch)
     for name in ("scores", "block_scores", "mask_logits", "coord_pred", "text_class_logits"):
@@ -543,6 +547,15 @@ def test_main_rejects_empty_dataset():
         main_stage(tiny_model(), [], TrainConfig(main_steps=1), rule_parser)
 
 
+@pytest.mark.parametrize("reply", list(NON_STRING_ORDERS.values()), ids=list(NON_STRING_ORDERS))
+def test_main_refuses_an_order_name_that_is_not_a_string(reply):
+    model = tiny_model()
+    before = snapshot(model)
+    with pytest.raises(ContractError, match="order names must be strings"):
+        main_stage(model, dataset(2), TrainConfig(main_steps=1), lambda description: reply)
+    assert params_equal(before, model.params)
+
+
 def test_main_zero_steps_leaves_model_unchanged():
     model = tiny_model()
     before = snapshot(model)
@@ -685,7 +698,8 @@ def parent_flat_gradient(model, batch, loss_fn, weights):
     backward's map of gradients, one concatenation in layout order."""
     leaves = {name: T.leaf(v) for name, v in model.params.items()}
     items = [item for item, _ in batch]
-    out = model.forward_batch(
+    out = forward_samples(
+        model,
         [item.scene for item in items],
         [order for _, order in batch],
         [item.description for item in items],
@@ -753,25 +767,28 @@ def test_deepcopy_of_model_and_state_trains_identically():
 
 
 def test_frozen_wraps_are_built_once_and_read_their_own_vector():
-    """`frozen()` reuses one constant wrap per parameter; a deep copy gets
-    wraps of its own vector, and an assignment shows through the wraps."""
+    """`params.constants()` reuses one constant wrap per parameter; a deep
+    copy gets wraps of its own vector, and an assignment shows through the
+    wraps."""
     cfg = TrainConfig(warmup_steps=1, batch_size=2, seed=0)
     model = tiny_model()
     _, state = warmup_stage(model, GEN, cfg)
-    wraps = model.frozen()
-    assert model.frozen() is wraps
+    wraps = model.params.constants()
+    assert model.params.constants() is wraps
     twin, twin_state = copy.deepcopy((model, state))
     warmup_stage(twin, GEN, cfg, twin_state)
     sample = sample_at(GEN, 0)
 
     def scores(m, params=None):
-        return m.forward(sample.scene, sample.order, sample.description, params).scores.data
+        return forward_samples(
+            m, [sample.scene], [sample.order], [sample.description], params=params
+        ).scores.data
 
     fresh = {k: T.constant(v) for k, v in twin.params.items()}
     assert not np.array_equal(scores(twin), scores(model))
     assert np.array_equal(scores(twin), scores(twin, fresh))
     model.params = twin.params
-    assert model.frozen() is wraps
+    assert model.params.constants() is wraps
     assert np.array_equal(scores(model), scores(twin, fresh))
 
 
@@ -1340,21 +1357,21 @@ def test_packed_step_matches_per_sample_reference(stage, monkeypatch):
 
 
 def check_packed_step(model, samples, orders, labels, stage, loss_fn):
-    leaves = model.trainable()
+    leaves = model.params.leaves()
     scenes, descriptions = [s.scene for s in samples], [s.description for s in samples]
-    out = model.forward_batch(
-        scenes, orders, descriptions, params=leaves, labels=np.concatenate(labels)
+    out = forward_samples(
+        model, scenes, orders, descriptions, labels=np.concatenate(labels), params=leaves
     )
     packed = loss_fn(out, step_of(model, list(zip(samples, orders)), loss_fn), WEIGHTS)
     packed_values = packed.values()
     views = [SampleView(out, s) for s in range(len(samples))]  # every head, before backward
     packed_grads = T.backward(packed.total, leaves)
 
-    leaves = model.trainable()
+    leaves = model.params.leaves()
     values, totals = [], []
     for sample, order, sample_labels in zip(samples, orders, labels):
-        one = model.forward(
-            sample.scene, order, sample.description, params=leaves, labels=sample_labels
+        one = forward_samples(
+            model, [sample.scene], [order], [sample.description], sample_labels, leaves
         )
         v, total = per_sample_reference(one, sample, stage, WEIGHTS)
         values.append(v)
@@ -1383,8 +1400,8 @@ def test_only_the_warmup_loss_supervises_the_offsets():
     model = tiny_model(seed=3)
     scenes, descriptions = [s.scene for s in samples], [s.description for s in samples]
     for loss_fn in (trainer._warmup_loss, trainer._main_loss):
-        leaves = model.trainable()
-        out = model.forward_batch(scenes, orders, descriptions, params=leaves)
+        leaves = model.params.leaves()
+        out = forward_samples(model, scenes, orders, descriptions, params=leaves)
         packed = loss_fn(out, step_of(model, list(zip(samples, orders)), loss_fn), WEIGHTS)
         grads = T.backward(packed.total, leaves)
         coord = {name: g for name, g in grads.items() if name.startswith("head.coord")}
@@ -1408,7 +1425,7 @@ def test_each_stage_composes_its_parts_in_order(loss_fn, want):
     samples, orders = mixed_batch()
     model = tiny_model()
     scenes, descriptions = [s.scene for s in samples], [s.description for s in samples]
-    out = model.forward_batch(scenes, orders, descriptions)
+    out = forward_samples(model, scenes, orders, descriptions)
     breakdown = loss_fn(out, step_of(model, list(zip(samples, orders)), loss_fn), WEIGHTS)
     assert list(breakdown.parts) == want
     assert list(breakdown.values()) == [*want, "total"]
