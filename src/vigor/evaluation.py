@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractError, EmptyOrderError, NumericError, OrderParseError
 from .model import GroundingModel
-from .orderparse import order_names, trim_pad
+from .orderparse import order_names
 
 __all__ = [
     "BREAKDOWN_FAMILIES",
@@ -33,21 +33,13 @@ __all__ = [
 BREAKDOWN_FAMILIES = ("order_length", "distractors")
 
 
-def _raw_order(item, parser: Callable[[str], Sequence[str]] | None) -> list[str]:
-    if parser is not None:
-        return order_names(parser(item.description))
-    order = getattr(item, "order", None)
-    if order is None:
-        raise ContractError(
-            "evaluation items carry no stored order; supply a parser"
-        )
-    return list(order)
-
-
 def _parsed_order(item, parser) -> list[str] | None:
-    """The item's order, or None when the parser cannot read its description."""
+    """The names of the item's order, unfitted: the parser's reply, else the
+    stored order.  None when the parser cannot read the description."""
+    if parser is None and getattr(item, "order", None) is None:
+        raise ContractError("evaluation items carry no stored order; supply a parser")
     try:
-        return _raw_order(item, parser)
+        return order_names(item.order if parser is None else parser(item.description))
     except (EmptyOrderError, OrderParseError):
         return None
 
@@ -109,6 +101,7 @@ def accuracy(
 
     `score_fn(item, order)` may replace the model's scores with an
     injected K-vector, which keeps the harness testable against oracles.
+    It and `forward` get the order's names unfitted, as bucketed by length.
     Ties go to the lowest proposal id, and a score vector with a NaN or an
     infinity raises `NumericError`.  A description the parser rejects
     (`EmptyOrderError`, `OrderParseError`) is scored as a miss, bucketed as
@@ -121,13 +114,12 @@ def accuracy(
     bucket_hits: dict[str, int] = {}
     bucket_counts: dict[str, int] = {}
     for index, item in enumerate(items):
-        raw = _parsed_order(item, parser)
-        label = _labels(item, raw)
-        if raw is None:
+        order = _parsed_order(item, parser)
+        label = _labels(item, order)
+        if order is None:
             parse_failures += 1
             hit = False
         else:
-            order = trim_pad(raw, model.cfg.b)
             if score_fn is not None:
                 scores = np.asarray(score_fn(item, order), dtype=np.float64).reshape(-1)
             else:

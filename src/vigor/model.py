@@ -24,14 +24,15 @@ one matrix, all descriptions and order names share one text-encoder pass,
 and each attention is confined to its sample by an `AttentionLayout`, so a
 sample's outputs equal running it alone (Krell et al., "Efficient Sequence
 Packing without Cross-contamination", arXiv 2107.02027).  The work splits
-in two.  `pack_batch` reads no parameter: it resamples and stacks the
-points and centers, tokenizes the descriptions and order names, and builds
-one layout per distinct pair of (query ids, key ids), so the two text
-layers share one and so do the B blocks' self-attentions.  It can run
-ahead of the step, in another process.  `GroundingModel.forward_packed`
-builds the relevance masks from class labels and runs the parameter math;
-every caller that packs a batch, passes labels or passes parameters calls
-the two in turn.  `forward` is inference on one sample (a batch of one,
+in two.  `pack_batch` reads no parameter: it fits every order to B names
+(`order_names`, then `trim_pad`), resamples and stacks the points and
+centers, tokenizes the descriptions and order names, and builds one
+layout per distinct pair of (query ids, key ids), so the two text layers
+share one and so do the B blocks' self-attentions.  It can run ahead of
+the step, in another process.  `GroundingModel.forward_packed` builds the
+relevance masks from class labels and runs the parameter math; every
+caller that packs a batch, passes labels or passes parameters calls the
+two in turn.  `forward` is inference on one sample (a batch of one,
 which needs no layout in the blocks).
 """
 
@@ -46,7 +47,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import tensor as tt
-from .errors import ContractError, check_field_types
+from .errors import ContractError, NumericError, check_field_types
+from .orderparse import ParsedOrder, order_names, trim_pad
 from .scene import MAX_POINTS_PER_PROPOSAL, ClassVocab, Scene, build_masks, tokenize
 from .synthgen import TEMPLATE_WORDS
 from .tensor import Tensor
@@ -258,11 +260,16 @@ class HeadOutputs:
         return _mlp2(self.params, "head.text", self.sentences)
 
     def predicted_id(self) -> int:
-        """The top-scoring proposal of a batch of one."""
+        """The top-scoring proposal of a batch of one.  A NaN or an infinity
+        among the scores raises `NumericError`: argmax would read the first
+        as the maximum and break a tie among the second by id."""
         if len(self.sizes) != 1:
             raise ContractError("predicted_id needs a batch of one sample")
+        scores = self.scores.data[:, 0]
+        if not np.isfinite(scores).all():
+            raise NumericError(f"non-finite target score: {scores.tolist()}")
         # argmax returns the first maximum, i.e. ties go to the lowest id
-        return int(np.argmax(self.scores.data[:, 0]))
+        return int(np.argmax(scores))
 
 
 @lru_cache(maxsize=64)
@@ -516,24 +523,22 @@ def _block_layouts(sizes: Sequence[int], token_counts: Sequence[int], b: int):
 
 def pack_batch(
     scenes: Sequence[Scene],
-    orders: Sequence[Sequence[str]],
+    orders: Sequence[ParsedOrder | Sequence[str]],
     descriptions: Sequence[str],
     word_vocab: WordVocab,
     cfg: ModelConfig,
 ) -> PackedBatch:
     """Everything S samples give a forward, built without parameters: see
-    `PackedBatch`.  The scenes must share one class vocabulary."""
+    `PackedBatch`.  The scenes must share one class vocabulary, and each
+    order, any parser reply `order_names` takes, is fitted to `cfg.b` names
+    by `trim_pad`: the blocks read the fitted names."""
     s = len(scenes)
     if s < 1 or len(orders) != s or len(descriptions) != s:
         raise ContractError("need one order and one description per scene, and a scene")
     vocab = scenes[0].vocab
     if any(scene.vocab != vocab for scene in scenes[1:]):
         raise ContractError("the scenes of a batch must share one class vocabulary")
-    for order in orders:
-        if len(order) != cfg.b:
-            raise ContractError(f"order length {len(order)} != configured {cfg.b}")
-        if not all(isinstance(name, str) for name in order):
-            raise ContractError(f"order names must be strings, got {list(order)!r}")
+    orders = [trim_pad(order_names(order), cfg.b) for order in orders]
     tokens = [tokenize(description) for description in descriptions]
     names = [order[j] for j in range(cfg.b) for order in orders]  # block-major
     text = pack_text(tokens, names, word_vocab, cfg)
@@ -643,9 +648,11 @@ class GroundingModel:
         # second copy of the parameters is held.
         self._params.assign(arrays)
 
-    def forward(self, scene: Scene, order: Sequence[str], description: str) -> HeadOutputs:
+    def forward(
+        self, scene: Scene, order: ParsedOrder | Sequence[str], description: str
+    ) -> HeadOutputs:
         """Inference on one sample, under its scene's labels and the current
-        parameters: a packed batch of one."""
+        parameters: a packed batch of one, its order fitted by `pack_batch`."""
         return self.forward_packed(
             pack_batch([scene], [order], [description], self.word_vocab, self.cfg)
         )

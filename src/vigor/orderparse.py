@@ -9,8 +9,9 @@ Two parsers produce the class-name order (target last):
   explicit order.  The transport is injectable, and a canned-transcript
   fake keeps tests off the network.
 
-`trim_pad` normalizes any order to exactly B names without moving the
-target away from the last slot.
+`order_names` checks a parser reply and `trim_pad` normalizes its names
+to exactly B without moving the target away from the last slot;
+`model.pack_batch` runs the two on every order it packs.
 """
 
 from __future__ import annotations
@@ -224,11 +225,18 @@ def order_names(reply: ParsedOrder | Sequence[str]) -> list[str]:
     """The class names of a parser reply: a ParsedOrder or a plain sequence.
 
     A bare string is refused: as a sequence it would read as one name a
-    letter.
+    letter.  So are a reply without a name and a name that is not a
+    string.  The names come back in the reply's own length; `trim_pad`
+    fits them to the blocks.
     """
     if isinstance(reply, str):
         raise ContractError(f"a parser reply must be a sequence of names, not the string {reply!r}")
-    return list(getattr(reply, "names", reply))
+    names = list(getattr(reply, "names", reply))
+    if not names:
+        raise ContractError("a parser reply must hold at least one name")
+    if not all(isinstance(name, str) for name in names):
+        raise ContractError(f"order names must be strings, got {names!r}")
+    return names
 
 
 def trim_pad(order: Sequence[str], b: int) -> list[str]:

@@ -1005,57 +1005,59 @@ class GradCheckReport:
 
 
 def grad_check(
-    loss_fn: Callable[[dict[str, Tensor]], Tensor],
+    loss_fn: Callable[[Mapping[str, Tensor]], Tensor],
     params: Mapping[str, np.ndarray],
     h: float = 1e-5,
     atol: float = 1e-6,
 ) -> GradCheckReport:
     """Check every entry of every parameter against central differences.
 
-    `loss_fn` must be deterministic and must consume the given tensors
-    rather than capturing outside state.  The numeric side evaluates the
-    loss with constant (untaped) parameters, so it runs at plain numpy
-    speed.
+    `loss_fn` must be deterministic and must consume the given read-only
+    mapping of tensors rather than capturing outside state.  `params` is
+    copied into one `FlatParams`: the analytic side runs one backward
+    through its leaves, and the numeric side perturbs one entry of its
+    vector at a time under its one set of constant (untaped) wraps, so it
+    runs at plain numpy speed.
 
     Entries where both sides fall below `atol` count as matching zeros:
     central differences bottom out near eps*|loss|/h, so relative error
     against a true zero gradient would only measure that noise.
     """
-    arrays = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
-    if not arrays:
+    if not params:
         return GradCheckReport(max_rel_err=0.0, worst_param=None, checked=0)
+    # A copy in one vector: the leaves' gradients land in `flat.grad`, and
+    # a perturbed entry of `flat.vector` shows in the one set of constant
+    # wraps every loss evaluation reads.
+    arrays = {name: _as_matrix(v) for name, v in params.items()}
+    flat = FlatParams((name, a.shape) for name, a in arrays.items())
+    flat.assign(arrays)
 
     reset_tape()
-    leaves = {k: leaf(v) for k, v in arrays.items()}
-    loss = loss_fn(leaves)
-    analytic = backward(loss, leaves)
-
-    def eval_loss() -> float:
-        return loss_fn({k: constant(v) for k, v in arrays.items()}).item()
+    backward(loss_fn(flat.leaves()))
+    constants, vector, analytic = flat.constants(), flat.vector, flat.grad
 
     max_rel = 0.0
     worst = None
     checked = 0
     nonfinite: list[str] = []
-    for name, arr in arrays.items():
-        ga = analytic[name]
-        if not np.isfinite(ga).all():
+    end = 0
+    for name, view in flat.items():
+        start, end = end, end + view.size
+        if not np.isfinite(analytic[start:end]).all():
             nonfinite.append(name)
             continue
-        flat = arr.reshape(-1)
-        ga_flat = ga.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            up = eval_loss()
-            flat[j] = orig - h
-            down = eval_loss()
-            flat[j] = orig
-            gn = (up - down) / (2.0 * h)
+        for j in range(start, end):
+            orig = vector[j]
+            vector[j] = orig + h
+            up = loss_fn(constants).item()
+            vector[j] = orig - h
+            down = loss_fn(constants).item()
+            vector[j] = orig
+            ga, gn = analytic[j], (up - down) / (2.0 * h)
             checked += 1
-            if abs(ga_flat[j]) <= atol and abs(gn) <= atol:
+            if abs(ga) <= atol and abs(gn) <= atol:
                 continue
-            rel = abs(ga_flat[j] - gn) / max(1e-8, abs(ga_flat[j]) + abs(gn))
+            rel = abs(ga - gn) / max(1e-8, abs(ga) + abs(gn))
             if rel > max_rel:
                 max_rel = rel
                 worst = name

@@ -8,12 +8,14 @@ coordinate term.  A head is built when a loss first reads it, so what a
 stage's loss reads is all of the heads its step builds.
 
 Each optimizer step runs its batch as one graph.  `_pack_step` first
-does all of the step's parameter-free work (`model.pack_batch`: resampled
-points, class labels, token ids, attention layouts) and keeps the ids it
-supervises.  The step draws any label noise and runs one forward through
-`GroundingModel.forward_packed`, which builds the masks from the labels,
-one call of each loss over the packed rows (each loss sums its per-sample
-values), one `compose` of the stage's parts by name and one backward.
+does all of the step's parameter-free work (`model.pack_batch`: fitted
+orders, resampled points, class labels, token ids, attention layouts) and
+keeps the ids the stage's step source passes it: each warm-up sample's
+anchor chain, each main-stage item's target.  The step draws any label
+noise and runs one forward through `GroundingModel.forward_packed`, which
+builds the masks from the labels, one call of each loss over the packed
+rows (each loss sums its per-sample values), one `compose` of the stage's
+parts by name and one backward.
 Both stages run their steps through one loop, which counts them and
 calls `on_eval`.
 
@@ -54,7 +56,7 @@ from .losses import LossBreakdown, LossWeights, compose
 from .losses import loss_crd, loss_mask, loss_ref, loss_text
 from .model import GroundingModel, HeadOutputs, ModelConfig, PackedBatch, WordVocab
 from .model import pack_batch, param_layout
-from .orderparse import order_names, trim_pad
+from .orderparse import order_names
 from .scene import ClassVocab
 from .synthgen import GenConfig, default_vocab, sample_at
 from .tensor import AdamState, FlatParams, GradCheckReport, adam_step, backward, grad_check
@@ -146,26 +148,15 @@ class _Step:
 
 
 def _pack_step(
-    batch: Sequence[tuple[object, Sequence[str]]],
-    stage: str,
-    word_vocab: WordVocab,
-    cfg: ModelConfig,
+    items: Sequence, orders: Sequence, targets: Sequence, word_vocab: WordVocab, cfg: ModelConfig
 ) -> _Step:
-    """Pack (item, order) pairs for one step, without parameters.  The
-    warm-up supervises each sample's anchor chain, the main stage its
-    target only."""
-    items = [item for item, _ in batch]
-    scenes = [item.scene for item in items]
-    if stage == "warmup":
-        targets = [item.anchor_target_ids for item in items]
-    else:
-        targets = [[item.target_id] for item in items]
-    return _Step(
-        pack_batch(
-            scenes, [order for _, order in batch], [it.description for it in items], word_vocab, cfg
-        ),
-        np.array(targets, dtype=np.intp),
-    )
+    """Pack one step's items (each with a scene and a description), their
+    orders (as `pack_batch` takes them) and the ids each item supervises
+    (one list an item, the same length for all, target last), without
+    parameters."""
+    scenes, descriptions = [it.scene for it in items], [it.description for it in items]
+    batch = pack_batch(scenes, orders, descriptions, word_vocab, cfg)
+    return _Step(batch, np.array(targets, dtype=np.intp))
 
 
 def _target_classes(step: _Step) -> np.ndarray:
@@ -312,8 +303,9 @@ def _warmup_step(
     gen_cfg: GenConfig, word_vocab: WordVocab, cfg: ModelConfig, size: int, index: int
 ) -> _Step:
     """Warm-up step `index` (from 0), packed: samples index * size onward."""
-    samples = (sample_at(gen_cfg, i) for i in range(index * size, (index + 1) * size))
-    return _pack_step([(s, s.order) for s in samples], "warmup", word_vocab, cfg)
+    samples = [sample_at(gen_cfg, i) for i in range(index * size, (index + 1) * size)]
+    chains = [s.anchor_target_ids for s in samples]  # every block supervised
+    return _pack_step(samples, [s.order for s in samples], chains, word_vocab, cfg)
 
 
 def _produce(recv, send, cpus: set[int], draw: Callable[[int], _Step], first: int, count: int):
@@ -433,22 +425,23 @@ def main_stage(
 
     `dataset` items carry a scene, a description, and a `target_id`.
     `parser` maps a description to an order (class names, target last);
-    results are normalized to the model's block count with trim_pad and
-    cached, so each description is parsed once.  Each step's picks are
-    drawn from `state.rng` when the step starts, after the previous step's
-    label noise.
+    every description is parsed once, before the first step, and its
+    names checked by `order_names` and cached; `pack_batch` fits them to
+    the block count.  Each step's picks are drawn from `state.rng` when
+    the step starts, after the previous step's label noise.
     """
     if not dataset:
         raise ContractError("main stage needs a nonempty dataset")
     model.check_vocab([item.scene.vocab for item in dataset], "a dataset scene's")
     state = state if state is not None else TrainState.fresh(train_cfg.seed)
-    orders = [trim_pad(order_names(parser(item.description)), model.cfg.b) for item in dataset]
+    orders = [order_names(parser(item.description)) for item in dataset]
 
     def steps() -> Iterator[_Step]:
         for _ in range(train_cfg.main_steps):
-            picks = state.rng.integers(0, len(dataset), size=train_cfg.batch_size)
-            batch = [(dataset[int(i)], orders[int(i)]) for i in picks]
-            yield _pack_step(batch, "main", model.word_vocab, model.cfg)
+            picks = state.rng.integers(0, len(dataset), size=train_cfg.batch_size).tolist()
+            items, step_orders = [dataset[i] for i in picks], [orders[i] for i in picks]
+            targets = [[item.target_id] for item in items]  # the target only
+            yield _pack_step(items, step_orders, targets, model.word_vocab, model.cfg)
 
     return _run_stage(model, state, train_cfg, "main", steps(), _main_loss, on_eval), state
 
@@ -669,11 +662,9 @@ def full_model_grad_check(seed: int = 0) -> GradCheckReport:
         order_len=2,
         seed=seed,
     )
-    sample = sample_at(gen_cfg, 0)
     cfg = ModelConfig(d=8, b=2, n_heads=2, points_per_proposal=8, seed=seed)
-    model = GroundingModel(cfg, sample.scene.vocab)
-
-    packed = _pack_step([(sample, sample.order)], "warmup", model.word_vocab, model.cfg)
+    model = GroundingModel(cfg, default_vocab(gen_cfg.class_vocab_size))
+    packed = _warmup_step(gen_cfg, model.word_vocab, cfg, 1, 0)
 
     def loss_fn(p):
         return _warmup_loss(model.forward_packed(packed.batch, params=p), packed).total

@@ -182,6 +182,55 @@ def test_verify_reports_an_unreadable_description_and_goes_on(tmp_path, capsys):
     assert "record 0" not in err and "error:" not in err
 
 
+def test_verify_of_no_records_passes(tmp_path, capsys):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("")
+    assert main(["verify", "--data", str(path)]) == 0
+    assert capsys.readouterr().out == "verified 0 records\n"
+
+
+def reorder(rec):
+    rec["order"] = rec["order"][::-1]
+
+
+def drop_relation(rec):
+    rec["description"] = rec["description"].replace(" farthest", "")
+
+
+def second_first_anchor(rec):
+    """Another proposal takes the first anchor's class: the oracle cannot
+    tell which one the description starts from."""
+    other = next(p for p in rec["proposals"] if p["id"] not in rec["anchor_ids"])
+    other["class"] = rec["order"][0]
+
+
+def other_first_anchor(rec):
+    ids = [p["id"] for p in rec["proposals"]]
+    rec["anchor_ids"][0] = next(i for i in ids if i not in rec["anchor_ids"])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (reorder, "parsed order ['bookshelf', 'armchair'] != stored ['armchair', 'bookshelf']"),
+        (drop_relation, "expected exactly one relation word, got []"),
+        (second_first_anchor, "expected exactly one proposal of class 'bookshelf', found 2"),
+        (other_first_anchor, "oracle chain [0, 4] != stored [1, 4]"),
+    ],
+    ids=["order", "relation", "ambiguous", "chain"],
+)
+def test_verify_reports_each_kind_of_disagreement(tmp_path, capsys, edit, message):
+    """One hand-edited record fails with its own message; the other passes."""
+    path = synth(tmp_path, scenes=2)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(records[0])
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    assert main(["verify", "--data", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "verify FAILED on 1 of 2 records" in out
+    assert err == f"record 0: {message}\n"
+
+
 def test_verify_missing_file_is_io_error(tmp_path, capsys):
     assert main(["verify", "--data", str(tmp_path / "absent.jsonl")]) == 3
     assert "error:" in capsys.readouterr().err

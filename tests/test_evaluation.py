@@ -223,7 +223,7 @@ def test_accuracy_buckets_the_order_it_scores():
     parser = lambda desc: next(replies)
 
     def scorer(item, order):
-        long_reply = len(set(order)) > 1  # a one-name reply pads to repeats
+        long_reply = len(set(order)) > 1  # the one-name reply has one distinct name
         scores = np.zeros(len(item.scene))
         miss = (item.target_id + 1) % len(item.scene)
         scores[item.target_id if long_reply else miss] = 1.0
@@ -324,3 +324,36 @@ def test_an_order_name_that_is_not_a_string_is_refused(reply):
         model.forward(item.scene, reply, item.description)
     with pytest.raises(ContractError, match="order names must be strings"):
         accuracy(model, [item], parser=lambda description: reply)
+
+
+@pytest.mark.parametrize("where", ["stored", "parser"])
+def test_a_bare_string_order_is_refused(where):
+    """As a sequence, "chair door" would read as one class name a letter."""
+    item = items(1)[0]
+    if where == "stored":
+        data, parser = [EvalItem(item.scene, item.description, "chair door", item.target_id)], None
+    else:
+        data, parser = [item], lambda description: "chair door"
+    with pytest.raises(ContractError, match="not the string 'chair door'"):
+        accuracy(tiny_model(), data, parser=parser)
+
+
+def test_score_fn_gets_the_reply_unfitted():
+    """`score_fn` sees the parser's names as the reply gave them, one and
+    three names on a two-block model, not their `trim_pad` fit."""
+    data = items(2)
+    replies = {data[0].description: ("table",), data[1].description: ("bed", "door", "table")}
+    seen = []
+
+    def scorer(item, order):
+        seen.append(order)
+        return np.eye(len(item.scene))[item.target_id]
+
+    accuracy(tiny_model(), data, parser=replies.__getitem__, score_fn=scorer)
+    assert seen == [["table"], ["bed", "door", "table"]]
+
+
+def test_accuracy_refuses_a_score_vector_of_the_wrong_length():
+    data = items(1)
+    with pytest.raises(ContractError, match="score vector length"):
+        accuracy(tiny_model(), data, score_fn=lambda item, order: np.zeros(len(item.scene) - 1))

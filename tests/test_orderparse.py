@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -145,6 +146,22 @@ def test_order_names_reads_a_reply_and_refuses_a_bare_string():
     assert order_names(("door", "chair")) == ["door", "chair"]
     with pytest.raises(ContractError, match="string 'chair'"):
         order_names("chair")  # not the five names c, h, a, i, r
+    with pytest.raises(ContractError, match="at least one name"):
+        order_names([])
+
+
+@pytest.mark.parametrize(
+    "reply", [[1, 2], ["chair", None], (b"bed",)], ids=["ints", "none", "bytes"]
+)
+def test_order_names_refuses_a_name_that_is_not_a_string(reply):
+    with pytest.raises(ContractError, match="order names must be strings"):
+        order_names(reply)
+
+
+def test_order_names_keeps_the_reply_length():
+    """Fitting to the blocks is `trim_pad`'s job, not the reply check's."""
+    assert order_names(["table"]) == ["table"]
+    assert order_names(ParsedOrder(("bed", "door", "chair"), "rule")) == ["bed", "door", "chair"]
 
 
 def test_trim_pad_idempotent_and_target_preserving():
@@ -304,6 +321,48 @@ def test_http_reply_without_text_is_retried_then_endpoint_error(monkeypatch, con
     with pytest.raises(EndpointError, match="unexpected response structure"):
         llm_two_stage_order("the chair", endpoint=config)
     assert len(sent) == 1 + 2
+
+
+@pytest.mark.parametrize(
+    "choice", [{"message": {"content": "ok"}}, {"text": "ok"}], ids=["message", "text"]
+)
+@pytest.mark.parametrize("token", ["s3cret", None], ids=["token", "no-token"])
+def test_http_transport_posts_a_chat_request_and_returns_the_reply_text(
+    monkeypatch, choice, token
+):
+    """One POST to the configured URL within its timeout, with a bearer
+    header only when the config's `auth_env` holds a token."""
+    sent = []
+
+    def urlopen(req, timeout):
+        sent.append((req, timeout))
+        return io.BytesIO(json.dumps({"choices": [choice]}).encode())
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    if token is None:
+        monkeypatch.delenv("VIGOR_TEST_KEY", raising=False)
+    else:
+        monkeypatch.setenv("VIGOR_TEST_KEY", token)
+    config = LlmEndpointConfig(
+        base_url="http://localhost:9/v1", model="m", auth_env="VIGOR_TEST_KEY", timeout=5.0
+    )
+    assert HttpTransport(config)("the prompt") == "ok"
+    ((req, timeout),) = sent
+    assert (req.full_url, req.get_method(), timeout) == ("http://localhost:9/v1", "POST", 5.0)
+    assert req.get_header("Content-type") == "application/json"
+    assert req.get_header("Authorization") == (token and f"Bearer {token}")
+    body = {"model": "m", "messages": [{"role": "user", "content": "the prompt"}]}
+    assert json.loads(req.data) == body
+
+
+def test_an_unreachable_endpoint_is_a_transport_error(monkeypatch):
+    def urlopen(req, timeout):
+        raise urllib.error.URLError("connection refused")
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    config = LlmEndpointConfig(base_url="http://localhost:9", model="m")
+    with pytest.raises(TransportError, match="connection refused"):
+        HttpTransport(config)("prompt")
 
 
 def test_importing_the_package_leaves_the_http_stack_unloaded():

@@ -215,8 +215,8 @@ def packed_steps(start, count, size=3):
     steps = []
     for index in range(start, start + count):
         samples = [sample_at(GEN, i) for i in range(index * size, (index + 1) * size)]
-        batch = [(s, s.order) for s in samples]
-        steps.append(trainer._pack_step(batch, "warmup", model.word_vocab, model.cfg))
+        orders, chains = [s.order for s in samples], [s.anchor_target_ids for s in samples]
+        steps.append(trainer._pack_step(samples, orders, chains, model.word_vocab, model.cfg))
     return steps
 
 
@@ -554,6 +554,15 @@ def test_main_refuses_an_order_name_that_is_not_a_string(reply):
     with pytest.raises(ContractError, match="order names must be strings"):
         main_stage(model, dataset(2), TrainConfig(main_steps=1), lambda description: reply)
     assert params_equal(before, model.params)
+
+
+def test_main_refuses_an_empty_reply_before_the_first_step():
+    """Every description is parsed and checked up front, so an empty reply
+    is refused even by a stage that would take no step."""
+    data = dataset(2)
+    parser = lambda description: [] if description == data[1].description else ["chair"]
+    with pytest.raises(ContractError, match="at least one name"):
+        main_stage(tiny_model(), data, TrainConfig(main_steps=0), parser)
 
 
 def test_main_zero_steps_leaves_model_unchanged():
@@ -1324,9 +1333,14 @@ class SampleView:
 
 
 def step_of(model, batch, loss_fn):
-    """(item, order) pairs packed as the stage of `loss_fn` packs them."""
-    stage = "warmup" if loss_fn is trainer._warmup_loss else "main"
-    return trainer._pack_step(batch, stage, model.word_vocab, model.cfg)
+    """(item, order) pairs packed as the stage of `loss_fn` packs them: the
+    warm-up supervises each anchor chain, the main stage each target."""
+    items, orders = zip(*batch)
+    if loss_fn is trainer._warmup_loss:
+        targets = [item.anchor_target_ids for item in items]
+    else:
+        targets = [[item.target_id] for item in items]
+    return trainer._pack_step(items, orders, targets, model.word_vocab, model.cfg)
 
 
 def mixed_batch():
