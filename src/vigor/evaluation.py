@@ -1,9 +1,10 @@
 """Accuracy and subset breakdowns.
 
-Evaluation items are duck-typed: anything with a scene, a description, a
-`target_id`, and optionally a stored `order`.  Records' examples and
-synthesized warm-up samples both qualify.  When no stored order exists, a
-parser callable must be supplied to recover one from the description.
+Evaluation items are `synthgen.Sample`s, whether synthesized or rebuilt
+from records; `accuracy()` refuses anything else, naming its index, and
+reads the sample's fields as they are, its target id checked when it was
+built.  When an item stores no order, a parser callable must be supplied
+to recover one from the description.
 `accuracy()` parses each item once and both buckets and scores that order;
 an item whose description the parser cannot read counts as a miss in the
 `order_length:unparsed` bucket and in `EvalReport.parse_failures`.
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import ContractError, EmptyOrderError, NumericError, OrderParseError
 from .model import GroundingModel
 from .orderparse import order_names
+from .synthgen import Sample, check_samples
 
 __all__ = [
     "BREAKDOWN_FAMILIES",
@@ -33,10 +35,10 @@ __all__ = [
 BREAKDOWN_FAMILIES = ("order_length", "distractors")
 
 
-def _parsed_order(item, parser) -> list[str] | None:
+def _parsed_order(item: Sample, parser) -> list[str] | None:
     """The names of the item's order, unfitted: the parser's reply, else the
     stored order.  None when the parser cannot read the description."""
-    if parser is None and getattr(item, "order", None) is None:
+    if parser is None and item.order is None:
         raise ContractError("evaluation items carry no stored order; supply a parser")
     try:
         return order_names(item.order if parser is None else parser(item.description))
@@ -55,14 +57,14 @@ def order_length_bucket(n: int) -> str:
     return "4&5"
 
 
-def distractor_bucket(item) -> str:
+def distractor_bucket(item: Sample) -> str:
     """hard = more than 2 other proposals share the target's class."""
     labels = item.scene.class_ids
     same = np.count_nonzero(labels == labels[item.target_id])
     return "hard" if same - 1 > 2 else "easy"
 
 
-def _labels(item, raw_order: Sequence[str] | None) -> dict[str, str]:
+def _labels(item: Sample, raw_order: Sequence[str] | None) -> dict[str, str]:
     """`raw_order=None` marks a description the parser could not read."""
     length = "unparsed" if raw_order is None else order_length_bucket(len(raw_order))
     return dict(zip(BREAKDOWN_FAMILIES, (length, distractor_bucket(item))))
@@ -92,13 +94,14 @@ class EvalReport:
 
 def accuracy(
     model: GroundingModel,
-    items: Sequence,
+    items: Sequence[Sample],
     parser: Callable[[str], Sequence[str]] | None = None,
-    score_fn: Callable[[object, list[str]], np.ndarray] | None = None,
+    score_fn: Callable[[Sample, list[str]], np.ndarray] | None = None,
     config: dict | None = None,
 ) -> EvalReport:
     """Fraction of items whose argmax score hits the target id.
 
+    Every item must be a `Sample`, else `ContractError` naming its index.
     `score_fn(item, order)` may replace the model's scores with an
     injected K-vector, which keeps the harness testable against oracles.
     It and `forward` get the order's names unfitted, as bucketed by length.
@@ -109,6 +112,7 @@ def accuracy(
     """
     if not items:
         raise ContractError("cannot evaluate an empty dataset")
+    check_samples(items)
     hits_total = 0
     parse_failures = 0
     bucket_hits: dict[str, int] = {}

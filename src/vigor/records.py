@@ -7,6 +7,8 @@ warm-up data, the resolved anchor chain.  The ids cover 0..K-1.  A record
 is checked in full when built, its points and centers by the rule a
 `Scene` runs (`scene.proposal_arrays`), and holds its proposals sorted by
 id as float64 arrays, which a rebuilt `Scene` takes as they are.
+`example_from_record` rebuilds a record as a `synthgen.Sample` (records
+store no relation), and `record_from_sample` writes any `Sample` back.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ import numpy as np
 
 from .errors import ContractError, ValidationError
 from .scene import ClassVocab, Scene, proposal_arrays
-from .synthgen import WarmupSample
+from .synthgen import Sample
 
 __all__ = [
     "DatasetRecord",
-    "RecordExample",
     "record_from_sample",
     "example_from_record",
     "dataset_vocab",
@@ -140,18 +141,7 @@ class DatasetRecord:
         return cls(**{"scene_id": "", **blob})
 
 
-@dataclass
-class RecordExample:
-    """A record rebuilt against a vocabulary, ready for training or eval."""
-
-    scene: Scene
-    description: str
-    order: list[str]
-    target_id: int
-    anchor_target_ids: list[int] | None = None
-
-
-def record_from_sample(sample: WarmupSample) -> DatasetRecord:
+def record_from_sample(sample: Sample) -> DatasetRecord:
     scene = sample.scene
     proposals = [
         {"id": pid, "class": scene.vocab.name(c), "center": scene.centers[pid], "points": points}
@@ -161,14 +151,15 @@ def record_from_sample(sample: WarmupSample) -> DatasetRecord:
         scene_id=scene.scene_id,
         proposals=proposals,
         description=sample.description,
-        order=list(sample.order),
-        target_id=sample.anchor_target_ids[-1],
-        anchor_ids=list(sample.anchor_target_ids),
+        order=list(sample.order or ()),  # no order: DatasetRecord refuses an empty one
+        target_id=sample.target_id,
+        anchor_ids=None if sample.anchor_target_ids is None else list(sample.anchor_target_ids),
     )
 
 
-def example_from_record(record: DatasetRecord, vocab: ClassVocab) -> RecordExample:
-    """Rebuild the scene with class ids resolved against `vocab`.
+def example_from_record(record: DatasetRecord, vocab: ClassVocab) -> Sample:
+    """Rebuild the record as a `Sample` (no relation), its scene's class
+    ids resolved against `vocab`.
 
     Classes outside the vocabulary are a validation failure: the caller
     chose a vocabulary that cannot represent this record.  The scene takes
@@ -186,13 +177,8 @@ def example_from_record(record: DatasetRecord, vocab: ClassVocab) -> RecordExamp
         record.scene_id,
         np.array([p["center"] for p in props]),
     )
-    return RecordExample(
-        scene=scene,
-        description=record.description,
-        order=list(record.order),
-        target_id=record.target_id,
-        anchor_target_ids=None if record.anchor_ids is None else list(record.anchor_ids),
-    )
+    order = list(record.order)
+    return Sample(scene, record.description, record.target_id, order, record.anchor_ids)
 
 
 def dataset_vocab(records: Sequence[DatasetRecord]) -> ClassVocab:

@@ -3,10 +3,16 @@
 Scenes are sampled so that all pairwise center distances are separated by
 at least a configurable gap, which makes every farthest/nearest relation
 chain uniquely resolvable.  A scene try is one array draw, and only the
-try that passes the gap test becomes a `Scene`.  A warm-up sample pairs a
-pruned scene (its rows selected with `Scene.take`) with a templated
-description whose class-name appearance order equals the referential
-order, target last.
+try that passes the gap test becomes a `Scene`.
+
+`Sample` is the package's one sample type: a scene, its description and
+the target's proposal id, with the referential order (class names,
+target last), the anchor chain's proposal ids and the relation where they
+are known.  Its constructor is the one check of a sample's ids.  A
+warm-up sample pairs a pruned scene (its rows selected with `Scene.take`)
+with a templated description whose class-name appearance order equals the
+referential order, target last; `records.example_from_record` builds the
+others.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ __all__ = [
     "DEFAULT_CLASS_NAMES",
     "TEMPLATE_WORDS",
     "GenConfig",
-    "WarmupSample",
+    "Sample",
+    "check_samples",
     "default_vocab",
     "sample_scene",
     "synth_warmup_sample",
@@ -124,19 +131,55 @@ class GenConfig:
             raise ContractError(f"unknown style {self.style!r}")
 
 
-@dataclass
-class WarmupSample:
-    """A pruned scene plus its templated description and resolved chain."""
+def _index(value, what: str, k: float = math.inf) -> int:
+    """`value` as an `int` in 0..k-1: a Python or numpy integer, never a
+    bool (an int subclass, but no id or count), else `ContractError`."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and 0 <= value < k):
+        below = "" if k == math.inf else f" below {k}"
+        raise ContractError(f"{what} must be a non-negative integer{below}, got {value!r}")
+    return int(value)
+
+
+@dataclass(frozen=True)
+class Sample:
+    """A scene, its description and the target's proposal id; the order,
+    the anchor chain and the relation when known.
+
+    Every id is a Python or numpy integer (never a bool) naming one of the
+    scene's K proposals, stored as an `int`; the chain, when given, ends at
+    the target.  Anything else raises `ContractError`.
+    """
 
     scene: Scene
     description: str
-    order: list[str]  # class names, target last
-    anchor_target_ids: list[int]  # proposal ids along the chain, target last
-    relation: str
+    target_id: int
+    order: list[str] | None = None  # class names, target last
+    anchor_target_ids: list[int] | None = None  # proposal ids along the chain, target last
+    relation: str | None = None
 
-    @property
-    def target_id(self) -> int:
-        return self.anchor_target_ids[-1]
+    def __post_init__(self):
+        if not isinstance(self.scene, Scene):
+            raise ContractError(f"a sample's scene must be a Scene, got {self.scene!r}")
+        k = len(self.scene)
+        object.__setattr__(self, "target_id", _index(self.target_id, "target id", k))
+        chain = self.anchor_target_ids
+        if chain is not None:
+            if not isinstance(chain, (list, tuple, np.ndarray)):
+                raise ContractError(f"anchor ids must be a sequence, got {chain!r}")
+            chain = [_index(a, "anchor id", k) for a in chain]
+            if not chain or chain[-1] != self.target_id:
+                raise ContractError(f"anchor ids {chain} must end at the target {self.target_id}")
+            object.__setattr__(self, "anchor_target_ids", chain)
+        if self.relation is not None and self.relation not in RELATIONS:
+            raise ContractError(f"relation must be one of {RELATIONS}, got {self.relation!r}")
+
+
+def check_samples(items) -> None:
+    """Refuse, naming its index, an item that is not a `Sample`: the one
+    type training and evaluation take."""
+    for index, item in enumerate(items):
+        if not isinstance(item, Sample):
+            raise ContractError(f"item {index} is a {type(item).__name__}, not a Sample")
 
 
 # A ClassVocab is frozen, so one instance per size can serve every caller.
@@ -294,7 +337,7 @@ def synth_warmup_sample(
     relation: str,
     rng: np.random.Generator,
     style: str = "template",
-) -> WarmupSample:
+) -> Sample:
     """Draw an order, prune the scene, resolve the chain, render the text.
 
     Raises SkipSample when the scene has fewer distinct classes than the
@@ -321,13 +364,7 @@ def synth_warmup_sample(
         description = renderer(order_names, relation)
     else:
         description = render_description(order_names, relation)
-    return WarmupSample(
-        scene=pruned,
-        description=description,
-        order=order_names,
-        anchor_target_ids=chain,
-        relation=relation,
-    )
+    return Sample(pruned, description, chain[-1], order_names, chain, relation)
 
 
 def resolve_chain(scene: Scene, order_ids: list[int], relation: str) -> list[int]:
@@ -343,16 +380,20 @@ def resolve_chain(scene: Scene, order_ids: list[int], relation: str) -> list[int
     return chain
 
 
-def oracle_resolve(sample: WarmupSample) -> list[int]:
+def oracle_resolve(sample: Sample) -> list[int]:
     """Re-derive the chain with exhaustive scalar scans, rejecting ties.
 
     Independent of relation_select: plain python loops, explicit tie
-    detection within TIE_TOLERANCE.
+    detection within TIE_TOLERANCE.  A sample without a relation (one
+    rebuilt from a record) is refused.
     """
     return oracle_resolve_parts(sample.scene, sample.order, sample.relation)
 
 
 def oracle_resolve_parts(scene: Scene, order: list[str], relation: str) -> list[int]:
+    if relation not in RELATIONS:
+        # Neither comparison below would match: each class's first id would win.
+        raise ContractError(f"relation must be one of {RELATIONS}, got {relation!r}")
     order_ids = [scene.vocab.index(n) for n in order]
     labels, centers = scene.class_ids.tolist(), scene.centers.tolist()
     first = [pid for pid, c in enumerate(labels) if c == order_ids[0]]
@@ -389,12 +430,14 @@ def oracle_resolve_parts(scene: Scene, order: list[str], relation: str) -> list[
     return chain
 
 
-def sample_at(cfg: GenConfig, index: int) -> WarmupSample:
+def sample_at(cfg: GenConfig, index: int) -> Sample:
     """Draw the sample for one slot, retrying scenes that cannot host it.
 
     The slot's rng is seeded by (cfg.seed, index), so any slot can be
-    reproduced without generating its predecessors.
+    reproduced without generating its predecessors.  `index` is a
+    non-negative integer, else `ContractError`.
     """
+    index = _index(index, "sample index")
     rng = np.random.default_rng((cfg.seed, index))
     relation = cfg.relation
     if cfg.style == "natural":
@@ -414,9 +457,9 @@ def sample_at(cfg: GenConfig, index: int) -> WarmupSample:
     )
 
 
-def generate_dataset(cfg: GenConfig, num_samples: int) -> Iterator[WarmupSample]:
+def generate_dataset(cfg: GenConfig, num_samples: int) -> Iterator[Sample]:
     """Warm-up samples 0 .. num_samples - 1, each from its own derived seed,
-    drawn as the iterator is read; a negative count is refused at the call."""
-    if num_samples < 0:
-        raise ContractError(f"sample count must be non-negative, got {num_samples}")
+    drawn as the iterator is read; a count that is not a non-negative
+    integer is refused at the call."""
+    num_samples = _index(num_samples, "sample count")
     return (sample_at(cfg, idx) for idx in range(num_samples))

@@ -58,7 +58,7 @@ from .model import GroundingModel, HeadOutputs, ModelConfig, PackedBatch, WordVo
 from .model import pack_batch, param_layout
 from .orderparse import order_names
 from .scene import ClassVocab
-from .synthgen import GenConfig, default_vocab, sample_at
+from .synthgen import GenConfig, check_samples, default_vocab, sample_at
 from .tensor import AdamState, FlatParams, GradCheckReport, adam_step, backward, grad_check
 
 __all__ = [
@@ -423,7 +423,8 @@ def main_stage(
 ) -> tuple[StageReport, TrainState]:
     """Fine-tune on stored samples; supervises the target only.
 
-    `dataset` items carry a scene, a description, and a `target_id`.
+    `dataset` items are `Sample`s; anything else is refused before the
+    first step.
     `parser` maps a description to an order (class names, target last);
     every description is parsed once, before the first step, and its
     names checked by `order_names` and cached; `pack_batch` fits them to
@@ -432,6 +433,7 @@ def main_stage(
     """
     if not dataset:
         raise ContractError("main stage needs a nonempty dataset")
+    check_samples(dataset)
     model.check_vocab([item.scene.vocab for item in dataset], "a dataset scene's")
     state = state if state is not None else TrainState.fresh(train_cfg.seed)
     orders = [order_names(parser(item.description)) for item in dataset]

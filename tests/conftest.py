@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import socket
 import struct
 
 import pytest
@@ -133,6 +134,27 @@ def built_heads(monkeypatch):
 
     monkeypatch.setattr(vigor.model, "_mlp2", spy)
     return built
+
+
+class NetworkBlocked(RuntimeError):
+    """A test tried to open an IPv4 or IPv6 connection."""
+
+
+@pytest.fixture(autouse=True)
+def no_network(monkeypatch):
+    """Make every IPv4 or IPv6 `connect` and `connect_ex` raise
+    `NetworkBlocked`: the suite runs on canned transcripts and patched
+    transports, so no test may reach a network.  Not an `OSError`, so no
+    transport can take it for an unreachable endpoint and retry."""
+    for name in ("connect", "connect_ex"):
+        real = getattr(socket.socket, name)
+
+        def guarded(sock, address, real=real):
+            if sock.family in (socket.AF_INET, socket.AF_INET6):
+                raise NetworkBlocked(f"tests may not connect to {address!r}")
+            return real(sock, address)
+
+        monkeypatch.setattr(socket.socket, name, guarded)
 
 
 @pytest.fixture(autouse=True)

@@ -1,7 +1,7 @@
 """Tests for the evaluation harness: accuracy and subsets."""
 
 import json
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from vigor.evaluation import (
 from vigor.model import GroundingModel, ModelConfig
 from vigor.orderparse import parse_appearance_order
 from vigor.scene import ClassVocab, Scene
-from vigor.synthgen import GenConfig, default_vocab, generate_dataset
+from vigor.synthgen import GenConfig, Sample, default_vocab, generate_dataset
 
 from conftest import NON_STRING_ORDERS
 
@@ -31,14 +31,6 @@ GEN = GenConfig(
 )
 
 
-@dataclass
-class EvalItem:
-    scene: Scene
-    description: str
-    order: list[str]
-    target_id: int
-
-
 def tiny_model(seed=0):
     cfg = ModelConfig(d=8, b=2, n_heads=2, points_per_proposal=6, seed=seed)
     return GroundingModel(cfg, default_vocab(GEN.class_vocab_size))
@@ -47,7 +39,7 @@ def tiny_model(seed=0):
 def items(n, seed=31):
     cfg = GenConfig(**{**GEN.__dict__, "seed": seed})
     return [
-        EvalItem(s.scene, s.description, s.order, s.anchor_target_ids[-1])
+        Sample(s.scene, s.description, s.anchor_target_ids[-1], s.order)
         for s in generate_dataset(cfg, n)
     ]
 
@@ -72,7 +64,7 @@ def test_distractor_bucket_threshold():
 
     def with_classes(classes, target):
         scene = Scene(classes, [base.scene.points[0]] * len(classes), base.scene.vocab)
-        return EvalItem(scene, base.description, base.order, target)
+        return Sample(scene, base.description, target, base.order)
 
     # four of the target's class in total: three distractors, hard
     assert distractor_bucket(with_classes([2, 2, 2, 2], 0)) == "hard"
@@ -107,6 +99,27 @@ def test_accuracy_refuses_items_of_another_class_vocabulary():
     model = GroundingModel(tiny_model().cfg, ClassVocab(names[::-1]))
     with pytest.raises(ContractError, match="scene's class vocabulary"):
         accuracy(model, items(2))
+
+
+@pytest.mark.parametrize("bad", [-1, "K", True, 2.0, "1"], ids=repr)
+def test_accuracy_refuses_a_target_id_that_is_not_a_proposal_id(bad):
+    """Neither a `Sample` nor a stand-in carrying the id gets scored: once
+    -1 scored as a miss, True and 2.0 as proposal 1 and 2."""
+    item = items(1)[0]
+    bad = len(item.scene) if bad == "K" else bad
+    oracle = lambda item, order: np.eye(len(item.scene))[0]
+    with pytest.raises(ContractError, match="target id"):
+        accuracy(tiny_model(), [Sample(item.scene, item.description, bad, item.order)])
+    stand_in = SimpleNamespace(**{**vars(item), "target_id": bad})
+    with pytest.raises(ContractError, match="item 0 is a SimpleNamespace, not a Sample"):
+        accuracy(tiny_model(), [stand_in], score_fn=oracle)
+
+
+def test_accuracy_refuses_an_item_that_is_not_a_sample_naming_its_index():
+    data = items(3)
+    data[2] = SimpleNamespace(**vars(data[2]))
+    with pytest.raises(ContractError, match="item 2 is a SimpleNamespace, not a Sample"):
+        accuracy(tiny_model(), data)
 
 
 def test_accuracy_oracle_injection_is_one():
@@ -145,14 +158,14 @@ def test_accuracy_single_proposal_is_one():
     base = items(1)[0]
     scene = Scene([2], [base.scene.points[0]], base.scene.vocab)
     name = base.scene.vocab.names[2]
-    item = EvalItem(scene, f"the {name} in the room", [name], 0)
+    item = Sample(scene, f"the {name} in the room", 0, [name])
     assert accuracy(tiny_model(), [item]).overall == 1.0
 
 
 def test_accuracy_with_parser_and_without_order():
     data = items(5)
     stripped = [
-        EvalItem(d.scene, d.description, None, d.target_id) for d in data
+        Sample(d.scene, d.description, d.target_id, None) for d in data
     ]
     vocab = default_vocab(GEN.class_vocab_size)
     parser = lambda desc: parse_appearance_order(desc, vocab).names
@@ -170,7 +183,7 @@ def test_accuracy_refuses_a_parser_that_replies_with_a_string():
 
 def test_accuracy_scores_unreadable_descriptions_as_misses():
     data = items(4)
-    data[2] = EvalItem(data[2].scene, "something over there", None, data[2].target_id)
+    data[2] = Sample(data[2].scene, "something over there", data[2].target_id, None)
     vocab = default_vocab(GEN.class_vocab_size)
     parser = lambda desc: parse_appearance_order(desc, vocab)
     oracle = lambda item, order: np.eye(len(item.scene))[item.target_id]
@@ -218,7 +231,7 @@ def test_accuracy_buckets_the_order_it_scores():
     """A parser whose reply changes between calls: each item must land in
     the bucket of the very reply it was scored on.  The scorer hits only
     on the four-name reply, so the `1` bucket must read 0 and `4&5` 1."""
-    data = [EvalItem(d.scene, d.description, None, d.target_id) for d in items(5)]
+    data = [Sample(d.scene, d.description, d.target_id, None) for d in items(5)]
     replies = iter([["target"], ["x1", "x2", "x3", "target"]] * len(data) * 2)
     parser = lambda desc: next(replies)
 
@@ -242,7 +255,7 @@ def test_accuracy_chance_scorer_sits_at_expected_one_over_k():
     such a chance predictor: its relevance masks already single out
     target-class proposals, which lifts it above chance before training."""
     data = [
-        EvalItem(s.scene, s.description, s.order, s.anchor_target_ids[-1])
+        Sample(s.scene, s.description, s.anchor_target_ids[-1], s.order)
         for s in generate_dataset(GEN, 2000)
     ]
     rng = np.random.default_rng(7)
@@ -331,7 +344,7 @@ def test_a_bare_string_order_is_refused(where):
     """As a sequence, "chair door" would read as one class name a letter."""
     item = items(1)[0]
     if where == "stored":
-        data, parser = [EvalItem(item.scene, item.description, "chair door", item.target_id)], None
+        data, parser = [Sample(item.scene, item.description, item.target_id, "chair door")], None
     else:
         data, parser = [item], lambda description: "chair door"
     with pytest.raises(ContractError, match="not the string 'chair door'"):

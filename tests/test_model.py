@@ -1,7 +1,5 @@
 """Tests for the grounding network: encoders, blocks, heads, gradients."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -22,6 +20,7 @@ from vigor.model import (
 )
 from vigor.orderparse import ParsedOrder, order_names, trim_pad
 from vigor.scene import ClassVocab, Scene, permute_scene
+from vigor.synthgen import Sample
 
 from conftest import forward_samples
 
@@ -338,7 +337,7 @@ def test_forward_refuses_non_finite_block_features(name, value, block, via):
         if via == "forward":
             m.forward(SCENE, ORDER, DESC)
         else:
-            accuracy(m, [SimpleNamespace(scene=SCENE, description=DESC, order=ORDER, target_id=0)])
+            accuracy(m, [Sample(SCENE, DESC, 0, ORDER)])
 
 
 def test_forward_single_proposal_softmax_is_one():

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import socket
 import subprocess
 import sys
 import urllib.error
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from conftest import PARSE_CASES, transcript_records
+from conftest import PARSE_CASES, NetworkBlocked, transcript_records
 from vigor import orderparse
 from vigor.cli import main
 from vigor.errors import (
@@ -363,6 +364,21 @@ def test_an_unreachable_endpoint_is_a_transport_error(monkeypatch):
     config = LlmEndpointConfig(base_url="http://localhost:9", model="m")
     with pytest.raises(TransportError, match="connection refused"):
         HttpTransport(config)("prompt")
+
+
+def test_the_suite_cannot_reach_the_network():
+    """A real `HttpTransport` request, unpatched, stops at the suite's guard
+    (conftest's `no_network`) before any connection is made; so do both
+    connect calls of a bare socket of either internet family."""
+    config = LlmEndpointConfig(base_url="http://localhost:9", model="m", timeout=1.0)
+    with pytest.raises(NetworkBlocked, match="tests may not connect"):
+        HttpTransport(config)("prompt")
+    for family, host in ((socket.AF_INET, "127.0.0.1"), (socket.AF_INET6, "::1")):
+        with socket.socket(family, socket.SOCK_STREAM) as sock:
+            with pytest.raises(NetworkBlocked):
+                sock.connect((host, 9))
+            with pytest.raises(NetworkBlocked):
+                sock.connect_ex((host, 9))
 
 
 def test_importing_the_package_leaves_the_http_stack_unloaded():

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,6 +64,21 @@ def test_roundtrip_preserves_everything():
     for a, b in zip(example.scene.points, sample.scene.points):
         assert np.array_equal(a, b)
     assert np.array_equal(example.scene.centers, sample.scene.centers)
+
+
+def test_a_record_without_anchor_ids_round_trips():
+    """`example_from_record` keeps a missing chain missing, and
+    `record_from_sample` writes it back as null."""
+    record = DatasetRecord.from_dict(record_blob(anchor_ids=None))
+    example = example_from_record(record, dataset_vocab([record]))
+    assert (example.anchor_target_ids, example.relation) == (None, None)
+    assert record_from_sample(example).to_dict() == record.to_dict()
+
+
+def test_a_sample_without_an_order_makes_no_record():
+    """Records store an order; once this raised a bare TypeError."""
+    with pytest.raises(ValidationError, match="order"):
+        record_from_sample(replace(samples(1)[0], order=None))
 
 
 def test_record_requires_nonempty_order_and_description():

@@ -1,15 +1,19 @@
 """Tests for scene sampling, warm-up synthesis, and the chain oracle."""
 
 import hashlib
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vigor import synthgen
 from vigor.errors import AmbiguityError, ContractError, GenerationError, SkipSample
 from vigor.scene import ClassVocab, Scene
 from vigor.synthgen import (
     GenConfig,
+    Sample,
     default_vocab,
     generate_dataset,
     oracle_resolve,
@@ -367,3 +371,147 @@ def test_generate_dataset_zero_samples():
 def test_generate_dataset_refuses_a_negative_count_at_the_call():
     with pytest.raises(ContractError, match="-3"):
         generate_dataset(tiny_cfg(), -3)
+
+
+@pytest.mark.parametrize("count", [True, 2.5, np.bool_(True), "2"], ids=repr)
+def test_generate_dataset_refuses_a_count_that_is_not_an_integer(count):
+    with pytest.raises(ContractError, match="sample count"):
+        generate_dataset(tiny_cfg(), count)
+
+
+@pytest.mark.parametrize("index", [-1, 1.5, True, np.bool_(False), "0", None], ids=repr)
+def test_sample_at_refuses_an_index_that_is_not_a_non_negative_integer(index):
+    with pytest.raises(ContractError, match="sample index"):
+        sample_at(tiny_cfg(), index)
+
+
+def test_sample_at_takes_a_numpy_index_as_its_int():
+    a, b = sample_at(tiny_cfg(), np.int64(3)), sample_at(tiny_cfg(), 3)
+    assert a.scene.scene_id == b.scene.scene_id == "scene-0-3"
+    assert (a.description, a.anchor_target_ids) == (b.description, b.anchor_target_ids)
+    assert list(generate_dataset(tiny_cfg(), np.int32(1)))[0].description == sample_at(
+        tiny_cfg(), 0
+    ).description
+
+
+# ---------------------------------------------------------------------------
+# the one sample type
+
+# The relation oracle's repro: the true farthest chain is [3, 5, 1], and an
+# unknown relation once made the oracle answer [3, 4, 1], each class's
+# lowest id.
+ORACLE_CASE = GenConfig(
+    proposals_min=6, proposals_max=8, points_per_proposal=8, class_vocab_size=6, order_len=3,
+    seed=5,
+)
+
+
+@pytest.mark.parametrize("relation", ["sideways", None, "Farthest"])
+def test_oracle_refuses_a_relation_it_does_not_know(relation):
+    sample = sample_at(ORACLE_CASE, 0)
+    assert oracle_resolve(sample) == sample.anchor_target_ids == [3, 5, 1]
+    with pytest.raises(ContractError, match="relation"):
+        oracle_resolve_parts(sample.scene, sample.order, relation)
+
+
+def test_oracle_refuses_a_sample_without_a_relation():
+    """A sample rebuilt from a record stores no relation."""
+    sample = replace(sample_at(ORACLE_CASE, 0), relation=None)
+    with pytest.raises(ContractError, match="relation"):
+        oracle_resolve(sample)
+
+
+def test_a_warmup_sample_is_a_checked_sample():
+    sample = sample_at(tiny_cfg(), 0)
+    assert isinstance(sample, Sample)
+    assert sample.target_id == sample.anchor_target_ids[-1]
+    assert sample.relation == "farthest"
+    with pytest.raises(FrozenInstanceError):
+        sample.target_id = 0
+
+
+@pytest.mark.parametrize(
+    "bad", [-1, "K", True, np.bool_(True), 2.0, "1", None], ids=repr
+)
+def test_sample_refuses_a_target_id_that_is_not_a_proposal_id(bad):
+    sample = sample_at(tiny_cfg(), 0)
+    bad = len(sample.scene) if bad == "K" else bad
+    with pytest.raises(ContractError, match="target id"):
+        Sample(sample.scene, sample.description, bad, sample.order)
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [[], "ends-elsewhere", [True, "target"], [2.0, "target"], [-1, "target"], 3, "0"],
+    ids=repr,
+)
+def test_sample_refuses_an_anchor_chain_of_other_ids(chain):
+    sample = sample_at(tiny_cfg(), 0)
+    target = sample.target_id
+    if chain == "ends-elsewhere":
+        chain = [target, (target + 1) % len(sample.scene)]
+    elif isinstance(chain, list):
+        chain = [target if a == "target" else a for a in chain]
+    with pytest.raises(ContractError, match="anchor"):
+        replace(sample, anchor_target_ids=chain)
+
+
+@pytest.mark.parametrize("relation", ["sideways", "Farthest", 1])
+def test_sample_refuses_an_unknown_relation(relation):
+    with pytest.raises(ContractError, match="relation"):
+        replace(sample_at(tiny_cfg(), 0), relation=relation)
+
+
+def test_sample_refuses_a_scene_that_is_not_a_scene():
+    sample = sample_at(tiny_cfg(), 0)
+    with pytest.raises(ContractError, match="Scene"):
+        Sample(None, sample.description, 0)
+
+
+def test_sample_stores_numpy_ids_as_ints():
+    sample = sample_at(tiny_cfg(), 0)
+    chain = np.asarray(sample.anchor_target_ids, dtype=np.int32)
+    built = Sample(sample.scene, sample.description, np.int64(chain[-1]), anchor_target_ids=chain)
+    assert type(built.target_id) is int
+    assert [type(a) for a in built.anchor_target_ids] == [int] * len(chain)
+    assert built.anchor_target_ids == sample.anchor_target_ids
+
+
+_SCENE = sample_at(tiny_cfg(), 0).scene
+_K = len(_SCENE)
+_IDS = st.one_of(
+    st.integers(-2, _K + 2),
+    st.integers(-2, _K + 2).map(np.int64),
+    st.integers(0, _K + 2).map(np.uint8),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.floats(-2, _K + 2),
+    st.text(max_size=2),
+    st.none(),
+)
+
+
+def _is_proposal_id(value) -> bool:
+    return type(value) in (int, np.int64, np.uint8) and 0 <= value < _K
+
+
+@settings(max_examples=300, deadline=None)
+@given(target=_IDS, chain=st.none() | st.lists(_IDS, max_size=4), close=st.booleans())
+def test_any_id_builds_a_checked_sample_or_raises_contract_error(target, chain, close):
+    """`close` ends the drawn chain at the target, so valid chains occur."""
+    if chain is not None and close:
+        chain = chain + [target]
+    valid = _is_proposal_id(target) and (
+        chain is None
+        or bool(chain) and all(map(_is_proposal_id, chain)) and chain[-1] == target
+    )
+    try:
+        sample = Sample(_SCENE, "a description", target, anchor_target_ids=chain)
+    except ContractError:
+        assert not valid
+        return
+    assert valid
+    assert type(sample.target_id) is int and sample.target_id == target
+    if chain is not None:
+        assert sample.anchor_target_ids == [int(a) for a in chain]
+        assert all(type(a) is int for a in sample.anchor_target_ids)

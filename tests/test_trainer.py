@@ -10,6 +10,7 @@ import struct
 import time
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -563,6 +564,22 @@ def test_main_refuses_an_empty_reply_before_the_first_step():
     parser = lambda description: [] if description == data[1].description else ["chair"]
     with pytest.raises(ContractError, match="at least one name"):
         main_stage(tiny_model(), data, TrainConfig(main_steps=0), parser)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "1"], ids=repr)
+def test_main_refuses_a_target_id_that_is_not_a_proposal_id(bad):
+    """Neither a `Sample` nor a stand-in carrying the id trains: once each
+    trained as proposal 1, 2 and 1."""
+    model, data = tiny_model(), dataset(2)
+    before = snapshot(model)
+    cfg = TrainConfig(main_steps=2)
+    with pytest.raises(ContractError, match="target id"):
+        bad_sample = replace(data[1], target_id=bad, anchor_target_ids=None)
+        main_stage(model, [data[0], bad_sample], cfg, rule_parser)
+    stand_in = SimpleNamespace(**{**vars(data[1]), "target_id": bad})
+    with pytest.raises(ContractError, match="item 1 is a SimpleNamespace, not a Sample"):
+        main_stage(model, [data[0], stand_in], cfg, rule_parser)
+    assert params_equal(before, model.params)
 
 
 def test_main_zero_steps_leaves_model_unchanged():
